@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .condition import ConditionSpec, ObservableRep, start_time, support_at
+from .condition import ConditionSpec, ObservableRep, check_k0, support_at
 from .errors import (
     DomainError,
     ShapeError,
@@ -31,6 +31,8 @@ from .errors import (
     UnverifiableSequenceError,
 )
 from .model import lift_system1
+
+_K0_BOUND = "the condition's start index T_s={ts}"
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResu
     k = cond.model.grid.check_index(k)
     if k < cond.k_c:
         raise DomainError(f"prob_forward requires k >= k_c, got k={k} < k_c={cond.k_c}")
-    _check_k0(cond, k0)
+    check_k0(cond, k0, _K0_BOUND)
     py = _lift_outcome(cond, y, k)
     px = cond.projector
     p0 = cond.fam.at(k0)
@@ -144,7 +146,7 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
         )
     if not outcomes.complete:
         raise DomainError("prob_intermediate_full needs a complete outcome set")
-    _check_k0(cond, k0)
+    check_k0(cond, k0, _K0_BOUND)
     if not 0 <= y_index < len(outcomes):
         raise IndexError(f"outcome index {y_index} out of range")
 
@@ -178,7 +180,7 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         raise DomainError(
             f"prob_intermediate_known requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
         )
-    _check_k0(cond, k0)
+    check_k0(cond, k0, _K0_BOUND)
     if variant == "support":
         anchor = support_at(cond, k)
     elif variant == "observable":
@@ -200,7 +202,7 @@ def prob_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResul
     k = cond.model.grid.check_index(k)
     if k > k0:
         raise DomainError(f"prob_before requires k <= k0, got k={k} > k0={k0}")
-    _check_k0(cond, k0)
+    check_k0(cond, k0, _K0_BOUND)
     py = _lift_outcome(cond, y, k)
     px = cond.projector
     p0 = cond.fam.at(k0)
@@ -247,7 +249,7 @@ def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     """
     k1 = cond.model.grid.check_index(k1)
     k2 = cond.model.grid.check_index(k2)
-    _check_k0(cond, k0)
+    check_k0(cond, k0, _K0_BOUND)
     py1 = _lift_outcome(cond, y1, k1)
     py2 = _lift_outcome(cond, y2, k2)
     phys, cnd = _verifiability_norms(cond, py1, k1)
@@ -262,46 +264,4 @@ def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     p0 = cond.fam.at(k0)
     num = _real_trace(py2 @ py1 @ px @ p0 @ px @ py1, cond.tol, "prob_sequence")
     den = _real_trace(px @ p0, cond.tol, "prob_sequence")
-    result = _result(num, den, "sequence", cond.tol)
-
-    # Internal consistency: the sequence value must factor into the
-    # single-stage probability of Y1 times the Y2 probability conditioned
-    # on the Y1-filtered condition operator.
-    stage1 = _real_trace(py1 @ px @ p0 @ px @ py1, cond.tol, "prob_sequence stage1")
-    warnings = result.warnings
-    if stage1 > cond.tol.eps_zero:
-        stage2 = num / stage1
-        if abs(stage1 / den * stage2 - result.value) > 1e-9:
-            warnings = warnings + ("sequence value does not factor into single-step rules",)
-    return ProbabilityResult(result.value, result.numerator, result.denominator,
-                             result.rule, warnings)
-
-
-def _check_k0(cond: ConditionSpec, k0: int) -> None:
-    k0 = cond.model.grid.check_index(k0)
-    ts = start_time(cond)
-    if k0 > ts.condition1_index:
-        raise DomainError(
-            f"k0={k0} is later than the condition's start index T_s={ts.condition1_index}"
-        )
-
-
-def sequence_lower_bound_k0(cond: ConditionSpec,
-                            outcome_conds: tuple = ()) -> tuple:
-    """Minimum of the start indices of the condition and any outcome
-    conditions, for choosing k0 when outcomes carry their own past.
-
-    Returns (index, warnings); an outcome whose joint start-time set is
-    empty contributes index 0 and a warning, as the semantics of an
-    unbounded start are deliberately left open.
-    """
-    warnings = []
-    k0 = start_time(cond).condition1_index
-    for oc in outcome_conds:
-        ts = start_time(oc)
-        if ts.empty:
-            warnings.append(
-                f"outcome condition at index {oc.k_c} has an empty start-time set"
-            )
-        k0 = min(k0, ts.index if not ts.empty else 0)
-    return k0, tuple(warnings)
+    return _result(num, den, "sequence", cond.tol)

@@ -47,6 +47,7 @@ class ConditionSpec:
                 f"condition predicate is not physically possible at index {self.k_c}"
             )
         object.__setattr__(self, "_lifted", lifted)
+        object.__setattr__(self, "_condition1_index", None)  # set by start_time
 
     @property
     def projector(self) -> np.ndarray:
@@ -162,11 +163,22 @@ class StartTime:
     condition1_index: int
 
 
-def _condition1_holds(cond: ConditionSpec, k: int) -> bool:
-    tk = trimmed(cond, k)
-    return all(
-        linalg.approx_equal(trimmed(cond, t), tk, cond.tol) for t in range(k)
-    )
+def _condition1_indices(cond: ConditionSpec, top: int):
+    """Indices k <= top that satisfy demand (1), in decreasing order.
+
+    trimmed(0) is held for the whole scan, so an index whose trimmed
+    operator already differs from index 0 costs one trimming product;
+    only indices that match it are compared with indices 1..k-1.  Index
+    0 qualifies vacuously and is always yielded last.
+    """
+    t0 = trimmed(cond, 0)
+    for k in range(top, 0, -1):
+        tk = trimmed(cond, k)
+        if linalg.approx_equal(t0, tk, cond.tol) and all(
+            linalg.approx_equal(trimmed(cond, t), tk, cond.tol) for t in range(1, k)
+        ):
+            yield k
+    yield 0
 
 
 def _condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
@@ -185,15 +197,39 @@ def start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTi
     system1 state carries no information about system2.  Ties resolve to
     the latest qualifying index; an empty joint set is reported via the
     ``empty`` flag with index 0.
+
+    Indices are scanned from k_c down to 0 and the first that qualifies
+    is returned.  Each index is first compared with index 0, so a scan
+    typically costs k_c+1 trimming products rather than one per pair of
+    indices.  The demand-(1) index is computed once per condition and
+    kept on it; with ``rep`` the scan for both demands starts from that
+    index.
     """
-    cond1 = [k for k in range(cond.k_c + 1) if _condition1_holds(cond, k)]
-    k1 = max(cond1)  # index 0 always qualifies vacuously
+    k1 = cond._condition1_index
+    if k1 is None:
+        k1 = next(_condition1_indices(cond, cond.k_c))
+        object.__setattr__(cond, "_condition1_index", k1)
     if rep is None:
         return StartTime(k1, False, k1)
-    joint = [k for k in cond1 if _condition2_holds(cond, rep, k)]
-    if not joint:
-        return StartTime(0, True, k1)
-    return StartTime(max(joint), False, k1)
+    for k in _condition1_indices(cond, k1):
+        if _condition2_holds(cond, rep, k):
+            return StartTime(k, False, k1)
+    return StartTime(0, True, k1)
+
+
+def check_k0(cond: ConditionSpec, k0: int,
+             bound: str = "the start index T_s={ts}") -> int:
+    """Validate k0 against the grid and the condition's demand-(1) start
+    index; return it as a grid index.
+
+    ``bound`` names the start index in the error message and may
+    mention its value as ``{ts}``.
+    """
+    k0 = cond.model.grid.check_index(k0)
+    ts = start_time(cond).condition1_index
+    if k0 > ts:
+        raise DomainError(f"k0={k0} is later than " + bound.format(ts=ts))
+    return k0
 
 
 def expanded_condition_operator(cond: ConditionSpec, k0: int = 0,
@@ -228,12 +264,7 @@ def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
     demand; by the equal-sandwich lemma the result is the same for every
     valid choice.
     """
-    k0 = cond.model.grid.check_index(k0)
-    ts = start_time(cond)
-    if k0 > ts.condition1_index:
-        raise DomainError(
-            f"k0={k0} is later than the start index T_s={ts.condition1_index}"
-        )
+    k0 = check_k0(cond, k0)
     px = cond.projector
     out = px @ cond.fam.at(k0) @ px
     return (out + out.conj().T) / 2

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .born import OutcomeSet, prob_forward
-from .condition import ConditionSpec, observable_rep, start_time, trimmed
+from .condition import ConditionSpec, check_k0, observable_rep, trimmed
 from .errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
 from .model import (
     Model,
@@ -56,10 +56,8 @@ class MeasurementProcess:
             raise NotPhysicallyPossibleError("start space is not physically possible at k1")
         object.__setattr__(self, "_start", start)
 
-        k0 = self.model.grid.check_index(self.k0)
-        start_cond = ConditionSpec(self.model, self.fam, self.m0, k1, tol)
-        if k0 > start_time(start_cond).condition1_index:
-            raise DomainError(f"k0={k0} is later than the start space's start index")
+        check_k0(ConditionSpec(self.model, self.fam, self.m0, k1, tol), self.k0,
+                 "the start space's start index")
 
         conds, record_ok = [], []
         for p in self.outcomes.projectors:

@@ -4,9 +4,12 @@ operator."""
 import numpy as np
 import pytest
 
-from physborn import linalg
+from physborn import condition, linalg
+from physborn.born import prob_forward
 from physborn.condition import (
     ConditionSpec,
+    StartTime,
+    check_k0,
     condition_operator,
     expanded_condition_operator,
     observable_rep,
@@ -19,7 +22,7 @@ from physborn.errors import (
     NotPhysicallyPossibleError,
     UnreachableConditionError,
 )
-from physborn.model import Model, PhysicalFamily, TimeGrid
+from physborn.model import Model, PhysicalFamily, TimeGrid, physical_restrict, schrodinger
 
 from conftest import random_nested_family, random_span_projector, random_unitary
 
@@ -132,6 +135,133 @@ def test_start_time_trimming_constancy():
     ts = start_time(cond)
     assert ts.condition1_index == 1
     assert not ts.empty
+
+
+def _quadratic_start_time(cond, rep=None):
+    """The start index by definition: every index is checked against
+    every earlier one, and the latest qualifying index wins."""
+    def demand1(k):
+        tk = trimmed(cond, k)
+        return all(linalg.approx_equal(trimmed(cond, t), tk, cond.tol) for t in range(k))
+
+    def demand2(k):
+        px = rep.projector(k)
+        return linalg.approx_equal(physical_restrict(cond.fam, px, k, cond.tol), px, cond.tol)
+
+    cond1 = [k for k in range(cond.k_c + 1) if demand1(k)]
+    k1 = max(cond1)
+    if rep is None:
+        return StartTime(k1, False, k1)
+    joint = [k for k in cond1 if demand2(k)]
+    if not joint:
+        return StartTime(0, True, k1)
+    return StartTime(max(joint), False, k1)
+
+
+def _drifting_condition(rng):
+    """A condition on random dynamics whose family drifts by a random walk
+    of tiny rotations (steps of 1e-10 to 3e-9, either sign) and sometimes
+    gains a rank, so trimmed operators at different indices differ by
+    amounts on both sides of eps_zero."""
+    d = int(rng.integers(3, 8))
+    n = int(rng.integers(3, 10))
+    u = random_unitary(rng, d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w, v = np.linalg.eigh(a + a.conj().T)
+    w = w / np.max(np.abs(w))
+    theta = np.cumsum(rng.choice((-1.0, 1.0), n) * rng.uniform(1e-10, 3e-9, n))
+
+    def rotated(cols, k):
+        b = (v * np.exp(-1j * theta[k] * w)) @ v.conj().T @ u[:, cols]
+        return b @ b.conj().T
+
+    rank, projs = int(rng.integers(1, d)), []
+    for k in range(n):
+        projs.append(rotated(list(range(rank)), k))
+        if rank < d and rng.random() < 0.3:
+            rank += 1
+    k_c = n - 1
+    m = Model(d, 1, TimeGrid(tuple(float(t) for t in range(n))),
+              tuple(random_unitary(rng, d) for _ in range(n - 1)))
+    cols = [0] + [i for i in range(1, d) if rng.random() < 0.5]
+    x1 = schrodinger(m, rotated(cols, k_c), k_c)
+    return ConditionSpec(m, PhysicalFamily(tuple(projs)), (x1 + x1.conj().T) / 2, k_c)
+
+
+def test_start_time_matches_quadratic_oracle_on_drifting_families():
+    rng = np.random.default_rng(46)
+    non_transitive, kinds = 0, set()
+    for _ in range(300):
+        cond = _drifting_condition(rng)
+        expected = _quadratic_start_time(cond)
+        assert start_time(cond) == expected
+        kinds.add((expected.index == 0, expected.index == cond.k_c))
+        # an index after T_s whose trimmed operator still matches index 0:
+        # a scan that compares with index 0 alone would accept it
+        t0 = trimmed(cond, 0)
+        non_transitive += any(
+            linalg.approx_equal(t0, trimmed(cond, k), cond.tol)
+            for k in range(expected.index + 1, cond.k_c + 1)
+        )
+    assert non_transitive > 0
+    assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_start_time_computed_once_per_condition(monkeypatch):
+    calls = []
+    original = condition.trimmed
+
+    def counting(cond, k):
+        calls.append(k)
+        return original(cond, k)
+
+    monkeypatch.setattr(condition, "trimmed", counting)
+    rng = np.random.default_rng(47)
+    m = _trivial_model(rng, 4, 6)
+    fam = PhysicalFamily((np.eye(4, dtype=complex),) * 6)
+    x1 = np.diag([1.0, 0, 0, 0]).astype(complex)
+    cond = ConditionSpec(m, fam, x1, 5)
+    # constant trimming: T_s = k_c after one product per index
+    assert start_time(cond) == StartTime(5, False, 5)
+    assert sorted(calls) == list(range(6))
+    calls.clear()
+    assert start_time(cond) == StartTime(5, False, 5)
+    check_k0(cond, 5)
+    condition_operator(cond, 3)
+    prob_forward(cond, x1, 5, k0=2)
+    assert calls == []
+
+
+def _swap_model():
+    """d1 = d2 = 2, identity first step, then a step that flips system1
+    when system2 is 1."""
+    flip = np.zeros((4, 4), dtype=complex)
+    flip[0, 0] = flip[3, 1] = flip[2, 2] = flip[1, 3] = 1.0
+    return Model(2, 2, TimeGrid((0.0, 1.0, 2.0)), (np.eye(4, dtype=complex), flip))
+
+
+def test_start_time_demand2_joint_below_condition1():
+    m = _swap_model()
+    fam = PhysicalFamily((np.diag([1.0, 1.0, 0, 0]).astype(complex),) * 3)  # span{|00>, |01>}
+    cond = ConditionSpec(m, fam, np.diag([1.0, 0]).astype(complex), 2)
+    rep = observable_rep(cond)
+    # trimming is |00><00| throughout, but X(2) lifts to span{|00>, |11>},
+    # which leaves the physical subspace
+    assert start_time(cond) == StartTime(2, False, 2)
+    ts = start_time(cond, rep)
+    assert ts == StartTime(1, False, 2)
+    assert ts == _quadratic_start_time(cond, rep)
+
+
+def test_start_time_demand2_empty_joint_set():
+    m = Model(2, 2, TimeGrid((0.0, 1.0, 2.0)), (np.eye(4, dtype=complex),) * 2)
+    fam = PhysicalFamily((np.diag([1.0, 0, 0, 0]).astype(complex),) * 3)
+    cond = ConditionSpec(m, fam, np.diag([1.0, 0]).astype(complex), 2)
+    rep = observable_rep(cond)
+    # X(k) = label 0 lifts to span{|00>, |01>}, never inside span{|00>}
+    ts = start_time(cond, rep)
+    assert ts == StartTime(0, True, 2)
+    assert ts == _quadratic_start_time(cond, rep)
 
 
 def test_condition_operator_k0_guard_and_invariance():
