@@ -30,9 +30,33 @@ from .errors import (
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
-from .model import lift_system1
+from .model import lift_predicate
 
 _K0_BOUND = "the condition's start index T_s={ts}"
+
+
+def orthogonal_projectors(projectors, complete: bool,
+                          tol: linalg.Tolerance = linalg.DEFAULT_TOL) -> tuple:
+    """The given matrices as a tuple of pairwise-orthogonal projectors of
+    one shape; with ``complete`` set they must also sum to the identity."""
+    projs = tuple(linalg.as_matrix(p) for p in projectors)
+    if not projs:
+        raise DomainError("an outcome set needs at least one projector")
+    d = projs[0].shape[0]
+    for p in projs:
+        if p.shape != (d, d):
+            raise ShapeError("outcome projectors must share one dimension")
+        if not linalg.is_projector(p, tol):
+            raise DomainError("outcome set entries must be projectors")
+    for i, a in enumerate(projs):
+        for b in projs[i + 1:]:
+            if linalg.max_abs(a @ b) > tol.eps_zero:
+                raise DomainError("outcome projectors must be pairwise orthogonal")
+    if complete:
+        total = sum(projs[1:], start=projs[0])
+        if not linalg.approx_equal(total, np.eye(d, dtype=complex), tol):
+            raise DomainError("outcome set flagged complete does not sum to identity")
+    return projs
 
 
 @dataclass(frozen=True)
@@ -49,24 +73,8 @@ class OutcomeSet:
     tol: linalg.Tolerance = linalg.DEFAULT_TOL
 
     def __post_init__(self):
-        projs = tuple(linalg.as_matrix(p) for p in self.projectors)
-        object.__setattr__(self, "projectors", projs)
-        if not projs:
-            raise DomainError("an outcome set needs at least one projector")
-        d = projs[0].shape[0]
-        for p in projs:
-            if p.shape != (d, d):
-                raise ShapeError("outcome projectors must share one dimension")
-            if not linalg.is_projector(p, self.tol):
-                raise DomainError("outcome set entries must be projectors")
-        for i, a in enumerate(projs):
-            for b in projs[i + 1:]:
-                if linalg.max_abs(a @ b) > self.tol.eps_zero:
-                    raise DomainError("outcome projectors must be pairwise orthogonal")
-        if self.complete:
-            total = sum(projs[1:], start=projs[0])
-            if not linalg.approx_equal(total, np.eye(d, dtype=complex), self.tol):
-                raise DomainError("outcome set flagged complete does not sum to identity")
+        object.__setattr__(self, "projectors",
+                           orthogonal_projectors(self.projectors, self.complete, self.tol))
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -103,17 +111,6 @@ def _result(num: float, den: float, rule: str, tol: linalg.Tolerance,
     return ProbabilityResult(float(value), float(num), float(den), rule, warnings)
 
 
-def _lift_outcome(cond: ConditionSpec, y, k: int) -> np.ndarray:
-    """Accept either a system1 predicate (lifted at k) or a full-space
-    Heisenberg projector."""
-    y = linalg.as_matrix(y)
-    if y.shape == (cond.model.d1, cond.model.d1):
-        return lift_system1(cond.model, y, k)
-    if y.shape == (cond.model.dim, cond.model.dim):
-        return y
-    raise ShapeError(f"outcome shape {y.shape} matches neither system1 nor the full space")
-
-
 def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
     """P(Y at k | X at k_c) for k >= k_c:
     Tr(Y X P(k0) X) / Tr(X P(k0))."""
@@ -121,7 +118,7 @@ def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResu
     if k < cond.k_c:
         raise DomainError(f"prob_forward requires k >= k_c, got k={k} < k_c={cond.k_c}")
     check_k0(cond, k0, _K0_BOUND)
-    py = _lift_outcome(cond, y, k)
+    py = lift_predicate(cond.model, y, k)
     px = cond.projector
     p0 = cond.fam.at(k0)
     num = _real_trace(py @ px @ p0 @ px, cond.tol, "prob_forward numerator")
@@ -154,10 +151,10 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     pk = cond.fam.at(k)
     p0 = cond.fam.at(k0)
     sup = support_at(cond, k)
+    core = sup @ p0 @ sup
 
     def term(y1) -> float:
-        py = _lift_outcome(cond, y1, k)
-        core = sup @ p0 @ sup
+        py = lift_predicate(cond.model, y1, k)
         return _real_trace(
             px @ pk @ py @ core @ py @ pk, cond.tol, "prob_intermediate_full term"
         )
@@ -189,7 +186,7 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         anchor = rep.projector(k)
     else:
         raise DomainError(f"unknown variant {variant!r}")
-    py = _lift_outcome(cond, y, k)
+    py = lift_predicate(cond.model, y, k)
     p0 = cond.fam.at(k0)
     num = _real_trace(py @ anchor @ p0 @ anchor, cond.tol, "prob_intermediate_known")
     den = _real_trace(anchor @ p0, cond.tol, "prob_intermediate_known")
@@ -203,7 +200,7 @@ def prob_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResul
     if k > k0:
         raise DomainError(f"prob_before requires k <= k0, got k={k} > k0={k0}")
     check_k0(cond, k0, _K0_BOUND)
-    py = _lift_outcome(cond, y, k)
+    py = lift_predicate(cond.model, y, k)
     px = cond.projector
     p0 = cond.fam.at(k0)
     num = _real_trace(px @ p0 @ py @ p0, cond.tol, "prob_before numerator")
@@ -217,7 +214,7 @@ def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
     k = cond.model.grid.check_index(k)
     if k >= cond.k_c:
         raise DomainError(f"prob_approx requires k < k_c, got k={k}, k_c={cond.k_c}")
-    py = _lift_outcome(cond, y, k)
+    py = lift_predicate(cond.model, y, k)
     px = cond.projector
     pk = cond.fam.at(k)
     num = _real_trace(pk @ px @ pk @ py, cond.tol, "prob_approx numerator")
@@ -226,17 +223,15 @@ def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
                    warnings=("approximation: condition treated as starting at k",))
 
 
-def _verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int) -> tuple:
-    """Commutator magnitudes of the two verifiability demands for one
-    outcome; the sandwich index is k_c for outcomes after the condition
-    and k itself for outcomes before it."""
-    fam = cond.fam
-    phys = linalg.commutator_norm(py, fam.at(k))
-    s = cond.k_c if k > cond.k_c else k
-    ps = fam.at(s)
+def verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int, s: int) -> tuple:
+    """Commutator magnitudes of the two verifiability demands for the
+    Heisenberg outcome operator ``py`` at index k: [Y, P(k)], and [Y, X]
+    sandwiched by P(s).  The sandwich index s is k_c for outcomes after
+    the condition and k itself for outcomes before it."""
+    ps = cond.fam.at(s)
     px = cond.projector
-    sandwiched = ps @ (py @ px - px @ py) @ ps
-    return phys, linalg.max_abs(sandwiched)
+    return (linalg.commutator_norm(py, cond.fam.at(k)),
+            linalg.max_abs(ps @ (py @ px - px @ py) @ ps))
 
 
 def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
@@ -250,10 +245,9 @@ def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     k1 = cond.model.grid.check_index(k1)
     k2 = cond.model.grid.check_index(k2)
     check_k0(cond, k0, _K0_BOUND)
-    py1 = _lift_outcome(cond, y1, k1)
-    py2 = _lift_outcome(cond, y2, k2)
-    phys, cnd = _verifiability_norms(cond, py1, k1)
-    worst = max(phys, cnd)
+    py1 = lift_predicate(cond.model, y1, k1)
+    py2 = lift_predicate(cond.model, y2, k2)
+    worst = max(verifiability_norms(cond, py1, k1, cond.k_c if k1 > cond.k_c else k1))
     if worst > cond.tol.eps_zero:
         raise UnverifiableSequenceError(
             "sequence refused: intermediate outcome is not verifiable "

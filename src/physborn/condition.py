@@ -19,7 +19,6 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .model import (
     Model,
     PhysicalFamily,
-    heisenberg,
     is_physically_possible,
     lift_system1,
     physical_restrict,
@@ -63,8 +62,7 @@ def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
     if k > cond.k_c:
         raise IndexError(f"trimming index {k} lies after the condition index {cond.k_c}")
     p = cond.fam.at(k)
-    out = p @ cond.projector @ p
-    return (out + out.conj().T) / 2
+    return linalg.hermitian_part(p @ cond.projector @ p)
 
 
 def support_at(cond: ConditionSpec, k: int) -> np.ndarray:
@@ -253,8 +251,7 @@ def expanded_condition_operator(cond: ConditionSpec, k0: int = 0,
         s = support_at(cond, k)
         core = s @ core @ s
     px = cond.projector
-    out = px @ core @ px
-    return (out + out.conj().T) / 2
+    return linalg.hermitian_part(px @ core @ px)
 
 
 def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
@@ -266,5 +263,4 @@ def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
     """
     k0 = check_k0(cond, k0)
     px = cond.projector
-    out = px @ cond.fam.at(k0) @ px
-    return (out + out.conj().T) / 2
+    return linalg.hermitian_part(px @ cond.fam.at(k0) @ px)

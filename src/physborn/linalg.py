@@ -1,8 +1,9 @@
-"""Dense complex-matrix kernel.
+"""Dense complex-matrix helpers on top of numpy.
 
-Everything in the package runs through these helpers: products,
-adjoints, traces, tensor products, partial traces, support projectors,
-and tolerance-based predicates.  Matrices are plain ``numpy.ndarray``
+Products, adjoints, traces and tensor products are plain numpy; this
+module holds what numpy does not: the tolerances, input coercion, the
+Hermitian part, partial traces, support and span projectors, and the
+tolerance-based predicates.  Matrices are plain ``numpy.ndarray``
 objects with complex dtype; operator equality is always "max entry
 magnitude of the difference below a tolerance", never bitwise.
 """
@@ -47,10 +48,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def identity(d: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)
-
-
 def max_abs(m: np.ndarray) -> float:
     """Max entry magnitude; 0.0 for empty input."""
     return float(np.max(np.abs(m))) if m.size else 0.0
@@ -62,30 +59,9 @@ def approx_equal(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> 
     return max_abs(a - b) <= tol.eps_zero
 
 
-def dagger(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T
-
-
-def mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def trace(m) -> complex:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got {m.shape}")
-    return complex(np.trace(m))
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(as_matrix(a), as_matrix(b))
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dagger) / 2, exactly Hermitian."""
+    return (m + m.conj().T) / 2
 
 
 def partial_trace_2(m, d1: int, d2: int) -> np.ndarray:
@@ -117,8 +93,6 @@ def is_unitary(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 def is_projector(p, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Hermitian and idempotent within eps_zero."""
     p = as_matrix(p)
-    if p.shape[0] != p.shape[1]:
-        return False
     return is_hermitian(p, tol) and max_abs(p @ p - p) <= tol.eps_zero
 
 
@@ -145,7 +119,7 @@ def support_projector(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     h = as_matrix(h)
     if not is_hermitian(h, tol):
         raise DomainError("support_projector requires a Hermitian matrix")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    w, v = np.linalg.eigh(hermitian_part(h))
     if w[0] < -tol.eps_eig:
         raise DomainError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
     keep = w > tol.eps_eig
@@ -155,7 +129,7 @@ def support_projector(h, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def rank_of(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Rank of a Hermitian PSD matrix at the support tolerance."""
-    w = np.linalg.eigvalsh((p + p.conj().T) / 2)
+    w = np.linalg.eigvalsh(hermitian_part(p))
     return int(np.sum(w > tol.eps_eig))
 
 

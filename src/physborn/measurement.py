@@ -14,16 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .born import OutcomeSet, prob_forward
+from .born import OutcomeSet, orthogonal_projectors
 from .condition import ConditionSpec, check_k0, observable_rep, trimmed
-from .errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
-from .model import (
-    Model,
-    PhysicalFamily,
-    is_physically_possible,
-    lift_system1,
-    schrodinger,
+from .errors import (
+    DomainError,
+    NotPhysicallyPossibleError,
+    ShapeError,
+    UnreachableConditionError,
 )
+from .model import Model, PhysicalFamily, lift_system1, schrodinger
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,14 @@ class MeasurementProcess:
         if k2 <= k1:
             raise DomainError(f"outcomes at index {k2} must follow the start index {k1}")
         tol = self.model.tol
-        start = lift_system1(self.model, self.m0, k1)
-        if not is_physically_possible(self.fam, start, k1, tol):
-            raise NotPhysicallyPossibleError("start space is not physically possible at k1")
-        object.__setattr__(self, "_start", start)
-
-        check_k0(ConditionSpec(self.model, self.fam, self.m0, k1, tol), self.k0,
-                 "the start space's start index")
+        try:
+            start_cond = ConditionSpec(self.model, self.fam, self.m0, k1, tol)
+        except NotPhysicallyPossibleError:
+            raise NotPhysicallyPossibleError(
+                "start space is not physically possible at k1"
+            ) from None
+        check_k0(start_cond, self.k0, "the start space's start index")
+        object.__setattr__(self, "_start", start_cond.projector)
 
         conds, record_ok = [], []
         for p in self.outcomes.projectors:
@@ -68,12 +68,8 @@ class MeasurementProcess:
                 continue
             cond = ConditionSpec(self.model, self.fam, p, k2, tol)
             conds.append(cond)
-            back = trimmed(cond, k1)
-            if linalg.max_abs(back) <= tol.eps_zero:
-                record_ok.append(True)
-                continue
-            sup = linalg.support_projector(back, tol)
-            record_ok.append(linalg.approx_equal(start @ sup, sup, tol))
+            sup = _support(trimmed(cond, k1), tol)
+            record_ok.append(linalg.approx_equal(self._start @ sup, sup, tol))
         object.__setattr__(self, "_conds", tuple(conds))
         object.__setattr__(self, "record_preserved", tuple(record_ok))
 
@@ -100,13 +96,49 @@ class KappaPath:
     representation: str
 
     def at(self, k: int) -> np.ndarray:
-        if not self.k1 <= k <= self.k1 + len(self.kappas) - 1:
-            raise IndexError(f"path covers indices {self.k1}..{self.k1 + len(self.kappas) - 1}")
+        if not self.k1 <= k <= self.k2:
+            raise IndexError(f"path covers indices {self.k1}..{self.k2}")
         return self.kappas[k - self.k1]
 
     @property
     def k2(self) -> int:
         return self.k1 + len(self.kappas) - 1
+
+
+def _support(back: np.ndarray, tol: linalg.Tolerance) -> np.ndarray:
+    """Support projector of a trimmed operator; zero where it has no
+    physical weight."""
+    if linalg.max_abs(back) <= tol.eps_zero:
+        return np.zeros_like(back)
+    return linalg.support_projector(back, tol)
+
+
+def _start_weight(proc: MeasurementProcess, tol: linalg.Tolerance) -> float:
+    """Tr(start P(k0)), the normalizer of every kappa."""
+    den = np.trace(proc._start @ proc.fam.at(proc.k0)).real
+    if den <= tol.eps_zero:
+        raise UnreachableConditionError("start space has no physical weight at k0")
+    return den
+
+
+def _kappas(proc: MeasurementProcess, den: float, anchor_at,
+            tol: linalg.Tolerance) -> tuple:
+    """kappa(k) for k in [k1, k2]: the partial trace over system1, in the
+    Schrodinger picture at k, of A start P(k0) start A / den, with
+    A = anchor_at(k)."""
+    model = proc.model
+    start = proc._start
+    core = start @ proc.fam.at(proc.k0) @ start
+    kappas = []
+    for k in range(proc.k1, proc.k2 + 1):
+        anchor = anchor_at(k)
+        op = schrodinger(model, anchor @ core @ anchor, k)
+        kap = linalg.hermitian_part(linalg.partial_trace_1(op, model.d1, model.d2) / den)
+        w = np.linalg.eigvalsh(kap)
+        if w[0] < -tol.eps_eig:
+            raise DomainError(f"kappa at index {k} is not PSD (eigenvalue {w[0]:.3e})")
+        kappas.append(kap)
+    return tuple(kappas)
 
 
 def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaPath:
@@ -118,42 +150,21 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
     basis).  Partial traces are taken in the Schrodinger picture at each
     index so the tensor factorization stays aligned.
     """
-    model = proc.model
-    tol = model.tol
+    tol = proc.model.tol
     cond = proc.outcome_condition(i)
-    start = proc._start
-    den = np.trace(start @ proc.fam.at(proc.k0)).real
-    if den <= tol.eps_zero:
-        raise UnreachableConditionError("start space has no physical weight at k0")
-
+    den = _start_weight(proc, tol)
     if rep not in ("support", "observable"):
         raise DomainError(f"unknown representation {rep!r}")
-    orep = None
-    if cond is not None and rep == "observable":
+    if cond is None:
+        d2 = proc.model.d2
+        kappas = tuple(np.zeros((d2, d2), dtype=complex)
+                       for _ in range(proc.k1, proc.k2 + 1))
+    elif rep == "support":
+        kappas = _kappas(proc, den, lambda k: _support(trimmed(cond, k), tol), tol)
+    else:
         orep = observable_rep(cond)  # raises if the basis is unsuitable
-
-    core = start @ proc.fam.at(proc.k0) @ start
-    kappas = []
-    for k in range(proc.k1, proc.k2 + 1):
-        if cond is None:
-            kappas.append(np.zeros((model.d2, model.d2), dtype=complex))
-            continue
-        back = trimmed(cond, k)
-        if rep == "support":
-            if linalg.max_abs(back) <= tol.eps_zero:
-                anchor = np.zeros_like(back)
-            else:
-                anchor = linalg.support_projector(back, tol)
-        else:
-            anchor = orep.projector(k)
-        op = schrodinger(model, anchor @ core @ anchor, k)
-        kap = linalg.partial_trace_1(op, model.d1, model.d2) / den
-        kap = (kap + kap.conj().T) / 2
-        w = np.linalg.eigvalsh(kap)
-        if w.size and w[0] < -tol.eps_eig:
-            raise DomainError(f"kappa at index {k} is not PSD (eigenvalue {w[0]:.3e})")
-        kappas.append(kap)
-    return KappaPath(i, proc.k1, tuple(kappas), rep)
+        kappas = _kappas(proc, den, orep.projector, tol)
+    return KappaPath(i, proc.k1, kappas, rep)
 
 
 def rho_path(path: KappaPath, tol: linalg.Tolerance = linalg.DEFAULT_TOL) -> KappaPath:
@@ -175,48 +186,6 @@ def outcome_probability(proc: MeasurementProcess, i: int, rep: str = "support") 
     return float(np.trace(path.at(proc.k2)).real)
 
 
-def forward_check(proc: MeasurementProcess, i: int) -> float:
-    """Forward-rule probability of outcome i given the start space, for
-    cross-checking against the kappa trace."""
-    start_cond = ConditionSpec(proc.model, proc.fam, proc.m0, proc.k1, proc.model.tol)
-    y = proc.outcomes.projectors[i]
-    try:
-        return prob_forward(start_cond, y, proc.k2, proc.k0).value
-    except UnreachableConditionError:
-        return 0.0
-
-
-def _label_path(proc: MeasurementProcess, e1: np.ndarray,
-                tol: linalg.Tolerance) -> KappaPath:
-    """Support-form kappa path for a single label projector.
-
-    Unlike :func:`kappa_path` this works from the trimmed operator
-    directly, so labels that are physically tied to other labels (their
-    projector does not commute with the family) still get a path; such
-    ties are exactly what refinement is meant to detect.
-    """
-    model = proc.model
-    full = lift_system1(model, e1, proc.k2)
-    start = proc._start
-    den = np.trace(start @ proc.fam.at(proc.k0)).real
-    if den <= tol.eps_zero:
-        raise UnreachableConditionError("start space has no physical weight at k0")
-    core = start @ proc.fam.at(proc.k0) @ start
-    kappas = []
-    for k in range(proc.k1, proc.k2 + 1):
-        p = proc.fam.at(k)
-        back = p @ full @ p
-        back = (back + back.conj().T) / 2
-        if linalg.max_abs(back) <= tol.eps_zero:
-            anchor = np.zeros_like(back)
-        else:
-            anchor = linalg.support_projector(back, tol)
-        op = schrodinger(model, anchor @ core @ anchor, k)
-        kap = linalg.partial_trace_1(op, model.d1, model.d2) / den
-        kappas.append((kap + kap.conj().T) / 2)
-    return KappaPath(-1, proc.k1, tuple(kappas), "support")
-
-
 @dataclass(frozen=True)
 class RefinedOutcomes:
     """Equivalence classes of system1 basis labels with identical
@@ -234,8 +203,15 @@ def refine_outcomes(proc: MeasurementProcess,
     Outcomes must be diagonal 0/1 projectors in the standard system1
     basis.  Labels within one outcome land in the same class iff their
     normalized system2 paths coincide at every index of the window.
+
+    A label's path is anchored on the support of its projector trimmed
+    at each index, without a ConditionSpec: labels that are physically
+    tied to other labels (their projector does not commute with the
+    family) still get a path; such ties are exactly what refinement is
+    meant to detect.
     """
     tol = tol or proc.model.tol
+    fam = proc.fam
     all_classes, all_unreachable = [], []
     for p in proc.outcomes.projectors:
         diag = np.diag(p).real
@@ -250,7 +226,13 @@ def refine_outcomes(proc: MeasurementProcess,
         for label in labels:
             e = np.zeros((proc.model.d1, proc.model.d1), dtype=complex)
             e[label, label] = 1.0
-            path = _label_path(proc, e, tol)
+            full = lift_system1(proc.model, e, proc.k2)
+
+            def anchor_at(k, full=full):
+                return _support(linalg.hermitian_part(fam.at(k) @ full @ fam.at(k)), tol)
+
+            path = KappaPath(-1, proc.k1, _kappas(proc, _start_weight(proc, tol), anchor_at, tol),
+                             "support")
             if np.trace(path.at(proc.k2)).real <= tol.eps_zero:
                 unreachable.add(label)
                 continue
@@ -276,19 +258,11 @@ def position_distribution(path: KappaPath, position_projectors,
                           tol: linalg.Tolerance = linalg.DEFAULT_TOL) -> np.ndarray:
     """Per-index probabilities over a complete set of orthogonal system2
     cells; rows are grid offsets from k1, columns are cells."""
-    projs = [linalg.as_matrix(p) for p in position_projectors]
-    d2 = projs[0].shape[0]
-    for p in projs:
-        if not linalg.is_projector(p, tol):
-            raise DomainError("position projectors must be projectors")
-    for i, a in enumerate(projs):
-        for b in projs[i + 1:]:
-            if linalg.max_abs(a @ b) > tol.eps_zero:
-                raise DomainError("position projectors must be pairwise orthogonal")
-    total = sum(projs[1:], start=projs[0])
-    if not linalg.approx_equal(total, np.eye(d2, dtype=complex), tol):
-        raise DomainError("position projectors must sum to the system2 identity")
-
+    projs = orthogonal_projectors(position_projectors, True, tol)
+    d2 = path.kappas[0].shape[0]
+    if projs[0].shape != (d2, d2):
+        raise ShapeError(f"position projectors have shape {projs[0].shape}, "
+                         f"expected {(d2, d2)}")
     normalized = rho_path(path, tol)
     out = np.empty((len(normalized.kappas), len(projs)))
     for row, rho in enumerate(normalized.kappas):

@@ -135,6 +135,18 @@ def lift_system1(model: Model, p1, k: int | None = None) -> np.ndarray:
     return heisenberg(model, full, k)
 
 
+def lift_predicate(model: Model, p, k: int) -> np.ndarray:
+    """Heisenberg operator of a predicate at index k: a system1 projector
+    is lifted with :func:`lift_system1`, a full-space operator is taken
+    as already lifted."""
+    p = linalg.as_matrix(p)
+    if p.shape == (model.d1, model.d1):
+        return lift_system1(model, p, k)
+    if p.shape == (model.dim, model.dim):
+        return p
+    raise ShapeError(f"predicate shape {p.shape} matches neither system1 nor the full space")
+
+
 def lift_system2(model: Model, p2, k: int | None = None) -> np.ndarray:
     """Extend a system2 projector to the full space: kron(identity, p2)."""
     p2 = linalg.as_matrix(p2)
@@ -267,7 +279,7 @@ def check_self_consistency(fam: PhysicalFamily, pX, k: int,
         raise NotPhysicallyPossibleError(
             f"self-consistency check requires a physically possible predicate at index {k}"
         )
-    restricted = physical_restrict(fam, pX, k, tol)
+    restricted = fam.at(k) @ pX
     sandwiched = restricted @ fam.at(0) @ restricted.conj().T
-    support = linalg.support_projector((sandwiched + sandwiched.conj().T) / 2, tol)
+    support = linalg.support_projector(sandwiched, tol)
     return linalg.approx_equal(restricted, support, tol)

@@ -59,28 +59,53 @@ def _vector_to_pairs(v: np.ndarray) -> list:
     return [[float(c.real), float(c.imag)] for c in np.asarray(v).reshape(-1)]
 
 
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} must be an object")
+    return value
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what}: non-finite entry (NaN or infinity)")
+    return a
+
+
 def _pairs_to_matrix(rows, what: str) -> np.ndarray:
     try:
-        return np.array(
+        m = np.array(
             [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
         )
-    except (TypeError, IndexError, ValueError):
+    except (TypeError, IndexError, KeyError, ValueError):
         raise ValidationError(f"{what}: entries must be [re, im] pairs") from None
+    if m.ndim != 2 or m.size == 0:
+        raise ValidationError(f"{what}: expected a non-empty matrix of [re, im] pairs")
+    return _finite(m, what)
 
 
 def _pairs_to_vector(entries, what: str) -> np.ndarray:
     try:
-        return np.array([complex(c[0], c[1]) for c in entries], dtype=complex)
-    except (TypeError, IndexError, ValueError):
+        v = np.array([complex(c[0], c[1]) for c in entries], dtype=complex)
+    except (TypeError, IndexError, KeyError, ValueError):
         raise ValidationError(f"{what}: entries must be [re, im] pairs") from None
+    return _finite(v, what)
 
 
 def _label_projector(labels, d1: int, what: str) -> np.ndarray:
     p = np.zeros((d1, d1), dtype=complex)
-    for l in labels:
-        l = int(l)
-        if not 0 <= l < d1:
-            raise ValidationError(f"{what}: label {l} outside 0..{d1 - 1}")
+    for l in _list(labels, f"{what} labels"):
+        if not _is_integer(l) or not 0 <= l < d1:
+            raise ValidationError(f"{what} labels: {l!r} is not an integer in 0..{d1 - 1}")
         p[l, l] = 1.0
     return p
 
@@ -134,14 +159,16 @@ def loads(text: str, name: str = "<string>",
         return doc[key]
 
     dims = need("dimensions")
-    try:
-        d1, d2 = int(dims["d1"]), int(dims["d2"])
-    except (TypeError, KeyError, ValueError):
-        raise ValidationError(f"{name}: dimensions must carry integer d1 and d2") from None
+    d1, d2 = (dims.get("d1"), dims.get("d2")) if isinstance(dims, dict) else (None, None)
+    if not (_is_integer(d1) and _is_integer(d2)):
+        raise ValidationError(f"{name}: dimensions must carry integer d1 and d2")
 
-    grid = TimeGrid(tuple(float(t) for t in need("grid")))
+    times = _list(need("grid"), "grid")
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times):
+        raise ValidationError("grid: entries must be numbers")
+    grid = TimeGrid(tuple(_finite(np.array(times, dtype=float), "grid")))
     steps = []
-    for k, rows in enumerate(need("steps")):
+    for k, rows in enumerate(_list(need("steps"), "steps")):
         u = _pairs_to_matrix(rows, f"step {k}")
         if u.shape != (d1 * d2, d1 * d2):
             raise ValidationError(
@@ -155,11 +182,11 @@ def loads(text: str, name: str = "<string>",
     except ValidationError as exc:
         raise ValidationError(f"{name}: {exc}") from None
 
-    famspec = need("family")
+    famspec = _object(need("family"), "family")
     kind = famspec.get("type")
     if kind == "explicit":
         projs = []
-        for k, rows in enumerate(famspec.get("projectors", [])):
+        for k, rows in enumerate(_list(famspec.get("projectors", []), "family projectors")):
             p = _pairs_to_matrix(rows, f"family projector {k}")
             if not linalg.is_projector(p, tol):
                 raise ValidationError(f"family projector {k} is not a projector")
@@ -168,15 +195,18 @@ def loads(text: str, name: str = "<string>",
     elif kind == "forward-closure":
         initial = [
             _pairs_to_vector(v, f"family initial state {i}")
-            for i, v in enumerate(famspec.get("initial", []))
+            for i, v in enumerate(_list(famspec.get("initial", []), "family initial"))
         ]
-        extras = {
-            int(k): [
+        extras = {}
+        for k, vs in _object(famspec.get("extras", {}), "family extras").items():
+            try:
+                index = int(k)
+            except ValueError:
+                raise ValidationError(f"family extras: index {k!r} is not an integer") from None
+            extras[index] = [
                 _pairs_to_vector(v, f"family extra at index {k}")
-                for v in vs
+                for v in _list(vs, f"family extras at index {k}")
             ]
-            for k, vs in famspec.get("extras", {}).items()
-        }
         fam = forward_closure(model, initial, extras, tol)
     else:
         raise ValidationError(f"family type must be 'explicit' or 'forward-closure', got {kind!r}")
@@ -189,7 +219,8 @@ def loads(text: str, name: str = "<string>",
         raise ValidationError("family failed validation (projector or size check)")
 
     predicates = {}
-    for pname, spec in need("predicates").items():
+    for pname, spec in _object(need("predicates"), "predicates").items():
+        spec = _object(spec, f"predicate {pname!r}")
         if "labels" in spec:
             p = _label_projector(spec["labels"], d1, f"predicate {pname!r}")
         elif "matrix" in spec:
@@ -202,9 +233,9 @@ def loads(text: str, name: str = "<string>",
             raise ValidationError(f"predicate {pname!r} is not a projector")
         predicates[pname] = p
 
-    grid_names = tuple(str(g) for g in doc.get(
+    grid_names = tuple(str(g) for g in _list(doc.get(
         "grid_names", [str(k) for k in range(model.n_indices)]
-    ))
+    ), "grid_names"))
     if len(grid_names) != model.n_indices:
         raise ValidationError(f"{name}: grid_names length does not match the grid")
     return Scenario(str(doc.get("name", name)), model, fam, predicates, grid_names)

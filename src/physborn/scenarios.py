@@ -33,6 +33,7 @@ from .model import (
     TimeGrid,
     forward_closure,
     heisenberg,
+    lift_predicate,
     lift_system1,
 )
 
@@ -86,8 +87,9 @@ def _permutation_unitary(dim: int, cycles) -> np.ndarray:
     return u
 
 
-def _record_projector(labels, n_records: int = N_RECORDS) -> np.ndarray:
-    p = np.zeros((n_records, n_records), dtype=complex)
+def _diagonal_projector(labels, n: int = N_RECORDS) -> np.ndarray:
+    """n x n projector onto the given basis labels (records by default)."""
+    p = np.zeros((n, n), dtype=complex)
     for l in labels:
         p[l, l] = 1.0
     return p
@@ -117,21 +119,31 @@ class ReferenceExperiment:
         return ConditionSpec(self.model, self.fam, self.predicates[name], k, tol)
 
 
-def _reference_steps(n_records: int = N_RECORDS) -> tuple:
-    dim = n_records * D2
-    step1 = _permutation_unitary(dim, [
+def _first_step(n_records: int) -> np.ndarray:
+    """The y magnet: spin up enters detector 1 and writes I, spin down
+    hits the barrier and writes blocked."""
+    return _permutation_unitary(n_records * D2, [
         (_basis_state(REC_READY, KET_Y_UP, CELL_SOURCE, n_records),
          _basis_state(REC_I, KET_Y_UP, CELL_DET1, n_records)),
         (_basis_state(REC_READY, KET_Y_DOWN, CELL_SOURCE, n_records),
          _basis_state(REC_BLOCKED, KET_Y_DOWN, CELL_BARRIER, n_records)),
     ])
-    step2 = _permutation_unitary(dim, [
-        (_basis_state(REC_I, KET_X_UP, CELL_DET1, n_records),
-         _basis_state(REC_F_UP, KET_X_UP, CELL_DET2, n_records)),
-        (_basis_state(REC_I, KET_X_DOWN, CELL_DET1, n_records),
-         _basis_state(REC_F_DOWN, KET_X_DOWN, CELL_DET2, n_records)),
+
+
+def _source_states(n_records: int) -> list:
+    """Both z spin states of the ready particle at the source."""
+    return [_basis_state(REC_READY, spin, CELL_SOURCE, n_records)
+            for spin in (KET_Z_UP, KET_Z_DOWN)]
+
+
+def _reference_steps() -> tuple:
+    step2 = _permutation_unitary(N_RECORDS * D2, [
+        (_basis_state(REC_I, KET_X_UP, CELL_DET1),
+         _basis_state(REC_F_UP, KET_X_UP, CELL_DET2)),
+        (_basis_state(REC_I, KET_X_DOWN, CELL_DET1),
+         _basis_state(REC_F_DOWN, KET_X_DOWN, CELL_DET2)),
     ])
-    return step1, step2
+    return _first_step(N_RECORDS), step2
 
 
 def build_reference_experiment(tol: Tolerance = DEFAULT_TOL) -> ReferenceExperiment:
@@ -144,10 +156,6 @@ def build_reference_experiment(tol: Tolerance = DEFAULT_TOL) -> ReferenceExperim
         steps=_reference_steps(),
         tol=tol,
     )
-    initial = [
-        _basis_state(REC_READY, KET_Z_UP, CELL_SOURCE),
-        _basis_state(REC_READY, KET_Z_DOWN, CELL_SOURCE),
-    ]
     # At the final time each individual outcome state is physically
     # possible on its own, not only the combination reachable from the
     # ready start; they enter as extra generators.
@@ -157,26 +165,21 @@ def build_reference_experiment(tol: Tolerance = DEFAULT_TOL) -> ReferenceExperim
             _basis_state(REC_F_DOWN, KET_X_DOWN, CELL_DET2),
         ]
     }
-    fam = forward_closure(model, initial, extras, tol)
+    fam = forward_closure(model, _source_states(N_RECORDS), extras, tol)
     eye1 = np.eye(N_RECORDS, dtype=complex)
     predicates = {
-        "ready": _record_projector([REC_READY]),
-        "blocked": _record_projector([REC_BLOCKED]),
-        "I": _record_projector([REC_I]),
-        "Fup": _record_projector([REC_F_UP]),
-        "Fdown": _record_projector([REC_F_DOWN]),
-        "notI": eye1 - _record_projector([REC_I]),
+        "ready": _diagonal_projector([REC_READY]),
+        "blocked": _diagonal_projector([REC_BLOCKED]),
+        "I": _diagonal_projector([REC_I]),
+        "Fup": _diagonal_projector([REC_F_UP]),
+        "Fdown": _diagonal_projector([REC_F_DOWN]),
+        "notI": eye1 - _diagonal_projector([REC_I]),
     }
     cells = tuple(
-        np.kron(np.eye(2, dtype=complex), _cell_projector(c)) for c in range(N_CELLS)
+        np.kron(np.eye(2, dtype=complex), _diagonal_projector([c], N_CELLS))
+        for c in range(N_CELLS)
     )
     return ReferenceExperiment(model, fam, predicates, cells)
-
-
-def _cell_projector(cell: int) -> np.ndarray:
-    p = np.zeros((N_CELLS, N_CELLS), dtype=complex)
-    p[cell, cell] = 1.0
-    return p
 
 
 # Redundant-record variant: the first detector branch ends in an even
@@ -197,41 +200,30 @@ class RedundantRecordExperiment:
 
 def build_redundant_record_experiment(tol: Tolerance = DEFAULT_TOL) -> RedundantRecordExperiment:
     n_rec = 6
-    dim = n_rec * D2
-    step1 = _permutation_unitary(dim, [
-        (_basis_state(REC_READY, KET_Y_UP, CELL_SOURCE, n_rec),
-         _basis_state(REC_I, KET_Y_UP, CELL_DET1, n_rec)),
-        (_basis_state(REC_READY, KET_Y_DOWN, CELL_SOURCE, n_rec),
-         _basis_state(REC_BLOCKED, KET_Y_DOWN, CELL_BARRIER, n_rec)),
-    ])
     f_a = _basis_state(REC6_F_A, KET_X_UP, CELL_DET2, n_rec)
     f_b = _basis_state(REC6_F_B, KET_X_UP, CELL_DET2, n_rec)
     # Three-vector cycle subspace: the detected +x branch lands on the
     # even superposition of the two redundant records.
-    step2 = _permutation_unitary(dim, [
+    step2 = _permutation_unitary(n_rec * D2, [
         (_basis_state(REC_I, KET_X_UP, CELL_DET1, n_rec), (f_a + f_b) / np.sqrt(2)),
         (_basis_state(REC_I, KET_X_DOWN, CELL_DET1, n_rec),
          _basis_state(REC6_F_DOWN, KET_X_DOWN, CELL_DET2, n_rec)),
     ])
-    model = Model(n_rec, D2, TimeGrid((0.0, 1.0, 2.0)), (step1, step2), tol)
-    initial = [
-        _basis_state(REC_READY, KET_Z_UP, CELL_SOURCE, n_rec),
-        _basis_state(REC_READY, KET_Z_DOWN, CELL_SOURCE, n_rec),
-    ]
+    model = Model(n_rec, D2, TimeGrid((0.0, 1.0, 2.0)), (_first_step(n_rec), step2), tol)
     extras = {
         2: [
             (f_a + f_b) / np.sqrt(2),
             _basis_state(REC6_F_DOWN, KET_X_DOWN, CELL_DET2, n_rec),
         ]
     }
-    fam = forward_closure(model, initial, extras, tol)
+    fam = forward_closure(model, _source_states(n_rec), extras, tol)
     predicates = {
-        "ready": _record_projector([REC_READY], n_rec),
-        "I": _record_projector([REC_I], n_rec),
-        "Fa": _record_projector([REC6_F_A], n_rec),
-        "Fb": _record_projector([REC6_F_B], n_rec),
-        "Fab": _record_projector([REC6_F_A, REC6_F_B], n_rec),
-        "Fdown": _record_projector([REC6_F_DOWN], n_rec),
+        "ready": _diagonal_projector([REC_READY], n_rec),
+        "I": _diagonal_projector([REC_I], n_rec),
+        "Fa": _diagonal_projector([REC6_F_A], n_rec),
+        "Fb": _diagonal_projector([REC6_F_B], n_rec),
+        "Fab": _diagonal_projector([REC6_F_A, REC6_F_B], n_rec),
+        "Fdown": _diagonal_projector([REC6_F_DOWN], n_rec),
     }
     return RedundantRecordExperiment(model, fam, predicates)
 
@@ -294,21 +286,12 @@ def textbook_born(model: Model, pX, k_x: int, pY, k_y: int,
                   tol: Tolerance = DEFAULT_TOL) -> float:
     """The unamended two-time rule Tr(X Y) / Tr(X) with both predicates
     Heisenberg-lifted; the reduction oracle for the amended rules."""
-    px = _lift_any(model, pX, k_x)
-    py = _lift_any(model, pY, k_y)
+    px = lift_predicate(model, pX, k_x)
+    py = lift_predicate(model, pY, k_y)
     den = np.trace(px).real
     if den <= tol.eps_zero:
         raise UnreachableConditionError("textbook condition has zero trace")
     return float(np.trace(px @ py).real / den)
-
-
-def _lift_any(model: Model, p, k: int) -> np.ndarray:
-    p = linalg.as_matrix(p)
-    if p.shape == (model.d1, model.d1):
-        return lift_system1(model, p, k)
-    if p.shape == (model.dim, model.dim):
-        return p
-    raise DomainError(f"predicate shape {p.shape} matches neither system1 nor full space")
 
 
 @dataclass(frozen=True)
@@ -351,7 +334,7 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
     # physical weight.
     micro = []
     phys_i = fam.at(ref.T0) @ p_i
-    w, v = np.linalg.eigh((phys_i + phys_i.conj().T) / 2)
+    w, v = np.linalg.eigh(linalg.hermitian_part(phys_i))
     n_phys = 0
     for col, lam in zip(v.T, w):
         if lam < 1 - 100 * tol.eps_eig:

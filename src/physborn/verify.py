@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .born import OutcomeSet, _lift_outcome
+from .born import OutcomeSet, verifiability_norms
 from .condition import ConditionSpec
 from .errors import DomainError, NotPhysicallyPossibleError
-from .model import Model, PhysicalFamily, is_physically_possible
+from .model import Model, PhysicalFamily, is_physically_possible, lift_predicate
 
 
 @dataclass(frozen=True)
@@ -36,16 +36,11 @@ class VerifiabilityReport:
 
 
 def _report(cond: ConditionSpec, outcomes: OutcomeSet, direction: str) -> VerifiabilityReport:
-    fam = cond.fam
     k = outcomes.k
     s = cond.k_c if direction == "forward" else k
-    ps = fam.at(s)
-    px = cond.projector
     verdicts = []
     for y in outcomes.projectors:
-        py = _lift_outcome(cond, y, k)
-        phys = linalg.commutator_norm(py, fam.at(k))
-        cnd = linalg.max_abs(ps @ (py @ px - px @ py) @ ps)
+        phys, cnd = verifiability_norms(cond, lift_predicate(cond.model, y, k), k, s)
         verdicts.append(OutcomeVerdict(phys, cnd,
                                        phys <= cond.tol.eps_zero and cnd <= cond.tol.eps_zero))
     return VerifiabilityReport(k, direction, tuple(verdicts),
@@ -77,7 +72,7 @@ def _split_eigenbasis(b: np.ndarray, px_side: np.ndarray,
     Returns (inside, outside) lists of vectors; raises DomainError when a
     clean division does not exist.
     """
-    w, v = np.linalg.eigh((b + b.conj().T) / 2)
+    w, v = np.linalg.eigh(linalg.hermitian_part(b))
     keep = np.nonzero(w > tol.eps_eig)[0]
     inside, outside = [], []
     i = 0
@@ -88,7 +83,7 @@ def _split_eigenbasis(b: np.ndarray, px_side: np.ndarray,
             j += 1
         block = v[:, keep[i:j]]
         overlap = block.conj().T @ px_side @ block
-        mw, mv = np.linalg.eigh((overlap + overlap.conj().T) / 2)
+        mw, mv = np.linalg.eigh(linalg.hermitian_part(overlap))
         rotated = block @ mv
         for col, mu in zip(rotated.T, mw):
             if mu > 1 - 100 * tol.eps_eig:
@@ -103,11 +98,11 @@ def _split_eigenbasis(b: np.ndarray, px_side: np.ndarray,
     return inside, outside
 
 
-def _zw_subspace(cond: ConditionSpec, y, k: int, direction: str,
+def _zw_subspace(cond: ConditionSpec, py: np.ndarray, k: int, direction: str,
                  negate: bool) -> np.ndarray:
+    """Z (or W with ``negate``) for the Heisenberg outcome operator py."""
     fam = cond.fam
     tol = cond.tol
-    py = _lift_outcome(cond, y, k)
     px = cond.projector
     eye = np.eye(px.shape[0], dtype=complex)
 
@@ -129,9 +124,7 @@ def _zw_subspace(cond: ConditionSpec, y, k: int, direction: str,
     b = fam.at(s) @ anchor @ fam.at(s)
     if linalg.max_abs(b) <= tol.eps_zero:
         return np.zeros_like(b)
-    member_proj = linalg.support_projector(
-        ((member @ member.conj().T) + (member @ member.conj().T).conj().T) / 2, tol
-    )
+    member_proj = linalg.support_projector(member @ member.conj().T, tol)
     inside, _ = _split_eigenbasis(b, member_proj, tol)
     if not inside:
         return np.zeros_like(b)
@@ -148,36 +141,26 @@ def z_subspace(cond: ConditionSpec, y, k: int, direction: str) -> np.ndarray:
     """Projector onto the elements of the outcome subspace that must have
     come from the condition.  Refuses when the outcome is not verifiable.
     """
-    _require_verifiable(cond, y, k, direction)
-    return _zw_subspace(cond, y, k, direction, negate=False)
+    return _zw_subspace(cond, _verifiable_lift(cond, y, k, direction), k, direction,
+                        negate=False)
 
 
 def w_subspace(cond: ConditionSpec, y, k: int, direction: str) -> np.ndarray:
     """Projector onto the elements of the outcome subspace that certainly
     did not come from the condition."""
-    _require_verifiable(cond, y, k, direction)
-    return _zw_subspace(cond, y, k, direction, negate=True)
+    return _zw_subspace(cond, _verifiable_lift(cond, y, k, direction), k, direction,
+                        negate=True)
 
 
-def _require_verifiable(cond: ConditionSpec, y, k: int, direction: str) -> None:
-    outcomes = OutcomeSet((linalg.as_matrix(y),), k, tol=cond.tol) \
-        if linalg.as_matrix(y).shape == (cond.model.d1, cond.model.d1) else None
-    if outcomes is None:
-        # Full-space outcome: run the same commutator demands directly.
-        py = _lift_outcome(cond, y, k)
-        s = cond.k_c if direction == "forward" else k
-        phys = linalg.commutator_norm(py, cond.fam.at(k))
-        cnd = linalg.max_abs(
-            cond.fam.at(s) @ (py @ cond.projector - cond.projector @ py) @ cond.fam.at(s)
-        )
-        ok = phys <= cond.tol.eps_zero and cnd <= cond.tol.eps_zero
-    else:
-        report = _report(cond, outcomes, direction)
-        ok = report.verdict
-    if not ok:
+def _verifiable_lift(cond: ConditionSpec, y, k: int, direction: str) -> np.ndarray:
+    """The lifted outcome, after checking both verifiability demands."""
+    py = lift_predicate(cond.model, y, k)
+    s = cond.k_c if direction == "forward" else k
+    if max(verifiability_norms(cond, py, k, s)) > cond.tol.eps_zero:
         raise DomainError(
             "Z/W construction refused: outcome is not verifiable against the condition"
         )
+    return py
 
 
 def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
@@ -194,8 +177,8 @@ def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
     p0 = cond.fam.at(k0)
     residuals = []
     for y in outcomes.projectors:
-        py = _lift_outcome(cond, y, k)
-        pz = _zw_subspace(cond, y, k, direction, negate=False)
+        py = lift_predicate(cond.model, y, k)
+        pz = _zw_subspace(cond, py, k, direction, negate=False)
         if direction == "forward":
             lhs = np.trace(py @ px @ p0 @ px).real
         else:

@@ -14,52 +14,6 @@ def _rand(rng, m, n):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
 
-def test_mul_matches_triple_loop():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        m, k, n = rng.integers(1, 6, size=3)
-        a, b = _rand(rng, m, k), _rand(rng, k, n)
-        expected = np.zeros((m, n), dtype=complex)
-        for i in range(m):
-            for j in range(n):
-                for l in range(k):
-                    expected[i, j] += a[i, l] * b[l, j]
-        assert np.max(np.abs(linalg.mul(a, b) - expected)) < 1e-12
-
-
-def test_mul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        linalg.mul(np.eye(2), np.eye(3))
-
-
-def test_dagger_entrywise():
-    rng = np.random.default_rng(12)
-    a = _rand(rng, 4, 3)
-    d = linalg.dagger(a)
-    for i in range(4):
-        for j in range(3):
-            assert d[j, i] == np.conj(a[i, j])
-
-
-def test_trace_is_eigenvalue_sum():
-    rng = np.random.default_rng(13)
-    a = _rand(rng, 5, 5)
-    h = a + a.conj().T
-    w = np.linalg.eigvalsh(h)
-    assert abs(linalg.trace(h) - np.sum(w)) < 1e-9
-
-
-def test_trace_cyclicity():
-    rng = np.random.default_rng(14)
-    a, b = _rand(rng, 4, 4), _rand(rng, 4, 4)
-    assert abs(linalg.trace(a @ b) - linalg.trace(b @ a)) < 1e-10
-
-
-def test_trace_rejects_rectangular():
-    with pytest.raises(ShapeError):
-        linalg.trace(np.ones((2, 3)))
-
-
 def test_partial_traces_by_index_summation():
     rng = np.random.default_rng(15)
     d1, d2 = 3, 4
@@ -90,7 +44,7 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_of_kron_factors():
     rng = np.random.default_rng(17)
     a, b = _rand(rng, 3, 3), _rand(rng, 4, 4)
-    k = linalg.kron(a, b)
+    k = np.kron(a, b)
     assert np.max(np.abs(linalg.partial_trace_2(k, 3, 4) - a * np.trace(b))) < 1e-10
     assert np.max(np.abs(linalg.partial_trace_1(k, 3, 4) - b * np.trace(a))) < 1e-10
 

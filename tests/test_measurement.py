@@ -4,11 +4,11 @@ distributions."""
 import numpy as np
 import pytest
 
-from physborn.born import OutcomeSet
-from physborn.errors import DomainError
+from physborn.born import OutcomeSet, prob_forward
+from physborn.condition import ConditionSpec
+from physborn.errors import DomainError, ShapeError
 from physborn.measurement import (
     MeasurementProcess,
-    forward_check,
     kappa_path,
     outcome_probability,
     position_distribution,
@@ -36,12 +36,13 @@ def _proc_i_to_f(ref):
 def test_outcome_probabilities_and_forward_agreement(ref):
     proc = _proc_i_to_f(ref)
     assert proc.is_measurement
+    start = ConditionSpec(ref.model, ref.fam, ref.predicate("I"), ref.T0)
     total = 0.0
-    for i in range(2):
+    for i, y in enumerate(proc.outcomes.projectors):
         p = outcome_probability(proc, i)
         total += p
         assert abs(p - 0.5) <= 1e-9
-        assert abs(p - forward_check(proc, i)) <= 1e-9
+        assert abs(p - prob_forward(start, y, ref.T1).value) <= 1e-9
     assert abs(total - 1.0) <= 1e-9
 
 
@@ -108,6 +109,13 @@ def test_position_distribution_input_checks(ref):
     overlapping = (ref.position_cells[0] + ref.position_cells[1],) + ref.position_cells[1:]
     with pytest.raises(DomainError):
         position_distribution(path, overlapping)
+    with pytest.raises(DomainError):
+        position_distribution(path, ())  # no cells
+    with pytest.raises(ShapeError):
+        position_distribution(path, (np.eye(3), np.eye(2)))  # mixed sizes
+    with pytest.raises(ShapeError):
+        # complete and orthogonal, but not on the path's d2 = 10
+        position_distribution(path, (np.diag([1.0, 0, 0]), np.diag([0, 1.0, 1.0])))
 
 
 def test_refinement_merges_redundant_records():

@@ -1,12 +1,14 @@
 """Scenario file format: serialization, loading, and validation
 messages."""
 
+import io
 import json
 
 import numpy as np
 import pytest
 
 from physborn.born import prob_approx, prob_forward
+from physborn.cli import main
 from physborn.condition import ConditionSpec
 from physborn.errors import ValidationError
 from physborn.scenario_io import (
@@ -144,3 +146,44 @@ def test_forward_closure_family_spec():
     loaded = loads(json.dumps(doc), "closure")
     for k in range(3):
         assert np.max(np.abs(loaded.fam.at(k) - sc.fam.at(k))) <= 1e-9
+
+
+def _forward_closure_doc():
+    doc = json.loads(dump_builtin("reference"))
+    projector = doc["family"]["projectors"][0]
+    column = [row[0] for row in projector]   # a state in the index-0 range
+    doc["family"] = {"type": "forward-closure", "initial": [column], "extras": {"x": []}}
+    return doc
+
+
+def _set(path, value, doc=None):
+    """A dumped reference scenario with the entry at ``path`` replaced."""
+    doc = doc or json.loads(dump_builtin("reference"))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    (lambda: _set(["grid"], ["a", "b"]), "grid"),
+    (lambda: _set(["family"], []), "family"),
+    (lambda: _set(["grid_names"], 5), "grid_names"),
+    (lambda: _set(["predicates", "I", "labels"], ["x"]), "labels"),
+    (lambda: _set(["predicates"], []), "predicates"),
+    (lambda: _set(["steps"], 3), "steps"),
+    (_forward_closure_doc, "extras"),
+    (lambda: _set(["predicates", "I", "labels"], [0.5]), "labels"),
+    (lambda: _set(["steps", 0, 0, 0], [float("nan"), 0.0]), "non-finite"),
+], ids=["grid-strings", "family-list", "grid_names-int", "label-string",
+        "predicates-list", "steps-int", "extras-key", "label-float", "step-nan"])
+def test_malformed_scenario_exits_two_naming_the_field(doc, field, tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc()))
+    out, err = io.StringIO(), io.StringIO()
+    code = main(["validate", str(path)], out, err)
+    assert code == 2
+    assert err.getvalue().startswith("validation error:")
+    assert field in err.getvalue()
+    assert "Traceback" not in err.getvalue()
