@@ -223,12 +223,11 @@ def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
                    warnings=("approximation: condition treated as starting at k",))
 
 
-def verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int, s: int) -> tuple:
+def verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int) -> tuple:
     """Commutator magnitudes of the two verifiability demands for the
     Heisenberg outcome operator ``py`` at index k: [Y, P(k)], and [Y, X]
-    sandwiched by P(s).  The sandwich index s is k_c for outcomes after
-    the condition and k itself for outcomes before it."""
-    ps = cond.fam.at(s)
+    sandwiched by P(s) at the earlier index s = min(k, k_c)."""
+    ps = cond.fam.at(min(k, cond.k_c))
     px = cond.projector
     return (linalg.commutator_norm(py, cond.fam.at(k)),
             linalg.max_abs(ps @ (py @ px - px @ py) @ ps))
@@ -247,7 +246,7 @@ def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     check_k0(cond, k0, _K0_BOUND)
     py1 = lift_predicate(cond.model, y1, k1)
     py2 = lift_predicate(cond.model, y2, k2)
-    worst = max(verifiability_norms(cond, py1, k1, cond.k_c if k1 > cond.k_c else k1))
+    worst = max(verifiability_norms(cond, py1, k1))
     if worst > cond.tol.eps_zero:
         raise UnverifiableSequenceError(
             "sequence refused: intermediate outcome is not verifiable "

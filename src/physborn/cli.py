@@ -117,7 +117,7 @@ def _parse_outcomes(sc: Scenario, token: str, tol: Tolerance,
 
 def _cmd_validate(args, tol, out) -> int:
     sc = load_scenario(args.file, tol)
-    report = validate_family(sc.model, sc.fam, tol)
+    report = validate_family(sc.model, sc.fam)
     rows = [
         ("scenario", sc.name),
         ("indices", sc.model.n_indices),
@@ -133,7 +133,7 @@ def _cmd_validate(args, tol, out) -> int:
 def _cmd_prob(args, tol, out) -> int:
     sc = _resolve_scenario(args.scenario, tol)
     px, k_c = _parse_at(sc, args.cond, "--cond")
-    cond = ConditionSpec(sc.model, sc.fam, px, k_c, tol)
+    cond = ConditionSpec(sc.model, sc.fam, px, k_c)
     k0 = sc.grid_index(args.k0) if args.k0 is not None else 0
 
     rule = args.rule
@@ -206,7 +206,7 @@ def _cmd_measure(args, tol, out) -> int:
 def _cmd_verify(args, tol, out) -> int:
     sc = _resolve_scenario(args.scenario, tol)
     px, k_c = _parse_at(sc, args.cond, "--cond")
-    cond = ConditionSpec(sc.model, sc.fam, px, k_c, tol)
+    cond = ConditionSpec(sc.model, sc.fam, px, k_c)
     outcomes = _parse_outcomes(sc, args.outcomes, tol, complete=False)
     if outcomes.k > k_c:
         report = verify.verifiable_forward(cond, outcomes)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import Tolerance
 from .model import (
     Model,
     PhysicalFamily,
@@ -35,7 +35,6 @@ class ConditionSpec:
     fam: PhysicalFamily
     x1: np.ndarray
     k_c: int
-    tol: Tolerance = DEFAULT_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "x1", linalg.as_matrix(self.x1))
@@ -47,6 +46,11 @@ class ConditionSpec:
             )
         object.__setattr__(self, "_lifted", lifted)
         object.__setattr__(self, "_condition1_index", None)  # set by start_time
+
+    @property
+    def tol(self) -> Tolerance:
+        """The model's tolerance."""
+        return self.model.tol
 
     @property
     def projector(self) -> np.ndarray:

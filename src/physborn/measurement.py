@@ -51,7 +51,7 @@ class MeasurementProcess:
             raise DomainError(f"outcomes at index {k2} must follow the start index {k1}")
         tol = self.model.tol
         try:
-            start_cond = ConditionSpec(self.model, self.fam, self.m0, k1, tol)
+            start_cond = ConditionSpec(self.model, self.fam, self.m0, k1)
         except NotPhysicallyPossibleError:
             raise NotPhysicallyPossibleError(
                 "start space is not physically possible at k1"
@@ -61,12 +61,16 @@ class MeasurementProcess:
 
         conds, record_ok = [], []
         for p in self.outcomes.projectors:
-            full = lift_system1(self.model, p, k2)
-            if linalg.max_abs(self.fam.at(k2) @ full) <= tol.eps_zero:
-                conds.append(None)        # unreachable outcome, probability 0
+            try:
+                cond = ConditionSpec(self.model, self.fam, p, k2)
+            except NotPhysicallyPossibleError:
+                # Only an outcome without physical weight passes: unreachable.
+                weight = linalg.max_abs(self.fam.at(k2) @ lift_system1(self.model, p, k2))
+                if weight > tol.eps_zero:
+                    raise
+                conds.append(None)
                 record_ok.append(True)
                 continue
-            cond = ConditionSpec(self.model, self.fam, p, k2, tol)
             conds.append(cond)
             sup = _support(trimmed(cond, k1), tol)
             record_ok.append(linalg.approx_equal(self._start @ sup, sup, tol))
@@ -195,8 +199,7 @@ class RefinedOutcomes:
     unreachable: tuple    # per outcome: frozenset of zero-probability labels
 
 
-def refine_outcomes(proc: MeasurementProcess,
-                    tol: linalg.Tolerance | None = None) -> RefinedOutcomes:
+def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
     """Split every outcome into the smallest label sets that still behave
     as measurement outcomes.
 
@@ -210,7 +213,7 @@ def refine_outcomes(proc: MeasurementProcess,
     family) still get a path; such ties are exactly what refinement is
     meant to detect.
     """
-    tol = tol or proc.model.tol
+    tol = proc.model.tol
     fam = proc.fam
     all_classes, all_unreachable = [], []
     for p in proc.outcomes.projectors:

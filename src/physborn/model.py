@@ -137,14 +137,16 @@ def lift_system1(model: Model, p1, k: int | None = None) -> np.ndarray:
 
 def lift_predicate(model: Model, p, k: int) -> np.ndarray:
     """Heisenberg operator of a predicate at index k: a system1 projector
-    is lifted with :func:`lift_system1`, a full-space operator is taken
+    is lifted with :func:`lift_system1`, a full-space projector is taken
     as already lifted."""
     p = linalg.as_matrix(p)
     if p.shape == (model.d1, model.d1):
         return lift_system1(model, p, k)
-    if p.shape == (model.dim, model.dim):
-        return p
-    raise ShapeError(f"predicate shape {p.shape} matches neither system1 nor the full space")
+    if p.shape != (model.dim, model.dim):
+        raise ShapeError(f"predicate shape {p.shape} matches neither system1 nor the full space")
+    if not linalg.is_projector(p, model.tol):
+        raise DomainError("a full-space predicate must be a projector")
+    return p
 
 
 def lift_system2(model: Model, p2, k: int | None = None) -> np.ndarray:
@@ -190,10 +192,10 @@ class FamilyValidation:
     passed: bool
 
 
-def validate_family(model: Model, fam: PhysicalFamily,
-                    tol: Tolerance = DEFAULT_TOL) -> FamilyValidation:
+def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     """Check projector validity, nonzeroness, and the nesting law for
     every index pair j < k."""
+    tol = model.tol
     n = len(fam)
     proj_ok = tuple(
         p.shape == (model.dim, model.dim) and linalg.is_projector(p, tol)
@@ -215,16 +217,16 @@ def validate_family(model: Model, fam: PhysicalFamily,
     return FamilyValidation(proj_ok, nonzero, tuple(violations), passed)
 
 
-def forward_closure(model: Model, initial_states, extras=None,
-                    tol: Tolerance = DEFAULT_TOL) -> PhysicalFamily:
+def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily:
     """Build a nested family from generator states.
 
     The index-0 projector is the support of the span of
     ``initial_states``.  At each later index k the previous range is kept
     and any ``extras[k]`` vectors (Schrodinger picture at index k) are
     pulled to the reference frame and appended, so nesting holds by
-    construction.
+    construction; an extras index outside 1..n-1 is refused.
     """
+    tol = model.tol
     initial_states = [np.asarray(v, dtype=complex).reshape(-1) for v in initial_states]
     if not initial_states:
         raise DomainError("forward_closure needs at least one initial state")
@@ -232,6 +234,9 @@ def forward_closure(model: Model, initial_states, extras=None,
         if v.shape != (model.dim,):
             raise ShapeError(f"initial state has dimension {v.shape[0]}, expected {model.dim}")
     extras = {int(k): list(vs) for k, vs in (extras or {}).items()}
+    for k in extras:
+        if not 0 < k < model.n_indices:
+            raise DomainError(f"extras index {k} lies outside 1..{model.n_indices - 1}")
 
     generators = list(initial_states)
     projectors = [linalg.projector_from_span(generators, tol)]

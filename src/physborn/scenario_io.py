@@ -207,11 +207,11 @@ def loads(text: str, name: str = "<string>",
                 _pairs_to_vector(v, f"family extra at index {k}")
                 for v in _list(vs, f"family extras at index {k}")
             ]
-        fam = forward_closure(model, initial, extras, tol)
+        fam = forward_closure(model, initial, extras)
     else:
         raise ValidationError(f"family type must be 'explicit' or 'forward-closure', got {kind!r}")
 
-    report = validate_family(model, fam, tol)
+    report = validate_family(model, fam)
     if not report.passed:
         if report.nesting_violations:
             j, k = report.nesting_violations[0]

@@ -115,8 +115,8 @@ class ReferenceExperiment:
     def predicate(self, name: str) -> np.ndarray:
         return self.predicates[name]
 
-    def condition(self, name: str, k: int, tol: Tolerance = DEFAULT_TOL) -> ConditionSpec:
-        return ConditionSpec(self.model, self.fam, self.predicates[name], k, tol)
+    def condition(self, name: str, k: int) -> ConditionSpec:
+        return ConditionSpec(self.model, self.fam, self.predicates[name], k)
 
 
 def _first_step(n_records: int) -> np.ndarray:
@@ -165,7 +165,7 @@ def build_reference_experiment(tol: Tolerance = DEFAULT_TOL) -> ReferenceExperim
             _basis_state(REC_F_DOWN, KET_X_DOWN, CELL_DET2),
         ]
     }
-    fam = forward_closure(model, _source_states(N_RECORDS), extras, tol)
+    fam = forward_closure(model, _source_states(N_RECORDS), extras)
     eye1 = np.eye(N_RECORDS, dtype=complex)
     predicates = {
         "ready": _diagonal_projector([REC_READY]),
@@ -216,7 +216,7 @@ def build_redundant_record_experiment(tol: Tolerance = DEFAULT_TOL) -> Redundant
             _basis_state(REC6_F_DOWN, KET_X_DOWN, CELL_DET2, n_rec),
         ]
     }
-    fam = forward_closure(model, _source_states(n_rec), extras, tol)
+    fam = forward_closure(model, _source_states(n_rec), extras)
     predicates = {
         "ready": _diagonal_projector([REC_READY], n_rec),
         "I": _diagonal_projector([REC_I], n_rec),
@@ -282,14 +282,13 @@ def build_sg_observer_space(directions, tol: Tolerance = DEFAULT_TOL) -> SGObser
     return SGObserverSpace(model, fam, directions, spins, tuple(obs_projs))
 
 
-def textbook_born(model: Model, pX, k_x: int, pY, k_y: int,
-                  tol: Tolerance = DEFAULT_TOL) -> float:
+def textbook_born(model: Model, pX, k_x: int, pY, k_y: int) -> float:
     """The unamended two-time rule Tr(X Y) / Tr(X) with both predicates
     Heisenberg-lifted; the reduction oracle for the amended rules."""
     px = lift_predicate(model, pX, k_x)
     py = lift_predicate(model, pY, k_y)
     den = np.trace(px).real
-    if den <= tol.eps_zero:
+    if den <= model.tol.eps_zero:
         raise UnreachableConditionError("textbook condition has zero trace")
     return float(np.trace(px @ py).real / den)
 
@@ -327,7 +326,7 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
     p_fup = lift_system1(model, ref.predicate("Fup"), ref.T1)
 
     textbook = textbook_born(model, ref.predicate("I"), ref.T0,
-                             ref.predicate("Fup"), ref.T1, tol)
+                             ref.predicate("Fup"), ref.T1)
 
     # Microstates: eigenbasis of the physical part of the record
     # predicate, plus every product-basis record-I state with nonzero
@@ -356,9 +355,9 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
         value = np.trace(p_fup @ px @ p0 @ px).real / weight
         results.append(MicrostateResult(label, float(weight), float(value)))
 
-    cond_fup = ref.condition("Fup", ref.T1, tol)
+    cond_fup = ref.condition("Fup", ref.T1)
     retro = prob_approx(cond_fup, ref.predicate("I"), ref.T0).value
-    cond_i = ref.condition("I", ref.T0, tol)
+    cond_i = ref.condition("I", ref.T0)
     forward = prob_forward(cond_i, ref.predicate("Fup"), ref.T1).value
 
     restored = abs(retro - 1.0) <= 1e-9 and all(r.probability < 1 - 1e-6 for r in results)

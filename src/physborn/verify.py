@@ -17,7 +17,14 @@ from . import linalg
 from .born import OutcomeSet, verifiability_norms
 from .condition import ConditionSpec
 from .errors import DomainError, NotPhysicallyPossibleError
-from .model import Model, PhysicalFamily, is_physically_possible, lift_predicate
+from .model import (
+    Model,
+    PhysicalFamily,
+    is_physically_possible,
+    lift_predicate,
+    lift_system1,
+    lift_system2,
+)
 
 
 @dataclass(frozen=True)
@@ -35,15 +42,21 @@ class VerifiabilityReport:
     verdict: bool
 
 
-def _report(cond: ConditionSpec, outcomes: OutcomeSet, direction: str) -> VerifiabilityReport:
+def _lifted_verdicts(cond: ConditionSpec, outcomes: OutcomeSet) -> list:
+    """(Heisenberg outcome operator, OutcomeVerdict) per outcome; each
+    outcome is lifted once."""
     k = outcomes.k
-    s = cond.k_c if direction == "forward" else k
-    verdicts = []
+    pairs = []
     for y in outcomes.projectors:
-        phys, cnd = verifiability_norms(cond, lift_predicate(cond.model, y, k), k, s)
-        verdicts.append(OutcomeVerdict(phys, cnd,
-                                       phys <= cond.tol.eps_zero and cnd <= cond.tol.eps_zero))
-    return VerifiabilityReport(k, direction, tuple(verdicts),
+        py = lift_predicate(cond.model, y, k)
+        phys, cnd = verifiability_norms(cond, py, k)
+        pairs.append((py, OutcomeVerdict(phys, cnd, max(phys, cnd) <= cond.tol.eps_zero)))
+    return pairs
+
+
+def _report(cond: ConditionSpec, outcomes: OutcomeSet, direction: str) -> VerifiabilityReport:
+    verdicts = tuple(v for _, v in _lifted_verdicts(cond, outcomes))
+    return VerifiabilityReport(outcomes.k, direction, verdicts,
                                all(v.verdict for v in verdicts))
 
 
@@ -63,104 +76,55 @@ def verifiable_backward(cond: ConditionSpec, outcomes: OutcomeSet) -> Verifiabil
     return _report(cond, outcomes, "backward")
 
 
-def _split_eigenbasis(b: np.ndarray, px_side: np.ndarray,
-                      tol: linalg.Tolerance) -> tuple:
-    """Eigenvectors of a PSD Hermitian matrix with eigenvalue above the
-    support threshold, rotated within degenerate clusters so each vector
-    lies either inside or orthogonal to the given projector.
+def _zw_subspace(cond: ConditionSpec, py: np.ndarray, k: int, negate: bool) -> np.ndarray:
+    """Z (or W with ``negate``) for the verified Heisenberg outcome
+    operator py at k.
 
-    Returns (inside, outside) lists of vectors; raises DomainError when a
-    clean division does not exist.
+    The later of the two predicates supplies A, its physical part at its
+    own index; the earlier one, E (or I - E for W), is taken at the
+    earlier index s.  The demands make P(s) A P(s) commute with the
+    projector P(s) E, so A carries the range of P(s) E onto Z: the range
+    of A P(s) E.  Its squared singular values are the eigenvalues of
+    P(s) A P(s) on the range of P(s) E, so the support cut at eps_eig
+    drops exactly the directions where that operator falls below it.
     """
-    w, v = np.linalg.eigh(linalg.hermitian_part(b))
-    keep = np.nonzero(w > tol.eps_eig)[0]
-    inside, outside = [], []
-    i = 0
-    while i < len(keep):
-        # Cluster near-equal eigenvalues; eigh may mix their vectors.
-        j = i + 1
-        while j < len(keep) and abs(w[keep[j]] - w[keep[i]]) <= 100 * tol.eps_zero:
-            j += 1
-        block = v[:, keep[i:j]]
-        overlap = block.conj().T @ px_side @ block
-        mw, mv = np.linalg.eigh(linalg.hermitian_part(overlap))
-        rotated = block @ mv
-        for col, mu in zip(rotated.T, mw):
-            if mu > 1 - 100 * tol.eps_eig:
-                inside.append(col)
-            elif mu < 100 * tol.eps_eig:
-                outside.append(col)
-            else:
-                raise DomainError(
-                    f"eigenbasis cannot be divided cleanly (membership {mu:.3e})"
-                )
-        i = j
-    return inside, outside
-
-
-def _zw_subspace(cond: ConditionSpec, py: np.ndarray, k: int, direction: str,
-                 negate: bool) -> np.ndarray:
-    """Z (or W with ``negate``) for the Heisenberg outcome operator py."""
+    if k == cond.k_c:
+        raise DomainError("Z/W construction refused: outcome and condition share index "
+                          f"{k}, so neither direction applies")
     fam = cond.fam
-    tol = cond.tol
     px = cond.projector
-    eye = np.eye(px.shape[0], dtype=complex)
-
-    if direction == "forward":
-        # Outcome side is Y at k, classified against (not-)X; sandwich at
-        # the condition index.
-        s = cond.k_c
-        anchor = fam.at(k) @ py        # physical part of Y
-        member = fam.at(s) @ ((eye - px) if negate else px)
-    elif direction == "backward":
-        # Condition side is X at k_c, classified against (not-)Y; sandwich
-        # at the outcome index.
-        s = k
-        anchor = fam.at(cond.k_c) @ px
-        member = fam.at(s) @ ((eye - py) if negate else py)
+    if k > cond.k_c:
+        a, e = fam.at(k) @ py, px         # physical Y, classified against X
     else:
-        raise DomainError(f"unknown direction {direction!r}")
-
-    b = fam.at(s) @ anchor @ fam.at(s)
-    if linalg.max_abs(b) <= tol.eps_zero:
-        return np.zeros_like(b)
-    member_proj = linalg.support_projector(member @ member.conj().T, tol)
-    inside, _ = _split_eigenbasis(b, member_proj, tol)
-    if not inside:
-        return np.zeros_like(b)
-    # Each inside-eigenvector already lies in the range of P(s); applying
-    # the anchor carries it to the subspace the Z/W projector lives on.
-    carried = [anchor @ u for u in inside]
-    carried = [c for c in carried if np.linalg.norm(c) > tol.eps_zero]
-    if not carried:
-        return np.zeros_like(b)
-    return linalg.projector_from_span(carried, tol)
+        a, e = fam.at(cond.k_c) @ px, py  # physical X, classified against Y
+    if negate:
+        e = np.eye(e.shape[0], dtype=complex) - e
+    ae = a @ fam.at(min(k, cond.k_c)) @ e
+    return linalg.support_projector(ae @ ae.conj().T, cond.tol)
 
 
-def z_subspace(cond: ConditionSpec, y, k: int, direction: str) -> np.ndarray:
-    """Projector onto the elements of the outcome subspace that must have
-    come from the condition.  Refuses when the outcome is not verifiable.
-    """
-    return _zw_subspace(cond, _verifiable_lift(cond, y, k, direction), k, direction,
-                        negate=False)
-
-
-def w_subspace(cond: ConditionSpec, y, k: int, direction: str) -> np.ndarray:
-    """Projector onto the elements of the outcome subspace that certainly
-    did not come from the condition."""
-    return _zw_subspace(cond, _verifiable_lift(cond, y, k, direction), k, direction,
-                        negate=True)
-
-
-def _verifiable_lift(cond: ConditionSpec, y, k: int, direction: str) -> np.ndarray:
+def _verifiable_lift(cond: ConditionSpec, y, k: int) -> np.ndarray:
     """The lifted outcome, after checking both verifiability demands."""
     py = lift_predicate(cond.model, y, k)
-    s = cond.k_c if direction == "forward" else k
-    if max(verifiability_norms(cond, py, k, s)) > cond.tol.eps_zero:
+    if max(verifiability_norms(cond, py, k)) > cond.tol.eps_zero:
         raise DomainError(
             "Z/W construction refused: outcome is not verifiable against the condition"
         )
     return py
+
+
+def z_subspace(cond: ConditionSpec, y, k: int) -> np.ndarray:
+    """Projector onto the elements of the outcome subspace that must have
+    come from the condition.  Refuses when the outcome is not verifiable
+    or sits at the condition index.
+    """
+    return _zw_subspace(cond, _verifiable_lift(cond, y, k), k, negate=False)
+
+
+def w_subspace(cond: ConditionSpec, y, k: int) -> np.ndarray:
+    """Projector onto the elements of the outcome subspace that certainly
+    did not come from the condition."""
+    return _zw_subspace(cond, _verifiable_lift(cond, y, k), k, negate=True)
 
 
 def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
@@ -169,17 +133,15 @@ def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
     numerator: the condition-sandwiched trace against Y versus the plain
     trace of Z against the index-k0 projector."""
     k = outcomes.k
-    direction = "forward" if k > cond.k_c else "backward"
-    report = _report(cond, outcomes, direction)
-    if not report.verdict:
+    lifted = _lifted_verdicts(cond, outcomes)
+    if not all(v.verdict for _, v in lifted):
         raise DomainError("trace identity requires a verifiable outcome set")
     px = cond.projector
     p0 = cond.fam.at(k0)
     residuals = []
-    for y in outcomes.projectors:
-        py = lift_predicate(cond.model, y, k)
-        pz = _zw_subspace(cond, py, k, direction, negate=False)
-        if direction == "forward":
+    for py, _ in lifted:
+        pz = _zw_subspace(cond, py, k, negate=False)
+        if k > cond.k_c:
             lhs = np.trace(py @ px @ p0 @ px).real
         else:
             lhs = np.trace(cond.fam.at(k) @ py @ px @ p0).real
@@ -194,20 +156,14 @@ def observer_restriction_check(model: Model, fam: PhysicalFamily, pO, pM,
     predicates, the target must commute with the physical part of the
     observer.  Returns (holds, commutator_norm)."""
     tol = model.tol
-    full_o = np.kron(linalg.as_matrix(pO), np.eye(model.d2, dtype=complex))
-    full_m = np.kron(np.eye(model.d1, dtype=complex), linalg.as_matrix(pM))
-    p = fam.at(k)
+    full_o = lift_system1(model, pO)
+    full_m = lift_system2(model, pM)
     for name, op in (("observer", full_o), ("target", full_m)):
-        if not linalg.commutes(op, p, tol):
+        if not is_physically_possible(fam, op, k, tol):
             raise NotPhysicallyPossibleError(
-                f"hypothesis violated: {name} predicate does not commute with the family"
+                f"hypothesis violated: {name} predicate is not physically possible at index {k}"
             )
-        if linalg.max_abs(p @ op) <= tol.eps_zero:
-            raise NotPhysicallyPossibleError(
-                f"hypothesis violated: {name} predicate vanishes on the family"
-            )
-    phys_o = p @ full_o
-    norm = linalg.commutator_norm(full_m, phys_o)
+    norm = linalg.commutator_norm(full_m, fam.at(k) @ full_o)
     return norm <= tol.eps_zero, norm
 
 

@@ -232,8 +232,8 @@ def test_criterion_07_verifiability_suite(ref):
     zw_res = 0.0
     for name in ("Fup", "Fdown", "blocked"):
         y = ref.predicate(name)
-        pz = z_subspace(cond_i, y, ref.T1, "forward")
-        pw = w_subspace(cond_i, y, ref.T1, "forward")
+        pz = z_subspace(cond_i, y, ref.T1)
+        pw = w_subspace(cond_i, y, ref.T1)
         phys = ref.fam.at(ref.T1) @ lift_system1(ref.model, y, ref.T1)
         zw_res = max(zw_res, float(np.max(np.abs(pz + pw - phys))))
 

@@ -19,8 +19,8 @@ from physborn.errors import (
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
-from physborn.model import Model, PhysicalFamily, TimeGrid
-from physborn.scenarios import textbook_born
+from physborn.model import Model, PhysicalFamily, TimeGrid, lift_system1
+from physborn.scenarios import build_reference_experiment, textbook_born
 
 from conftest import identity_family, random_model, random_unitary
 
@@ -185,3 +185,14 @@ def test_probability_results_carry_rule_names():
     assert prob_forward(cond, px, 1).rule == "forward"
     res = prob_approx(ConditionSpec(m, fam, px, 2), px, 1)
     assert res.rule == "approx" and res.warnings
+
+
+def test_full_space_predicate_must_be_a_projector():
+    ref = build_reference_experiment()
+    cond = ref.condition("I", ref.T0)
+    with pytest.raises(DomainError):
+        prob_forward(cond, 0.5 * np.eye(ref.model.dim), ref.T1)
+    # a full-space projector is taken as already lifted
+    lifted = lift_system1(ref.model, ref.predicate("Fup"), ref.T1)
+    assert (prob_forward(cond, lifted, ref.T1).value
+            == prob_forward(cond, ref.predicate("Fup"), ref.T1).value)

@@ -78,6 +78,12 @@ COMMANDS = (
     _measure("I@t0", "Fup@t1", "--complete"),
     ["--json", "prob", "--scenario", NO_RECORD_FILE, "--rule", "sequence",
      "--cond", "A@t0", "--outcome", "B@t1", "--outcome2", "A@t2"],
+    # Tolerances other than the default.
+    ["--eps-zero", "1e-6", "--eps-eig", "1e-5", *_prob("forward", "I@t0", "Fup@t1")],
+    ["--eps-eig", "1e-5", "measure", "--scenario", "reference", "--start", "I@t0",
+     "--outcomes", "Fup,Fdown@t1"],
+    ["--eps-zero", "1e-6", "--json", "verify", "--scenario", "reference", "--cond", "Fup@t1",
+     "--outcomes", "I,notI@t0"],
 )
 
 

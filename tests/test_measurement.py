@@ -4,6 +4,7 @@ distributions."""
 import numpy as np
 import pytest
 
+from physborn import condition, measurement, model, verify
 from physborn.born import OutcomeSet, prob_forward
 from physborn.condition import ConditionSpec
 from physborn.errors import DomainError, ShapeError
@@ -44,6 +45,20 @@ def test_outcome_probabilities_and_forward_agreement(ref):
         assert abs(p - 0.5) <= 1e-9
         assert abs(p - prob_forward(start, y, ref.T1).value) <= 1e-9
     assert abs(total - 1.0) <= 1e-9
+
+
+def test_each_reachable_outcome_is_lifted_once(ref, monkeypatch):
+    lifts = []
+    real = model.lift_system1
+
+    def counted(*args, **kwargs):
+        lifts.append(args)
+        return real(*args, **kwargs)
+
+    for module in (model, condition, measurement, verify):
+        monkeypatch.setattr(module, "lift_system1", counted)
+    _proc_i_to_f(ref)
+    assert len(lifts) == 3      # the start space and the two outcomes
 
 
 def test_support_and_observable_representations_agree(ref):

@@ -141,6 +141,9 @@ def test_forward_closure_input_checks():
         forward_closure(m, [])
     with pytest.raises(ShapeError):
         forward_closure(m, [np.ones(3)])
+    for k in (0, 3, -3):    # extras exist only at indices 1..2
+        with pytest.raises(DomainError, match="extras"):
+            forward_closure(m, [np.ones(4)], {k: [np.ones(4)]})
 
 
 def test_physically_possible_and_restrict():

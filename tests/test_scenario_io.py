@@ -148,11 +148,12 @@ def test_forward_closure_family_spec():
         assert np.max(np.abs(loaded.fam.at(k) - sc.fam.at(k))) <= 1e-9
 
 
-def _forward_closure_doc():
+def _forward_closure_doc(index="x"):
     doc = json.loads(dump_builtin("reference"))
     projector = doc["family"]["projectors"][0]
     column = [row[0] for row in projector]   # a state in the index-0 range
-    doc["family"] = {"type": "forward-closure", "initial": [column], "extras": {"x": []}}
+    doc["family"] = {"type": "forward-closure", "initial": [column],
+                     "extras": {index: [column]}}
     return doc
 
 
@@ -176,8 +177,12 @@ def _set(path, value, doc=None):
     (_forward_closure_doc, "extras"),
     (lambda: _set(["predicates", "I", "labels"], [0.5]), "labels"),
     (lambda: _set(["steps", 0, 0, 0], [float("nan"), 0.0]), "non-finite"),
+    (lambda: _forward_closure_doc("0"), "extras"),
+    (lambda: _forward_closure_doc("99"), "extras"),
+    (lambda: _forward_closure_doc("-3"), "extras"),
 ], ids=["grid-strings", "family-list", "grid_names-int", "label-string",
-        "predicates-list", "steps-int", "extras-key", "label-float", "step-nan"])
+        "predicates-list", "steps-int", "extras-key", "label-float", "step-nan",
+        "extras-0", "extras-99", "extras-negative"])
 def test_malformed_scenario_exits_two_naming_the_field(doc, field, tmp_path):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc()))

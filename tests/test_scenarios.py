@@ -6,6 +6,7 @@ import pytest
 from physborn import linalg
 from physborn.born import OutcomeSet, prob_approx, prob_forward, prob_intermediate_full
 from physborn.errors import DomainError
+from physborn.linalg import Tolerance
 from physborn.model import (
     check_self_consistency,
     is_physically_possible,
@@ -144,3 +145,9 @@ def test_redundant_record_scenario_validates():
     assert validate_family(rr.model, rr.fam).passed
     for u in rr.model.steps:
         assert linalg.is_unitary(u)
+
+
+def test_conditions_take_the_model_tolerance():
+    tol = Tolerance(1e-6, 1e-5)
+    ref = build_reference_experiment(tol)
+    assert ref.condition("I", ref.T0).tol == tol

@@ -4,11 +4,11 @@ observer restriction."""
 import numpy as np
 import pytest
 
-from physborn import linalg
+from physborn import linalg, verify
 from physborn.born import OutcomeSet
 from physborn.condition import ConditionSpec
 from physborn.errors import DomainError, NotPhysicallyPossibleError
-from physborn.model import Model, PhysicalFamily, TimeGrid, lift_system1
+from physborn.model import Model, PhysicalFamily, TimeGrid, forward_closure, lift_system1
 from physborn.scenarios import build_reference_experiment, build_sg_observer_space
 from physborn.verify import (
     conditionally_realizable,
@@ -57,27 +57,44 @@ def test_direction_guards(ref):
         verifiable_backward(cond, same_time)
 
 
+@pytest.mark.parametrize("k_c, k", [(0, 1), (1, 0)])
+def test_condition_commutator_is_sandwiched_at_the_earlier_index(k_c, k):
+    # P(0) keeps only |0>; X and Y overlap there and disagree on |1>, |2>.
+    m = Model(3, 1, TimeGrid((0.0, 1.0)), (np.eye(3, dtype=complex),))
+    fam = PhysicalFamily((np.diag([1.0, 0, 0]).astype(complex), np.eye(3, dtype=complex)))
+    plus = np.array([0, 1, 1]) / np.sqrt(2)
+    x = np.diag([1.0, 1.0, 0]).astype(complex)
+    y = np.diag([1.0, 0, 0]).astype(complex) + np.outer(plus, plus)
+    assert np.max(np.abs(x @ y - y @ x)) > 0.1
+    cond = ConditionSpec(m, fam, x, k_c)
+    outcomes = OutcomeSet((y,), k)
+    check = verifiable_forward if k > k_c else verifiable_backward
+    assert check(cond, outcomes).verdict
+    assert max(verify_trace_identity(cond, outcomes)) <= 1e-12
+    assert np.max(np.abs(z_subspace(cond, y, k) - fam.at(0))) <= 1e-12
+
+
 def test_zw_decomposition_forward(ref):
     cond = ref.condition("I", ref.T0)
     for name in ("Fup", "Fdown", "blocked"):
         y = ref.predicate(name)
-        pz = z_subspace(cond, y, ref.T1, "forward")
-        pw = w_subspace(cond, y, ref.T1, "forward")
+        pz = z_subspace(cond, y, ref.T1)
+        pw = w_subspace(cond, y, ref.T1)
         assert linalg.is_projector(pz) and linalg.is_projector(pw)
         # together they recompose the physical part of the outcome
         phys = ref.fam.at(ref.T1) @ lift_system1(ref.model, y, ref.T1)
         assert np.max(np.abs(pz + pw - phys)) <= 1e-9
     # the detected outcomes certainly came from I; the blocked outcome
     # certainly did not
-    assert linalg.rank_of(z_subspace(cond, ref.predicate("Fup"), ref.T1, "forward")) == 1
-    assert linalg.rank_of(w_subspace(cond, ref.predicate("Fup"), ref.T1, "forward")) == 0
-    assert linalg.rank_of(z_subspace(cond, ref.predicate("blocked"), ref.T1, "forward")) == 0
+    assert linalg.rank_of(z_subspace(cond, ref.predicate("Fup"), ref.T1)) == 1
+    assert linalg.rank_of(w_subspace(cond, ref.predicate("Fup"), ref.T1)) == 0
+    assert linalg.rank_of(z_subspace(cond, ref.predicate("blocked"), ref.T1)) == 0
 
 
 def test_zw_decomposition_backward(ref):
     cond = ref.condition("Fup", ref.T1)
-    pz = z_subspace(cond, ref.predicate("I"), ref.T0, "backward")
-    pw = w_subspace(cond, ref.predicate("I"), ref.T0, "backward")
+    pz = z_subspace(cond, ref.predicate("I"), ref.T0)
+    pw = w_subspace(cond, ref.predicate("I"), ref.T0)
     # everything in the final record came through the first detector
     assert linalg.rank_of(pz) == 1
     assert linalg.rank_of(pw) == 0
@@ -91,7 +108,7 @@ def test_zw_refused_when_not_verifiable():
     fam = PhysicalFamily((np.eye(2, dtype=complex),) * 2)
     cond = ConditionSpec(m, fam, np.diag([1.0, 0]).astype(complex), 0)
     with pytest.raises(DomainError):
-        z_subspace(cond, np.diag([0, 1.0]).astype(complex), 1, "forward")
+        z_subspace(cond, np.diag([0, 1.0]).astype(complex), 1)
 
 
 def test_trace_identity_residuals(ref):
@@ -104,6 +121,87 @@ def test_trace_identity_residuals(ref):
     cond_f = ref.condition("Fup", ref.T1)
     bwd = OutcomeSet((ref.predicate("I"), ref.predicate("notI")), ref.T0)
     assert max(verify_trace_identity(cond_f, bwd)) <= 1e-9
+
+
+def _random_record_projector(rng, d1):
+    """Projector onto a random proper, nonempty subset of the record labels."""
+    labels = rng.choice(d1, size=int(rng.integers(1, d1)), replace=False)
+    return np.diag(np.isin(np.arange(d1), labels)).astype(complex)
+
+
+def _recording_model(rng):
+    """Seeded model whose steps write records: each step permutes the
+    record labels and applies a Haar system2 unitary chosen by the
+    record.  The family is the forward closure of single-record states,
+    with fresh ones added at random later indices."""
+    d1, d2, n = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(3, 5))
+    steps = []
+    for _ in range(n - 1):
+        perm = rng.permutation(d1)
+        u = sum(np.kron(np.outer(np.eye(d1)[perm[r]], np.eye(d1)[r]), random_unitary(rng, d2))
+                for r in range(d1))
+        steps.append(u)
+    model = Model(d1, d2, TimeGrid(tuple(float(t) for t in range(n))), tuple(steps))
+
+    def record_state():
+        return np.kron(np.eye(d1)[rng.integers(d1)], random_unitary(rng, d2)[:, 0])
+
+    initial = [record_state() for _ in range(int(rng.integers(1, 3)))]
+    extras = {k: [record_state() for _ in range(int(rng.integers(0, 2)))] for k in range(1, n)}
+    return model, forward_closure(model, initial, extras)
+
+
+def _verifiable_pairs(seed: int, count: int):
+    """At least ``count`` (condition, system1 outcome, index) triples on
+    recording models, the outcome before or after the condition.  Record
+    projectors commute with these families, so every pair is verifiable."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        model, fam = _recording_model(rng)
+        for _ in range(6):
+            k_c, k = (int(i) for i in rng.choice(model.n_indices, size=2, replace=False))
+            x, y = (_random_record_projector(rng, model.d1) for _ in range(2))
+            try:
+                pairs.append((ConditionSpec(model, fam, x, k_c), y, k))
+            except NotPhysicallyPossibleError:
+                continue
+    return pairs
+
+
+def test_zw_properties_on_generated_recording_models():
+    pairs = _verifiable_pairs(20, 300)
+    assert sum(k > cond.k_c for cond, _, k in pairs) >= 100
+    assert sum(k < cond.k_c for cond, _, k in pairs) >= 100
+    for cond, y, k in pairs:
+        fam = cond.fam
+        py = lift_system1(cond.model, y, k)
+        s = min(k, cond.k_c)
+        a = fam.at(k) @ py if k > cond.k_c else fam.at(cond.k_c) @ cond.projector
+        pz, pw = z_subspace(cond, y, k), w_subspace(cond, y, k)
+        assert np.max(np.abs(pz @ pw)) <= 1e-9
+        assert np.max(np.abs(a @ pz - pz)) <= 1e-9
+        assert np.max(np.abs(a @ pw - pw)) <= 1e-9
+        assert np.max(np.abs(pz + pw - linalg.support_projector(a @ fam.at(s) @ a))) <= 1e-9
+        assert max(verify_trace_identity(cond, OutcomeSet((y,), k))) <= 1e-9
+        with pytest.raises(DomainError):
+            z_subspace(cond, y, cond.k_c)
+        with pytest.raises(DomainError):
+            w_subspace(cond, y, cond.k_c)
+
+
+def test_trace_identity_lifts_each_outcome_once(ref, monkeypatch):
+    lifts = []
+    real = verify.lift_predicate
+
+    def counted(*args, **kwargs):
+        lifts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "lift_predicate", counted)
+    outcomes = OutcomeSet((ref.predicate("Fup"), ref.predicate("Fdown")), ref.T1)
+    verify_trace_identity(ref.condition("I", ref.T0), outcomes)
+    assert len(lifts) == 2
 
 
 def _random_observer_instance(rng):
