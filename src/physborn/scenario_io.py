@@ -51,14 +51,6 @@ class Scenario:
             ) from None
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(m)]
-
-
-def _vector_to_pairs(v: np.ndarray) -> list:
-    return [[float(c.real), float(c.imag)] for c in np.asarray(v).reshape(-1)]
-
-
 def _list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be a list")
@@ -83,9 +75,7 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
 
 def _pairs_to_matrix(rows, what: str) -> np.ndarray:
     try:
-        m = np.array(
-            [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
-        )
+        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
     except (TypeError, IndexError, KeyError, ValueError):
         raise ValidationError(f"{what}: entries must be [re, im] pairs") from None
     if m.ndim != 2 or m.size == 0:
@@ -95,7 +85,7 @@ def _pairs_to_matrix(rows, what: str) -> np.ndarray:
 
 def _pairs_to_vector(entries, what: str) -> np.ndarray:
     try:
-        v = np.array([complex(c[0], c[1]) for c in entries], dtype=complex)
+        v = np.array([complex(re, im) for re, im in entries], dtype=complex)
     except (TypeError, IndexError, KeyError, ValueError):
         raise ValidationError(f"{what}: entries must be [re, im] pairs") from None
     return _finite(v, what)
@@ -110,12 +100,67 @@ def _label_projector(labels, d1: int, what: str) -> np.ndarray:
     return p
 
 
+class _Held:
+    """A matrix that ``json`` leaves to :func:`_render` as a placeholder."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+
+def _layout(items: list, pad: str) -> str:
+    """Rendered list items laid out as ``json.dumps(indent=2)`` lays out a
+    list whose opening line starts with ``pad``."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
+def _render(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` where each held matrix
+    is written as nested [re, im] lists.
+
+    ``json`` renders everything else, with each held matrix as a
+    placeholder string: a run of NUL characters, lengthened until its
+    rendered text occurs exactly once per matrix, so that a caller's
+    string (a name or a ``family_spec`` entry) is never taken for one.
+    Each matrix is then one ``%`` format of a template built from its
+    shape and from the indent of the line its placeholder is on; ``%s``
+    of a Python float is the ``repr`` that ``json`` writes.
+    """
+    mark = "\x00"
+    while True:
+        held = []
+
+        def placeholder(obj):
+            if not isinstance(obj, _Held):
+                return json.JSONEncoder().default(obj)   # raises json's TypeError
+            held.append(obj.matrix)
+            return mark
+
+        pieces = json.dumps(doc, indent=2, sort_keys=True, default=placeholder).split(
+            json.dumps(mark))
+        if len(pieces) == len(held) + 1:
+            break
+        mark += "\x00"
+    parts = [pieces[0]]
+    for m, before, after in zip(held, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        pad = "\n" + line[:len(line) - len(line.lstrip(" "))]
+        pair = _layout(["%s", "%s"], pad + "    ")
+        template = _layout([_layout([pair] * m.shape[1], pad + "  ")] * m.shape[0], pad)
+        parts += [template % tuple(m.ravel().view(np.float64).tolist()), after]
+    return "".join(parts)
+
+
 def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
               grid_names=None, family_spec: dict | None = None) -> str:
     """Render a scenario as a deterministic JSON string.
 
     The family is stored as explicit projectors unless ``family_spec``
-    supplies a forward-closure description to embed instead.
+    supplies a forward-closure description to embed instead.  A predicate
+    is stored as ``labels`` when it is diagonal with 0/1 entries within
+    the model's ``eps_zero``, and as a ``matrix`` otherwise.
     """
     doc = {
         "format": FORMAT_VERSION,
@@ -124,23 +169,21 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
         "grid": list(model.grid.times),
         "grid_names": list(grid_names) if grid_names else
                       [str(k) for k in range(model.n_indices)],
-        "steps": [_matrix_to_pairs(u) for u in model.steps],
+        "steps": [_Held(u) for u in model.steps],
         "family": family_spec if family_spec is not None else {
             "type": "explicit",
-            "projectors": [_matrix_to_pairs(p) for p in fam.projectors],
+            "projectors": [_Held(p) for p in fam.projectors],
         },
         "predicates": {},
     }
     for pname in sorted(predicates):
         p = linalg.as_matrix(predicates[pname])
-        diag = np.diag(p).real
-        if linalg.max_abs(p - np.diag(np.round(diag))) <= DEFAULT_TOL.eps_zero:
-            doc["predicates"][pname] = {
-                "labels": [int(l) for l in np.nonzero(diag > 0.5)[0]]
-            }
+        labels = np.diag(p).real > 0.5
+        if linalg.max_abs(p - np.diag(labels)) <= model.tol.eps_zero:
+            doc["predicates"][pname] = {"labels": np.flatnonzero(labels).tolist()}
         else:
-            doc["predicates"][pname] = {"matrix": _matrix_to_pairs(p)}
-    return json.dumps(doc, indent=2, sort_keys=True)
+            doc["predicates"][pname] = {"matrix": _Held(p)}
+    return _render(doc)
 
 
 def loads(text: str, name: str = "<string>",
