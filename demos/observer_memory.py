@@ -25,7 +25,7 @@ eye_obs = np.eye(len(AXES), dtype=complex)
 print("four-direction observer space, bare spin predicates:")
 for i, name in enumerate(AXES):
     full = np.kron(eye_obs, space.spin_projector(i))
-    ok = is_physically_possible(space.fam, full, 0)
+    ok = is_physically_possible(space.model, space.fam, full, 0)
     print(f"  spin {name}: physically possible = {ok}")
 print()
 

@@ -29,8 +29,8 @@ report = verifiable_forward(cond_i, fwd)
 print("forward verdict (I at t0 vs final records):", report.verdict)
 for name in ("Fup", "Fdown", "blocked"):
     y = exp.predicate(name)
-    rz = linalg.rank_of(z_subspace(cond_i, y, exp.T1))
-    rw = linalg.rank_of(w_subspace(cond_i, y, exp.T1))
+    rz = linalg.rank_of(z_subspace(cond_i, y, exp.T1), exp.model.tol)
+    rw = linalg.rank_of(w_subspace(cond_i, y, exp.T1), exp.model.tol)
     print(f"  {name:8s} dim Z = {rz}  dim W = {rw}")
 print("  trace identity residuals:",
       [f"{r:.2e}" for r in verify_trace_identity(cond_i, fwd)])
@@ -42,8 +42,8 @@ report = verifiable_backward(cond_f, bwd)
 print("backward verdict (F_up at t1 vs records at t0):", report.verdict)
 for i, name in enumerate(("I", "notI")):
     y = bwd.projectors[i]
-    rz = linalg.rank_of(z_subspace(cond_f, y, exp.T0))
-    rw = linalg.rank_of(w_subspace(cond_f, y, exp.T0))
+    rz = linalg.rank_of(z_subspace(cond_f, y, exp.T0), exp.model.tol)
+    rw = linalg.rank_of(w_subspace(cond_f, y, exp.T0), exp.model.tol)
     print(f"  {name:8s} dim Z = {rz}  dim W = {rw}")
 print("  trace identity residuals:",
       [f"{r:.2e}" for r in verify_trace_identity(cond_f, bwd)])

@@ -26,7 +26,6 @@ from . import linalg
 from .condition import ConditionSpec, ObservableRep, check_k0, support_at
 from .errors import (
     DomainError,
-    ShapeError,
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
@@ -35,46 +34,22 @@ from .model import lift_predicate
 _K0_BOUND = "the condition's start index T_s={ts}"
 
 
-def orthogonal_projectors(projectors, complete: bool,
-                          tol: linalg.Tolerance = linalg.DEFAULT_TOL) -> tuple:
-    """The given matrices as a tuple of pairwise-orthogonal projectors of
-    one shape; with ``complete`` set they must also sum to the identity."""
-    projs = tuple(linalg.as_matrix(p) for p in projectors)
-    if not projs:
-        raise DomainError("an outcome set needs at least one projector")
-    d = projs[0].shape[0]
-    for p in projs:
-        if p.shape != (d, d):
-            raise ShapeError("outcome projectors must share one dimension")
-        if not linalg.is_projector(p, tol):
-            raise DomainError("outcome set entries must be projectors")
-    for i, a in enumerate(projs):
-        for b in projs[i + 1:]:
-            if linalg.max_abs(a @ b) > tol.eps_zero:
-                raise DomainError("outcome projectors must be pairwise orthogonal")
-    if complete:
-        total = sum(projs[1:], start=projs[0])
-        if not linalg.approx_equal(total, np.eye(d, dtype=complex), tol):
-            raise DomainError("outcome set flagged complete does not sum to identity")
-    return projs
-
-
 @dataclass(frozen=True)
 class OutcomeSet:
     """Pairwise-orthogonal system1 outcome projectors at one grid index.
 
     With ``complete`` set, the projectors must sum to the system1
-    identity.
+    identity.  Construction checks only what needs no tolerance (at
+    least one matrix, one square shape); each consumer checks the rest
+    with its model's tolerance (:func:`linalg.orthogonal_projectors`).
     """
 
     projectors: tuple
     k: int
     complete: bool = False
-    tol: linalg.Tolerance = linalg.DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "projectors",
-                           orthogonal_projectors(self.projectors, self.complete, self.tol))
+        object.__setattr__(self, "projectors", linalg.square_set(self.projectors))
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -127,16 +102,16 @@ def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResu
 
 
 def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: int,
-                           k: int | None = None, k0: int = 0) -> ProbabilityResult:
-    """The general intermediate-time rule over a complete outcome set.
+                           k0: int = 0) -> ProbabilityResult:
+    """The general intermediate-time rule over a complete outcome set at
+    its index k.
 
     Numerator: Tr(X P(k) Y P_sup(k) P(k0) P_sup(k) Y P(k)) with P_sup the
     support of the condition trimmed to k; normalizer: the same summed
     over every outcome in the set.
     """
-    if k is None:
-        k = outcomes.k
-    k = cond.model.grid.check_index(k)
+    linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
+    k = cond.model.grid.check_index(outcomes.k)
     if not (k0 < k < cond.k_c):
         raise DomainError(
             f"prob_intermediate_full requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
@@ -164,13 +139,13 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
 
 
 def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
-                            variant: str = "support",
                             rep: ObservableRep | None = None) -> ProbabilityResult:
     """Intermediate-time rule based only on what was known at k.
 
-    ``variant="support"`` uses the support of the trimmed condition;
-    ``variant="observable"`` uses the lifted X(k) predicate and requires
-    an accepted observable representation.
+    Anchored on the support of the trimmed condition (rule
+    ``intermediate_known/support``), or, with an accepted observable
+    representation ``rep``, on its lifted X(k) predicate
+    (``intermediate_known/observable``).
     """
     k = cond.model.grid.check_index(k)
     if not (k0 < k < cond.k_c):
@@ -178,14 +153,10 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
             f"prob_intermediate_known requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
         )
     check_k0(cond, k0, _K0_BOUND)
-    if variant == "support":
-        anchor = support_at(cond, k)
-    elif variant == "observable":
-        if rep is None:
-            raise DomainError("observable variant needs an accepted ObservableRep")
-        anchor = rep.projector(k)
+    if rep is None:
+        anchor, variant = support_at(cond, k), "support"
     else:
-        raise DomainError(f"unknown variant {variant!r}")
+        anchor, variant = rep.projector(k), "observable"
     py = lift_predicate(cond.model, y, k)
     p0 = cond.fam.at(k0)
     num = _real_trace(py @ anchor @ p0 @ anchor, cond.tol, "prob_intermediate_known")

@@ -40,7 +40,7 @@ class ConditionSpec:
         object.__setattr__(self, "x1", linalg.as_matrix(self.x1))
         object.__setattr__(self, "k_c", self.model.grid.check_index(self.k_c))
         lifted = lift_system1(self.model, self.x1, self.k_c)
-        if not is_physically_possible(self.fam, lifted, self.k_c, self.tol):
+        if not is_physically_possible(self.model, self.fam, lifted, self.k_c):
             raise NotPhysicallyPossibleError(
                 f"condition predicate is not physically possible at index {self.k_c}"
             )
@@ -185,7 +185,7 @@ def _condition1_indices(cond: ConditionSpec, top: int):
 
 def _condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
     px = rep.projector(k)
-    restricted = physical_restrict(cond.fam, px, k, cond.tol)
+    restricted = physical_restrict(cond.model, cond.fam, px, k)
     return linalg.approx_equal(restricted, px, cond.tol)
 
 
@@ -232,30 +232,6 @@ def check_k0(cond: ConditionSpec, k0: int,
     if k0 > ts:
         raise DomainError(f"k0={k0} is later than " + bound.format(ts=ts))
     return k0
-
-
-def expanded_condition_operator(cond: ConditionSpec, k0: int = 0,
-                                chain=None) -> np.ndarray:
-    """The condition operator rewritten through its implied past: a
-    palindromic chain of trimmed-support projectors around index k0,
-    X S(k_n) ... S(k_1) S(k0) S(k_1) ... S(k_n) X.
-
-    Equals :func:`condition_operator` whenever k0 is a valid start
-    index; ``chain`` defaults to every index strictly between k0 and
-    k_c, in increasing order.
-    """
-    k0 = cond.model.grid.check_index(k0)
-    if chain is None:
-        chain = range(k0 + 1, cond.k_c)
-    core = support_at(cond, k0)
-    for k in chain:
-        k = cond.model.grid.check_index(k)
-        if not k0 < k < cond.k_c:
-            raise DomainError(f"chain index {k} outside ({k0}, {cond.k_c})")
-        s = support_at(cond, k)
-        core = s @ core @ s
-    px = cond.projector
-    return linalg.hermitian_part(px @ core @ px)
 
 
 def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .born import OutcomeSet, orthogonal_projectors
+from .born import OutcomeSet
 from .condition import ConditionSpec, check_k0, observable_rep, trimmed
 from .errors import (
     DomainError,
@@ -43,13 +43,14 @@ class MeasurementProcess:
     k0: int = 0
 
     def __post_init__(self):
+        tol = self.model.tol
+        linalg.orthogonal_projectors(self.outcomes.projectors, self.outcomes.complete, tol)
         object.__setattr__(self, "m0", linalg.as_matrix(self.m0))
         k1 = self.model.grid.check_index(self.k1)
         k2 = self.model.grid.check_index(self.outcomes.k)
         object.__setattr__(self, "k1", k1)
         if k2 <= k1:
             raise DomainError(f"outcomes at index {k2} must follow the start index {k1}")
-        tol = self.model.tol
         try:
             start_cond = ConditionSpec(self.model, self.fam, self.m0, k1)
         except NotPhysicallyPossibleError:
@@ -92,12 +93,18 @@ class MeasurementProcess:
 
 @dataclass(frozen=True)
 class KappaPath:
-    """Per-index system2 operators for one outcome, over [k1, k2]."""
+    """Per-index system2 operators for one outcome, over [k1, k2].
+
+    Built by :func:`kappa_path` and :func:`refine_outcomes`, which stamp
+    it with the model's tolerance for :func:`rho_path` and
+    :func:`position_distribution` to decide with.
+    """
 
     outcome_index: int
     k1: int
     kappas: tuple
     representation: str
+    tol: linalg.Tolerance
 
     def at(self, k: int) -> np.ndarray:
         if not self.k1 <= k <= self.k2:
@@ -168,20 +175,20 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
     else:
         orep = observable_rep(cond)  # raises if the basis is unsuitable
         kappas = _kappas(proc, den, orep.projector, tol)
-    return KappaPath(i, proc.k1, kappas, rep)
+    return KappaPath(i, proc.k1, kappas, rep, tol)
 
 
-def rho_path(path: KappaPath, tol: linalg.Tolerance = linalg.DEFAULT_TOL) -> KappaPath:
+def rho_path(path: KappaPath) -> KappaPath:
     """Normalize each kappa to unit trace."""
     rhos = []
     for offset, kap in enumerate(path.kappas):
         t = np.trace(kap).real
-        if t <= tol.eps_zero:
+        if t <= path.tol.eps_zero:
             raise UnreachableConditionError(
                 f"outcome unreachable at index {path.k1 + offset}"
             )
         rhos.append(kap / t)
-    return KappaPath(path.outcome_index, path.k1, tuple(rhos), path.representation)
+    return KappaPath(path.outcome_index, path.k1, tuple(rhos), path.representation, path.tol)
 
 
 def outcome_probability(proc: MeasurementProcess, i: int, rep: str = "support") -> float:
@@ -235,11 +242,11 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
                 return _support(linalg.hermitian_part(fam.at(k) @ full @ fam.at(k)), tol)
 
             path = KappaPath(-1, proc.k1, _kappas(proc, _start_weight(proc, tol), anchor_at, tol),
-                             "support")
+                             "support", tol)
             if np.trace(path.at(proc.k2)).real <= tol.eps_zero:
                 unreachable.add(label)
                 continue
-            paths[label] = rho_path(path, tol)
+            paths[label] = rho_path(path)
         classes = []
         for label, path in paths.items():
             for cls in classes:
@@ -257,16 +264,15 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
     return RefinedOutcomes(tuple(all_classes), tuple(all_unreachable))
 
 
-def position_distribution(path: KappaPath, position_projectors,
-                          tol: linalg.Tolerance = linalg.DEFAULT_TOL) -> np.ndarray:
+def position_distribution(path: KappaPath, position_projectors) -> np.ndarray:
     """Per-index probabilities over a complete set of orthogonal system2
     cells; rows are grid offsets from k1, columns are cells."""
-    projs = orthogonal_projectors(position_projectors, True, tol)
+    projs = linalg.orthogonal_projectors(position_projectors, True, path.tol)
     d2 = path.kappas[0].shape[0]
     if projs[0].shape != (d2, d2):
         raise ShapeError(f"position projectors have shape {projs[0].shape}, "
                          f"expected {(d2, d2)}")
-    normalized = rho_path(path, tol)
+    normalized = rho_path(path)
     out = np.empty((len(normalized.kappas), len(projs)))
     for row, rho in enumerate(normalized.kappas):
         for col, p in enumerate(projs):

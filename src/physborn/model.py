@@ -12,6 +12,7 @@ validated against the nesting law P(j) P(k) = P(j) for j < k.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,12 @@ class TimeGrid:
     times: tuple
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        try:
+            times = tuple(float(t) for t in self.times)
+        except OverflowError:   # an integer beyond the float range
+            times = (math.inf,)
+        if not all(math.isfinite(t) for t in times):
+            raise ValidationError("time grid labels must be finite (no NaN or infinity)")
         object.__setattr__(self, "times", times)
         if len(times) < 2:
             raise ValidationError("a time grid needs at least 2 points")
@@ -149,17 +155,14 @@ def lift_predicate(model: Model, p, k: int) -> np.ndarray:
     return p
 
 
-def lift_system2(model: Model, p2, k: int | None = None) -> np.ndarray:
+def lift_system2(model: Model, p2) -> np.ndarray:
     """Extend a system2 projector to the full space: kron(identity, p2)."""
     p2 = linalg.as_matrix(p2)
     if p2.shape != (model.d2, model.d2):
         raise ShapeError(f"system2 operator shape {p2.shape}, expected {(model.d2, model.d2)}")
     if not linalg.is_projector(p2, model.tol):
         raise DomainError("lift_system2 requires a projector")
-    full = np.kron(np.eye(model.d1, dtype=complex), p2)
-    if k is None:
-        return full
-    return heisenberg(model, full, k)
+    return np.kron(np.eye(model.d1, dtype=complex), p2)
 
 
 @dataclass(frozen=True)
@@ -251,40 +254,23 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
     return PhysicalFamily(tuple(projectors))
 
 
-def is_physically_possible(fam: PhysicalFamily, pX, k: int,
-                           tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_physically_possible(model: Model, fam: PhysicalFamily, pX, k: int) -> bool:
     """A predicate is physically possible at k iff it commutes with the
     family there and has nonzero overlap with it."""
     pX = linalg.as_matrix(pX)
     p = fam.at(k)
     return (
-        linalg.commutes(pX, p, tol)
-        and linalg.max_abs(p @ pX) > tol.eps_zero
+        linalg.commutes(pX, p, model.tol)
+        and linalg.max_abs(p @ pX) > model.tol.eps_zero
     )
 
 
-def physical_restrict(fam: PhysicalFamily, pX, k: int,
-                      tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def physical_restrict(model: Model, fam: PhysicalFamily, pX, k: int) -> np.ndarray:
     """P(k) pX, the physical part of a commuting predicate (possibly zero)."""
     pX = linalg.as_matrix(pX)
     p = fam.at(k)
-    if not linalg.commutes(pX, p, tol):
+    if not linalg.commutes(pX, p, model.tol):
         raise NotPhysicallyPossibleError(
             f"predicate does not commute with the physical family at index {k}"
         )
     return p @ pX
-
-
-def check_self_consistency(fam: PhysicalFamily, pX, k: int,
-                           tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the physical part of the predicate at k spans exactly the
-    states reachable from the index-0 subspace."""
-    pX = linalg.as_matrix(pX)
-    if not is_physically_possible(fam, pX, k, tol):
-        raise NotPhysicallyPossibleError(
-            f"self-consistency check requires a physically possible predicate at index {k}"
-        )
-    restricted = fam.at(k) @ pX
-    sandwiched = restricted @ fam.at(0) @ restricted.conj().T
-    support = linalg.support_projector(sandwiched, tol)
-    return linalg.approx_equal(restricted, support, tol)

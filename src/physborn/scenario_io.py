@@ -209,32 +209,21 @@ def loads(text: str, name: str = "<string>",
     times = _list(need("grid"), "grid")
     if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times):
         raise ValidationError("grid: entries must be numbers")
-    grid = TimeGrid(tuple(_finite(np.array(times, dtype=float), "grid")))
-    steps = []
-    for k, rows in enumerate(_list(need("steps"), "steps")):
-        u = _pairs_to_matrix(rows, f"step {k}")
-        if u.shape != (d1 * d2, d1 * d2):
-            raise ValidationError(
-                f"step {k} has shape {u.shape}, expected {(d1 * d2, d1 * d2)}"
-            )
-        if not linalg.is_unitary(u, tol):
-            raise ValidationError(f"step {k} is not unitary")
-        steps.append(u)
+    grid = TimeGrid(tuple(times))
+    steps = tuple(_pairs_to_matrix(rows, f"step {k}")
+                  for k, rows in enumerate(_list(need("steps"), "steps")))
     try:
-        model = Model(d1, d2, grid, tuple(steps), tol)
+        model = Model(d1, d2, grid, steps, tol)
     except ValidationError as exc:
         raise ValidationError(f"{name}: {exc}") from None
 
     famspec = _object(need("family"), "family")
     kind = famspec.get("type")
     if kind == "explicit":
-        projs = []
-        for k, rows in enumerate(_list(famspec.get("projectors", []), "family projectors")):
-            p = _pairs_to_matrix(rows, f"family projector {k}")
-            if not linalg.is_projector(p, tol):
-                raise ValidationError(f"family projector {k} is not a projector")
-            projs.append(p)
-        fam = PhysicalFamily(tuple(projs))
+        fam = PhysicalFamily(tuple(
+            _pairs_to_matrix(rows, f"family projector {k}")
+            for k, rows in enumerate(_list(famspec.get("projectors", []), "family projectors"))
+        ))
     elif kind == "forward-closure":
         initial = [
             _pairs_to_vector(v, f"family initial state {i}")
@@ -255,11 +244,17 @@ def loads(text: str, name: str = "<string>",
         raise ValidationError(f"family type must be 'explicit' or 'forward-closure', got {kind!r}")
 
     report = validate_family(model, fam)
-    if not report.passed:
-        if report.nesting_violations:
-            j, k = report.nesting_violations[0]
-            raise ValidationError(f"family violates nesting at index pair ({j}, {k})")
-        raise ValidationError("family failed validation (projector or size check)")
+    if False in report.projector_ok:
+        raise ValidationError(f"family projector {report.projector_ok.index(False)} is not "
+                              f"a {model.dim}x{model.dim} projector")
+    if False in report.nonzero:
+        raise ValidationError(f"family projector {report.nonzero.index(False)} is zero")
+    if report.nesting_violations:
+        j, k = report.nesting_violations[0]
+        raise ValidationError(f"family violates nesting at index pair ({j}, {k})")
+    if len(fam) != model.n_indices:
+        raise ValidationError(f"family has {len(fam)} projectors, expected one per "
+                              f"grid index ({model.n_indices})")
 
     predicates = {}
     for pname, spec in _object(need("predicates"), "predicates").items():

@@ -43,8 +43,10 @@ class VerifiabilityReport:
 
 
 def _lifted_verdicts(cond: ConditionSpec, outcomes: OutcomeSet) -> list:
-    """(Heisenberg outcome operator, OutcomeVerdict) per outcome; each
-    outcome is lifted once."""
+    """(Heisenberg outcome operator, OutcomeVerdict) per outcome, after
+    checking the set within the model's tolerance; each outcome is lifted
+    once."""
+    linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
     k = outcomes.k
     pairs = []
     for y in outcomes.projectors:
@@ -155,16 +157,15 @@ def observer_restriction_check(model: Model, fam: PhysicalFamily, pO, pM,
     """Given commuting, nonvanishing system1 observer and system2 target
     predicates, the target must commute with the physical part of the
     observer.  Returns (holds, commutator_norm)."""
-    tol = model.tol
     full_o = lift_system1(model, pO)
     full_m = lift_system2(model, pM)
     for name, op in (("observer", full_o), ("target", full_m)):
-        if not is_physically_possible(fam, op, k, tol):
+        if not is_physically_possible(model, fam, op, k):
             raise NotPhysicallyPossibleError(
                 f"hypothesis violated: {name} predicate is not physically possible at index {k}"
             )
     norm = linalg.commutator_norm(full_m, fam.at(k) @ full_o)
-    return norm <= tol.eps_zero, norm
+    return norm <= model.tol.eps_zero, norm
 
 
 def conditionally_realizable(model: Model, fam: PhysicalFamily, pC, pR,
@@ -174,7 +175,7 @@ def conditionally_realizable(model: Model, fam: PhysicalFamily, pC, pR,
     tol = model.tol
     pC = linalg.as_matrix(pC)
     pR = linalg.as_matrix(pR)
-    if not is_physically_possible(fam, pR, k, tol):
+    if not is_physically_possible(model, fam, pR, k):
         raise NotPhysicallyPossibleError("reference subspace is not physically possible")
     phys_r = fam.at(k) @ pR
     return (

@@ -21,7 +21,6 @@ from physborn.cli import main as cli_main
 from physborn.condition import (
     ConditionSpec,
     condition_operator,
-    expanded_condition_operator,
     start_time,
 )
 from physborn.measurement import (
@@ -56,6 +55,7 @@ from physborn.verify import (
 )
 
 from conftest import (
+    expanded_condition_operator,
     identity_family,
     random_model,
     random_nested_family,
@@ -269,7 +269,7 @@ def test_criterion_08_observer_space_realizability():
     )
     spins_blocked = all(
         not is_physically_possible(
-            sp.fam, np.kron(np.eye(4, dtype=complex), sp.spin_projector(i)), 0
+            sp.model, sp.fam, np.kron(np.eye(4, dtype=complex), sp.spin_projector(i)), 0
         )
         for i in range(4)
     )

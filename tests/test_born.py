@@ -16,11 +16,14 @@ from physborn.born import (
 from physborn.condition import ConditionSpec
 from physborn.errors import (
     DomainError,
+    ShapeError,
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
+from physborn.measurement import MeasurementProcess
 from physborn.model import Model, PhysicalFamily, TimeGrid, lift_system1
 from physborn.scenarios import build_reference_experiment, textbook_born
+from physborn.verify import verifiable_backward
 
 from conftest import identity_family, random_model, random_unitary
 
@@ -112,19 +115,38 @@ def test_intermediate_full_normalizes_over_outcomes():
 
 
 def test_outcome_set_validation():
+    # construction checks only what needs no tolerance
     d = 3
     with pytest.raises(DomainError):
         OutcomeSet((), 0)
-    with pytest.raises(DomainError):
-        OutcomeSet((np.full((d, d), 0.5, dtype=complex),), 0)  # not a projector
+    with pytest.raises(ShapeError):
+        OutcomeSet((np.eye(2), np.eye(3)), 0)  # mixed sizes
+    with pytest.raises(ShapeError):
+        OutcomeSet((np.ones((2, 3)),), 0)  # not square
+    # the rest is checked first by each consumer, within its model's tolerance
+    rng = np.random.default_rng(57)
+    m = random_model(rng, d, 2, n_indices=3)
+    fam = identity_family(d * 2, 3)
+    cond = ConditionSpec(m, fam, _diag_projector([0], d), 2)
+    consumers = (
+        lambda outcomes: MeasurementProcess(m, fam, _diag_projector([0], d), 0, outcomes),
+        lambda outcomes: prob_intermediate_full(cond, outcomes, 0),
+        lambda outcomes: verifiable_backward(cond, outcomes),
+    )
     a = _diag_projector([0, 1], d)
     b = _diag_projector([1], d)
-    with pytest.raises(DomainError):
-        OutcomeSet((a, b), 0)  # overlapping
-    with pytest.raises(DomainError):
-        OutcomeSet((b,), 0, complete=True)  # does not sum to identity
-    ok = OutcomeSet((a, _diag_projector([2], d)), 0, complete=True)
+    for outcomes, message in (
+        (OutcomeSet((np.full((d, d), 0.5, dtype=complex),), 1), "must be projectors"),
+        (OutcomeSet((a, b), 1), "pairwise orthogonal"),
+        (OutcomeSet((b,), 1, complete=True), "does not sum to identity"),
+    ):
+        for consume in consumers:
+            with pytest.raises(DomainError, match=message):
+                consume(outcomes)
+    ok = OutcomeSet((a, _diag_projector([2], d)), 1, complete=True)
     assert len(ok) == 2
+    for consume in consumers:
+        consume(ok)
 
 
 def test_unreachable_condition_raises():

@@ -11,7 +11,6 @@ from physborn.condition import (
     StartTime,
     check_k0,
     condition_operator,
-    expanded_condition_operator,
     observable_rep,
     start_time,
     support_at,
@@ -24,7 +23,12 @@ from physborn.errors import (
 )
 from physborn.model import Model, PhysicalFamily, TimeGrid, physical_restrict, schrodinger
 
-from conftest import random_nested_family, random_span_projector, random_unitary
+from conftest import (
+    expanded_condition_operator,
+    random_nested_family,
+    random_span_projector,
+    random_unitary,
+)
 
 
 def _trivial_model(rng, d, n_indices):
@@ -146,7 +150,7 @@ def _quadratic_start_time(cond, rep=None):
 
     def demand2(k):
         px = rep.projector(k)
-        return linalg.approx_equal(physical_restrict(cond.fam, px, k, cond.tol), px, cond.tol)
+        return linalg.approx_equal(physical_restrict(cond.model, cond.fam, px, k), px, cond.tol)
 
     cond1 = [k for k in range(cond.k_c + 1) if demand1(k)]
     k1 = max(cond1)

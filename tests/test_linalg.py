@@ -5,7 +5,7 @@ import pytest
 
 from physborn import linalg
 from physborn.errors import DomainError, ShapeError
-from physborn.linalg import Tolerance
+from physborn.linalg import DEFAULT_TOL, Tolerance
 
 from conftest import random_unitary
 
@@ -54,46 +54,47 @@ def test_support_projector_constructed_spectrum():
     u = random_unitary(rng, 5)
     w = np.array([2.0, 0.7, 1e-3, 0.0, 0.0])
     h = (u * w) @ u.conj().T
-    p = linalg.support_projector((h + h.conj().T) / 2)
+    p = linalg.support_projector((h + h.conj().T) / 2, DEFAULT_TOL)
     expected = u[:, :3] @ u[:, :3].conj().T
     assert np.max(np.abs(p - expected)) < 1e-9
-    assert linalg.rank_of(p) == 3
+    assert linalg.rank_of(p, DEFAULT_TOL) == 3
 
 
 def test_support_projector_rejects_negative_and_nonhermitian():
     with pytest.raises(DomainError):
-        linalg.support_projector(np.diag([1.0, -0.5]).astype(complex))
+        linalg.support_projector(np.diag([1.0, -0.5]).astype(complex), DEFAULT_TOL)
     with pytest.raises(DomainError):
-        linalg.support_projector(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.support_projector(np.array([[0.0, 1.0], [0.0, 0.0]]), DEFAULT_TOL)
 
 
 def test_projector_from_span_contains_inputs():
     rng = np.random.default_rng(19)
     vs = [_rand(rng, 6, 1).ravel() for _ in range(3)]
-    p = linalg.projector_from_span(vs + [vs[0] + vs[1]])  # dependent vector
-    assert linalg.is_projector(p)
-    assert linalg.rank_of(p) == 3
+    p = linalg.projector_from_span(vs + [vs[0] + vs[1]], DEFAULT_TOL)  # dependent vector
+    assert linalg.is_projector(p, DEFAULT_TOL)
+    assert linalg.rank_of(p, DEFAULT_TOL) == 3
     for v in vs:
         assert np.max(np.abs(p @ v - v)) < 1e-9
 
 
 def test_projector_from_span_empty():
     with pytest.raises(DomainError):
-        linalg.projector_from_span([])
+        linalg.projector_from_span([], DEFAULT_TOL)
 
 
 def test_predicates_on_constructed_cases():
     rng = np.random.default_rng(20)
     u = random_unitary(rng, 4)
-    assert linalg.is_unitary(u)
-    assert not linalg.is_unitary(u * 1.01)
+    tol = DEFAULT_TOL
+    assert linalg.is_unitary(u, tol)
+    assert not linalg.is_unitary(u * 1.01, tol)
     p = u[:, :2] @ u[:, :2].conj().T
-    assert linalg.is_projector(p)
-    assert linalg.is_hermitian(p)
-    assert not linalg.is_projector(0.5 * p)
-    assert linalg.commutes(p, np.eye(4, dtype=complex))
+    assert linalg.is_projector(p, tol)
+    assert linalg.is_hermitian(p, tol)
+    assert not linalg.is_projector(0.5 * p, tol)
+    assert linalg.commutes(p, np.eye(4, dtype=complex), tol)
     q = u[:, 2:] @ u[:, 2:].conj().T
-    assert linalg.commutes(p, q)  # orthogonal complement commutes
+    assert linalg.commutes(p, q, tol)  # orthogonal complement commutes
 
 
 def test_commutator_norm_of_paulis():

@@ -194,9 +194,14 @@ def _step_entry_with_a_third_number():
     (lambda: _forward_closure_doc("99"), "extras"),
     (lambda: _forward_closure_doc("-3"), "extras"),
     (_step_entry_with_a_third_number, "step 0: entries"),
+    (lambda: _set(["family", "projectors"],
+                  json.loads(dump_builtin("reference"))["family"]["projectors"][:-1]),
+     "family has 2 projectors"),
+    (lambda: _set(["grid", 2], 10 ** 400), "grid"),
 ], ids=["grid-strings", "family-list", "grid_names-int", "label-string",
         "predicates-list", "steps-int", "extras-key", "label-float", "step-nan",
-        "extras-0", "extras-99", "extras-negative", "step-triple"])
+        "extras-0", "extras-99", "extras-negative", "step-triple", "family-count",
+        "grid-huge-int"])
 def test_malformed_scenario_exits_two_naming_the_field(doc, field, tmp_path):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc()))
@@ -217,7 +222,7 @@ DUMP_PINS = Path(__file__).parent / "golden" / "dumps.json"
 def _seeded_scenario() -> tuple:
     """A d = 6 scenario built with elementwise arithmetic only, so that its
     dump is the same bytes wherever numpy runs: steps a phased permutation
-    and a rotation block, an infinite last grid time, a dense non-diagonal
+    and a rotation block, a last grid time of 1e300, a dense non-diagonal
     predicate holding -0.0, 5e-324 and 1e300, and names with quotes,
     non-ASCII text and NUL characters.
 
@@ -230,7 +235,7 @@ def _seeded_scenario() -> tuple:
     phased = np.eye(d)[rng.permutation(d)] * ((a + 1j * b) / np.sqrt(a * a + b * b))
     rotation = np.eye(d, dtype=complex)
     rotation[:2, :2] = [[0.6, -0.8j], [-0.8j, 0.6]]
-    model = Model(d1, d2, TimeGrid((0.0, 0.5, float("inf"))), (phased, rotation))
+    model = Model(d1, d2, TimeGrid((0.0, 0.5, 1e300)), (phased, rotation))
     plus = np.zeros((d, d), dtype=complex)
     plus[:2, :2] = 0.5
     fam = PhysicalFamily((plus, np.diag([1.0, 1, 0, 0, 0, 0]), np.diag([1.0, 1, 1, 1, 0, 0])))

@@ -8,7 +8,6 @@ from physborn.born import OutcomeSet, prob_approx, prob_forward, prob_intermedia
 from physborn.errors import DomainError
 from physborn.linalg import Tolerance
 from physborn.model import (
-    check_self_consistency,
     is_physically_possible,
     lift_system1,
     schrodinger,
@@ -23,6 +22,8 @@ from physborn.scenarios import (
     textbook_born,
 )
 
+from conftest import check_self_consistency
+
 # value fixed by direct computation in the built model, then frozen
 TEXTBOOK_RETRODICTION = 0.1
 
@@ -36,14 +37,14 @@ def test_dimensions_and_unitarity(ref):
     assert ref.model.d1 == 5 and ref.model.d2 == 10
     assert ref.model.n_indices == 3
     for u in ref.model.steps:
-        assert linalg.is_unitary(u)
+        assert linalg.is_unitary(u, ref.model.tol)
 
 
 def test_family_validates_and_is_self_consistent(ref):
     assert validate_family(ref.model, ref.fam).passed
     for name, k in (("I", ref.T0), ("Fup", ref.T1), ("Fdown", ref.T1)):
         lifted = lift_system1(ref.model, ref.predicate(name), k)
-        assert check_self_consistency(ref.fam, lifted, k)
+        assert check_self_consistency(ref.model, ref.fam, lifted, k)
 
 
 def test_record_i_pins_down_the_particle(ref):
@@ -121,10 +122,10 @@ def test_spin_state_directions():
 
 def test_observer_space_construction():
     one = build_sg_observer_space([(0.0, 0.0, 1.0)])
-    assert linalg.rank_of(one.fam.at(0)) == 1
+    assert linalg.rank_of(one.fam.at(0), one.model.tol) == 1
     two = build_sg_observer_space([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
-    assert linalg.rank_of(two.fam.at(0)) == 2
-    assert linalg.is_projector(two.fam.at(0))
+    assert linalg.rank_of(two.fam.at(0), two.model.tol) == 2
+    assert linalg.is_projector(two.fam.at(0), two.model.tol)
     with pytest.raises(DomainError):
         build_sg_observer_space([(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)])
     with pytest.raises(DomainError):
@@ -137,14 +138,14 @@ def test_four_direction_observer_space_spin_not_possible():
     )
     for i in range(4):
         full = np.kron(np.eye(4, dtype=complex), sp.spin_projector(i))
-        assert not is_physically_possible(sp.fam, full, 0)
+        assert not is_physically_possible(sp.model, sp.fam, full, 0)
 
 
 def test_redundant_record_scenario_validates():
     rr = build_redundant_record_experiment()
     assert validate_family(rr.model, rr.fam).passed
     for u in rr.model.steps:
-        assert linalg.is_unitary(u)
+        assert linalg.is_unitary(u, rr.model.tol)
 
 
 def test_conditions_take_the_model_tolerance():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from physborn import linalg, verify
-from physborn.born import OutcomeSet
+from physborn.born import OutcomeSet, prob_forward, prob_sequence
 from physborn.condition import ConditionSpec
-from physborn.errors import DomainError, NotPhysicallyPossibleError
+from physborn.errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
 from physborn.model import Model, PhysicalFamily, TimeGrid, forward_closure, lift_system1
 from physborn.scenarios import build_reference_experiment, build_sg_observer_space
 from physborn.verify import (
@@ -80,15 +80,15 @@ def test_zw_decomposition_forward(ref):
         y = ref.predicate(name)
         pz = z_subspace(cond, y, ref.T1)
         pw = w_subspace(cond, y, ref.T1)
-        assert linalg.is_projector(pz) and linalg.is_projector(pw)
+        assert linalg.is_projector(pz, cond.tol) and linalg.is_projector(pw, cond.tol)
         # together they recompose the physical part of the outcome
         phys = ref.fam.at(ref.T1) @ lift_system1(ref.model, y, ref.T1)
         assert np.max(np.abs(pz + pw - phys)) <= 1e-9
     # the detected outcomes certainly came from I; the blocked outcome
     # certainly did not
-    assert linalg.rank_of(z_subspace(cond, ref.predicate("Fup"), ref.T1)) == 1
-    assert linalg.rank_of(w_subspace(cond, ref.predicate("Fup"), ref.T1)) == 0
-    assert linalg.rank_of(z_subspace(cond, ref.predicate("blocked"), ref.T1)) == 0
+    assert linalg.rank_of(z_subspace(cond, ref.predicate("Fup"), ref.T1), cond.tol) == 1
+    assert linalg.rank_of(w_subspace(cond, ref.predicate("Fup"), ref.T1), cond.tol) == 0
+    assert linalg.rank_of(z_subspace(cond, ref.predicate("blocked"), ref.T1), cond.tol) == 0
 
 
 def test_zw_decomposition_backward(ref):
@@ -96,10 +96,10 @@ def test_zw_decomposition_backward(ref):
     pz = z_subspace(cond, ref.predicate("I"), ref.T0)
     pw = w_subspace(cond, ref.predicate("I"), ref.T0)
     # everything in the final record came through the first detector
-    assert linalg.rank_of(pz) == 1
-    assert linalg.rank_of(pw) == 0
+    assert linalg.rank_of(pz, cond.tol) == 1
+    assert linalg.rank_of(pw, cond.tol) == 0
     phys = ref.fam.at(ref.T1) @ lift_system1(ref.model, ref.predicate("Fup"), ref.T1)
-    assert np.max(np.abs(pz - linalg.support_projector(phys @ phys.conj().T))) <= 1e-9
+    assert np.max(np.abs(pz - linalg.support_projector(phys @ phys.conj().T, cond.tol))) <= 1e-9
 
 
 def test_zw_refused_when_not_verifiable():
@@ -182,12 +182,37 @@ def test_zw_properties_on_generated_recording_models():
         assert np.max(np.abs(pz @ pw)) <= 1e-9
         assert np.max(np.abs(a @ pz - pz)) <= 1e-9
         assert np.max(np.abs(a @ pw - pw)) <= 1e-9
-        assert np.max(np.abs(pz + pw - linalg.support_projector(a @ fam.at(s) @ a))) <= 1e-9
+        whole = linalg.support_projector(a @ fam.at(s) @ a, cond.tol)
+        assert np.max(np.abs(pz + pw - whole)) <= 1e-9
         assert max(verify_trace_identity(cond, OutcomeSet((y,), k))) <= 1e-9
         with pytest.raises(DomainError):
             z_subspace(cond, y, cond.k_c)
         with pytest.raises(DomainError):
             w_subspace(cond, y, cond.k_c)
+
+
+def test_sequence_over_a_complete_second_set_gives_the_forward_rule():
+    # For k1 >= k_c the sequence rule is Tr(Y2 Y1 X P(0) X Y1) / Tr(X P(0));
+    # single-record projectors Y2 sum to the identity, leaving the forward
+    # rule for Y1, whatever the index of Y2.
+    rng = np.random.default_rng(22)
+    worst, checked = 0.0, 0
+    for cond, y1, k in _verifiable_pairs(22, 200):
+        d1 = cond.model.d1
+        for k1 in sorted({cond.k_c, k}):
+            if k1 < cond.k_c:
+                continue
+            try:
+                forward = prob_forward(cond, y1, k1).value
+            except UnreachableConditionError:   # no weight at k0 = 0
+                continue
+            k2 = int(rng.integers(cond.model.n_indices))
+            total = sum(prob_sequence(cond, y1, k1, np.diag(np.eye(d1)[r]), k2).value
+                        for r in range(d1))
+            worst = max(worst, abs(total - forward))
+            checked += 1
+    assert checked >= 200
+    assert worst <= 1e-12
 
 
 def test_trace_identity_lifts_each_outcome_once(ref, monkeypatch):
