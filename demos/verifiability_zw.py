@@ -11,8 +11,7 @@ from physborn import linalg
 from physborn.born import OutcomeSet
 from physborn.scenarios import build_reference_experiment
 from physborn.verify import (
-    verifiable_backward,
-    verifiable_forward,
+    verifiability,
     verify_trace_identity,
     w_subspace,
     z_subspace,
@@ -25,8 +24,8 @@ fwd = OutcomeSet(
     (exp.predicate("Fup"), exp.predicate("Fdown"), exp.predicate("blocked")),
     exp.T1,
 )
-report = verifiable_forward(cond_i, fwd)
-print("forward verdict (I at t0 vs final records):", report.verdict)
+report = verifiability(cond_i, fwd)
+print(f"{report.direction} verdict (I at t0 vs final records):", report.verdict)
 for name in ("Fup", "Fdown", "blocked"):
     y = exp.predicate(name)
     rz = linalg.rank_of(z_subspace(cond_i, y, exp.T1), exp.model.tol)
@@ -38,8 +37,8 @@ print()
 
 cond_f = exp.condition("Fup", exp.T1)
 bwd = OutcomeSet((exp.predicate("I"), exp.predicate("notI")), exp.T0)
-report = verifiable_backward(cond_f, bwd)
-print("backward verdict (F_up at t1 vs records at t0):", report.verdict)
+report = verifiability(cond_f, bwd)
+print(f"{report.direction} verdict (F_up at t1 vs records at t0):", report.verdict)
 for i, name in enumerate(("I", "notI")):
     y = bwd.projectors[i]
     rz = linalg.rank_of(z_subspace(cond_f, y, exp.T0), exp.model.tol)

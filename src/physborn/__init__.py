@@ -61,8 +61,7 @@ from .verify import (
     VerifiabilityReport,
     conditionally_realizable,
     observer_restriction_check,
-    verifiable_backward,
-    verifiable_forward,
+    verifiability,
     verify_trace_identity,
     w_subspace,
     z_subspace,

@@ -14,6 +14,10 @@ Five regimes are implemented, selected explicitly by the caller:
 plus the guarded two-outcome sequence rule.  Each function validates its
 regime against the supplied indices and raises instead of silently
 switching formulas.
+
+Every rule is the textbook trace Tr(Y rho) / Tr(rho).  Only the state
+rho differs, and it is built from the condition trimmed to the physical
+family: the condition operator X P(k0) X, or a trimmed operator P X P.
 """
 
 from __future__ import annotations
@@ -23,15 +27,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .condition import ConditionSpec, ObservableRep, check_k0, support_at
+from .condition import (
+    ConditionSpec,
+    ObservableRep,
+    check_k0,
+    condition_operator,
+    support_at,
+    trimmed,
+)
 from .errors import (
     DomainError,
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
 from .model import lift_predicate
-
-_K0_BOUND = "the condition's start index T_s={ts}"
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,10 @@ class ProbabilityResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _real_trace(m: np.ndarray, tol: linalg.Tolerance, context: str) -> float:
-    t = complex(np.trace(m))
+def _real_trace(a: np.ndarray, b: np.ndarray, tol: linalg.Tolerance,
+                context: str) -> float:
+    """Tr(a b), summed elementwise without forming the product."""
+    t = complex(np.einsum("ij,ji->", a, b))
     if abs(t.imag) > tol.eps_zero * max(1.0, abs(t.real)):
         raise DomainError(
             f"trace in {context} has imaginary residue {t.imag:.3e}; "
@@ -86,19 +97,23 @@ def _result(num: float, den: float, rule: str, tol: linalg.Tolerance,
     return ProbabilityResult(float(value), float(num), float(den), rule, warnings)
 
 
+def _born(y: np.ndarray, rho: np.ndarray, rule: str, tol: linalg.Tolerance,
+          warnings: tuple = ()) -> ProbabilityResult:
+    """Tr(Y rho) / Tr(rho) for a Hermitian state rho.  Each rule builds
+    only its rho; the intermediate-full rule normalizes its terms over
+    the outcome set instead."""
+    num = _real_trace(y, rho, tol, f"{rule} numerator")
+    return _result(num, np.trace(rho).real, rule, tol, warnings)
+
+
 def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
-    """P(Y at k | X at k_c) for k >= k_c:
-    Tr(Y X P(k0) X) / Tr(X P(k0))."""
+    """P(Y at k | X at k_c) for k >= k_c, with rho the condition
+    operator X P(k0) X."""
     k = cond.model.grid.check_index(k)
     if k < cond.k_c:
         raise DomainError(f"prob_forward requires k >= k_c, got k={k} < k_c={cond.k_c}")
-    check_k0(cond, k0, _K0_BOUND)
-    py = lift_predicate(cond.model, y, k)
-    px = cond.projector
-    p0 = cond.fam.at(k0)
-    num = _real_trace(py @ px @ p0 @ px, cond.tol, "prob_forward numerator")
-    den = _real_trace(px @ p0, cond.tol, "prob_forward denominator")
-    return _result(num, den, "forward", cond.tol)
+    rho = condition_operator(cond, k0)
+    return _born(lift_predicate(cond.model, y, k), rho, "forward", cond.tol)
 
 
 def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: int,
@@ -106,9 +121,9 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     """The general intermediate-time rule over a complete outcome set at
     its index k.
 
-    Numerator: Tr(X P(k) Y P_sup(k) P(k0) P_sup(k) Y P(k)) with P_sup the
-    support of the condition trimmed to k; normalizer: the same summed
-    over every outcome in the set.
+    Each outcome's term is Tr(trimmed(k) Y S P(k0) S Y), with S the
+    support of the condition trimmed to k; the normalizer is the sum of
+    the terms over the set.
     """
     linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
     k = cond.model.grid.check_index(outcomes.k)
@@ -118,33 +133,27 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
         )
     if not outcomes.complete:
         raise DomainError("prob_intermediate_full needs a complete outcome set")
-    check_k0(cond, k0, _K0_BOUND)
+    check_k0(cond, k0)
     if not 0 <= y_index < len(outcomes):
         raise IndexError(f"outcome index {y_index} out of range")
 
-    px = cond.projector
-    pk = cond.fam.at(k)
-    p0 = cond.fam.at(k0)
     sup = support_at(cond, k)
-    core = sup @ p0 @ sup
-
-    def term(y1) -> float:
-        py = lift_predicate(cond.model, y1, k)
-        return _real_trace(
-            px @ pk @ py @ core @ py @ pk, cond.tol, "prob_intermediate_full term"
-        )
-
-    terms = [term(y1) for y1 in outcomes.projectors]
+    core = sup @ cond.fam.at(k0) @ sup
+    back = trimmed(cond, k)
+    lifted = (lift_predicate(cond.model, y1, k) for y1 in outcomes.projectors)
+    terms = [_real_trace(back, py @ core @ py, cond.tol, "prob_intermediate_full term")
+             for py in lifted]
     return _result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
 
 
 def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
                             rep: ObservableRep | None = None) -> ProbabilityResult:
-    """Intermediate-time rule based only on what was known at k.
+    """Intermediate-time rule based only on what was known at k, with rho
+    = A P(k0) A.
 
-    Anchored on the support of the trimmed condition (rule
+    The anchor A is the support of the trimmed condition (rule
     ``intermediate_known/support``), or, with an accepted observable
-    representation ``rep``, on its lifted X(k) predicate
+    representation ``rep``, its lifted X(k) predicate
     (``intermediate_known/observable``).
     """
     k = cond.model.grid.check_index(k)
@@ -152,46 +161,35 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         raise DomainError(
             f"prob_intermediate_known requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
         )
-    check_k0(cond, k0, _K0_BOUND)
+    check_k0(cond, k0)
     if rep is None:
         anchor, variant = support_at(cond, k), "support"
     else:
         anchor, variant = rep.projector(k), "observable"
     py = lift_predicate(cond.model, y, k)
-    p0 = cond.fam.at(k0)
-    num = _real_trace(py @ anchor @ p0 @ anchor, cond.tol, "prob_intermediate_known")
-    den = _real_trace(anchor @ p0, cond.tol, "prob_intermediate_known")
-    return _result(num, den, f"intermediate_known/{variant}", cond.tol)
+    rho = linalg.hermitian_part(anchor @ cond.fam.at(k0) @ anchor)
+    return _born(py, rho, f"intermediate_known/{variant}", cond.tol)
 
 
 def prob_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
-    """P(Y at k | X at k_c) for k <= k0:
-    Tr(X P(k0) Y P(k0)) / Tr(X P(k0))."""
+    """P(Y at k | X at k_c) for k <= k0, with rho the condition trimmed
+    to k0, P(k0) X P(k0)."""
     k = cond.model.grid.check_index(k)
     if k > k0:
         raise DomainError(f"prob_before requires k <= k0, got k={k} > k0={k0}")
-    check_k0(cond, k0, _K0_BOUND)
-    py = lift_predicate(cond.model, y, k)
-    px = cond.projector
-    p0 = cond.fam.at(k0)
-    num = _real_trace(px @ p0 @ py @ p0, cond.tol, "prob_before numerator")
-    den = _real_trace(px @ p0, cond.tol, "prob_before denominator")
-    return _result(num, den, "before", cond.tol)
+    check_k0(cond, k0)
+    return _born(lift_predicate(cond.model, y, k), trimmed(cond, k0), "before", cond.tol)
 
 
 def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
     """The before-rule reused with k0 = k, as an approximation inside the
-    window k < k_c.  Flagged in the warnings."""
+    window k < k_c: rho is the condition trimmed to k.  Flagged in the
+    warnings."""
     k = cond.model.grid.check_index(k)
     if k >= cond.k_c:
         raise DomainError(f"prob_approx requires k < k_c, got k={k}, k_c={cond.k_c}")
-    py = lift_predicate(cond.model, y, k)
-    px = cond.projector
-    pk = cond.fam.at(k)
-    num = _real_trace(pk @ px @ pk @ py, cond.tol, "prob_approx numerator")
-    den = _real_trace(px @ pk, cond.tol, "prob_approx denominator")
-    return _result(num, den, "approx", cond.tol,
-                   warnings=("approximation: condition treated as starting at k",))
+    return _born(lift_predicate(cond.model, y, k), trimmed(cond, k), "approx", cond.tol,
+                 warnings=("approximation: condition treated as starting at k",))
 
 
 def verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int) -> tuple:
@@ -206,15 +204,16 @@ def verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int) -> tuple:
 
 def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
                   k0: int = 0) -> ProbabilityResult:
-    """P(Y2 at k2; Y1 at k1 | X at k_c):
-    Tr(Y2 Y1 X P(k0) X Y1) / Tr(X P(k0)).
+    """P(Y2 at k2; Y1 at k1 | X at k_c) = Tr(Y2 Y1 rho Y1) / Tr(rho), with
+    rho the condition operator X P(k0) X; the trace is taken against the
+    effect Y1 Y2 Y1.
 
     Refuses unless the (Y1, k1) stage is verifiable against the
     condition; otherwise the number would be unreliable.
     """
     k1 = cond.model.grid.check_index(k1)
     k2 = cond.model.grid.check_index(k2)
-    check_k0(cond, k0, _K0_BOUND)
+    rho = condition_operator(cond, k0)
     py1 = lift_predicate(cond.model, y1, k1)
     py2 = lift_predicate(cond.model, y2, k2)
     worst = max(verifiability_norms(cond, py1, k1))
@@ -224,8 +223,4 @@ def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
             f"(commutator norm {worst:.3e})",
             worst,
         )
-    px = cond.projector
-    p0 = cond.fam.at(k0)
-    num = _real_trace(py2 @ py1 @ px @ p0 @ px @ py1, cond.tol, "prob_sequence")
-    den = _real_trace(px @ p0, cond.tol, "prob_sequence")
-    return _result(num, den, "sequence", cond.tol)
+    return _born(py1 @ py2 @ py1, rho, "sequence", cond.tol)

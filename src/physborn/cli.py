@@ -205,12 +205,9 @@ def _cmd_verify(args, tol, out) -> int:
     px, k_c = _parse_at(sc, args.cond, "--cond")
     cond = ConditionSpec(sc.model, sc.fam, px, k_c)
     outcomes = _parse_outcomes(sc, args.outcomes, complete=False)
-    if outcomes.k > k_c:
-        report = verify.verifiable_forward(cond, outcomes)
-    elif outcomes.k < k_c:
-        report = verify.verifiable_backward(cond, outcomes)
-    else:
+    if outcomes.k == k_c:
         raise UsageError("--outcomes must sit at a different time than --cond")
+    report = verify.verifiability(cond, outcomes)
     names = args.outcomes.rpartition("@")[0].split(",")
     rows = [("direction", report.direction), ("verdict", report.verdict)]
     for name, v in zip(names, report.outcomes):

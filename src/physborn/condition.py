@@ -60,8 +60,8 @@ class ConditionSpec:
 
 def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
     """P(k) X P(k): the condition moved back to index k with all
-    non-physical components removed.  Hermitian PSD, not a projector in
-    general."""
+    non-physical components removed, and the state rho of the before and
+    approx rules.  Hermitian PSD, not a projector in general."""
     k = cond.model.grid.check_index(k)
     if k > cond.k_c:
         raise IndexError(f"trimming index {k} lies after the condition index {cond.k_c}")
@@ -220,7 +220,7 @@ def start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTi
 
 
 def check_k0(cond: ConditionSpec, k0: int,
-             bound: str = "the start index T_s={ts}") -> int:
+             bound: str = "the condition's start index T_s={ts}") -> int:
     """Validate k0 against the grid and the condition's demand-(1) start
     index; return it as a grid index.
 
@@ -235,7 +235,8 @@ def check_k0(cond: ConditionSpec, k0: int,
 
 
 def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
-    """X P(k0) X, the condition as it enters the probability rules.
+    """X P(k0) X, the state rho of the forward and sequence rules and of
+    the measurement kappas.
 
     ``k0`` must not exceed the start index computed from the trimming
     demand; by the equal-sandwich lemma the result is the same for every

@@ -15,7 +15,13 @@ import numpy as np
 
 from . import linalg
 from .born import OutcomeSet
-from .condition import ConditionSpec, check_k0, observable_rep, trimmed
+from .condition import (
+    ConditionSpec,
+    check_k0,
+    condition_operator,
+    observable_rep,
+    trimmed,
+)
 from .errors import (
     DomainError,
     NotPhysicallyPossibleError,
@@ -27,7 +33,8 @@ from .model import Model, PhysicalFamily, lift_system1, schrodinger
 
 @dataclass(frozen=True)
 class MeasurementProcess:
-    """System1 start projector at k1, outcome set at k2 > k1.
+    """System1 start space at k1, kept as its condition, and an outcome
+    set at k2 > k1.
 
     ``is_measurement`` reports whether every reachable outcome retains
     the preparation record (its trimmed support at k1 lies inside the
@@ -58,7 +65,7 @@ class MeasurementProcess:
                 "start space is not physically possible at k1"
             ) from None
         check_k0(start_cond, self.k0, "the start space's start index")
-        object.__setattr__(self, "_start", start_cond.projector)
+        object.__setattr__(self, "_start", start_cond)
 
         conds, record_ok = [], []
         for p in self.outcomes.projectors:
@@ -74,7 +81,7 @@ class MeasurementProcess:
                 continue
             conds.append(cond)
             sup = _support(trimmed(cond, k1), tol)
-            record_ok.append(linalg.approx_equal(self._start @ sup, sup, tol))
+            record_ok.append(linalg.approx_equal(start_cond.projector @ sup, sup, tol))
         object.__setattr__(self, "_conds", tuple(conds))
         object.__setattr__(self, "record_preserved", tuple(record_ok))
 
@@ -124,22 +131,23 @@ def _support(back: np.ndarray, tol: linalg.Tolerance) -> np.ndarray:
     return linalg.support_projector(back, tol)
 
 
-def _start_weight(proc: MeasurementProcess, tol: linalg.Tolerance) -> float:
-    """Tr(start P(k0)), the normalizer of every kappa."""
-    den = np.trace(proc._start @ proc.fam.at(proc.k0)).real
+def _start_state(proc: MeasurementProcess, tol: linalg.Tolerance) -> tuple:
+    """(rho, Tr(rho)) for rho the start space's condition operator
+    M P(k0) M: the core of every kappa and its normalizer."""
+    core = condition_operator(proc._start, proc.k0)
+    den = np.trace(core).real
     if den <= tol.eps_zero:
         raise UnreachableConditionError("start space has no physical weight at k0")
-    return den
+    return core, den
 
 
-def _kappas(proc: MeasurementProcess, den: float, anchor_at,
+def _kappas(proc: MeasurementProcess, state: tuple, anchor_at,
             tol: linalg.Tolerance) -> tuple:
     """kappa(k) for k in [k1, k2]: the partial trace over system1, in the
-    Schrodinger picture at k, of A start P(k0) start A / den, with
-    A = anchor_at(k)."""
+    Schrodinger picture at k, of A rho A / Tr(rho), with A = anchor_at(k)
+    and ``state`` = (rho, Tr(rho)) from :func:`_start_state`."""
     model = proc.model
-    start = proc._start
-    core = start @ proc.fam.at(proc.k0) @ start
+    core, den = state
     kappas = []
     for k in range(proc.k1, proc.k2 + 1):
         anchor = anchor_at(k)
@@ -163,7 +171,7 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
     """
     tol = proc.model.tol
     cond = proc.outcome_condition(i)
-    den = _start_weight(proc, tol)
+    state = _start_state(proc, tol)
     if rep not in ("support", "observable"):
         raise DomainError(f"unknown representation {rep!r}")
     if cond is None:
@@ -171,10 +179,10 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
         kappas = tuple(np.zeros((d2, d2), dtype=complex)
                        for _ in range(proc.k1, proc.k2 + 1))
     elif rep == "support":
-        kappas = _kappas(proc, den, lambda k: _support(trimmed(cond, k), tol), tol)
+        kappas = _kappas(proc, state, lambda k: _support(trimmed(cond, k), tol), tol)
     else:
         orep = observable_rep(cond)  # raises if the basis is unsuitable
-        kappas = _kappas(proc, den, orep.projector, tol)
+        kappas = _kappas(proc, state, orep.projector, tol)
     return KappaPath(i, proc.k1, kappas, rep, tol)
 
 
@@ -223,6 +231,7 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
     tol = proc.model.tol
     fam = proc.fam
     all_classes, all_unreachable = [], []
+    state = None    # built at the first label, after its outcome's diagonal check
     for p in proc.outcomes.projectors:
         diag = np.diag(p).real
         if linalg.max_abs(p - np.diag(diag)) > tol.eps_zero or not np.all(
@@ -241,8 +250,8 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
             def anchor_at(k, full=full):
                 return _support(linalg.hermitian_part(fam.at(k) @ full @ fam.at(k)), tol)
 
-            path = KappaPath(-1, proc.k1, _kappas(proc, _start_weight(proc, tol), anchor_at, tol),
-                             "support", tol)
+            state = state or _start_state(proc, tol)
+            path = KappaPath(-1, proc.k1, _kappas(proc, state, anchor_at, tol), "support", tol)
             if np.trace(path.at(proc.k2)).real <= tol.eps_zero:
                 unreachable.add(label)
                 continue

@@ -182,6 +182,8 @@ class PhysicalFamily:
         return len(self.projectors)
 
     def at(self, k: int) -> np.ndarray:
+        if not 0 <= k < len(self):
+            raise IndexError(f"family index {k} out of range [0, {len(self) - 1}]")
         return self.projectors[int(k)]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .born import OutcomeSet, verifiability_norms
-from .condition import ConditionSpec
+from .condition import ConditionSpec, condition_operator
 from .errors import DomainError, NotPhysicallyPossibleError
 from .model import (
     Model,
@@ -56,26 +56,21 @@ def _lifted_verdicts(cond: ConditionSpec, outcomes: OutcomeSet) -> list:
     return pairs
 
 
-def _report(cond: ConditionSpec, outcomes: OutcomeSet, direction: str) -> VerifiabilityReport:
+def verifiability(cond: ConditionSpec, outcomes: OutcomeSet) -> VerifiabilityReport:
+    """Verifiability of an outcome set against the condition.
+
+    The direction follows from the indices: ``forward`` for outcomes
+    after the condition, ``backward`` for outcomes before it.  The
+    condition-commutator is sandwiched at the earlier of the two
+    indices.  Outcomes at the condition index are refused.
+    """
+    if outcomes.k == cond.k_c:
+        raise DomainError("verifiability requires outcomes at an index other than "
+                          f"the condition index {cond.k_c}")
+    direction = "forward" if outcomes.k > cond.k_c else "backward"
     verdicts = tuple(v for _, v in _lifted_verdicts(cond, outcomes))
     return VerifiabilityReport(outcomes.k, direction, verdicts,
                                all(v.verdict for v in verdicts))
-
-
-def verifiable_forward(cond: ConditionSpec, outcomes: OutcomeSet) -> VerifiabilityReport:
-    """Verifiability of outcomes obtained after the condition; the
-    condition-commutator is sandwiched at k_c."""
-    if outcomes.k <= cond.k_c:
-        raise DomainError("verifiable_forward requires outcomes after the condition index")
-    return _report(cond, outcomes, "forward")
-
-
-def verifiable_backward(cond: ConditionSpec, outcomes: OutcomeSet) -> VerifiabilityReport:
-    """Verifiability of outcomes obtained before the condition; the
-    condition-commutator is sandwiched at the outcome index."""
-    if outcomes.k >= cond.k_c:
-        raise DomainError("verifiable_backward requires outcomes before the condition index")
-    return _report(cond, outcomes, "backward")
 
 
 def _zw_subspace(cond: ConditionSpec, py: np.ndarray, k: int, negate: bool) -> np.ndarray:
@@ -132,21 +127,23 @@ def w_subspace(cond: ConditionSpec, y, k: int) -> np.ndarray:
 def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
                           k0: int = 0) -> tuple:
     """Residual |LHS - RHS| per outcome of the rewritten probability
-    numerator: the condition-sandwiched trace against Y versus the plain
-    trace of Z against the index-k0 projector."""
+    numerator: the trace of Y against the condition operator rho = X
+    P(k0) X (forward) or of P(k) Y X against P(k0) (backward), versus
+    the plain trace of Z against the index-k0 projector.  ``k0`` is
+    refused as in the probability rules."""
     k = outcomes.k
     lifted = _lifted_verdicts(cond, outcomes)
     if not all(v.verdict for _, v in lifted):
         raise DomainError("trace identity requires a verifiable outcome set")
-    px = cond.projector
+    rho = condition_operator(cond, k0)   # also refuses k0 as the rules do
     p0 = cond.fam.at(k0)
     residuals = []
     for py, _ in lifted:
         pz = _zw_subspace(cond, py, k, negate=False)
         if k > cond.k_c:
-            lhs = np.trace(py @ px @ p0 @ px).real
+            lhs = np.einsum("ij,ji->", py, rho).real
         else:
-            lhs = np.trace(cond.fam.at(k) @ py @ px @ p0).real
+            lhs = np.trace(cond.fam.at(k) @ py @ cond.projector @ p0).real
         rhs = np.trace(pz @ p0).real
         residuals.append(abs(lhs - rhs))
     return tuple(residuals)

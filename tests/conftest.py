@@ -8,10 +8,23 @@ from __future__ import annotations
 import numpy as np
 
 from physborn import linalg
-from physborn.condition import ConditionSpec, support_at
-from physborn.errors import DomainError, NotPhysicallyPossibleError
+from physborn.born import OutcomeSet, ProbabilityResult, verifiability_norms
+from physborn.condition import ConditionSpec, ObservableRep, check_k0, support_at
+from physborn.errors import (
+    DomainError,
+    NotPhysicallyPossibleError,
+    UnreachableConditionError,
+    UnverifiableSequenceError,
+)
 from physborn.linalg import DEFAULT_TOL, projector_from_span
-from physborn.model import Model, PhysicalFamily, TimeGrid, is_physically_possible
+from physborn.model import (
+    Model,
+    PhysicalFamily,
+    TimeGrid,
+    forward_closure,
+    is_physically_possible,
+    lift_predicate,
+)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -55,6 +68,52 @@ def random_span_projector(rng: np.random.Generator, d: int, n_vecs: int) -> np.n
     return projector_from_span(vecs, DEFAULT_TOL)
 
 
+def random_record_projector(rng, d1):
+    """Projector onto a random proper, nonempty subset of the record labels."""
+    labels = rng.choice(d1, size=int(rng.integers(1, d1)), replace=False)
+    return np.diag(np.isin(np.arange(d1), labels)).astype(complex)
+
+
+def recording_model(rng):
+    """Seeded model whose steps write records: each step permutes the
+    record labels and applies a Haar system2 unitary chosen by the
+    record.  The family is the forward closure of single-record states,
+    with fresh ones added at random later indices."""
+    d1, d2, n = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(3, 5))
+    steps = []
+    for _ in range(n - 1):
+        perm = rng.permutation(d1)
+        u = sum(np.kron(np.outer(np.eye(d1)[perm[r]], np.eye(d1)[r]), random_unitary(rng, d2))
+                for r in range(d1))
+        steps.append(u)
+    model = Model(d1, d2, TimeGrid(tuple(float(t) for t in range(n))), tuple(steps))
+
+    def record_state():
+        return np.kron(np.eye(d1)[rng.integers(d1)], random_unitary(rng, d2)[:, 0])
+
+    initial = [record_state() for _ in range(int(rng.integers(1, 3)))]
+    extras = {k: [record_state() for _ in range(int(rng.integers(0, 2)))] for k in range(1, n)}
+    return model, forward_closure(model, initial, extras)
+
+
+def verifiable_pairs(seed: int, count: int):
+    """At least ``count`` (condition, system1 outcome, index) triples on
+    recording models, the outcome before or after the condition.  Record
+    projectors commute with these families, so every pair is verifiable."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        model, fam = recording_model(rng)
+        for _ in range(6):
+            k_c, k = (int(i) for i in rng.choice(model.n_indices, size=2, replace=False))
+            x, y = (random_record_projector(rng, model.d1) for _ in range(2))
+            try:
+                pairs.append((ConditionSpec(model, fam, x, k_c), y, k))
+            except NotPhysicallyPossibleError:
+                continue
+    return pairs
+
+
 # ---------------------------------------------------------------------------
 # Oracles: definitions from the paper that the library does not compute.
 
@@ -95,3 +154,146 @@ def expanded_condition_operator(cond: ConditionSpec, k0: int = 0,
         core = s @ core @ s
     px = cond.projector
     return linalg.hermitian_part(px @ core @ px)
+
+
+# ---------------------------------------------------------------------------
+# Product-chain oracles.  The library computes every rule as one trace
+# Tr(Y rho) / Tr(rho) against a state rho built by ``condition``; these
+# write each rule's formula out literally, as a chain of d x d products
+# with its own denominator, and keep the rules' checks in their order.
+
+_K0_WORDING = "the condition's start index T_s={ts}"
+
+
+def _chain_trace(m: np.ndarray, tol: linalg.Tolerance, context: str) -> float:
+    t = complex(np.trace(m))
+    if abs(t.imag) > tol.eps_zero * max(1.0, abs(t.real)):
+        raise DomainError(
+            f"trace in {context} has imaginary residue {t.imag:.3e}; "
+            "inputs are not genuinely Hermitian projectors"
+        )
+    return t.real
+
+
+def _chain_result(num: float, den: float, rule: str, tol: linalg.Tolerance,
+                  warnings: tuple = ()) -> ProbabilityResult:
+    if den <= tol.eps_zero:
+        raise UnreachableConditionError(
+            f"{rule}: condition has no physical weight (denominator {den:.3e})"
+        )
+    value = num / den
+    if value < -tol.eps_zero or value > 1.0 + tol.eps_zero:
+        raise DomainError(f"{rule}: probability {value} outside [0, 1]")
+    return ProbabilityResult(float(value), float(num), float(den), rule, warnings)
+
+
+def chain_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
+    """Tr(Y X P(k0) X) / Tr(X P(k0))."""
+    k = cond.model.grid.check_index(k)
+    if k < cond.k_c:
+        raise DomainError(f"prob_forward requires k >= k_c, got k={k} < k_c={cond.k_c}")
+    check_k0(cond, k0, _K0_WORDING)
+    py = lift_predicate(cond.model, y, k)
+    px = cond.projector
+    p0 = cond.fam.at(k0)
+    num = _chain_trace(py @ px @ p0 @ px, cond.tol, "prob_forward numerator")
+    den = _chain_trace(px @ p0, cond.tol, "prob_forward denominator")
+    return _chain_result(num, den, "forward", cond.tol)
+
+
+def chain_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: int,
+                            k0: int = 0) -> ProbabilityResult:
+    """Tr(X P(k) Y S P(k0) S Y P(k)) over its sum across the complete set,
+    with S the support of the condition trimmed to k."""
+    linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
+    k = cond.model.grid.check_index(outcomes.k)
+    if not (k0 < k < cond.k_c):
+        raise DomainError(
+            f"prob_intermediate_full requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
+        )
+    if not outcomes.complete:
+        raise DomainError("prob_intermediate_full needs a complete outcome set")
+    check_k0(cond, k0, _K0_WORDING)
+    if not 0 <= y_index < len(outcomes):
+        raise IndexError(f"outcome index {y_index} out of range")
+    px = cond.projector
+    pk = cond.fam.at(k)
+    sup = support_at(cond, k)
+    core = sup @ cond.fam.at(k0) @ sup
+    terms = []
+    for y1 in outcomes.projectors:
+        py = lift_predicate(cond.model, y1, k)
+        terms.append(_chain_trace(px @ pk @ py @ core @ py @ pk, cond.tol,
+                                  "prob_intermediate_full term"))
+    return _chain_result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
+
+
+def chain_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
+                             rep: ObservableRep | None = None) -> ProbabilityResult:
+    """Tr(Y A P(k0) A) / Tr(A P(k0)), A the support or the lifted X(k)."""
+    k = cond.model.grid.check_index(k)
+    if not (k0 < k < cond.k_c):
+        raise DomainError(
+            f"prob_intermediate_known requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
+        )
+    check_k0(cond, k0, _K0_WORDING)
+    if rep is None:
+        anchor, variant = support_at(cond, k), "support"
+    else:
+        anchor, variant = rep.projector(k), "observable"
+    py = lift_predicate(cond.model, y, k)
+    p0 = cond.fam.at(k0)
+    num = _chain_trace(py @ anchor @ p0 @ anchor, cond.tol, "prob_intermediate_known")
+    den = _chain_trace(anchor @ p0, cond.tol, "prob_intermediate_known")
+    return _chain_result(num, den, f"intermediate_known/{variant}", cond.tol)
+
+
+def chain_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
+    """Tr(X P(k0) Y P(k0)) / Tr(X P(k0))."""
+    k = cond.model.grid.check_index(k)
+    if k > k0:
+        raise DomainError(f"prob_before requires k <= k0, got k={k} > k0={k0}")
+    check_k0(cond, k0, _K0_WORDING)
+    py = lift_predicate(cond.model, y, k)
+    px = cond.projector
+    p0 = cond.fam.at(k0)
+    num = _chain_trace(px @ p0 @ py @ p0, cond.tol, "prob_before numerator")
+    den = _chain_trace(px @ p0, cond.tol, "prob_before denominator")
+    return _chain_result(num, den, "before", cond.tol)
+
+
+def chain_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
+    """Tr(P(k) X P(k) Y) / Tr(X P(k))."""
+    k = cond.model.grid.check_index(k)
+    if k >= cond.k_c:
+        raise DomainError(f"prob_approx requires k < k_c, got k={k}, k_c={cond.k_c}")
+    py = lift_predicate(cond.model, y, k)
+    px = cond.projector
+    pk = cond.fam.at(k)
+    num = _chain_trace(pk @ px @ pk @ py, cond.tol, "prob_approx numerator")
+    den = _chain_trace(px @ pk, cond.tol, "prob_approx denominator")
+    return _chain_result(num, den, "approx", cond.tol,
+                         warnings=("approximation: condition treated as starting at k",))
+
+
+def chain_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
+                   k0: int = 0) -> ProbabilityResult:
+    """Tr(Y2 Y1 X P(k0) X Y1) / Tr(X P(k0)), refused unless (Y1, k1) is
+    verifiable."""
+    k1 = cond.model.grid.check_index(k1)
+    k2 = cond.model.grid.check_index(k2)
+    check_k0(cond, k0, _K0_WORDING)
+    py1 = lift_predicate(cond.model, y1, k1)
+    py2 = lift_predicate(cond.model, y2, k2)
+    worst = max(verifiability_norms(cond, py1, k1))
+    if worst > cond.tol.eps_zero:
+        raise UnverifiableSequenceError(
+            "sequence refused: intermediate outcome is not verifiable "
+            f"(commutator norm {worst:.3e})",
+            worst,
+        )
+    px = cond.projector
+    p0 = cond.fam.at(k0)
+    num = _chain_trace(py2 @ py1 @ px @ p0 @ px @ py1, cond.tol, "prob_sequence")
+    den = _chain_trace(px @ p0, cond.tol, "prob_sequence")
+    return _chain_result(num, den, "sequence", cond.tol)

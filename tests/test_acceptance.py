@@ -47,8 +47,7 @@ from physborn.scenarios import (
 from physborn.verify import (
     conditionally_realizable,
     observer_restriction_check,
-    verifiable_backward,
-    verifiable_forward,
+    verifiability,
     verify_trace_identity,
     w_subspace,
     z_subspace,
@@ -222,8 +221,8 @@ def test_criterion_07_verifiability_suite(ref):
     cond_f = ref.condition("Fup", ref.T1)
     bwd_outs = OutcomeSet((ref.predicate("I"), ref.predicate("notI")), ref.T0)
     verdicts = (
-        verifiable_forward(cond_i, fwd_outs).verdict
-        and verifiable_backward(cond_f, bwd_outs).verdict
+        verifiability(cond_i, fwd_outs).verdict
+        and verifiability(cond_f, bwd_outs).verdict
     )
     trace_res = max(
         max(verify_trace_identity(cond_i, fwd_outs)),

@@ -1,5 +1,7 @@
 """Probability rules: reduction oracle, regime guards, normalization,
-and the sequence guard."""
+the sequence guard, and agreement with the product-chain oracles."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from physborn.born import (
     prob_intermediate_known,
     prob_sequence,
 )
-from physborn.condition import ConditionSpec
+from physborn.condition import ConditionSpec, observable_rep
 from physborn.errors import (
     DomainError,
+    NotPhysicallyPossibleError,
+    PhysbornError,
     ShapeError,
     UnreachableConditionError,
     UnverifiableSequenceError,
@@ -23,9 +27,20 @@ from physborn.errors import (
 from physborn.measurement import MeasurementProcess
 from physborn.model import Model, PhysicalFamily, TimeGrid, lift_system1
 from physborn.scenarios import build_reference_experiment, textbook_born
-from physborn.verify import verifiable_backward
+from physborn.verify import verifiability
 
-from conftest import identity_family, random_model, random_unitary
+from conftest import (
+    chain_approx,
+    chain_before,
+    chain_forward,
+    chain_intermediate_full,
+    chain_intermediate_known,
+    chain_sequence,
+    identity_family,
+    random_model,
+    random_unitary,
+    verifiable_pairs,
+)
 
 
 def _diag_projector(labels, d):
@@ -131,7 +146,7 @@ def test_outcome_set_validation():
     consumers = (
         lambda outcomes: MeasurementProcess(m, fam, _diag_projector([0], d), 0, outcomes),
         lambda outcomes: prob_intermediate_full(cond, outcomes, 0),
-        lambda outcomes: verifiable_backward(cond, outcomes),
+        lambda outcomes: verifiability(cond, outcomes),
     )
     a = _diag_projector([0, 1], d)
     b = _diag_projector([1], d)
@@ -218,3 +233,96 @@ def test_full_space_predicate_must_be_a_projector():
     lifted = lift_system1(ref.model, ref.predicate("Fup"), ref.T1)
     assert (prob_forward(cond, lifted, ref.T1).value
             == prob_forward(cond, ref.predicate("Fup"), ref.T1).value)
+
+
+# ---------------------------------------------------------------------------
+# Every rule against its product-chain oracle (conftest): the same value,
+# numerator and denominator within 1e-12, or the same refusal.
+
+
+def _agree(rule, oracle, *args) -> bool:
+    """Run a rule and its oracle on the same arguments; True when both
+    return a result, False when both refuse alike."""
+    try:
+        expected = oracle(*args)
+    except (PhysbornError, IndexError) as exc:
+        with pytest.raises(type(exc)) as got:
+            rule(*args)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc), args
+        return False
+    res = rule(*args)
+    assert (res.rule, res.warnings) == (expected.rule, expected.warnings)
+    for field in ("value", "numerator", "denominator"):
+        assert abs(getattr(res, field) - getattr(expected, field)) <= 1e-12, (field, args)
+    return True
+
+
+def _rule_cases(cond, outcomes, k0s, sequel, sequence_k0s):
+    """(rule, oracle, args) for each single-outcome rule on one condition:
+    ``outcomes`` are (predicate, index) pairs and ``sequel`` is the second
+    outcome of a sequence.  k0 enters the sequence rule only through the
+    condition operator, which the forward rule covers for every k0, so
+    the sequence takes its own, shorter k0 list."""
+    try:
+        rep = observable_rep(cond)
+    except PhysbornError:
+        rep = None
+    for (y, k), k0 in itertools.product(outcomes, k0s):
+        yield prob_forward, chain_forward, (cond, y, k, k0)
+        yield prob_before, chain_before, (cond, y, k, k0)
+        yield prob_intermediate_known, chain_intermediate_known, (cond, y, k, k0)
+        if rep is not None:
+            yield prob_intermediate_known, chain_intermediate_known, (cond, y, k, k0, rep)
+    for (y, k), k0 in itertools.product(outcomes, sequence_k0s):
+        yield prob_sequence, chain_sequence, (cond, y, k, *sequel, k0)
+    for y, k in outcomes:
+        yield prob_approx, chain_approx, (cond, y, k)
+
+
+def _complete_sets(n, *sets):
+    """(complete set at each index, member) for the first and last member."""
+    for projectors, k in itertools.product(sets, range(n)):
+        outcomes = OutcomeSet(projectors, k, complete=True)
+        for i in sorted({0, len(projectors) - 1}):
+            yield outcomes, i
+
+
+def test_rules_match_product_chain_oracles_on_the_reference_model():
+    ref = build_reference_experiment()
+    n = ref.model.n_indices
+    # lifted once here: the rules take a full-space projector as lifted
+    outcomes = [(lift_system1(ref.model, y, k), k)
+                for y in ref.predicates.values() for k in range(n)]
+    records = tuple(ref.predicate(name) for name in ("ready", "blocked", "I", "Fup", "Fdown"))
+    sets = list(_complete_sets(n, records, (ref.predicate("I"), ref.predicate("notI"))))
+    answered = refused = 0
+    for x, k_c in itertools.product(ref.predicates.values(), range(n)):
+        try:
+            cond = ConditionSpec(ref.model, ref.fam, x, k_c)
+        except NotPhysicallyPossibleError:
+            continue
+        cases = list(_rule_cases(cond, outcomes, range(n + 1),
+                                 (ref.predicate("Fup"), ref.T1), (0, n)))
+        cases += [(prob_intermediate_full, chain_intermediate_full, (cond, s, i, k0))
+                  for (s, i), k0 in itertools.product(sets, range(n))]
+        for rule, oracle, args in cases:
+            if _agree(rule, oracle, *args):
+                answered += 1
+            else:
+                refused += 1
+    assert answered >= 500 and refused >= 500, (answered, refused)
+
+
+def test_rules_match_product_chain_oracles_on_recording_models():
+    rng = np.random.default_rng(23)
+    answered = 0
+    for cond, y, k in verifiable_pairs(23, 25):
+        model = cond.model
+        n, d1 = model.n_indices, model.d1
+        singles = tuple(np.diag(np.eye(d1)[r]).astype(complex) for r in range(d1))
+        sequel = (singles[int(rng.integers(d1))], int(rng.integers(n)))
+        cases = list(_rule_cases(cond, [(y, k)], range(n), sequel, range(n)))
+        cases += [(prob_intermediate_full, chain_intermediate_full, (cond, s, i, k0))
+                  for (s, i), k0 in itertools.product(_complete_sets(n, singles), range(n))]
+        answered += sum(_agree(rule, oracle, *args) for rule, oracle, args in cases)
+    assert answered >= 100, answered

@@ -288,7 +288,8 @@ def test_condition_operator_k0_guard_and_invariance():
     cond2 = ConditionSpec(m, fam, np.diag([1.0, 1.0, 0, 0]).astype(complex), 2)
     ts2 = start_time(cond2)
     assert ts2.condition1_index == 0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError,
+                       match=r"^k0=1 is later than the condition's start index T_s=0$"):
         condition_operator(cond2, 1)
 
 

@@ -1,0 +1,83 @@
+"""Grid refinement: inserting an identity step after index k, with P(k)
+repeated at the new index, changes no probability.
+
+This is the discrete form of the paper's claim about measurements that
+run continuously in time: refining the grid where nothing happens leaves
+every rule value where it was.  Indices after k shift by one, and the
+start index T_s moves to the later copy when T_s = k lies before the
+condition.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from physborn.born import prob_approx, prob_before, prob_forward
+from physborn.condition import ConditionSpec, start_time
+from physborn.errors import PhysbornError
+from physborn.model import Model, PhysicalFamily, TimeGrid
+from physborn.scenarios import build_reference_experiment
+
+REF = build_reference_experiment()
+N = REF.model.n_indices
+NAMES = sorted(REF.predicates)
+RULES = {"forward": prob_forward, "before": prob_before, "approx": prob_approx}
+
+
+def refine(model: Model, fam: PhysicalFamily, k: int) -> tuple:
+    """The model and family with an identity step inserted after index k
+    and P(k) repeated at the new index k + 1."""
+    times = model.grid.times
+    new = (times[k] + times[k + 1]) / 2 if k + 1 < len(times) else times[k] + 1.0
+    grid = TimeGrid(times[:k + 1] + (new,) + times[k + 1:])
+    steps = model.steps[:k] + (np.eye(model.dim, dtype=complex),) + model.steps[k:]
+    projectors = fam.projectors[:k + 1] + (fam.at(k),) + fam.projectors[k + 1:]
+    return Model(model.d1, model.d2, grid, steps, model.tol), PhysicalFamily(projectors)
+
+
+REFINED = [refine(REF.model, REF.fam, k) for k in range(N)]
+
+
+def _shift(j: int, k: int) -> int:
+    """Where index j of the original grid sits after refining after k."""
+    return j if j <= k else j + 1
+
+
+def _evaluate(rule, model, fam, x, k_c, y, k_y, k0):
+    """(result or None, refusal type or None, the condition's demand-(1)
+    start index or None when the condition itself is refused)."""
+    try:
+        cond = ConditionSpec(model, fam, x, k_c)
+    except PhysbornError as exc:
+        return None, type(exc), None
+    args = (cond, y, k_y) if rule == "approx" else (cond, y, k_y, k0)
+    ts = start_time(cond).condition1_index
+    try:
+        return RULES[rule](*args), None, ts
+    except PhysbornError as exc:
+        return None, type(exc), ts
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, N - 1),
+    rule=st.sampled_from(sorted(RULES)),
+    x=st.sampled_from(NAMES),
+    k_c=st.integers(0, N - 1),
+    y=st.sampled_from(NAMES),
+    k_y=st.integers(0, N - 1),
+    k0=st.integers(0, N - 1),
+)
+def test_refining_the_grid_leaves_rule_values_unchanged(k, rule, x, k_c, y, k_y, k0):
+    px, py = REF.predicate(x), REF.predicate(y)
+    before, refused, ts = _evaluate(rule, REF.model, REF.fam, px, k_c, py, k_y, k0)
+    model, fam = REFINED[k]
+    after, refused_after, ts_after = _evaluate(
+        rule, model, fam, px, _shift(k_c, k), py, _shift(k_y, k), _shift(k0, k))
+    assert refused_after is refused
+    if ts is not None:
+        later_copy = ts == k and k < k_c
+        assert ts_after == _shift(ts, k) + later_copy
+    if before is not None:
+        for field in ("value", "numerator", "denominator"):
+            assert abs(getattr(after, field) - getattr(before, field)) <= 1e-15

@@ -10,6 +10,7 @@ from physborn.errors import (
     ShapeError,
     ValidationError,
 )
+from physborn.scenarios import build_reference_experiment
 from physborn.model import (
     Model,
     PhysicalFamily,
@@ -179,6 +180,19 @@ def test_physically_possible_and_restrict():
     assert not is_physically_possible(m, fam, p_bad, 0)
     with pytest.raises(NotPhysicallyPossibleError):
         physical_restrict(m, fam, p_bad, 0)
+
+
+def test_family_index_out_of_range_is_refused():
+    # a negative index used to wrap to a later projector, and k = n raised
+    # a bare tuple IndexError
+    ref = build_reference_experiment()
+    x = lift_system1(ref.model, ref.predicate("I"), ref.T0)
+    for k in (-1, -3, 3, 5):
+        with pytest.raises(IndexError, match=rf"family index {k} out of range \[0, 2\]"):
+            ref.fam.at(k)
+        with pytest.raises(IndexError, match=rf"family index {k} out of range"):
+            is_physically_possible(ref.model, ref.fam, x, k)
+    assert is_physically_possible(ref.model, ref.fam, x, ref.T0)
 
 
 def test_check_self_consistency_identity_family():

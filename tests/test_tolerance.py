@@ -24,7 +24,7 @@ from physborn.errors import DomainError
 from physborn.linalg import DEFAULT_TOL, Tolerance
 from physborn.measurement import MeasurementProcess
 from physborn.scenarios import build_reference_experiment
-from physborn.verify import verifiable_forward
+from physborn.verify import verifiability
 
 MODULES = (linalg, model, condition, born, measurement, verify, scenarios, scenario_io, cli)
 
@@ -117,7 +117,7 @@ def _consumers(ref):
             ref.model, ref.fam, ref.predicate("I"), ref.T0, outcomes)),
         "intermediate_full": (ref.T0, lambda outcomes: prob_intermediate_full(
             ref.condition("Fup", ref.T1), outcomes, 0)),
-        "verifiable_forward": (ref.T1, lambda outcomes: verifiable_forward(
+        "verifiability": (ref.T1, lambda outcomes: verifiability(
             ref.condition("I", ref.T0), outcomes)),
     }
 

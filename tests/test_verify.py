@@ -8,19 +8,18 @@ from physborn import linalg, verify
 from physborn.born import OutcomeSet, prob_forward, prob_sequence
 from physborn.condition import ConditionSpec
 from physborn.errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
-from physborn.model import Model, PhysicalFamily, TimeGrid, forward_closure, lift_system1
+from physborn.model import Model, PhysicalFamily, TimeGrid, lift_system1
 from physborn.scenarios import build_reference_experiment, build_sg_observer_space
 from physborn.verify import (
     conditionally_realizable,
     observer_restriction_check,
-    verifiable_backward,
-    verifiable_forward,
+    verifiability,
     verify_trace_identity,
     w_subspace,
     z_subspace,
 )
 
-from conftest import random_unitary
+from conftest import random_unitary, verifiable_pairs
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +33,7 @@ def test_forward_verdict_on_reference(ref):
         (ref.predicate("Fup"), ref.predicate("Fdown"), ref.predicate("blocked")),
         ref.T1,
     )
-    report = verifiable_forward(cond, outcomes)
+    report = verifiability(cond, outcomes)
     assert report.verdict and report.direction == "forward"
     for v in report.outcomes:
         assert v.commutator_physical <= 1e-9
@@ -44,17 +43,20 @@ def test_forward_verdict_on_reference(ref):
 def test_backward_verdict_on_reference(ref):
     cond = ref.condition("Fup", ref.T1)
     outcomes = OutcomeSet((ref.predicate("I"), ref.predicate("notI")), ref.T0)
-    report = verifiable_backward(cond, outcomes)
+    report = verifiability(cond, outcomes)
     assert report.verdict and report.direction == "backward"
 
 
 def test_direction_guards(ref):
     cond = ref.condition("I", ref.T0)
     same_time = OutcomeSet((ref.predicate("Fup"),), ref.T0)
-    with pytest.raises(DomainError):
-        verifiable_forward(cond, same_time)
-    with pytest.raises(DomainError):
-        verifiable_backward(cond, same_time)
+    with pytest.raises(DomainError, match="other than the condition index 1"):
+        verifiability(cond, same_time)
+    # either side of the condition index gets its direction from the indices
+    assert verifiability(cond, OutcomeSet((ref.predicate("ready"),), ref.T_S)).direction \
+        == "backward"
+    assert verifiability(cond, OutcomeSet((ref.predicate("Fup"),), ref.T1)).direction \
+        == "forward"
 
 
 @pytest.mark.parametrize("k_c, k", [(0, 1), (1, 0)])
@@ -68,8 +70,8 @@ def test_condition_commutator_is_sandwiched_at_the_earlier_index(k_c, k):
     assert np.max(np.abs(x @ y - y @ x)) > 0.1
     cond = ConditionSpec(m, fam, x, k_c)
     outcomes = OutcomeSet((y,), k)
-    check = verifiable_forward if k > k_c else verifiable_backward
-    assert check(cond, outcomes).verdict
+    report = verifiability(cond, outcomes)
+    assert report.verdict and report.direction == ("forward" if k > k_c else "backward")
     assert max(verify_trace_identity(cond, outcomes)) <= 1e-12
     assert np.max(np.abs(z_subspace(cond, y, k) - fam.at(0))) <= 1e-12
 
@@ -123,54 +125,8 @@ def test_trace_identity_residuals(ref):
     assert max(verify_trace_identity(cond_f, bwd)) <= 1e-9
 
 
-def _random_record_projector(rng, d1):
-    """Projector onto a random proper, nonempty subset of the record labels."""
-    labels = rng.choice(d1, size=int(rng.integers(1, d1)), replace=False)
-    return np.diag(np.isin(np.arange(d1), labels)).astype(complex)
-
-
-def _recording_model(rng):
-    """Seeded model whose steps write records: each step permutes the
-    record labels and applies a Haar system2 unitary chosen by the
-    record.  The family is the forward closure of single-record states,
-    with fresh ones added at random later indices."""
-    d1, d2, n = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(3, 5))
-    steps = []
-    for _ in range(n - 1):
-        perm = rng.permutation(d1)
-        u = sum(np.kron(np.outer(np.eye(d1)[perm[r]], np.eye(d1)[r]), random_unitary(rng, d2))
-                for r in range(d1))
-        steps.append(u)
-    model = Model(d1, d2, TimeGrid(tuple(float(t) for t in range(n))), tuple(steps))
-
-    def record_state():
-        return np.kron(np.eye(d1)[rng.integers(d1)], random_unitary(rng, d2)[:, 0])
-
-    initial = [record_state() for _ in range(int(rng.integers(1, 3)))]
-    extras = {k: [record_state() for _ in range(int(rng.integers(0, 2)))] for k in range(1, n)}
-    return model, forward_closure(model, initial, extras)
-
-
-def _verifiable_pairs(seed: int, count: int):
-    """At least ``count`` (condition, system1 outcome, index) triples on
-    recording models, the outcome before or after the condition.  Record
-    projectors commute with these families, so every pair is verifiable."""
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < count:
-        model, fam = _recording_model(rng)
-        for _ in range(6):
-            k_c, k = (int(i) for i in rng.choice(model.n_indices, size=2, replace=False))
-            x, y = (_random_record_projector(rng, model.d1) for _ in range(2))
-            try:
-                pairs.append((ConditionSpec(model, fam, x, k_c), y, k))
-            except NotPhysicallyPossibleError:
-                continue
-    return pairs
-
-
 def test_zw_properties_on_generated_recording_models():
-    pairs = _verifiable_pairs(20, 300)
+    pairs = verifiable_pairs(20, 300)
     assert sum(k > cond.k_c for cond, _, k in pairs) >= 100
     assert sum(k < cond.k_c for cond, _, k in pairs) >= 100
     for cond, y, k in pairs:
@@ -197,7 +153,7 @@ def test_sequence_over_a_complete_second_set_gives_the_forward_rule():
     # rule for Y1, whatever the index of Y2.
     rng = np.random.default_rng(22)
     worst, checked = 0.0, 0
-    for cond, y1, k in _verifiable_pairs(22, 200):
+    for cond, y1, k in verifiable_pairs(22, 200):
         d1 = cond.model.d1
         for k1 in sorted({cond.k_c, k}):
             if k1 < cond.k_c:
@@ -213,6 +169,25 @@ def test_sequence_over_a_complete_second_set_gives_the_forward_rule():
             checked += 1
     assert checked >= 200
     assert worst <= 1e-12
+
+
+def test_trace_identity_refuses_k0_as_the_rules_do(ref):
+    # With I at t0 the start index is T_s = 1.  k0 = 2 used to give
+    # residuals, and k0 = -1, -3 wrapped round to P(2) and P(0).
+    cond = ref.condition("I", ref.T0)
+    fup = ref.predicate("Fup")
+    outcomes = OutcomeSet((fup, ref.predicate("Fdown")), ref.T1)
+    for k0 in (0, 1):
+        assert max(verify_trace_identity(cond, outcomes, k0)) <= 1e-9
+    for k0, error in ((2, DomainError), (-1, IndexError), (-3, IndexError), (3, IndexError)):
+        with pytest.raises(error) as rule:
+            prob_forward(cond, fup, ref.T1, k0)
+        with pytest.raises(error) as identity:
+            verify_trace_identity(cond, outcomes, k0)
+        assert str(identity.value) == str(rule.value)
+    assert str(identity.value) == "grid index 3 out of range [0, 2]"
+    with pytest.raises(DomainError, match=r"^k0=2 is later than the condition's start index T_s=1$"):
+        verify_trace_identity(cond, outcomes, 2)
 
 
 def test_trace_identity_lifts_each_outcome_once(ref, monkeypatch):
