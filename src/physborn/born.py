@@ -18,6 +18,9 @@ switching formulas.
 Every rule is the textbook trace Tr(Y rho) / Tr(rho).  Only the state
 rho differs, and it is built from the condition trimmed to the physical
 family: the condition operator X P(k0) X, or a trimmed operator P X P.
+States are (phi, core) blocks from ``condition`` and outcomes are d x m
+range bases from ``lift_predicate``, so each trace is a sum over a small
+block, Tr(Y rho) = Tr(M core M^dagger) with M = W_Y^dagger phi.
 """
 
 from __future__ import annotations
@@ -30,20 +33,38 @@ from . import linalg
 from .condition import (
     ConditionSpec,
     ObservableRep,
+    _block,
+    _no_weight,
+    _support_basis,
+    _trim,
     check_k0,
-    condition_operator,
-    support_at,
-    trimmed,
+    condition_state,
+    trimmed_state,
 )
 from .errors import (
     DomainError,
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
-from .model import lift_predicate
+from .model import lift_predicate, lift_system1
 
 
-@dataclass(frozen=True)
+def _held_form(p: np.ndarray) -> np.ndarray:
+    """A record projector (diagonal, every diagonal entry exactly 0 or 1)
+    as the array of its labels; any other matrix as it is."""
+    diag = np.diagonal(p)
+    if not np.count_nonzero(p - np.diag(diag)) and np.all((diag == 0) | (diag == 1)):
+        return np.flatnonzero(diag)
+    return p
+
+
+def _record_projector(labels: np.ndarray, dim: int) -> np.ndarray:
+    p = np.zeros((dim, dim), dtype=complex)
+    p[labels, labels] = 1.0
+    return p
+
+
+@dataclass(frozen=True, init=False)
 class OutcomeSet:
     """Pairwise-orthogonal system1 outcome projectors at one grid index.
 
@@ -51,17 +72,29 @@ class OutcomeSet:
     identity.  Construction checks only what needs no tolerance (at
     least one matrix, one square shape); each consumer checks the rest
     with its model's tolerance (:func:`linalg.orthogonal_projectors`).
+    A record projector is held as its labels, d1 integers instead of
+    d1 x d1 complex entries, and :attr:`projectors` rebuilds it exactly.
     """
 
-    projectors: tuple
     k: int
-    complete: bool = False
+    complete: bool
+    _held: tuple = field(repr=False)
+    _dim: int = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "projectors", linalg.square_set(self.projectors))
+    def __init__(self, projectors, k: int, complete: bool = False):
+        projs = linalg.square_set(projectors)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "_held", tuple(_held_form(p) for p in projs))
+        object.__setattr__(self, "_dim", projs[0].shape[0])
+
+    @property
+    def projectors(self) -> tuple:
+        """The outcome projectors as d1 x d1 matrices."""
+        return tuple(h if h.ndim == 2 else _record_projector(h, self._dim) for h in self._held)
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self._held)
 
 
 @dataclass(frozen=True)
@@ -73,10 +106,17 @@ class ProbabilityResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _real_trace(a: np.ndarray, b: np.ndarray, tol: linalg.Tolerance,
-                context: str) -> float:
-    """Tr(a b), summed elementwise without forming the product."""
-    t = complex(np.einsum("ij,ji->", a, b))
+def _trace(a, state: tuple) -> complex:
+    """Tr(a a^dagger rho) for rho = phi core phi^dagger (Tr(rho) when a is
+    None), as Tr(M core M^dagger) with M = a^dagger phi."""
+    phi, core = state
+    m = phi if a is None else a.conj().T @ phi
+    return complex(np.vdot(m, m if core is None else m @ core))
+
+
+def _real_trace(a, state: tuple, tol: linalg.Tolerance, context: str) -> float:
+    """The real part of :func:`_trace`, refusing an imaginary residue."""
+    t = _trace(a, state)
     if abs(t.imag) > tol.eps_zero * max(1.0, abs(t.real)):
         raise DomainError(
             f"trace in {context} has imaginary residue {t.imag:.3e}; "
@@ -97,13 +137,20 @@ def _result(num: float, den: float, rule: str, tol: linalg.Tolerance,
     return ProbabilityResult(float(value), float(num), float(den), rule, warnings)
 
 
-def _born(y: np.ndarray, rho: np.ndarray, rule: str, tol: linalg.Tolerance,
-          warnings: tuple = ()) -> ProbabilityResult:
-    """Tr(Y rho) / Tr(rho) for a Hermitian state rho.  Each rule builds
-    only its rho; the intermediate-full rule normalizes its terms over
-    the outcome set instead."""
-    num = _real_trace(y, rho, tol, f"{rule} numerator")
-    return _result(num, np.trace(rho).real, rule, tol, warnings)
+def _born(wy: np.ndarray, rho: tuple, rule: str, tol: linalg.Tolerance,
+          warnings: tuple = (), effect: tuple | None = None) -> ProbabilityResult:
+    """Tr(Y rho) / Tr(rho) for Y = wy wy^dagger and a Hermitian state rho.
+    Each rule builds only its rho; the numerator is taken against
+    ``effect`` instead when given (the sequence rule's Y1 rho Y1).  The
+    intermediate-full rule normalizes its terms over the outcome set
+    instead."""
+    num = _real_trace(wy, rho if effect is None else effect, tol, f"{rule} numerator")
+    return _result(num, _trace(None, rho).real, rule, tol, warnings)
+
+
+def _lift(cond: ConditionSpec, y, k: int) -> np.ndarray:
+    """Range basis of the Heisenberg outcome predicate at k."""
+    return lift_predicate(cond.model, y, k, basis=True)
 
 
 def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
@@ -112,8 +159,8 @@ def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResu
     k = cond.model.grid.check_index(k)
     if k < cond.k_c:
         raise DomainError(f"prob_forward requires k >= k_c, got k={k} < k_c={cond.k_c}")
-    rho = condition_operator(cond, k0)
-    return _born(lift_predicate(cond.model, y, k), rho, "forward", cond.tol)
+    rho = condition_state(cond, k0)
+    return _born(_lift(cond, y, k), rho, "forward", cond.tol)
 
 
 def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: int,
@@ -123,7 +170,8 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
 
     Each outcome's term is Tr(trimmed(k) Y S P(k0) S Y), with S the
     support of the condition trimmed to k; the normalizer is the sum of
-    the terms over the set.
+    the terms over the set.  The condition is trimmed to k once: G = P(k)
+    W gives both the trimmed operator G G^dagger and S, its range.
     """
     linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
     k = cond.model.grid.check_index(outcomes.k)
@@ -137,12 +185,18 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     if not 0 <= y_index < len(outcomes):
         raise IndexError(f"outcome index {y_index} out of range")
 
-    sup = support_at(cond, k)
-    core = sup @ cond.fam.at(k0) @ sup
-    back = trimmed(cond, k)
-    lifted = (lift_predicate(cond.model, y1, k) for y1 in outcomes.projectors)
-    terms = [_real_trace(back, py @ core @ py, cond.tol, "prob_intermediate_full term")
-             for py in lifted]
+    frame, coef = _trim(cond, k)
+    sup = _support_basis(frame, coef, cond.tol)
+    if sup is None:
+        raise _no_weight(k)
+    back = _block(frame, coef)
+    core = cond.fam.sandwich(k0, sup)
+    terms = []
+    for y1 in outcomes.projectors:
+        wy = _lift(cond, y1, k)
+        # Y S P(k0) S Y as a state, traced against G G^dagger
+        terms.append(_real_trace(back, (wy @ (wy.conj().T @ sup), core), cond.tol,
+                                 "prob_intermediate_full term"))
     return _result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
 
 
@@ -163,12 +217,15 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         )
     check_k0(cond, k0)
     if rep is None:
-        anchor, variant = support_at(cond, k), "support"
+        anchor, variant = _support_basis(*_trim(cond, k), cond.tol), "support"
+        if anchor is None:
+            raise _no_weight(k)
     else:
-        anchor, variant = rep.projector(k), "observable"
-    py = lift_predicate(cond.model, y, k)
-    rho = linalg.hermitian_part(anchor @ cond.fam.at(k0) @ anchor)
-    return _born(py, rho, f"intermediate_known/{variant}", cond.tol)
+        anchor = lift_system1(cond.model, rep.system1_projector(k), k, basis=True)
+        variant = "observable"
+    wy = _lift(cond, y, k)
+    rho = (anchor, cond.fam.sandwich(k0, anchor))
+    return _born(wy, rho, f"intermediate_known/{variant}", cond.tol)
 
 
 def prob_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
@@ -178,7 +235,7 @@ def prob_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResul
     if k > k0:
         raise DomainError(f"prob_before requires k <= k0, got k={k} > k0={k0}")
     check_k0(cond, k0)
-    return _born(lift_predicate(cond.model, y, k), trimmed(cond, k0), "before", cond.tol)
+    return _born(_lift(cond, y, k), trimmed_state(cond, k0), "before", cond.tol)
 
 
 def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
@@ -188,39 +245,48 @@ def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
     k = cond.model.grid.check_index(k)
     if k >= cond.k_c:
         raise DomainError(f"prob_approx requires k < k_c, got k={k}, k_c={cond.k_c}")
-    return _born(lift_predicate(cond.model, y, k), trimmed(cond, k), "approx", cond.tol,
+    return _born(_lift(cond, y, k), trimmed_state(cond, k), "approx", cond.tol,
                  warnings=("approximation: condition treated as starting at k",))
 
 
-def verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int) -> tuple:
-    """Commutator magnitudes of the two verifiability demands for the
-    Heisenberg outcome operator ``py`` at index k: [Y, P(k)], and [Y, X]
-    sandwiched by P(s) at the earlier index s = min(k, k_c)."""
-    ps = cond.fam.at(min(k, cond.k_c))
-    px = cond.projector
-    return (linalg.commutator_norm(py, cond.fam.at(k)),
-            linalg.max_abs(ps @ (py @ px - px @ py) @ ps))
+def verifiability_norms(cond: ConditionSpec, wy: np.ndarray, k: int) -> tuple:
+    """Max entry magnitudes of the two verifiability commutators for the
+    Heisenberg outcome Y = wy wy^dagger at index k (``wy`` a range basis
+    from ``lift_predicate``): [Y, P(k)], and [Y, X] sandwiched by P(s) at
+    the earlier index s = min(k, k_c).
+
+    The second is F - F^dagger for F = P(s) Y X P(s), built from the
+    blocks P(s) wy and P(s) W (an r x r core between range bases).
+    """
+    w = cond.basis
+    fy, cy = cond.fam.restrict(min(k, cond.k_c), wy)
+    _, cx = cond.fam.restrict(min(k, cond.k_c), w)
+    f = cy @ (wy.conj().T @ w) @ cx.conj().T
+    if fy is not None:
+        f = fy @ f @ fy.conj().T
+    return cond.fam.commutator_norm(k, wy), linalg.max_abs(f - f.conj().T)
 
 
 def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
                   k0: int = 0) -> ProbabilityResult:
     """P(Y2 at k2; Y1 at k1 | X at k_c) = Tr(Y2 Y1 rho Y1) / Tr(rho), with
-    rho the condition operator X P(k0) X; the trace is taken against the
-    effect Y1 Y2 Y1.
+    rho the condition operator X P(k0) X.
 
     Refuses unless the (Y1, k1) stage is verifiable against the
     condition; otherwise the number would be unreliable.
     """
     k1 = cond.model.grid.check_index(k1)
     k2 = cond.model.grid.check_index(k2)
-    rho = condition_operator(cond, k0)
-    py1 = lift_predicate(cond.model, y1, k1)
-    py2 = lift_predicate(cond.model, y2, k2)
-    worst = max(verifiability_norms(cond, py1, k1))
+    rho = condition_state(cond, k0)
+    wy1 = _lift(cond, y1, k1)
+    wy2 = _lift(cond, y2, k2)
+    worst = max(verifiability_norms(cond, wy1, k1))
     if worst > cond.tol.eps_zero:
         raise UnverifiableSequenceError(
             "sequence refused: intermediate outcome is not verifiable "
             f"(commutator norm {worst:.3e})",
             worst,
         )
-    return _born(py1 @ py2 @ py1, rho, "sequence", cond.tol)
+    phi, core = rho
+    return _born(wy2, rho, "sequence", cond.tol,
+                 effect=(wy1 @ (wy1.conj().T @ phi), core))

@@ -5,6 +5,15 @@ the trimmed operator at earlier times, its support projector, the
 observable representation X(t) (what the predicate implies about system1
 at earlier times, in a chosen basis), the start index T_s, and the
 condition operator consumed by the probability rules.
+
+A condition keeps its lifted predicate as a d x m orthonormal basis W of
+its range (X = W W^dagger), and everything derived from it is a block:
+the trimmed operator at k is G G^dagger for G = P(k) W, the support is
+the range of G, and a state rho is a pair (phi, core) with rho = phi core
+phi^dagger (core None for the identity).  The rules and the measurement
+kappas use the blocks (:func:`condition_state`, :func:`trimmed_state`);
+:func:`trimmed`, :func:`support_at` and :func:`condition_operator` return
+dense d x d matrices, rebuilt from the blocks on each call.
 """
 
 from __future__ import annotations
@@ -19,17 +28,22 @@ from .linalg import Tolerance
 from .model import (
     Model,
     PhysicalFamily,
-    is_physically_possible,
+    cumulative_propagator,
     lift_system1,
     physical_restrict,
-    schrodinger,
 )
 
 
 @dataclass(frozen=True)
 class ConditionSpec:
     """A system1 predicate ``x1`` (Schrodinger picture at its own time)
-    asserted at grid index ``k_c``."""
+    asserted at grid index ``k_c``.
+
+    It keeps the d x m orthonormal basis W of the lifted predicate's
+    range, V(k_c)^dagger (B (x) I) with B a range basis of ``x1``.  It is
+    physically possible when W W^dagger commutes with P(k_c) and P(k_c) W
+    W^dagger is not zero, both within eps_zero.
+    """
 
     model: Model
     fam: PhysicalFamily
@@ -39,12 +53,14 @@ class ConditionSpec:
     def __post_init__(self):
         object.__setattr__(self, "x1", linalg.as_matrix(self.x1))
         object.__setattr__(self, "k_c", self.model.grid.check_index(self.k_c))
-        lifted = lift_system1(self.model, self.x1, self.k_c)
-        if not is_physically_possible(self.model, self.fam, lifted, self.k_c):
+        w = lift_system1(self.model, self.x1, self.k_c, basis=True)
+        eps = self.tol.eps_zero
+        if not (self.fam.commutator_norm(self.k_c, w) <= eps
+                and self.fam.overlap_norm(self.k_c, w) > eps):
             raise NotPhysicallyPossibleError(
                 f"condition predicate is not physically possible at index {self.k_c}"
             )
-        object.__setattr__(self, "_lifted", lifted)
+        object.__setattr__(self, "_basis", w)
         object.__setattr__(self, "_condition1_index", None)  # set by start_time
 
     @property
@@ -53,31 +69,74 @@ class ConditionSpec:
         return self.model.tol
 
     @property
+    def basis(self) -> np.ndarray:
+        """The d x m orthonormal basis W of the lifted predicate's range."""
+        return self._basis
+
+    @property
     def projector(self) -> np.ndarray:
-        """Heisenberg lift of the predicate at its own index."""
-        return self._lifted
+        """Heisenberg lift of the predicate at its own index, as a dense
+        d x d projector (rebuilt on each call)."""
+        return lift_system1(self.model, self.x1, self.k_c)
 
 
-def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
-    """P(k) X P(k): the condition moved back to index k with all
-    non-physical components removed, and the state rho of the before and
-    approx rules.  Hermitian PSD, not a projector in general."""
+def _trim(cond: ConditionSpec, k: int) -> tuple:
+    """P(k) W as the family's (frame, coef) pair: the one trimming step
+    behind every trimmed operator and support."""
     k = cond.model.grid.check_index(k)
     if k > cond.k_c:
         raise IndexError(f"trimming index {k} lies after the condition index {cond.k_c}")
-    p = cond.fam.at(k)
-    return linalg.hermitian_part(p @ cond.projector @ p)
+    return cond.fam.restrict(k, cond.basis)
+
+
+def _block(frame, coef) -> np.ndarray:
+    """frame @ coef, with a frame of None standing for the identity."""
+    return coef if frame is None else frame @ coef
+
+
+def _support_basis(frame, coef, tol: Tolerance):
+    """Orthonormal basis of the support of G G^dagger for G = frame @ coef,
+    the range of G at the eps_eig cut on its squared singular values; None
+    when G G^dagger has no physical weight (no entry above eps_zero: for a
+    PSD matrix the largest entry is on the diagonal, the largest squared
+    row norm of G)."""
+    g = _block(frame, coef)
+    if g.size == 0 or np.max(np.einsum("ij,ij->i", g, g.conj()).real) <= tol.eps_zero:
+        return None
+    return _block(frame, linalg.range_basis(coef, tol))
+
+
+def _no_weight(k: int) -> UnreachableConditionError:
+    return UnreachableConditionError(f"condition has no physical weight at index {k}")
+
+
+def _dense(state: tuple) -> np.ndarray:
+    """The d x d matrix rho = phi core phi^dagger of a (phi, core) state,
+    core None standing for the identity."""
+    phi, core = state
+    return linalg.hermitian_part((phi if core is None else phi @ core) @ phi.conj().T)
+
+
+def trimmed_state(cond: ConditionSpec, k: int) -> tuple:
+    """P(k) X P(k) as the state (G, None), G = P(k) W."""
+    return _block(*_trim(cond, k)), None
+
+
+def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
+    """P(k) X P(k) = G G^dagger with G = P(k) W: the condition moved back
+    to index k with all non-physical components removed, and the state
+    rho of the before and approx rules.  Hermitian PSD, not a projector
+    in general."""
+    return _dense(trimmed_state(cond, k))
 
 
 def support_at(cond: ConditionSpec, k: int) -> np.ndarray:
     """Projector onto the smallest subspace containing the trimmed
-    operator at index k."""
-    t = trimmed(cond, k)
-    if linalg.max_abs(t) <= cond.tol.eps_zero:
-        raise UnreachableConditionError(
-            f"condition has no physical weight at index {k}"
-        )
-    return linalg.support_projector(t, cond.tol)
+    operator at index k: the range of P(k) W."""
+    q = _support_basis(*_trim(cond, k), cond.tol)
+    if q is None:
+        raise _no_weight(k)
+    return q @ q.conj().T
 
 
 @dataclass(frozen=True)
@@ -125,8 +184,10 @@ def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
 
     labels = []
     for k in range(cond.k_c + 1):
-        sch = schrodinger(model, trimmed(cond, k), k)
-        a1 = linalg.partial_trace_2(sch, model.d1, model.d2)
+        # Tr_2 of V(k) G G^dagger V(k)^dagger, G = P(k) W, by a reshape
+        r = (cumulative_propagator(model, k) @ _block(*_trim(cond, k))).reshape(
+            model.d1, model.d2, -1)
+        a1 = np.einsum("ibp,jbp->ij", r, r.conj())
         diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, a1, basis))
         chosen = frozenset(int(i) for i in np.nonzero(diag > cond.tol.eps_eig)[0])
         if not chosen:
@@ -137,7 +198,8 @@ def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
 
     rep = ObservableRep(cond, basis, tuple(labels))
     for k in range(cond.k_c + 1):
-        if not linalg.commutes(rep.projector(k), cond.fam.at(k), cond.tol):
+        w = lift_system1(model, rep.system1_projector(k), k, basis=True)
+        if cond.fam.commutator_norm(k, w) > cond.tol.eps_zero:
             raise DomainError(
                 f"observable representation rejected: X({k}) does not commute with "
                 "the physical family; perhaps the wrong system1 basis was chosen"
@@ -234,14 +296,18 @@ def check_k0(cond: ConditionSpec, k0: int,
     return k0
 
 
-def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
-    """X P(k0) X, the state rho of the forward and sequence rules and of
-    the measurement kappas.
+def condition_state(cond: ConditionSpec, k0: int = 0) -> tuple:
+    """X P(k0) X as the state (W, W^dagger P(k0) W): the state rho of the
+    forward and sequence rules and of the measurement kappas.
 
     ``k0`` must not exceed the start index computed from the trimming
     demand; by the equal-sandwich lemma the result is the same for every
     valid choice.
     """
     k0 = check_k0(cond, k0)
-    px = cond.projector
-    return linalg.hermitian_part(px @ cond.fam.at(k0) @ px)
+    return cond.basis, cond.fam.sandwich(k0, cond.basis)
+
+
+def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
+    """X P(k0) X as a dense d x d matrix; see :func:`condition_state`."""
+    return _dense(condition_state(cond, k0))

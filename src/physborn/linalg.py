@@ -2,8 +2,9 @@
 
 Products, adjoints, traces and tensor products are plain numpy; this
 module holds what numpy does not: the tolerances, input coercion, the
-Hermitian part, partial traces, support and span projectors, the
-tolerance-based predicates and the projector-set check.  Every function
+Hermitian part, partial traces, support and span projectors and their
+orthonormal bases, the tolerance-based predicates and the projector-set
+check.  Every function
 that decides within a tolerance takes it as a required argument; the
 caller passes its model's.  Matrices are plain ``numpy.ndarray``
 objects with complex dtype; operator equality is always "max entry
@@ -129,22 +130,41 @@ def support_projector(h, tol: Tolerance) -> np.ndarray:
     return vs @ vs.conj().T
 
 
+def range_basis(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis of the support of a a^dagger, as columns: the left
+    singular vectors of a whose squared singular value exceeds eps_eig.
+
+    The squared singular values of a are the eigenvalues of a a^dagger,
+    so this keeps the directions :func:`support_projector` keeps for that
+    product, without forming it.
+    """
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, s * s > tol.eps_eig]
+
+
 def rank_of(p: np.ndarray, tol: Tolerance) -> int:
     """Rank of a Hermitian PSD matrix at the support tolerance."""
     w = np.linalg.eigvalsh(hermitian_part(p))
     return int(np.sum(w > tol.eps_eig))
 
 
-def projector_from_span(vectors, tol: Tolerance) -> np.ndarray:
-    """Orthogonal projector onto the span of the given vectors (columns
-    need not be orthonormal or independent)."""
+def span_basis(vectors, tol: Tolerance) -> np.ndarray:
+    """Orthonormal basis, as columns, of the span of the given vectors
+    (which need not be orthonormal or independent): the left singular
+    vectors whose singular value exceeds eps_eig relative to the largest
+    one (or to 1 when that is smaller)."""
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not cols:
         raise DomainError("projector_from_span needs at least one vector")
     a = np.column_stack(cols)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     keep = s > tol.eps_eig * max(1.0, float(s[0]) if s.size else 1.0)
-    us = u[:, keep]
+    return u[:, keep]
+
+
+def projector_from_span(vectors, tol: Tolerance) -> np.ndarray:
+    """Orthogonal projector onto the span of the given vectors."""
+    us = span_basis(vectors, tol)
     return us @ us.conj().T
 
 

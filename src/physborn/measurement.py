@@ -5,6 +5,10 @@ system1 end spaces at index k2.  For each outcome the time-indexed
 system2 operator kappa(t) carries both what is known about system2 while
 the measurement unfolds and, through its final trace, the outcome
 probability.
+
+Each kappa is computed from blocks: the anchor is a d x s range basis Q,
+the start state a (phi, core) pair, and the partial trace over system1 of
+(V Q) K (V Q)^dagger is a contraction over a (d1, d2, s) reshape.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from . import linalg
 from .born import OutcomeSet
 from .condition import (
     ConditionSpec,
+    _support_basis,
+    _trim,
     check_k0,
-    condition_operator,
+    condition_state,
     observable_rep,
-    trimmed,
 )
 from .errors import (
     DomainError,
@@ -28,7 +33,7 @@ from .errors import (
     ShapeError,
     UnreachableConditionError,
 )
-from .model import Model, PhysicalFamily, lift_system1, schrodinger
+from .model import Model, PhysicalFamily, cumulative_propagator, lift_system1
 
 
 @dataclass(frozen=True)
@@ -73,15 +78,19 @@ class MeasurementProcess:
                 cond = ConditionSpec(self.model, self.fam, p, k2)
             except NotPhysicallyPossibleError:
                 # Only an outcome without physical weight passes: unreachable.
-                weight = linalg.max_abs(self.fam.at(k2) @ lift_system1(self.model, p, k2))
-                if weight > tol.eps_zero:
+                w = lift_system1(self.model, p, k2, basis=True)
+                if self.fam.overlap_norm(k2, w) > tol.eps_zero:
                     raise
                 conds.append(None)
                 record_ok.append(True)
                 continue
             conds.append(cond)
-            sup = _support(trimmed(cond, k1), tol)
-            record_ok.append(linalg.approx_equal(start_cond.projector @ sup, sup, tol))
+            # X S = S for the start space X = W W^dagger and the support
+            # S = Q Q^dagger: max entry of (W W^dagger Q - Q) Q^dagger
+            q = _anchor(_trim(cond, k1), tol)
+            w = start_cond.basis
+            gap = (w @ (w.conj().T @ q) - q) @ q.conj().T
+            record_ok.append(linalg.max_abs(gap) <= tol.eps_zero)
         object.__setattr__(self, "_conds", tuple(conds))
         object.__setattr__(self, "record_preserved", tuple(record_ok))
 
@@ -123,36 +132,48 @@ class KappaPath:
         return self.k1 + len(self.kappas) - 1
 
 
-def _support(back: np.ndarray, tol: linalg.Tolerance) -> np.ndarray:
-    """Support projector of a trimmed operator; zero where it has no
-    physical weight."""
-    if linalg.max_abs(back) <= tol.eps_zero:
-        return np.zeros_like(back)
-    return linalg.support_projector(back, tol)
+def _anchor(trim: tuple, tol: linalg.Tolerance) -> np.ndarray:
+    """Range basis of the support of a trimmed block (frame, coef); no
+    columns where it has no physical weight."""
+    q = _support_basis(*trim, tol)
+    if q is None:
+        frame, coef = trim
+        return np.zeros((len(coef if frame is None else frame), 0), dtype=complex)
+    return q
 
 
 def _start_state(proc: MeasurementProcess, tol: linalg.Tolerance) -> tuple:
-    """(rho, Tr(rho)) for rho the start space's condition operator
-    M P(k0) M: the core of every kappa and its normalizer."""
-    core = condition_operator(proc._start, proc.k0)
-    den = np.trace(core).real
+    """((phi, core), Tr(rho)) for rho = phi core phi^dagger the start
+    space's condition operator M P(k0) M: the core of every kappa and its
+    normalizer."""
+    phi, core = condition_state(proc._start, proc.k0)
+    den = np.vdot(phi, phi @ core).real
     if den <= tol.eps_zero:
         raise UnreachableConditionError("start space has no physical weight at k0")
-    return core, den
+    return (phi, core), den
 
 
 def _kappas(proc: MeasurementProcess, state: tuple, anchor_at,
             tol: linalg.Tolerance) -> tuple:
     """kappa(k) for k in [k1, k2]: the partial trace over system1, in the
-    Schrodinger picture at k, of A rho A / Tr(rho), with A = anchor_at(k)
-    and ``state`` = (rho, Tr(rho)) from :func:`_start_state`."""
+    Schrodinger picture at k, of A rho A / Tr(rho), with A = Q Q^dagger
+    for the range basis Q = anchor_at(k) and ``state`` = ((phi, core),
+    Tr(rho)) from :func:`_start_state`.
+
+    A rho A = Q K Q^dagger with K = (Q^dagger phi) core (Q^dagger
+    phi)^dagger; with R = V(k) Q reshaped to (d1, d2, s), the partial
+    trace is sum over a, p, q of R[a, i, p] K[p, q] conj(R[a, j, q]).
+    """
     model = proc.model
-    core, den = state
+    (phi, core), den = state
     kappas = []
     for k in range(proc.k1, proc.k2 + 1):
-        anchor = anchor_at(k)
-        op = schrodinger(model, anchor @ core @ anchor, k)
-        kap = linalg.hermitian_part(linalg.partial_trace_1(op, model.d1, model.d2) / den)
+        q = anchor_at(k)
+        m = q.conj().T @ phi
+        r = cumulative_propagator(model, k) @ q
+        rk = (r @ (m @ core @ m.conj().T)).reshape(model.d1, model.d2, -1)
+        op = np.einsum("aip,ajp->ij", rk, r.reshape(model.d1, model.d2, -1).conj())
+        kap = linalg.hermitian_part(op / den)
         w = np.linalg.eigvalsh(kap)
         if w[0] < -tol.eps_eig:
             raise DomainError(f"kappa at index {k} is not PSD (eigenvalue {w[0]:.3e})")
@@ -179,10 +200,11 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
         kappas = tuple(np.zeros((d2, d2), dtype=complex)
                        for _ in range(proc.k1, proc.k2 + 1))
     elif rep == "support":
-        kappas = _kappas(proc, state, lambda k: _support(trimmed(cond, k), tol), tol)
+        kappas = _kappas(proc, state, lambda k: _anchor(_trim(cond, k), tol), tol)
     else:
         orep = observable_rep(cond)  # raises if the basis is unsuitable
-        kappas = _kappas(proc, state, orep.projector, tol)
+        kappas = _kappas(proc, state, lambda k: lift_system1(
+            proc.model, orep.system1_projector(k), k, basis=True), tol)
     return KappaPath(i, proc.k1, kappas, rep, tol)
 
 
@@ -245,10 +267,10 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
         for label in labels:
             e = np.zeros((proc.model.d1, proc.model.d1), dtype=complex)
             e[label, label] = 1.0
-            full = lift_system1(proc.model, e, proc.k2)
+            w = lift_system1(proc.model, e, proc.k2, basis=True)
 
-            def anchor_at(k, full=full):
-                return _support(linalg.hermitian_part(fam.at(k) @ full @ fam.at(k)), tol)
+            def anchor_at(k, w=w):
+                return _anchor(fam.restrict(k, w), tol)
 
             state = state or _start_state(proc, tol)
             path = KappaPath(-1, proc.k1, _kappas(proc, state, anchor_at, tol), "support", tol)

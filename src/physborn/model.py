@@ -5,9 +5,14 @@ per grid step.  All stored projector families live in the Heisenberg
 picture with reference at grid index 0; ``heisenberg`` converts a
 Schrodinger-picture operator at index k into that frame.
 
-The nested family of projectors describing which state vectors are
+The nested family of subspaces describing which state vectors are
 physically admissible at each time is carried by ``PhysicalFamily`` and
-validated against the nesting law P(j) P(k) = P(j) for j < k.
+validated against the nesting law P(j) P(k) = P(j) for j < k.  A family
+built by :func:`forward_closure` keeps one orthonormal d x r range basis
+per index, and a lifted system1 predicate can be kept the same way, as a
+d x m basis of its range (:func:`lift_system1` with ``basis`` set), so
+that the rules work on d x r and d x m blocks; a dense d x d projector is
+formed only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -124,35 +129,77 @@ def schrodinger(model: Model, a_heisenberg, k: int) -> np.ndarray:
     return v @ a @ v.conj().T
 
 
-def lift_system1(model: Model, p1, k: int | None = None) -> np.ndarray:
+def _projector_basis(p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of a projector, as columns: the
+    standard basis vectors on its unit diagonal when it is diagonal, its
+    eigenvectors with eigenvalue above 1/2 otherwise."""
+    diag = np.diagonal(p)
+    if not np.count_nonzero(p - np.diag(diag)):
+        return np.eye(len(p), dtype=complex)[:, diag.real > 0.5]
+    w, v = np.linalg.eigh(linalg.hermitian_part(p))
+    return v[:, w > 0.5]
+
+
+def lift_system1(model: Model, p1, k: int | None = None, *,
+                 basis: bool = False) -> np.ndarray:
     """Extend a system1 projector to the full space: kron(p1, identity).
 
     With ``k`` given, the lifted operator is additionally moved to the
-    Heisenberg frame at that grid index.
+    Heisenberg frame at that grid index.  With ``basis`` set, the result
+    is instead a d x m orthonormal basis W of the lifted range,
+    V(k)^dagger (B (x) identity) with B a range basis of p1, so that
+    W W^dagger is the lifted projector; no d x d product is made.
     """
     p1 = linalg.as_matrix(p1)
     if p1.shape != (model.d1, model.d1):
         raise ShapeError(f"system1 operator shape {p1.shape}, expected {(model.d1, model.d1)}")
     if not linalg.is_projector(p1, model.tol):
         raise DomainError("lift_system1 requires a projector")
-    full = np.kron(p1, np.eye(model.d2, dtype=complex))
+    if not basis:
+        full = np.kron(p1, np.eye(model.d2, dtype=complex))
+        return full if k is None else heisenberg(model, full, k)
+    b = _projector_basis(p1)
     if k is None:
-        return full
-    return heisenberg(model, full, k)
+        return np.kron(b, np.eye(model.d2, dtype=complex))
+    # (B^dagger (x) I) V(k), row (b, j) = sum_a conj(B[a, b]) V[(a, j), :]
+    v = cumulative_propagator(model, k)
+    rows = b.conj().T @ v.reshape(model.d1, model.d2 * model.dim)
+    return rows.reshape(-1, model.dim).conj().T
 
 
-def lift_predicate(model: Model, p, k: int) -> np.ndarray:
+def lift_predicate(model: Model, p, k: int, *, basis: bool = False) -> np.ndarray:
     """Heisenberg operator of a predicate at index k: a system1 projector
     is lifted with :func:`lift_system1`, a full-space projector is taken
-    as already lifted."""
+    as already lifted.  With ``basis`` set, an orthonormal basis of its
+    range is returned instead (see :func:`_full_space_basis`)."""
     p = linalg.as_matrix(p)
     if p.shape == (model.d1, model.d1):
-        return lift_system1(model, p, k)
+        return lift_system1(model, p, k, basis=basis)
     if p.shape != (model.dim, model.dim):
         raise ShapeError(f"predicate shape {p.shape} matches neither system1 nor the full space")
     if not linalg.is_projector(p, model.tol):
         raise DomainError("a full-space predicate must be a projector")
-    return p
+    return _full_space_basis(model, p, k) if basis else p
+
+
+def _full_space_basis(model: Model, p: np.ndarray, k: int) -> np.ndarray:
+    """Range basis of a full-space projector at index k.
+
+    When p keeps or removes, within eps_zero, each record label's whole
+    block V(k)^dagger (e_a (x) I), it is the lift of that diagonal system1
+    projector and gets the basis :func:`lift_system1` gives it, so a
+    predicate passed lifted or unlifted yields the same numbers; any
+    other projector gets its eigenvectors with eigenvalue above 1/2.
+    """
+    d, d1, d2 = model.dim, model.d1, model.d2
+    vh = cumulative_propagator(model, k).conj().T
+    moved = (p @ vh).reshape(d, d1, d2)
+    blocks = vh.reshape(d, d1, d2)
+    eps = model.tol.eps_zero
+    kept = [linalg.max_abs(moved[:, a] - blocks[:, a]) <= eps for a in range(d1)]
+    if all(kept[a] or linalg.max_abs(moved[:, a]) <= eps for a in range(d1)):
+        return lift_system1(model, np.diag(np.array(kept, dtype=complex)), k, basis=True)
+    return _projector_basis(p)
 
 
 def lift_system2(model: Model, p2) -> np.ndarray:
@@ -165,26 +212,96 @@ def lift_system2(model: Model, p2) -> np.ndarray:
     return np.kron(np.eye(model.d1, dtype=complex), p2)
 
 
-@dataclass(frozen=True)
 class PhysicalFamily:
-    """Time-indexed projectors, one per grid index, Heisenberg frame at
-    index 0.  Nesting (earlier ranges contained in later ones) is checked
-    by :func:`validate_family`, not at construction."""
+    """Time-indexed physical subspaces P(k), one per grid index,
+    Heisenberg frame at index 0.  Nesting (earlier ranges contained in
+    later ones) is checked by :func:`validate_family`, not at
+    construction.
 
-    projectors: tuple
+    ``PhysicalFamily(projectors)`` keeps the given dense projectors and
+    applies them as they are.  :meth:`from_bases` (what
+    :func:`forward_closure` builds) keeps one orthonormal d x r basis U
+    per index instead, with P(k) = U U^dagger: the family then holds
+    O(d r) numbers per index, applying P(k) to a d x m block costs
+    O(d r m), and :meth:`at` rebuilds the dense projector on each call.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "projectors", tuple(linalg.as_matrix(p) for p in self.projectors)
-        )
+    __slots__ = ("_projectors", "_bases")
+
+    def __init__(self, projectors):
+        self._projectors = tuple(linalg.as_matrix(p) for p in projectors)
+        self._bases = None
+
+    @classmethod
+    def from_bases(cls, bases) -> "PhysicalFamily":
+        """Family with P(k) = U_k U_k^dagger for the given orthonormal
+        column bases U_k."""
+        fam = cls.__new__(cls)
+        fam._projectors = None
+        fam._bases = tuple(bases)
+        return fam
 
     def __len__(self) -> int:
-        return len(self.projectors)
+        return len(self._bases if self._projectors is None else self._projectors)
 
-    def at(self, k: int) -> np.ndarray:
+    def _index(self, k: int) -> int:
         if not 0 <= k < len(self):
             raise IndexError(f"family index {k} out of range [0, {len(self) - 1}]")
-        return self.projectors[int(k)]
+        return int(k)
+
+    def at(self, k: int) -> np.ndarray:
+        """The dense d x d projector P(k)."""
+        k = self._index(k)
+        if self._projectors is not None:
+            return self._projectors[k]
+        u = self._bases[k]
+        return u @ u.conj().T
+
+    @property
+    def projectors(self) -> tuple:
+        """Every P(k) as a dense projector."""
+        return tuple(self.at(k) for k in range(len(self)))
+
+    def restrict(self, k: int, block: np.ndarray) -> tuple:
+        """P(k) block as a pair (frame, coef) with P(k) block = frame @ coef:
+        the index's range basis U with coef = U^dagger block, or None with
+        coef = P(k) block for an explicit projector."""
+        k = self._index(k)
+        if self._projectors is not None:
+            return None, self._projectors[k] @ block
+        u = self._bases[k]
+        return u, u.conj().T @ block
+
+    def apply(self, k: int, block: np.ndarray) -> np.ndarray:
+        """P(k) block."""
+        frame, coef = self.restrict(k, block)
+        return coef if frame is None else frame @ coef
+
+    def sandwich(self, k: int, block: np.ndarray) -> np.ndarray:
+        """block^dagger P(k) block."""
+        frame, coef = self.restrict(k, block)
+        return (block if frame is None else coef).conj().T @ coef
+
+    def commutator_norm(self, k: int, w: np.ndarray) -> float:
+        """Max entry magnitude of [W W^dagger, P(k)] for a d x m block W.
+
+        The commutator is C - C^dagger for C = Y P(k) with Y = W W^dagger,
+        and also for C = (I - P(k)) Y P(k); with a range basis U the
+        latter is ((I - P(k)) W coef^dagger) U^dagger, which costs
+        O(d^2 r) instead of O(d^2 m).
+        """
+        frame, coef = self.restrict(k, w)
+        if frame is None:
+            c = w @ coef.conj().T
+        else:
+            c = (w @ coef.conj().T - frame @ (coef @ coef.conj().T)) @ frame.conj().T
+        return linalg.max_abs(c - c.conj().T)
+
+    def overlap_norm(self, k: int, w: np.ndarray) -> float:
+        """Max entry magnitude of P(k) W W^dagger."""
+        frame, coef = self.restrict(k, w)
+        m = coef @ w.conj().T
+        return linalg.max_abs(m if frame is None else frame @ m)
 
 
 @dataclass(frozen=True)
@@ -201,16 +318,17 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     """Check projector validity, nonzeroness, and the nesting law for
     every index pair j < k."""
     tol = model.tol
-    n = len(fam)
+    projs = fam.projectors
+    n = len(projs)
     proj_ok = tuple(
         p.shape == (model.dim, model.dim) and linalg.is_projector(p, tol)
-        for p in fam.projectors
+        for p in projs
     )
-    nonzero = tuple(linalg.max_abs(p) > tol.eps_zero for p in fam.projectors)
+    nonzero = tuple(linalg.max_abs(p) > tol.eps_zero for p in projs)
     violations = []
     for j in range(n):
         for k in range(j + 1, n):
-            pj, pk = fam.at(j), fam.at(k)
+            pj, pk = projs[j], projs[k]
             if pj.shape == pk.shape and linalg.max_abs(pj @ pk - pj) > tol.eps_zero:
                 violations.append((j, k))
     passed = (
@@ -225,11 +343,13 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
 def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily:
     """Build a nested family from generator states.
 
-    The index-0 projector is the support of the span of
-    ``initial_states``.  At each later index k the previous range is kept
-    and any ``extras[k]`` vectors (Schrodinger picture at index k) are
-    pulled to the reference frame and appended, so nesting holds by
-    construction; an extras index outside 1..n-1 is refused.
+    The index-0 subspace is the span of ``initial_states``.  At each
+    later index k the previous range is kept and any ``extras[k]`` vectors
+    (Schrodinger picture at index k) are pulled to the reference frame and
+    appended, so nesting holds by construction; an extras index outside
+    1..n-1 is refused.  The family keeps the orthonormal basis of each
+    span (:func:`linalg.span_basis`); an index without extras shares the
+    basis of the one before.
     """
     tol = model.tol
     initial_states = [np.asarray(v, dtype=complex).reshape(-1) for v in initial_states]
@@ -244,16 +364,18 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
             raise DomainError(f"extras index {k} lies outside 1..{model.n_indices - 1}")
 
     generators = list(initial_states)
-    projectors = [linalg.projector_from_span(generators, tol)]
+    bases = [linalg.span_basis(generators, tol)]
     for k in range(1, model.n_indices):
-        vk = cumulative_propagator(model, k)
-        for extra in extras.get(k, []):
+        added = extras.get(k, [])
+        if added:
+            vk = cumulative_propagator(model, k)
+        for extra in added:
             extra = np.asarray(extra, dtype=complex).reshape(-1)
             if extra.shape != (model.dim,):
                 raise ShapeError(f"extra state at index {k} has wrong dimension")
             generators.append(vk.conj().T @ extra)
-        projectors.append(linalg.projector_from_span(generators, tol))
-    return PhysicalFamily(tuple(projectors))
+        bases.append(linalg.span_basis(generators, tol) if added else bases[-1])
+    return PhysicalFamily.from_bases(bases)
 
 
 def is_physically_possible(model: Model, fam: PhysicalFamily, pX, k: int) -> bool:

@@ -5,6 +5,8 @@ that the condition held.  That reduces to two commutator demands per
 outcome; when they pass, the outcome subspace splits into the part that
 certainly came from the condition (Z) and the part that certainly did
 not (W), and the probability can be rewritten as a trace against Z.
+Outcomes, the condition and Z are handled as d x m range bases; only
+:func:`z_subspace` and :func:`w_subspace` form a d x d projector.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .born import OutcomeSet, verifiability_norms
-from .condition import ConditionSpec, condition_operator
+from .born import OutcomeSet, _trace, verifiability_norms
+from .condition import ConditionSpec, condition_state
 from .errors import DomainError, NotPhysicallyPossibleError
 from .model import (
     Model,
@@ -43,16 +45,16 @@ class VerifiabilityReport:
 
 
 def _lifted_verdicts(cond: ConditionSpec, outcomes: OutcomeSet) -> list:
-    """(Heisenberg outcome operator, OutcomeVerdict) per outcome, after
-    checking the set within the model's tolerance; each outcome is lifted
-    once."""
+    """(range basis of the Heisenberg outcome, OutcomeVerdict) per
+    outcome, after checking the set within the model's tolerance; each
+    outcome is lifted once."""
     linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
     k = outcomes.k
     pairs = []
     for y in outcomes.projectors:
-        py = lift_predicate(cond.model, y, k)
-        phys, cnd = verifiability_norms(cond, py, k)
-        pairs.append((py, OutcomeVerdict(phys, cnd, max(phys, cnd) <= cond.tol.eps_zero)))
+        wy = lift_predicate(cond.model, y, k, basis=True)
+        phys, cnd = verifiability_norms(cond, wy, k)
+        pairs.append((wy, OutcomeVerdict(phys, cnd, max(phys, cnd) <= cond.tol.eps_zero)))
     return pairs
 
 
@@ -73,9 +75,9 @@ def verifiability(cond: ConditionSpec, outcomes: OutcomeSet) -> VerifiabilityRep
                                all(v.verdict for v in verdicts))
 
 
-def _zw_subspace(cond: ConditionSpec, py: np.ndarray, k: int, negate: bool) -> np.ndarray:
-    """Z (or W with ``negate``) for the verified Heisenberg outcome
-    operator py at k.
+def _zw_subspace(cond: ConditionSpec, wy: np.ndarray, k: int, negate: bool) -> np.ndarray:
+    """Orthonormal basis of Z (or W with ``negate``) for the verified
+    Heisenberg outcome with range basis wy at k.
 
     The later of the two predicates supplies A, its physical part at its
     own index; the earlier one, E (or I - E for W), is taken at the
@@ -84,30 +86,42 @@ def _zw_subspace(cond: ConditionSpec, py: np.ndarray, k: int, negate: bool) -> n
     of A P(s) E.  Its squared singular values are the eigenvalues of
     P(s) A P(s) on the range of P(s) E, so the support cut at eps_eig
     drops exactly the directions where that operator falls below it.
+
+    With A = P(k_a) W_a W_a^dagger, A P(s) E = (P(k_a) W_a) (E P(s)
+    W_a)^dagger.  Both factors come as family blocks, frame @ coef, and a
+    QR factorization of E times the P(s) frame (or block) leaves a small
+    matrix with the same singular values; its range, mapped through the
+    P(k_a) frame, is Z.
     """
     if k == cond.k_c:
         raise DomainError("Z/W construction refused: outcome and condition share index "
                           f"{k}, so neither direction applies")
     fam = cond.fam
-    px = cond.projector
     if k > cond.k_c:
-        a, e = fam.at(k) @ py, px         # physical Y, classified against X
+        (ka, wa), we = (k, wy), cond.basis          # physical Y, classified against X
     else:
-        a, e = fam.at(cond.k_c) @ px, py  # physical X, classified against Y
+        (ka, wa), we = (cond.k_c, cond.basis), wy   # physical X, classified against Y
+    fa, ca = fam.restrict(ka, wa)       # P(k_a) W_a = fa ca
+    fs, cs = fam.restrict(min(k, cond.k_c), wa)
+    base = cs if fs is None else fs     # P(s) W_a = base, or fs cs
+    eb = we @ (we.conj().T @ base)
     if negate:
-        e = np.eye(e.shape[0], dtype=complex) - e
-    ae = a @ fam.at(min(k, cond.k_c)) @ e
-    return linalg.support_projector(ae @ ae.conj().T, cond.tol)
+        eb = base - eb
+    r = np.linalg.qr(eb, mode="r")      # E base = Q r
+    inner = r.conj().T if fs is None else cs.conj().T @ r.conj().T
+    q = linalg.range_basis(ca @ inner, cond.tol)
+    return q if fa is None else fa @ q
 
 
 def _verifiable_lift(cond: ConditionSpec, y, k: int) -> np.ndarray:
-    """The lifted outcome, after checking both verifiability demands."""
-    py = lift_predicate(cond.model, y, k)
-    if max(verifiability_norms(cond, py, k)) > cond.tol.eps_zero:
+    """Range basis of the lifted outcome, after checking both
+    verifiability demands."""
+    wy = lift_predicate(cond.model, y, k, basis=True)
+    if max(verifiability_norms(cond, wy, k)) > cond.tol.eps_zero:
         raise DomainError(
             "Z/W construction refused: outcome is not verifiable against the condition"
         )
-    return py
+    return wy
 
 
 def z_subspace(cond: ConditionSpec, y, k: int) -> np.ndarray:
@@ -115,13 +129,15 @@ def z_subspace(cond: ConditionSpec, y, k: int) -> np.ndarray:
     come from the condition.  Refuses when the outcome is not verifiable
     or sits at the condition index.
     """
-    return _zw_subspace(cond, _verifiable_lift(cond, y, k), k, negate=False)
+    q = _zw_subspace(cond, _verifiable_lift(cond, y, k), k, negate=False)
+    return q @ q.conj().T
 
 
 def w_subspace(cond: ConditionSpec, y, k: int) -> np.ndarray:
     """Projector onto the elements of the outcome subspace that certainly
     did not come from the condition."""
-    return _zw_subspace(cond, _verifiable_lift(cond, y, k), k, negate=True)
+    q = _zw_subspace(cond, _verifiable_lift(cond, y, k), k, negate=True)
+    return q @ q.conj().T
 
 
 def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
@@ -129,22 +145,24 @@ def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
     """Residual |LHS - RHS| per outcome of the rewritten probability
     numerator: the trace of Y against the condition operator rho = X
     P(k0) X (forward) or of P(k) Y X against P(k0) (backward), versus
-    the plain trace of Z against the index-k0 projector.  ``k0`` is
-    refused as in the probability rules."""
+    the plain trace of Z against the index-k0 projector, Tr(Q^dagger P(k0)
+    Q) for the range basis Q of Z (a squared Frobenius norm for a family
+    of bases).  ``k0`` is refused as in the probability rules."""
     k = outcomes.k
     lifted = _lifted_verdicts(cond, outcomes)
     if not all(v.verdict for _, v in lifted):
         raise DomainError("trace identity requires a verifiable outcome set")
-    rho = condition_operator(cond, k0)   # also refuses k0 as the rules do
-    p0 = cond.fam.at(k0)
+    rho = condition_state(cond, k0)   # also refuses k0 as the rules do
+    k0 = cond.model.grid.check_index(k0)
+    fam, w = cond.fam, cond.basis
     residuals = []
-    for py, _ in lifted:
-        pz = _zw_subspace(cond, py, k, negate=False)
+    for wy, _ in lifted:
+        qz = _zw_subspace(cond, wy, k, negate=False)
         if k > cond.k_c:
-            lhs = np.einsum("ij,ji->", py, rho).real
-        else:
-            lhs = np.trace(cond.fam.at(k) @ py @ cond.projector @ p0).real
-        rhs = np.trace(pz @ p0).real
+            lhs = _trace(wy, rho).real
+        else:   # Tr(W^dagger P(k0) P(k) W_Y W_Y^dagger W)
+            lhs = np.vdot(fam.apply(k0, w), fam.apply(k, wy) @ (wy.conj().T @ w)).real
+        rhs = np.trace(fam.sandwich(k0, qz)).real
         residuals.append(abs(lhs - rhs))
     return tuple(residuals)
 

@@ -8,8 +8,14 @@ from __future__ import annotations
 import numpy as np
 
 from physborn import linalg
-from physborn.born import OutcomeSet, ProbabilityResult, verifiability_norms
-from physborn.condition import ConditionSpec, ObservableRep, check_k0, support_at
+from physborn.born import OutcomeSet, ProbabilityResult
+from physborn.condition import (
+    ConditionSpec,
+    ObservableRep,
+    check_k0,
+    observable_rep,
+    support_at,
+)
 from physborn.errors import (
     DomainError,
     NotPhysicallyPossibleError,
@@ -24,6 +30,7 @@ from physborn.model import (
     forward_closure,
     is_physically_possible,
     lift_predicate,
+    schrodinger,
 )
 
 
@@ -115,6 +122,131 @@ def verifiable_pairs(seed: int, count: int):
 
 
 # ---------------------------------------------------------------------------
+# Dense oracles.  The library keeps a condition, the family and every
+# support as d x r range bases and works on blocks; these are its earlier
+# bodies, written with d x d projectors throughout (P(k) from ``fam.at``,
+# X from ``cond.projector``), and keep its checks in their order.
+
+
+def dense_trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
+    """P(k) X P(k)."""
+    k = cond.model.grid.check_index(k)
+    if k > cond.k_c:
+        raise IndexError(f"trimming index {k} lies after the condition index {cond.k_c}")
+    p = cond.fam.at(k)
+    return linalg.hermitian_part(p @ cond.projector @ p)
+
+
+def dense_support_at(cond: ConditionSpec, k: int) -> np.ndarray:
+    """Support projector of the trimmed operator at k, by eigh."""
+    t = dense_trimmed(cond, k)
+    if linalg.max_abs(t) <= cond.tol.eps_zero:
+        raise UnreachableConditionError(
+            f"condition has no physical weight at index {k}"
+        )
+    return linalg.support_projector(t, cond.tol)
+
+
+def dense_condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
+    """X P(k0) X."""
+    k0 = check_k0(cond, k0)
+    px = cond.projector
+    return linalg.hermitian_part(px @ cond.fam.at(k0) @ px)
+
+
+def _dense_support(back: np.ndarray, tol: linalg.Tolerance) -> np.ndarray:
+    if linalg.max_abs(back) <= tol.eps_zero:
+        return np.zeros_like(back)
+    return linalg.support_projector(back, tol)
+
+
+def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
+    """The kappas of ``measurement.kappa_path``: the partial trace over
+    system1, in the Schrodinger picture at k, of A rho A / Tr(rho)."""
+    model, tol = proc.model, proc.model.tol
+    cond = proc.outcome_condition(i)
+    core = dense_condition_operator(ConditionSpec(model, proc.fam, proc.m0, proc.k1), proc.k0)
+    den = np.trace(core).real
+    if den <= tol.eps_zero:
+        raise UnreachableConditionError("start space has no physical weight at k0")
+    if rep not in ("support", "observable"):
+        raise DomainError(f"unknown representation {rep!r}")
+    if cond is None:
+        return tuple(np.zeros((model.d2, model.d2), dtype=complex)
+                     for _ in range(proc.k1, proc.k2 + 1))
+    if rep == "support":
+        anchor_at = lambda k: _dense_support(dense_trimmed(cond, k), tol)  # noqa: E731
+    else:
+        anchor_at = observable_rep(cond).projector
+    kappas = []
+    for k in range(proc.k1, proc.k2 + 1):
+        anchor = anchor_at(k)
+        op = schrodinger(model, anchor @ core @ anchor, k)
+        kap = linalg.hermitian_part(linalg.partial_trace_1(op, model.d1, model.d2) / den)
+        w = np.linalg.eigvalsh(kap)
+        if w[0] < -tol.eps_eig:
+            raise DomainError(f"kappa at index {k} is not PSD (eigenvalue {w[0]:.3e})")
+        kappas.append(kap)
+    return tuple(kappas)
+
+
+def dense_verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int) -> tuple:
+    """[Y, P(k)] and P(s) [Y, X] P(s) for the dense Heisenberg outcome py."""
+    ps = cond.fam.at(min(k, cond.k_c))
+    px = cond.projector
+    return (linalg.commutator_norm(py, cond.fam.at(k)),
+            linalg.max_abs(ps @ (py @ px - px @ py) @ ps))
+
+
+def _dense_zw(cond: ConditionSpec, py: np.ndarray, k: int, negate: bool) -> np.ndarray:
+    if k == cond.k_c:
+        raise DomainError("Z/W construction refused: outcome and condition share index "
+                          f"{k}, so neither direction applies")
+    fam = cond.fam
+    px = cond.projector
+    if k > cond.k_c:
+        a, e = fam.at(k) @ py, px
+    else:
+        a, e = fam.at(cond.k_c) @ px, py
+    if negate:
+        e = np.eye(e.shape[0], dtype=complex) - e
+    ae = a @ fam.at(min(k, cond.k_c)) @ e
+    return linalg.support_projector(ae @ ae.conj().T, cond.tol)
+
+
+def dense_zw_subspace(cond: ConditionSpec, y, k: int, negate: bool) -> np.ndarray:
+    """Z (W with ``negate``): the support of (A P(s) E)(A P(s) E)^dagger."""
+    py = lift_predicate(cond.model, y, k)
+    if max(dense_verifiability_norms(cond, py, k)) > cond.tol.eps_zero:
+        raise DomainError(
+            "Z/W construction refused: outcome is not verifiable against the condition"
+        )
+    return _dense_zw(cond, py, k, negate)
+
+
+def dense_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet, k0: int = 0) -> tuple:
+    """The residuals of ``verify.verify_trace_identity``."""
+    linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
+    k = outcomes.k
+    lifted = [lift_predicate(cond.model, y, k) for y in outcomes.projectors]
+    if not all(max(dense_verifiability_norms(cond, py, k)) <= cond.tol.eps_zero
+               for py in lifted):
+        raise DomainError("trace identity requires a verifiable outcome set")
+    rho = dense_condition_operator(cond, k0)
+    p0 = cond.fam.at(k0)
+    residuals = []
+    for py in lifted:
+        pz = _dense_zw(cond, py, k, negate=False)
+        if k > cond.k_c:
+            lhs = np.einsum("ij,ji->", py, rho).real
+        else:
+            lhs = np.trace(cond.fam.at(k) @ py @ cond.projector @ p0).real
+        rhs = np.trace(pz @ p0).real
+        residuals.append(abs(lhs - rhs))
+    return tuple(residuals)
+
+
+# ---------------------------------------------------------------------------
 # Oracles: definitions from the paper that the library does not compute.
 
 
@@ -145,12 +277,12 @@ def expanded_condition_operator(cond: ConditionSpec, k0: int = 0,
     k0 = cond.model.grid.check_index(k0)
     if chain is None:
         chain = range(k0 + 1, cond.k_c)
-    core = support_at(cond, k0)
+    core = dense_support_at(cond, k0)
     for k in chain:
         k = cond.model.grid.check_index(k)
         if not k0 < k < cond.k_c:
             raise DomainError(f"chain index {k} outside ({k0}, {cond.k_c})")
-        s = support_at(cond, k)
+        s = dense_support_at(cond, k)
         core = s @ core @ s
     px = cond.projector
     return linalg.hermitian_part(px @ core @ px)
@@ -285,7 +417,7 @@ def chain_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     check_k0(cond, k0, _K0_WORDING)
     py1 = lift_predicate(cond.model, y1, k1)
     py2 = lift_predicate(cond.model, y2, k2)
-    worst = max(verifiability_norms(cond, py1, k1))
+    worst = max(dense_verifiability_norms(cond, py1, k1))
     if worst > cond.tol.eps_zero:
         raise UnverifiableSequenceError(
             "sequence refused: intermediate outcome is not verifiable "

@@ -45,7 +45,8 @@ ENTRY_POINTS = {
 REQUIRED = {
     *(f"linalg.{name}" for name in (
         "approx_equal", "is_hermitian", "is_unitary", "is_projector", "commutes",
-        "support_projector", "rank_of", "projector_from_span", "orthogonal_projectors",
+        "support_projector", "range_basis", "rank_of", "projector_from_span",
+        "span_basis", "orthogonal_projectors",
     )),
     "measurement.KappaPath",
 }
