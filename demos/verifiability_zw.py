@@ -7,7 +7,8 @@ part (certainly consistent with the condition) and a W part (certainly
 not), and a trace identity ties the probabilities to the Z part alone.
 """
 
-from physborn import linalg
+import numpy as np
+
 from physborn.born import OutcomeSet
 from physborn.scenarios import build_reference_experiment
 from physborn.verify import (
@@ -16,6 +17,12 @@ from physborn.verify import (
     w_subspace,
     z_subspace,
 )
+
+
+def rank(p) -> int:
+    """Dimension of the range of a projector: its trace."""
+    return round(np.trace(p).real)
+
 
 exp = build_reference_experiment()
 
@@ -28,8 +35,8 @@ report = verifiability(cond_i, fwd)
 print(f"{report.direction} verdict (I at t0 vs final records):", report.verdict)
 for name in ("Fup", "Fdown", "blocked"):
     y = exp.predicate(name)
-    rz = linalg.rank_of(z_subspace(cond_i, y, exp.T1), exp.model.tol)
-    rw = linalg.rank_of(w_subspace(cond_i, y, exp.T1), exp.model.tol)
+    rz = rank(z_subspace(cond_i, y, exp.T1))
+    rw = rank(w_subspace(cond_i, y, exp.T1))
     print(f"  {name:8s} dim Z = {rz}  dim W = {rw}")
 print("  trace identity residuals:",
       [f"{r:.2e}" for r in verify_trace_identity(cond_i, fwd)])
@@ -41,8 +48,8 @@ report = verifiability(cond_f, bwd)
 print(f"{report.direction} verdict (F_up at t1 vs records at t0):", report.verdict)
 for i, name in enumerate(("I", "notI")):
     y = bwd.projectors[i]
-    rz = linalg.rank_of(z_subspace(cond_f, y, exp.T0), exp.model.tol)
-    rw = linalg.rank_of(w_subspace(cond_f, y, exp.T0), exp.model.tol)
+    rz = rank(z_subspace(cond_f, y, exp.T0))
+    rw = rank(w_subspace(cond_f, y, exp.T0))
     print(f"  {name:8s} dim Z = {rz}  dim W = {rw}")
 print("  trace identity residuals:",
       [f"{r:.2e}" for r in verify_trace_identity(cond_f, bwd)])

@@ -54,7 +54,6 @@ from .model import (
     lift_system1,
     lift_system2,
     physical_restrict,
-    schrodinger,
     validate_family,
 )
 from .verify import (

@@ -28,9 +28,12 @@ from .linalg import Tolerance
 from .model import (
     Model,
     PhysicalFamily,
+    _commutes,
+    _possible,
+    _require_commutes,
+    _row_norms2,
     cumulative_propagator,
     lift_system1,
-    physical_restrict,
 )
 
 
@@ -42,7 +45,8 @@ class ConditionSpec:
     It keeps the d x m orthonormal basis W of the lifted predicate's
     range, V(k_c)^dagger (B (x) I) with B a range basis of ``x1``.  It is
     physically possible when W W^dagger commutes with P(k_c) and P(k_c) W
-    W^dagger is not zero, both within eps_zero.
+    W^dagger is not zero, both within eps_zero and decided from blocks
+    (:func:`model._possible`).
     """
 
     model: Model
@@ -54,9 +58,7 @@ class ConditionSpec:
         object.__setattr__(self, "x1", linalg.as_matrix(self.x1))
         object.__setattr__(self, "k_c", self.model.grid.check_index(self.k_c))
         w = lift_system1(self.model, self.x1, self.k_c, basis=True)
-        eps = self.tol.eps_zero
-        if not (self.fam.commutator_norm(self.k_c, w) <= eps
-                and self.fam.overlap_norm(self.k_c, w) > eps):
+        if not _possible(self.model, self.fam, self.k_c, w):
             raise NotPhysicallyPossibleError(
                 f"condition predicate is not physically possible at index {self.k_c}"
             )
@@ -101,7 +103,7 @@ def _support_basis(frame, coef, tol: Tolerance):
     PSD matrix the largest entry is on the diagonal, the largest squared
     row norm of G)."""
     g = _block(frame, coef)
-    if g.size == 0 or np.max(np.einsum("ij,ij->i", g, g.conj()).real) <= tol.eps_zero:
+    if g.size == 0 or np.max(_row_norms2(g)) <= tol.eps_zero:
         return None
     return _block(frame, linalg.range_basis(coef, tol))
 
@@ -199,7 +201,7 @@ def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
     rep = ObservableRep(cond, basis, tuple(labels))
     for k in range(cond.k_c + 1):
         w = lift_system1(model, rep.system1_projector(k), k, basis=True)
-        if cond.fam.commutator_norm(k, w) > cond.tol.eps_zero:
+        if not _commutes(model, cond.fam, k, w):
             raise DomainError(
                 f"observable representation rejected: X({k}) does not commute with "
                 "the physical family; perhaps the wrong system1 basis was chosen"
@@ -227,28 +229,56 @@ class StartTime:
     condition1_index: int
 
 
+def _same_trimming(cond: ConditionSpec, ga: np.ndarray, gb: np.ndarray) -> bool:
+    """Whether the trimmed operators G_a G_a^dagger and G_b G_b^dagger agree
+    within eps_zero, for d x m blocks G = P(k) W.
+
+    Their difference D = G_a (G_a - G_b)^dagger + (G_a - G_b) G_b^dagger
+    has ||D||_F <= (||G_a||_F + ||G_b||_F) ||G_a - G_b||_F, and its
+    diagonal, the difference of the squared row norms, bounds its largest
+    entry from below; the dense operators are compared only in between.
+    """
+    upper = (np.linalg.norm(ga) + np.linalg.norm(gb)) * np.linalg.norm(ga - gb)
+    lower = np.max(np.abs(_row_norms2(ga) - _row_norms2(gb)))
+    return linalg.within_zero(
+        upper, lower, lambda: linalg.max_abs(_dense((ga, None)) - _dense((gb, None))), cond.tol)
+
+
 def _condition1_indices(cond: ConditionSpec, top: int):
     """Indices k <= top that satisfy demand (1), in decreasing order.
 
-    trimmed(0) is held for the whole scan, so an index whose trimmed
-    operator already differs from index 0 costs one trimming product;
-    only indices that match it are compared with indices 1..k-1.  Index
-    0 qualifies vacuously and is always yielded last.
+    Each trimmed operator is held as its block G_k = P(k) W, and two are
+    compared by :func:`_same_trimming`, which forms no d x d matrix
+    unless the difference is near eps_zero.  G_0 is held for the whole
+    scan, so an index whose block already differs from index 0 costs one
+    trimming product; only indices that match it are compared with every
+    index 1..k-1.  Index 0 qualifies vacuously and is always yielded last.
     """
-    t0 = trimmed(cond, 0)
+    g0 = _block(*_trim(cond, 0))
     for k in range(top, 0, -1):
-        tk = trimmed(cond, k)
-        if linalg.approx_equal(t0, tk, cond.tol) and all(
-            linalg.approx_equal(trimmed(cond, t), tk, cond.tol) for t in range(1, k)
+        gk = _block(*_trim(cond, k))
+        if _same_trimming(cond, g0, gk) and all(
+            _same_trimming(cond, _block(*_trim(cond, t)), gk) for t in range(1, k)
         ):
             yield k
     yield 0
 
 
 def _condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
-    px = rep.projector(k)
-    restricted = physical_restrict(cond.model, cond.fam, px, k)
-    return linalg.approx_equal(restricted, px, cond.tol)
+    """Demand (2) at k: P(k) X(k) = X(k) within eps_zero, for the lifted
+    X(k) = W_x W_x^dagger.  P X - X = -((I - P) W_x) W_x^dagger, whose
+    Frobenius norm is ||(I - P) W_x||_F.  Raises NotPhysicallyPossibleError
+    when X(k) does not commute with P(k)."""
+    model = cond.model
+    w = lift_system1(model, rep.system1_projector(k), k, basis=True)
+    _require_commutes(model, cond.fam, k, w)
+    frob = np.linalg.norm(w - cond.fam.apply(k, w))
+
+    def measure():
+        px = rep.projector(k)
+        return linalg.max_abs(cond.fam.at(k) @ px - px)
+
+    return linalg.within_zero(frob, frob / model.dim, measure, cond.tol)
 
 
 def start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTime:
@@ -264,10 +294,12 @@ def start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTi
 
     Indices are scanned from k_c down to 0 and the first that qualifies
     is returned.  Each index is first compared with index 0, so a scan
-    typically costs k_c+1 trimming products rather than one per pair of
-    indices.  The demand-(1) index is computed once per condition and
-    kept on it; with ``rep`` the scan for both demands starts from that
-    index.
+    typically costs k_c+1 trimming products P(k) W rather than one per
+    pair of indices.  Both demands are decided from d x m blocks, with
+    the dense max-entry test only for a difference near eps_zero (see
+    :func:`linalg.within_zero`).  The demand-(1) index is computed once
+    per condition and kept on it; with ``rep`` the scan for both demands
+    starts from that index.
     """
     k1 = cond._condition1_index
     if k1 is None:

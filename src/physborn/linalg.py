@@ -2,13 +2,13 @@
 
 Products, adjoints, traces and tensor products are plain numpy; this
 module holds what numpy does not: the tolerances, input coercion, the
-Hermitian part, partial traces, support and span projectors and their
-orthonormal bases, the tolerance-based predicates and the projector-set
-check.  Every function
-that decides within a tolerance takes it as a required argument; the
-caller passes its model's.  Matrices are plain ``numpy.ndarray``
-objects with complex dtype; operator equality is always "max entry
-magnitude of the difference below a tolerance", never bitwise.
+Hermitian part, support projectors and orthonormal range and span bases,
+the tolerance-based predicates, the bounded zero test and the
+projector-set check.  Every function that decides within a tolerance
+takes it as a required argument; the caller passes its model's.
+Matrices are plain ``numpy.ndarray`` objects with complex dtype;
+operator equality is always "max entry magnitude of the difference
+below a tolerance", never bitwise.
 """
 
 from __future__ import annotations
@@ -62,25 +62,31 @@ def approx_equal(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:
     return max_abs(a - b) <= tol.eps_zero
 
 
+def within_zero(upper: float, lower: float, measure, tol: Tolerance) -> bool:
+    """Whether a matrix D has no entry above eps_zero, decided from two
+    bounds when they settle it: ``upper`` >= ||D||_F >= max|D_ij| >=
+    ``lower``.  True when ``upper`` is at most eps_zero, false when
+    ``lower`` exceeds it; only in between is ``measure()`` called, which
+    builds D densely and returns its max entry magnitude.
+
+    The callers hold D as d x m blocks and get both bounds in O(d m^2),
+    so the d x d matrix is formed only for a near miss.
+    """
+    if upper <= tol.eps_zero:
+        return True
+    if lower > tol.eps_zero:
+        return False
+    return _measured_within_zero(measure, tol)
+
+
+def _measured_within_zero(measure, tol: Tolerance) -> bool:
+    """The dense max-entry test that decides between the bounds."""
+    return measure() <= tol.eps_zero
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dagger) / 2, exactly Hermitian."""
     return (m + m.conj().T) / 2
-
-
-def partial_trace_2(m, d1: int, d2: int) -> np.ndarray:
-    """Trace out the second tensor factor of a (d1*d2) x (d1*d2) matrix."""
-    m = as_matrix(m)
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ShapeError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
-    return np.einsum("ikjk->ij", m.reshape(d1, d2, d1, d2))
-
-
-def partial_trace_1(m, d1: int, d2: int) -> np.ndarray:
-    """Trace out the first tensor factor of a (d1*d2) x (d1*d2) matrix."""
-    m = as_matrix(m)
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ShapeError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
-    return np.einsum("kikj->ij", m.reshape(d1, d2, d1, d2))
 
 
 def is_hermitian(m: np.ndarray, tol: Tolerance) -> bool:
@@ -142,12 +148,6 @@ def range_basis(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     return u[:, s * s > tol.eps_eig]
 
 
-def rank_of(p: np.ndarray, tol: Tolerance) -> int:
-    """Rank of a Hermitian PSD matrix at the support tolerance."""
-    w = np.linalg.eigvalsh(hermitian_part(p))
-    return int(np.sum(w > tol.eps_eig))
-
-
 def span_basis(vectors, tol: Tolerance) -> np.ndarray:
     """Orthonormal basis, as columns, of the span of the given vectors
     (which need not be orthonormal or independent): the left singular
@@ -155,17 +155,11 @@ def span_basis(vectors, tol: Tolerance) -> np.ndarray:
     one (or to 1 when that is smaller)."""
     cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not cols:
-        raise DomainError("projector_from_span needs at least one vector")
+        raise DomainError("a span needs at least one vector")
     a = np.column_stack(cols)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     keep = s > tol.eps_eig * max(1.0, float(s[0]) if s.size else 1.0)
     return u[:, keep]
-
-
-def projector_from_span(vectors, tol: Tolerance) -> np.ndarray:
-    """Orthogonal projector onto the span of the given vectors."""
-    us = span_basis(vectors, tol)
-    return us @ us.conj().T
 
 
 def square_set(projectors) -> tuple:

@@ -120,15 +120,6 @@ def heisenberg(model: Model, a_schrodinger, k: int) -> np.ndarray:
     return v.conj().T @ a @ v
 
 
-def schrodinger(model: Model, a_heisenberg, k: int) -> np.ndarray:
-    """Inverse of :func:`heisenberg`: V(k) a V(k)^dagger."""
-    a = linalg.as_matrix(a_heisenberg)
-    if a.shape != (model.dim, model.dim):
-        raise ShapeError(f"operator shape {a.shape} does not match model dim {model.dim}")
-    v = cumulative_propagator(model, k)
-    return v @ a @ v.conj().T
-
-
 def _projector_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the range of a projector, as columns: the
     standard basis vectors on its unit diagonal when it is diagonal, its
@@ -315,8 +306,29 @@ class FamilyValidation:
 
 
 def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
-    """Check projector validity, nonzeroness, and the nesting law for
-    every index pair j < k."""
+    """Check projector validity, nonzeroness, and the nesting law
+    P(j) P(k) = P(j) for every index pair j < k, each within eps_zero.
+
+    An explicit family is checked with dense d x d products.  A basis
+    family is checked from its blocks (:func:`_basis_checks`), and the
+    dense max-entry test runs only for a quantity that falls between
+    the bounds of :func:`linalg.within_zero`; the verdicts are the same.
+    """
+    if fam._projectors is None:
+        proj_ok, nonzero, violations = _basis_checks(model, fam)
+    else:
+        proj_ok, nonzero, violations = _dense_checks(model, fam)
+    passed = (
+        len(fam) == model.n_indices
+        and all(proj_ok)
+        and all(nonzero)
+        and not violations
+    )
+    return FamilyValidation(proj_ok, nonzero, violations, passed)
+
+
+def _dense_checks(model: Model, fam: PhysicalFamily) -> tuple:
+    """The checks of :func:`validate_family` on explicit projectors."""
     tol = model.tol
     projs = fam.projectors
     n = len(projs)
@@ -331,13 +343,66 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
             pj, pk = projs[j], projs[k]
             if pj.shape == pk.shape and linalg.max_abs(pj @ pk - pj) > tol.eps_zero:
                 violations.append((j, k))
-    passed = (
-        n == model.n_indices
-        and all(proj_ok)
-        and all(nonzero)
-        and not violations
-    )
-    return FamilyValidation(proj_ok, nonzero, tuple(violations), passed)
+    return proj_ok, nonzero, tuple(violations)
+
+
+def _basis_checks(model: Model, fam: PhysicalFamily) -> tuple:
+    """The checks of :func:`validate_family` on P(k) = U U^dagger, from
+    blocks of U.
+
+    With E = U^dagger U - I, P^2 - P = U E U^dagger, whose Frobenius norm
+    is at most (1 + ||E||_F) ||E||_F and whose diagonal bounds its largest
+    entry from below; U U^dagger is Hermitian up to rounding.  ||P||_F is
+    ||U^dagger U||_F and the largest squared row norm of U is a diagonal
+    entry of P.  For j < k, P(j) P(k) - P(j) = -U_j R^dagger with
+    R = (I - P(k)) U_j, so its Frobenius norm is at most ||U_j||_2 ||R||_F
+    and its diagonal is the row-wise product of U_j and R; R is formed
+    for every j < k at once.
+    """
+    tol = model.tol
+    bases = fam._bases
+    proj_ok, nonzero, e_norms = [], [], []
+    for k, u in enumerate(bases):
+        gram = u.conj().T @ u
+        e = gram - np.eye(len(gram))
+        e_norms.append(np.linalg.norm(e))
+        diag = np.einsum("ij,jk,ik->i", u, e, u.conj())
+        proj_ok.append(u.shape[0] == model.dim and linalg.within_zero(
+            (1 + e_norms[k]) * e_norms[k], np.max(np.abs(diag), initial=0.0),
+            lambda: _projector_defect(fam.at(k)), tol))
+        nonzero.append(not linalg.within_zero(
+            np.linalg.norm(gram), np.max(_row_norms2(u), initial=0.0),
+            lambda: linalg.max_abs(fam.at(k)), tol))
+
+    violations = []
+    for k, uk in enumerate(bases):
+        earlier = [j for j in range(k) if bases[j].shape[0] == uk.shape[0]]
+        if not earlier:
+            continue
+        stacked = np.hstack([bases[j] for j in earlier])
+        rest = stacked - uk @ (uk.conj().T @ stacked)
+        start = 0
+        for j in earlier:
+            cols = slice(start, start + bases[j].shape[1])
+            start = cols.stop
+            uj, r = stacked[:, cols], rest[:, cols]
+            if not linalg.within_zero(
+                    math.sqrt(1 + e_norms[j]) * np.linalg.norm(r),
+                    np.max(np.abs(np.einsum("ij,ij->i", uj, r.conj()))),
+                    lambda: linalg.max_abs(fam.at(j) @ fam.at(k) - fam.at(j)), tol):
+                violations.append((j, k))
+    return tuple(proj_ok), tuple(nonzero), tuple(sorted(violations))
+
+
+def _projector_defect(p: np.ndarray) -> float:
+    """max(max|P - P^dagger|, max|P^2 - P|): at most eps_zero exactly when
+    :func:`linalg.is_projector` holds."""
+    return max(linalg.max_abs(p - p.conj().T), linalg.max_abs(p @ p - p))
+
+
+def _row_norms2(g: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of g."""
+    return np.einsum("ij,ij->i", g, g.conj()).real
 
 
 def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily:
@@ -378,23 +443,59 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
     return PhysicalFamily.from_bases(bases)
 
 
+def _commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
+              g: np.ndarray | None = None) -> bool:
+    """Whether [W W^dagger, P(k)] has no entry above eps_zero, for a d x m
+    orthonormal block W and G = P(k) W (computed when not given).
+
+    The commutator is W G^dagger - G W^dagger.  Split G = W A + R with
+    A = W^dagger G and W^dagger R = 0: its three parts are orthogonal, so
+    its squared Frobenius norm is ||A - A^dagger||_F^2 + 2 ||R||_F^2, and
+    that norm over d bounds its largest entry from below.
+    """
+    if g is None:
+        g = fam.apply(k, w)
+    a = w.conj().T @ g
+    frob = math.hypot(np.linalg.norm(a - a.conj().T), math.sqrt(2) * np.linalg.norm(g - w @ a))
+    return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
+
+
+def _possible(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> bool:
+    """Whether the predicate W W^dagger (W a d x m orthonormal block) is
+    physically possible at k: it commutes with P(k), and P(k) W W^dagger,
+    whose Frobenius norm is ||P(k) W||_F, has an entry above eps_zero."""
+    g = fam.apply(k, w)
+    frob = np.linalg.norm(g)
+    return _commutes(model, fam, k, w, g) and not linalg.within_zero(
+        frob, frob / len(w), lambda: fam.overlap_norm(k, w), model.tol)
+
+
+def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:
+    if not _commutes(model, fam, k, w):
+        raise NotPhysicallyPossibleError(
+            f"predicate does not commute with the physical family at index {k}"
+        )
+
+
+def _predicate_basis(model: Model, pX) -> np.ndarray:
+    """Orthonormal basis of the range of a full-space projector."""
+    pX = linalg.as_matrix(pX)
+    if pX.shape != (model.dim, model.dim):
+        raise ShapeError(f"predicate shape {pX.shape} does not match model dim {model.dim}")
+    if not linalg.is_projector(pX, model.tol):
+        raise DomainError("a predicate must be a projector")
+    return _projector_basis(pX)
+
+
 def is_physically_possible(model: Model, fam: PhysicalFamily, pX, k: int) -> bool:
     """A predicate is physically possible at k iff it commutes with the
-    family there and has nonzero overlap with it."""
-    pX = linalg.as_matrix(pX)
-    p = fam.at(k)
-    return (
-        linalg.commutes(pX, p, model.tol)
-        and linalg.max_abs(p @ pX) > model.tol.eps_zero
-    )
+    family there and has nonzero overlap with it; decided from the range
+    basis of ``pX`` (see :func:`_possible`)."""
+    return _possible(model, fam, k, _predicate_basis(model, pX))
 
 
 def physical_restrict(model: Model, fam: PhysicalFamily, pX, k: int) -> np.ndarray:
     """P(k) pX, the physical part of a commuting predicate (possibly zero)."""
     pX = linalg.as_matrix(pX)
-    p = fam.at(k)
-    if not linalg.commutes(pX, p, model.tol):
-        raise NotPhysicallyPossibleError(
-            f"predicate does not commute with the physical family at index {k}"
-        )
-    return p @ pX
+    _require_commutes(model, fam, k, _predicate_basis(model, pX))
+    return fam.apply(k, pX)

@@ -12,6 +12,7 @@ from physborn.born import OutcomeSet, ProbabilityResult
 from physborn.condition import (
     ConditionSpec,
     ObservableRep,
+    StartTime,
     check_k0,
     observable_rep,
     support_at,
@@ -19,19 +20,64 @@ from physborn.condition import (
 from physborn.errors import (
     DomainError,
     NotPhysicallyPossibleError,
+    ShapeError,
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
-from physborn.linalg import DEFAULT_TOL, projector_from_span
+from physborn.linalg import DEFAULT_TOL
 from physborn.model import (
+    FamilyValidation,
     Model,
     PhysicalFamily,
     TimeGrid,
+    cumulative_propagator,
     forward_closure,
     is_physically_possible,
     lift_predicate,
-    schrodinger,
+    lift_system1,
 )
+
+
+# ---------------------------------------------------------------------------
+# Dense helpers the library no longer needs: partial traces, span
+# projectors, ranks, and the move back to the Schrodinger picture.
+
+
+def partial_trace_2(m, d1: int, d2: int) -> np.ndarray:
+    """Trace out the second tensor factor of a (d1*d2) x (d1*d2) matrix."""
+    m = linalg.as_matrix(m)
+    if m.shape != (d1 * d2, d1 * d2):
+        raise ShapeError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
+    return np.einsum("ikjk->ij", m.reshape(d1, d2, d1, d2))
+
+
+def partial_trace_1(m, d1: int, d2: int) -> np.ndarray:
+    """Trace out the first tensor factor of a (d1*d2) x (d1*d2) matrix."""
+    m = linalg.as_matrix(m)
+    if m.shape != (d1 * d2, d1 * d2):
+        raise ShapeError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
+    return np.einsum("kikj->ij", m.reshape(d1, d2, d1, d2))
+
+
+def projector_from_span(vectors, tol: linalg.Tolerance) -> np.ndarray:
+    """Orthogonal projector onto the span of the given vectors."""
+    us = linalg.span_basis(vectors, tol)
+    return us @ us.conj().T
+
+
+def rank_of(p: np.ndarray, tol: linalg.Tolerance) -> int:
+    """Rank of a Hermitian PSD matrix at the support tolerance."""
+    w = np.linalg.eigvalsh(linalg.hermitian_part(p))
+    return int(np.sum(w > tol.eps_eig))
+
+
+def schrodinger(model: Model, a_heisenberg, k: int) -> np.ndarray:
+    """Inverse of ``model.heisenberg``: V(k) a V(k)^dagger."""
+    a = linalg.as_matrix(a_heisenberg)
+    if a.shape != (model.dim, model.dim):
+        raise ShapeError(f"operator shape {a.shape} does not match model dim {model.dim}")
+    v = cumulative_propagator(model, k)
+    return v @ a @ v.conj().T
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -101,6 +147,44 @@ def recording_model(rng):
     initial = [record_state() for _ in range(int(rng.integers(1, 3)))]
     extras = {k: [record_state() for _ in range(int(rng.integers(0, 2)))] for k in range(1, n)}
     return model, forward_closure(model, initial, extras)
+
+
+def drifting_condition(rng):
+    """A condition on random dynamics whose family drifts by a random walk
+    of tiny rotations (steps of 1e-10 to 3e-9, either sign) and sometimes
+    gains a rank, so trimmed operators at different indices differ by
+    amounts on both sides of eps_zero."""
+    return ConditionSpec(*drifting_instance(rng))
+
+
+def drifting_instance(rng, rotation_index=None):
+    """(model, family, x1, k_c) of :func:`drifting_condition`.  The lifted
+    predicate is rotated as the family is at ``rotation_index`` (k_c by
+    default); at another index it commutes with P(k_c) only up to the
+    drift between the two."""
+    d = int(rng.integers(3, 8))
+    n = int(rng.integers(3, 10))
+    u = random_unitary(rng, d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w, v = np.linalg.eigh(a + a.conj().T)
+    w = w / np.max(np.abs(w))
+    theta = np.cumsum(rng.choice((-1.0, 1.0), n) * rng.uniform(1e-10, 3e-9, n))
+
+    def rotated(cols, k):
+        b = (v * np.exp(-1j * theta[k] * w)) @ v.conj().T @ u[:, cols]
+        return b @ b.conj().T
+
+    rank, projs = int(rng.integers(1, d)), []
+    for k in range(n):
+        projs.append(rotated(list(range(rank)), k))
+        if rank < d and rng.random() < 0.3:
+            rank += 1
+    k_c = n - 1
+    m = Model(d, 1, TimeGrid(tuple(float(t) for t in range(n))),
+              tuple(random_unitary(rng, d) for _ in range(n - 1)))
+    cols = [0] + [i for i in range(1, d) if rng.random() < 0.5]
+    x1 = schrodinger(m, rotated(cols, k_c if rotation_index is None else rotation_index), k_c)
+    return m, PhysicalFamily(tuple(projs)), (x1 + x1.conj().T) / 2, k_c
 
 
 def verifiable_pairs(seed: int, count: int):
@@ -182,7 +266,7 @@ def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
     for k in range(proc.k1, proc.k2 + 1):
         anchor = anchor_at(k)
         op = schrodinger(model, anchor @ core @ anchor, k)
-        kap = linalg.hermitian_part(linalg.partial_trace_1(op, model.d1, model.d2) / den)
+        kap = linalg.hermitian_part(partial_trace_1(op, model.d1, model.d2) / den)
         w = np.linalg.eigvalsh(kap)
         if w[0] < -tol.eps_eig:
             raise DomainError(f"kappa at index {k} is not PSD (eigenvalue {w[0]:.3e})")
@@ -244,6 +328,97 @@ def dense_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet, k0: int = 0)
         rhs = np.trace(pz @ p0).real
         residuals.append(abs(lhs - rhs))
     return tuple(residuals)
+
+
+# ---------------------------------------------------------------------------
+# Dense tolerance-decision oracles.  The library decides each "max entry
+# within eps_zero" test below from bounds on d x m blocks and builds the
+# d x d matrix only between the bounds; these are its earlier bodies,
+# which compare dense d x d matrices every time.
+
+
+def dense_condition1_indices(cond: ConditionSpec, top: int):
+    """Demand-(1) indices k <= top, in decreasing order, from dense
+    trimmed operators."""
+    t0 = dense_trimmed(cond, 0)
+    for k in range(top, 0, -1):
+        tk = dense_trimmed(cond, k)
+        if linalg.approx_equal(t0, tk, cond.tol) and all(
+            linalg.approx_equal(dense_trimmed(cond, t), tk, cond.tol) for t in range(1, k)
+        ):
+            yield k
+    yield 0
+
+
+def dense_physical_restrict(model: Model, fam: PhysicalFamily, pX, k: int) -> np.ndarray:
+    """P(k) pX, refused unless pX commutes with P(k)."""
+    pX = linalg.as_matrix(pX)
+    p = fam.at(k)
+    if not linalg.commutes(pX, p, model.tol):
+        raise NotPhysicallyPossibleError(
+            f"predicate does not commute with the physical family at index {k}"
+        )
+    return p @ pX
+
+
+def dense_is_physically_possible(model: Model, fam: PhysicalFamily, pX, k: int) -> bool:
+    """[pX, P(k)] and P(k) pX compared entry by entry with eps_zero."""
+    pX = linalg.as_matrix(pX)
+    p = fam.at(k)
+    return (
+        linalg.commutes(pX, p, model.tol)
+        and linalg.max_abs(p @ pX) > model.tol.eps_zero
+    )
+
+
+def dense_condition_possible(model: Model, fam: PhysicalFamily, x1, k_c: int) -> bool:
+    """The possibility test of ``ConditionSpec`` by its max-entry norms."""
+    w = lift_system1(model, x1, k_c, basis=True)
+    eps = model.tol.eps_zero
+    return fam.commutator_norm(k_c, w) <= eps and fam.overlap_norm(k_c, w) > eps
+
+
+def dense_condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
+    """Demand (2) at k: P(k) X(k) = X(k) for the dense lifted X(k)."""
+    px = rep.projector(k)
+    restricted = dense_physical_restrict(cond.model, cond.fam, px, k)
+    return linalg.approx_equal(restricted, px, cond.tol)
+
+
+def dense_start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTime:
+    """``start_time`` with dense trimmed operators and lifted X(k)."""
+    k1 = next(dense_condition1_indices(cond, cond.k_c))
+    if rep is None:
+        return StartTime(k1, False, k1)
+    for k in dense_condition1_indices(cond, k1):
+        if dense_condition2_holds(cond, rep, k):
+            return StartTime(k, False, k1)
+    return StartTime(0, True, k1)
+
+
+def dense_validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
+    """Every projector and every pair j < k checked with d x d products."""
+    tol = model.tol
+    projs = fam.projectors
+    n = len(projs)
+    proj_ok = tuple(
+        p.shape == (model.dim, model.dim) and linalg.is_projector(p, tol)
+        for p in projs
+    )
+    nonzero = tuple(linalg.max_abs(p) > tol.eps_zero for p in projs)
+    violations = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            pj, pk = projs[j], projs[k]
+            if pj.shape == pk.shape and linalg.max_abs(pj @ pk - pj) > tol.eps_zero:
+                violations.append((j, k))
+    passed = (
+        n == model.n_indices
+        and all(proj_ok)
+        and all(nonzero)
+        and not violations
+    )
+    return FamilyValidation(proj_ok, nonzero, tuple(violations), passed)
 
 
 # ---------------------------------------------------------------------------

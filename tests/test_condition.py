@@ -21,9 +21,11 @@ from physborn.errors import (
     NotPhysicallyPossibleError,
     UnreachableConditionError,
 )
-from physborn.model import Model, PhysicalFamily, TimeGrid, physical_restrict, schrodinger
+from physborn.model import Model, PhysicalFamily, TimeGrid
 
 from conftest import (
+    dense_physical_restrict,
+    drifting_condition,
     expanded_condition_operator,
     random_nested_family,
     random_span_projector,
@@ -150,7 +152,7 @@ def _quadratic_start_time(cond, rep=None):
 
     def demand2(k):
         px = rep.projector(k)
-        return linalg.approx_equal(physical_restrict(cond.model, cond.fam, px, k), px, cond.tol)
+        return linalg.approx_equal(dense_physical_restrict(cond.model, cond.fam, px, k), px, cond.tol)
 
     cond1 = [k for k in range(cond.k_c + 1) if demand1(k)]
     k1 = max(cond1)
@@ -162,41 +164,11 @@ def _quadratic_start_time(cond, rep=None):
     return StartTime(max(joint), False, k1)
 
 
-def _drifting_condition(rng):
-    """A condition on random dynamics whose family drifts by a random walk
-    of tiny rotations (steps of 1e-10 to 3e-9, either sign) and sometimes
-    gains a rank, so trimmed operators at different indices differ by
-    amounts on both sides of eps_zero."""
-    d = int(rng.integers(3, 8))
-    n = int(rng.integers(3, 10))
-    u = random_unitary(rng, d)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    w, v = np.linalg.eigh(a + a.conj().T)
-    w = w / np.max(np.abs(w))
-    theta = np.cumsum(rng.choice((-1.0, 1.0), n) * rng.uniform(1e-10, 3e-9, n))
-
-    def rotated(cols, k):
-        b = (v * np.exp(-1j * theta[k] * w)) @ v.conj().T @ u[:, cols]
-        return b @ b.conj().T
-
-    rank, projs = int(rng.integers(1, d)), []
-    for k in range(n):
-        projs.append(rotated(list(range(rank)), k))
-        if rank < d and rng.random() < 0.3:
-            rank += 1
-    k_c = n - 1
-    m = Model(d, 1, TimeGrid(tuple(float(t) for t in range(n))),
-              tuple(random_unitary(rng, d) for _ in range(n - 1)))
-    cols = [0] + [i for i in range(1, d) if rng.random() < 0.5]
-    x1 = schrodinger(m, rotated(cols, k_c), k_c)
-    return ConditionSpec(m, PhysicalFamily(tuple(projs)), (x1 + x1.conj().T) / 2, k_c)
-
-
 def test_start_time_matches_quadratic_oracle_on_drifting_families():
     rng = np.random.default_rng(46)
     non_transitive, kinds = 0, set()
     for _ in range(300):
-        cond = _drifting_condition(rng)
+        cond = drifting_condition(rng)
         expected = _quadratic_start_time(cond)
         assert start_time(cond) == expected
         kinds.add((expected.index == 0, expected.index == cond.k_c))
@@ -212,14 +184,15 @@ def test_start_time_matches_quadratic_oracle_on_drifting_families():
 
 
 def test_start_time_computed_once_per_condition(monkeypatch):
+    # the scan compares blocks P(k) W, so count the trimming products
     calls = []
-    original = condition.trimmed
+    original = condition._trim
 
     def counting(cond, k):
         calls.append(k)
         return original(cond, k)
 
-    monkeypatch.setattr(condition, "trimmed", counting)
+    monkeypatch.setattr(condition, "_trim", counting)
     rng = np.random.default_rng(47)
     m = _trivial_model(rng, 4, 6)
     fam = PhysicalFamily((np.eye(4, dtype=complex),) * 6)

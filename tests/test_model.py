@@ -22,7 +22,6 @@ from physborn.model import (
     lift_system1,
     lift_system2,
     physical_restrict,
-    schrodinger,
     validate_family,
 )
 
@@ -32,6 +31,8 @@ from conftest import (
     random_model,
     random_nested_family,
     random_unitary,
+    rank_of,
+    schrodinger,
 )
 
 
@@ -121,7 +122,7 @@ def test_validate_family_random_nested():
         # nesting is directional: reversing the family must fail unless
         # all ranks happened to be equal
         rev = PhysicalFamily(tuple(reversed(fam.projectors)))
-        ranks = [linalg.rank_of(p, m.tol) for p in fam.projectors]
+        ranks = [rank_of(p, m.tol) for p in fam.projectors]
         if len(set(ranks)) > 1:
             assert not validate_family(m, rev).passed
 
@@ -144,7 +145,7 @@ def test_forward_closure_nesting_and_ranks():
     extras = {2: [rng.standard_normal(6) + 1j * rng.standard_normal(6)]}
     fam = forward_closure(m, init, extras)
     assert validate_family(m, fam).passed
-    ranks = [linalg.rank_of(p, m.tol) for p in fam.projectors]
+    ranks = [rank_of(p, m.tol) for p in fam.projectors]
     assert ranks == sorted(ranks)
     assert ranks[0] == 1 and ranks[2] == 2
 

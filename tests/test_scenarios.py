@@ -10,7 +10,6 @@ from physborn.linalg import Tolerance
 from physborn.model import (
     is_physically_possible,
     lift_system1,
-    schrodinger,
     validate_family,
 )
 from physborn.scenarios import (
@@ -22,7 +21,7 @@ from physborn.scenarios import (
     textbook_born,
 )
 
-from conftest import check_self_consistency
+from conftest import check_self_consistency, partial_trace_1, rank_of, schrodinger
 
 # value fixed by direct computation in the built model, then frozen
 TEXTBOOK_RETRODICTION = 0.1
@@ -52,7 +51,7 @@ def test_record_i_pins_down_the_particle(ref):
     # forces spin +y in the detector-1 cell
     p = ref.fam.at(ref.T0)
     li = lift_system1(ref.model, ref.predicate("I"), ref.T0)
-    red = linalg.partial_trace_1(
+    red = partial_trace_1(
         schrodinger(ref.model, p @ li @ p, ref.T0), 5, 10
     )
     red = red / np.trace(red).real
@@ -122,9 +121,9 @@ def test_spin_state_directions():
 
 def test_observer_space_construction():
     one = build_sg_observer_space([(0.0, 0.0, 1.0)])
-    assert linalg.rank_of(one.fam.at(0), one.model.tol) == 1
+    assert rank_of(one.fam.at(0), one.model.tol) == 1
     two = build_sg_observer_space([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
-    assert linalg.rank_of(two.fam.at(0), two.model.tol) == 2
+    assert rank_of(two.fam.at(0), two.model.tol) == 2
     assert linalg.is_projector(two.fam.at(0), two.model.tol)
     with pytest.raises(DomainError):
         build_sg_observer_space([(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)])

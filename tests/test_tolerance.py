@@ -45,8 +45,8 @@ ENTRY_POINTS = {
 REQUIRED = {
     *(f"linalg.{name}" for name in (
         "approx_equal", "is_hermitian", "is_unitary", "is_projector", "commutes",
-        "support_projector", "range_basis", "rank_of", "projector_from_span",
-        "span_basis", "orthogonal_projectors",
+        "within_zero", "support_projector", "range_basis", "span_basis",
+        "orthogonal_projectors",
     )),
     "measurement.KappaPath",
 }

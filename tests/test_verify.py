@@ -19,7 +19,7 @@ from physborn.verify import (
     z_subspace,
 )
 
-from conftest import random_unitary, verifiable_pairs
+from conftest import random_unitary, rank_of, verifiable_pairs
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +88,9 @@ def test_zw_decomposition_forward(ref):
         assert np.max(np.abs(pz + pw - phys)) <= 1e-9
     # the detected outcomes certainly came from I; the blocked outcome
     # certainly did not
-    assert linalg.rank_of(z_subspace(cond, ref.predicate("Fup"), ref.T1), cond.tol) == 1
-    assert linalg.rank_of(w_subspace(cond, ref.predicate("Fup"), ref.T1), cond.tol) == 0
-    assert linalg.rank_of(z_subspace(cond, ref.predicate("blocked"), ref.T1), cond.tol) == 0
+    assert rank_of(z_subspace(cond, ref.predicate("Fup"), ref.T1), cond.tol) == 1
+    assert rank_of(w_subspace(cond, ref.predicate("Fup"), ref.T1), cond.tol) == 0
+    assert rank_of(z_subspace(cond, ref.predicate("blocked"), ref.T1), cond.tol) == 0
 
 
 def test_zw_decomposition_backward(ref):
@@ -98,8 +98,8 @@ def test_zw_decomposition_backward(ref):
     pz = z_subspace(cond, ref.predicate("I"), ref.T0)
     pw = w_subspace(cond, ref.predicate("I"), ref.T0)
     # everything in the final record came through the first detector
-    assert linalg.rank_of(pz, cond.tol) == 1
-    assert linalg.rank_of(pw, cond.tol) == 0
+    assert rank_of(pz, cond.tol) == 1
+    assert rank_of(pw, cond.tol) == 0
     phys = ref.fam.at(ref.T1) @ lift_system1(ref.model, ref.predicate("Fup"), ref.T1)
     assert np.max(np.abs(pz - linalg.support_projector(phys @ phys.conj().T, cond.tol))) <= 1e-9
 
