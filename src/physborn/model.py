@@ -477,25 +477,23 @@ def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) 
         )
 
 
-def _predicate_basis(model: Model, pX) -> np.ndarray:
-    """Orthonormal basis of the range of a full-space projector."""
-    pX = linalg.as_matrix(pX)
-    if pX.shape != (model.dim, model.dim):
-        raise ShapeError(f"predicate shape {pX.shape} does not match model dim {model.dim}")
-    if not linalg.is_projector(pX, model.tol):
-        raise DomainError("a predicate must be a projector")
-    return _projector_basis(pX)
-
-
 def is_physically_possible(model: Model, fam: PhysicalFamily, pX, k: int) -> bool:
     """A predicate is physically possible at k iff it commutes with the
-    family there and has nonzero overlap with it; decided from the range
-    basis of ``pX`` (see :func:`_possible`)."""
-    return _possible(model, fam, k, _predicate_basis(model, pX))
+    family there and has nonzero overlap with it."""
+    pX = linalg.as_matrix(pX)
+    p = fam.at(k)
+    return (
+        linalg.commutes(pX, p, model.tol)
+        and linalg.max_abs(p @ pX) > model.tol.eps_zero
+    )
 
 
 def physical_restrict(model: Model, fam: PhysicalFamily, pX, k: int) -> np.ndarray:
     """P(k) pX, the physical part of a commuting predicate (possibly zero)."""
     pX = linalg.as_matrix(pX)
-    _require_commutes(model, fam, k, _predicate_basis(model, pX))
-    return fam.apply(k, pX)
+    p = fam.at(k)
+    if not linalg.commutes(pX, p, model.tol):
+        raise NotPhysicallyPossibleError(
+            f"predicate does not commute with the physical family at index {k}"
+        )
+    return p @ pX

@@ -35,6 +35,7 @@ from physborn.model import (
     is_physically_possible,
     lift_predicate,
     lift_system1,
+    physical_restrict,
 )
 
 
@@ -350,27 +351,6 @@ def dense_condition1_indices(cond: ConditionSpec, top: int):
     yield 0
 
 
-def dense_physical_restrict(model: Model, fam: PhysicalFamily, pX, k: int) -> np.ndarray:
-    """P(k) pX, refused unless pX commutes with P(k)."""
-    pX = linalg.as_matrix(pX)
-    p = fam.at(k)
-    if not linalg.commutes(pX, p, model.tol):
-        raise NotPhysicallyPossibleError(
-            f"predicate does not commute with the physical family at index {k}"
-        )
-    return p @ pX
-
-
-def dense_is_physically_possible(model: Model, fam: PhysicalFamily, pX, k: int) -> bool:
-    """[pX, P(k)] and P(k) pX compared entry by entry with eps_zero."""
-    pX = linalg.as_matrix(pX)
-    p = fam.at(k)
-    return (
-        linalg.commutes(pX, p, model.tol)
-        and linalg.max_abs(p @ pX) > model.tol.eps_zero
-    )
-
-
 def dense_condition_possible(model: Model, fam: PhysicalFamily, x1, k_c: int) -> bool:
     """The possibility test of ``ConditionSpec`` by its max-entry norms."""
     w = lift_system1(model, x1, k_c, basis=True)
@@ -381,7 +361,7 @@ def dense_condition_possible(model: Model, fam: PhysicalFamily, x1, k_c: int) ->
 def dense_condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
     """Demand (2) at k: P(k) X(k) = X(k) for the dense lifted X(k)."""
     px = rep.projector(k)
-    restricted = dense_physical_restrict(cond.model, cond.fam, px, k)
+    restricted = physical_restrict(cond.model, cond.fam, px, k)
     return linalg.approx_equal(restricted, px, cond.tol)
 
 

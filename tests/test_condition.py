@@ -21,10 +21,9 @@ from physborn.errors import (
     NotPhysicallyPossibleError,
     UnreachableConditionError,
 )
-from physborn.model import Model, PhysicalFamily, TimeGrid
+from physborn.model import Model, PhysicalFamily, TimeGrid, physical_restrict
 
 from conftest import (
-    dense_physical_restrict,
     drifting_condition,
     expanded_condition_operator,
     random_nested_family,
@@ -152,7 +151,7 @@ def _quadratic_start_time(cond, rep=None):
 
     def demand2(k):
         px = rep.projector(k)
-        return linalg.approx_equal(dense_physical_restrict(cond.model, cond.fam, px, k), px, cond.tol)
+        return linalg.approx_equal(physical_restrict(cond.model, cond.fam, px, k), px, cond.tol)
 
     cond1 = [k for k in range(cond.k_c + 1) if demand1(k)]
     k1 = max(cond1)

@@ -183,6 +183,18 @@ def test_physically_possible_and_restrict():
         physical_restrict(m, fam, p_bad, 0)
 
 
+def test_physically_possible_answers_for_any_square_matrix():
+    # both functions test the matrix they are given, entry by entry: a
+    # near-projector or a non-projector gets an answer, not a refusal
+    m = Model(2, 2, TimeGrid((0.0, 1.0)), (np.eye(4, dtype=complex),))
+    proj = np.diag([1.0, 1.0, 0, 0]).astype(complex)
+    fam = PhysicalFamily((proj, proj))
+    for x in (np.diag([1.0 + 3e-9, 1.0, 0, 0]), np.diag([0.5, 2.0, 0, 0])):
+        assert is_physically_possible(m, fam, x, 0)
+        assert np.array_equal(physical_restrict(m, fam, x, 0), proj @ x)
+    assert not is_physically_possible(m, fam, np.diag([0, 0, 0.5, 2.0]), 0)
+
+
 def test_family_index_out_of_range_is_refused():
     # a negative index used to wrap to a later projector, and k = n raised
     # a bare tuple IndexError
