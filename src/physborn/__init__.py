@@ -53,7 +53,6 @@ from .model import (
     is_physically_possible,
     lift_system1,
     lift_system2,
-    physical_restrict,
     validate_family,
 )
 from .verify import (

@@ -33,10 +33,8 @@ from . import linalg
 from .condition import (
     ConditionSpec,
     ObservableRep,
-    _block,
     _no_weight,
-    _support_basis,
-    _trim,
+    _support,
     check_k0,
     condition_state,
     trimmed_state,
@@ -185,11 +183,9 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     if not 0 <= y_index < len(outcomes):
         raise IndexError(f"outcome index {y_index} out of range")
 
-    frame, coef = _trim(cond, k)
-    sup = _support_basis(frame, coef, cond.tol)
+    back, sup = _support(cond.model, cond.fam, k, cond.basis)
     if sup is None:
         raise _no_weight(k)
-    back = _block(frame, coef)
     core = cond.fam.sandwich(k0, sup)
     terms = []
     for y1 in outcomes.projectors:
@@ -217,7 +213,7 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         )
     check_k0(cond, k0)
     if rep is None:
-        anchor, variant = _support_basis(*_trim(cond, k), cond.tol), "support"
+        anchor, variant = _support(cond.model, cond.fam, k, cond.basis)[1], "support"
         if anchor is None:
             raise _no_weight(k)
     else:
@@ -255,15 +251,11 @@ def verifiability_norms(cond: ConditionSpec, wy: np.ndarray, k: int) -> tuple:
     from ``lift_predicate``): [Y, P(k)], and [Y, X] sandwiched by P(s) at
     the earlier index s = min(k, k_c).
 
-    The second is F - F^dagger for F = P(s) Y X P(s), built from the
-    blocks P(s) wy and P(s) W (an r x r core between range bases).
+    The second is F - F^dagger for F = P(s) Y X P(s) = G_Y (wy^dagger W)
+    G_X^dagger, built from the blocks G_Y = P(s) wy and G_X = P(s) W.
     """
-    w = cond.basis
-    fy, cy = cond.fam.restrict(min(k, cond.k_c), wy)
-    _, cx = cond.fam.restrict(min(k, cond.k_c), w)
-    f = cy @ (wy.conj().T @ w) @ cx.conj().T
-    if fy is not None:
-        f = fy @ f @ fy.conj().T
+    s, w = min(k, cond.k_c), cond.basis
+    f = cond.fam.apply(s, wy) @ (wy.conj().T @ w) @ cond.fam.apply(s, w).conj().T
     return cond.fam.commutator_norm(k, wy), linalg.max_abs(f - f.conj().T)
 
 

@@ -13,7 +13,9 @@ the range of G, and a state rho is a pair (phi, core) with rho = phi core
 phi^dagger (core None for the identity).  The rules and the measurement
 kappas use the blocks (:func:`condition_state`, :func:`trimmed_state`);
 :func:`trimmed`, :func:`support_at` and :func:`condition_operator` return
-dense d x d matrices, rebuilt from the blocks on each call.
+dense d x d matrices, rebuilt from the blocks on each call.  G and its
+range come from the family, which alone knows how it holds P(k)
+(``PhysicalFamily.apply``, :func:`model.physical_range`).
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from .model import (
     Model,
     PhysicalFamily,
     _commutes,
-    _possible,
+    _has_weight,
     _require_commutes,
     _row_norms2,
     cumulative_propagator,
     lift_system1,
+    physical_range,
 )
 
 
@@ -46,7 +49,7 @@ class ConditionSpec:
     range, V(k_c)^dagger (B (x) I) with B a range basis of ``x1``.  It is
     physically possible when W W^dagger commutes with P(k_c) and P(k_c) W
     W^dagger is not zero, both within eps_zero and decided from blocks
-    (:func:`model._possible`).
+    (:func:`model._commutes`, :func:`model._has_weight`).
     """
 
     model: Model
@@ -58,7 +61,8 @@ class ConditionSpec:
         object.__setattr__(self, "x1", linalg.as_matrix(self.x1))
         object.__setattr__(self, "k_c", self.model.grid.check_index(self.k_c))
         w = lift_system1(self.model, self.x1, self.k_c, basis=True)
-        if not _possible(self.model, self.fam, self.k_c, w):
+        at_kc = (self.model, self.fam, self.k_c, w, self.fam.apply(self.k_c, w))
+        if not (_commutes(*at_kc) and _has_weight(*at_kc)):
             raise NotPhysicallyPossibleError(
                 f"condition predicate is not physically possible at index {self.k_c}"
             )
@@ -82,30 +86,29 @@ class ConditionSpec:
         return lift_system1(self.model, self.x1, self.k_c)
 
 
-def _trim(cond: ConditionSpec, k: int) -> tuple:
-    """P(k) W as the family's (frame, coef) pair: the one trimming step
-    behind every trimmed operator and support."""
+def _trim_index(cond: ConditionSpec, k: int) -> int:
     k = cond.model.grid.check_index(k)
     if k > cond.k_c:
         raise IndexError(f"trimming index {k} lies after the condition index {cond.k_c}")
-    return cond.fam.restrict(k, cond.basis)
+    return k
 
 
-def _block(frame, coef) -> np.ndarray:
-    """frame @ coef, with a frame of None standing for the identity."""
-    return coef if frame is None else frame @ coef
+def _trim(cond: ConditionSpec, k: int) -> np.ndarray:
+    """G = P(k) W: the one trimming step behind every trimmed operator."""
+    return cond.fam.apply(_trim_index(cond, k), cond.basis)
 
 
-def _support_basis(frame, coef, tol: Tolerance):
-    """Orthonormal basis of the support of G G^dagger for G = frame @ coef,
-    the range of G at the eps_eig cut on its squared singular values; None
-    when G G^dagger has no physical weight (no entry above eps_zero: for a
-    PSD matrix the largest entry is on the diagonal, the largest squared
-    row norm of G)."""
-    g = _block(frame, coef)
-    if g.size == 0 or np.max(_row_norms2(g)) <= tol.eps_zero:
-        return None
-    return _block(frame, linalg.range_basis(coef, tol))
+def _support(model: Model, fam: PhysicalFamily, k: int, block: np.ndarray) -> tuple:
+    """(G, Q) for G = P(k) block and Q the orthonormal basis of the support
+    of G G^dagger, the range of G at the eps_eig cut on its squared
+    singular values (:func:`model.physical_range`); Q is None when G
+    G^dagger has no physical weight (no entry above eps_zero: for a PSD
+    matrix the largest entry is on the diagonal, the largest squared row
+    norm of G)."""
+    g, q = physical_range(model, fam, k, block)
+    if g.size == 0 or np.max(_row_norms2(g)) <= model.tol.eps_zero:
+        return g, None
+    return g, q
 
 
 def _no_weight(k: int) -> UnreachableConditionError:
@@ -121,7 +124,7 @@ def _dense(state: tuple) -> np.ndarray:
 
 def trimmed_state(cond: ConditionSpec, k: int) -> tuple:
     """P(k) X P(k) as the state (G, None), G = P(k) W."""
-    return _block(*_trim(cond, k)), None
+    return _trim(cond, k), None
 
 
 def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
@@ -135,7 +138,7 @@ def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
 def support_at(cond: ConditionSpec, k: int) -> np.ndarray:
     """Projector onto the smallest subspace containing the trimmed
     operator at index k: the range of P(k) W."""
-    q = _support_basis(*_trim(cond, k), cond.tol)
+    _, q = _support(cond.model, cond.fam, _trim_index(cond, k), cond.basis)
     if q is None:
         raise _no_weight(k)
     return q @ q.conj().T
@@ -187,7 +190,7 @@ def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
     labels = []
     for k in range(cond.k_c + 1):
         # Tr_2 of V(k) G G^dagger V(k)^dagger, G = P(k) W, by a reshape
-        r = (cumulative_propagator(model, k) @ _block(*_trim(cond, k))).reshape(
+        r = (cumulative_propagator(model, k) @ _trim(cond, k)).reshape(
             model.d1, model.d2, -1)
         a1 = np.einsum("ibp,jbp->ij", r, r.conj())
         diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, a1, basis))
@@ -254,11 +257,11 @@ def _condition1_indices(cond: ConditionSpec, top: int):
     trimming product; only indices that match it are compared with every
     index 1..k-1.  Index 0 qualifies vacuously and is always yielded last.
     """
-    g0 = _block(*_trim(cond, 0))
+    g0 = _trim(cond, 0)
     for k in range(top, 0, -1):
-        gk = _block(*_trim(cond, k))
+        gk = _trim(cond, k)
         if _same_trimming(cond, g0, gk) and all(
-            _same_trimming(cond, _block(*_trim(cond, t)), gk) for t in range(1, k)
+            _same_trimming(cond, _trim(cond, t), gk) for t in range(1, k)
         ):
             yield k
     yield 0

@@ -99,10 +99,15 @@ def is_unitary(m: np.ndarray, tol: Tolerance) -> bool:
     return max_abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol.eps_zero
 
 
+def projector_defect(p: np.ndarray) -> float:
+    """max(max|P - P^dagger|, max|P^2 - P|) for a square matrix P."""
+    return max(max_abs(p - p.conj().T), max_abs(p @ p - p))
+
+
 def is_projector(p, tol: Tolerance) -> bool:
-    """Hermitian and idempotent within eps_zero."""
+    """Square, Hermitian and idempotent within eps_zero."""
     p = as_matrix(p)
-    return is_hermitian(p, tol) and max_abs(p @ p - p) <= tol.eps_zero
+    return p.shape[0] == p.shape[1] and projector_defect(p) <= tol.eps_zero
 
 
 def commutes(a, b, tol: Tolerance) -> bool:

@@ -21,8 +21,7 @@ from . import linalg
 from .born import OutcomeSet
 from .condition import (
     ConditionSpec,
-    _support_basis,
-    _trim,
+    _support,
     check_k0,
     condition_state,
     observable_rep,
@@ -33,7 +32,7 @@ from .errors import (
     ShapeError,
     UnreachableConditionError,
 )
-from .model import Model, PhysicalFamily, cumulative_propagator, lift_system1
+from .model import Model, PhysicalFamily, _has_weight, cumulative_propagator, lift_system1
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ class MeasurementProcess:
             except NotPhysicallyPossibleError:
                 # Only an outcome without physical weight passes: unreachable.
                 w = lift_system1(self.model, p, k2, basis=True)
-                if self.fam.overlap_norm(k2, w) > tol.eps_zero:
+                if _has_weight(self.model, self.fam, k2, w):
                     raise
                 conds.append(None)
                 record_ok.append(True)
@@ -87,7 +86,7 @@ class MeasurementProcess:
             conds.append(cond)
             # X S = S for the start space X = W W^dagger and the support
             # S = Q Q^dagger: max entry of (W W^dagger Q - Q) Q^dagger
-            q = _anchor(_trim(cond, k1), tol)
+            q = _anchor(self, k1, cond.basis)
             w = start_cond.basis
             gap = (w @ (w.conj().T @ q) - q) @ q.conj().T
             record_ok.append(linalg.max_abs(gap) <= tol.eps_zero)
@@ -132,14 +131,11 @@ class KappaPath:
         return self.k1 + len(self.kappas) - 1
 
 
-def _anchor(trim: tuple, tol: linalg.Tolerance) -> np.ndarray:
-    """Range basis of the support of a trimmed block (frame, coef); no
-    columns where it has no physical weight."""
-    q = _support_basis(*trim, tol)
-    if q is None:
-        frame, coef = trim
-        return np.zeros((len(coef if frame is None else frame), 0), dtype=complex)
-    return q
+def _anchor(proc: MeasurementProcess, k: int, w: np.ndarray) -> np.ndarray:
+    """Range basis of the support of P(k) W W^dagger P(k); no columns where
+    it has no physical weight."""
+    _, q = _support(proc.model, proc.fam, k, w)
+    return np.zeros((proc.model.dim, 0), dtype=complex) if q is None else q
 
 
 def _start_state(proc: MeasurementProcess, tol: linalg.Tolerance) -> tuple:
@@ -200,7 +196,7 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
         kappas = tuple(np.zeros((d2, d2), dtype=complex)
                        for _ in range(proc.k1, proc.k2 + 1))
     elif rep == "support":
-        kappas = _kappas(proc, state, lambda k: _anchor(_trim(cond, k), tol), tol)
+        kappas = _kappas(proc, state, lambda k: _anchor(proc, k, cond.basis), tol)
     else:
         orep = observable_rep(cond)  # raises if the basis is unsuitable
         kappas = _kappas(proc, state, lambda k: lift_system1(
@@ -251,7 +247,6 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
     meant to detect.
     """
     tol = proc.model.tol
-    fam = proc.fam
     all_classes, all_unreachable = [], []
     state = None    # built at the first label, after its outcome's diagonal check
     for p in proc.outcomes.projectors:
@@ -268,12 +263,9 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
             e = np.zeros((proc.model.d1, proc.model.d1), dtype=complex)
             e[label, label] = 1.0
             w = lift_system1(proc.model, e, proc.k2, basis=True)
-
-            def anchor_at(k, w=w):
-                return _anchor(fam.restrict(k, w), tol)
-
             state = state or _start_state(proc, tol)
-            path = KappaPath(-1, proc.k1, _kappas(proc, state, anchor_at, tol), "support", tol)
+            kappas = _kappas(proc, state, lambda k: _anchor(proc, k, w), tol)
+            path = KappaPath(-1, proc.k1, kappas, "support", tol)
             if np.trace(path.at(proc.k2)).real <= tol.eps_zero:
                 unreachable.add(label)
                 continue

@@ -12,7 +12,9 @@ built by :func:`forward_closure` keeps one orthonormal d x r range basis
 per index, and a lifted system1 predicate can be kept the same way, as a
 d x m basis of its range (:func:`lift_system1` with ``basis`` set), so
 that the rules work on d x r and d x m blocks; a dense d x d projector is
-formed only where a public function returns one.
+formed only where a public function returns one.  ``PhysicalFamily`` is
+the one owner of its storage form: no other module asks whether P(k) is
+held as a projector or as a range basis.
 """
 
 from __future__ import annotations
@@ -215,6 +217,8 @@ class PhysicalFamily:
     per index instead, with P(k) = U U^dagger: the family then holds
     O(d r) numbers per index, applying P(k) to a d x m block costs
     O(d r m), and :meth:`at` rebuilds the dense projector on each call.
+    Callers use P(k) B (:meth:`apply`), B^dagger P(k) B (:meth:`sandwich`)
+    and the range of P(k) B (:func:`physical_range`), whatever the form.
     """
 
     __slots__ = ("_projectors", "_bases")
@@ -253,7 +257,7 @@ class PhysicalFamily:
         """Every P(k) as a dense projector."""
         return tuple(self.at(k) for k in range(len(self)))
 
-    def restrict(self, k: int, block: np.ndarray) -> tuple:
+    def _restrict(self, k: int, block: np.ndarray) -> tuple:
         """P(k) block as a pair (frame, coef) with P(k) block = frame @ coef:
         the index's range basis U with coef = U^dagger block, or None with
         coef = P(k) block for an explicit projector."""
@@ -265,34 +269,34 @@ class PhysicalFamily:
 
     def apply(self, k: int, block: np.ndarray) -> np.ndarray:
         """P(k) block."""
-        frame, coef = self.restrict(k, block)
+        frame, coef = self._restrict(k, block)
         return coef if frame is None else frame @ coef
 
     def sandwich(self, k: int, block: np.ndarray) -> np.ndarray:
         """block^dagger P(k) block."""
-        frame, coef = self.restrict(k, block)
+        frame, coef = self._restrict(k, block)
         return (block if frame is None else coef).conj().T @ coef
 
     def commutator_norm(self, k: int, w: np.ndarray) -> float:
-        """Max entry magnitude of [W W^dagger, P(k)] for a d x m block W.
-
-        The commutator is C - C^dagger for C = Y P(k) with Y = W W^dagger,
-        and also for C = (I - P(k)) Y P(k); with a range basis U the
-        latter is ((I - P(k)) W coef^dagger) U^dagger, which costs
-        O(d^2 r) instead of O(d^2 m).
-        """
-        frame, coef = self.restrict(k, w)
-        if frame is None:
-            c = w @ coef.conj().T
-        else:
-            c = (w @ coef.conj().T - frame @ (coef @ coef.conj().T)) @ frame.conj().T
+        """Max entry magnitude of [W W^dagger, P(k)] for a d x m block W:
+        C - C^dagger for C = W G^dagger = W W^dagger P(k), G = P(k) W."""
+        c = w @ self.apply(k, w).conj().T
         return linalg.max_abs(c - c.conj().T)
 
     def overlap_norm(self, k: int, w: np.ndarray) -> float:
         """Max entry magnitude of P(k) W W^dagger."""
-        frame, coef = self.restrict(k, w)
-        m = coef @ w.conj().T
-        return linalg.max_abs(m if frame is None else frame @ m)
+        return linalg.max_abs(self.apply(k, w) @ w.conj().T)
+
+
+def physical_range(model: Model, fam: PhysicalFamily, k: int, block: np.ndarray) -> tuple:
+    """(G, Q): G = P(k) block and the orthonormal basis Q of its range
+    at the eps_eig cut of :func:`linalg.range_basis`.  For a family of
+    range bases, G = U C with C = U^dagger block and Q = U range_basis(C):
+    the SVD is of the r x m matrix C, not of the d x m block G."""
+    frame, coef = fam._restrict(k, block)
+    if frame is None:
+        return coef, linalg.range_basis(coef, model.tol)
+    return frame @ coef, frame @ linalg.range_basis(coef, model.tol)
 
 
 @dataclass(frozen=True)
@@ -369,7 +373,7 @@ def _basis_checks(model: Model, fam: PhysicalFamily) -> tuple:
         diag = np.einsum("ij,jk,ik->i", u, e, u.conj())
         proj_ok.append(u.shape[0] == model.dim and linalg.within_zero(
             (1 + e_norms[k]) * e_norms[k], np.max(np.abs(diag), initial=0.0),
-            lambda: _projector_defect(fam.at(k)), tol))
+            lambda: linalg.projector_defect(fam.at(k)), tol))
         nonzero.append(not linalg.within_zero(
             np.linalg.norm(gram), np.max(_row_norms2(u), initial=0.0),
             lambda: linalg.max_abs(fam.at(k)), tol))
@@ -392,12 +396,6 @@ def _basis_checks(model: Model, fam: PhysicalFamily) -> tuple:
                     lambda: linalg.max_abs(fam.at(j) @ fam.at(k) - fam.at(j)), tol):
                 violations.append((j, k))
     return tuple(proj_ok), tuple(nonzero), tuple(sorted(violations))
-
-
-def _projector_defect(p: np.ndarray) -> float:
-    """max(max|P - P^dagger|, max|P^2 - P|): at most eps_zero exactly when
-    :func:`linalg.is_projector` holds."""
-    return max(linalg.max_abs(p - p.conj().T), linalg.max_abs(p @ p - p))
 
 
 def _row_norms2(g: np.ndarray) -> np.ndarray:
@@ -460,14 +458,16 @@ def _commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
     return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
 
 
-def _possible(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> bool:
-    """Whether the predicate W W^dagger (W a d x m orthonormal block) is
-    physically possible at k: it commutes with P(k), and P(k) W W^dagger,
-    whose Frobenius norm is ||P(k) W||_F, has an entry above eps_zero."""
-    g = fam.apply(k, w)
+def _has_weight(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
+                g: np.ndarray | None = None) -> bool:
+    """Whether P(k) W W^dagger has an entry above eps_zero, for a d x m
+    orthonormal block W and G = P(k) W (computed when not given): its
+    Frobenius norm is ||G||_F, and that norm over d bounds its largest
+    entry from below."""
+    if g is None:
+        g = fam.apply(k, w)
     frob = np.linalg.norm(g)
-    return _commutes(model, fam, k, w, g) and not linalg.within_zero(
-        frob, frob / len(w), lambda: fam.overlap_norm(k, w), model.tol)
+    return not linalg.within_zero(frob, frob / len(w), lambda: fam.overlap_norm(k, w), model.tol)
 
 
 def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:
@@ -487,13 +487,3 @@ def is_physically_possible(model: Model, fam: PhysicalFamily, pX, k: int) -> boo
         and linalg.max_abs(p @ pX) > model.tol.eps_zero
     )
 
-
-def physical_restrict(model: Model, fam: PhysicalFamily, pX, k: int) -> np.ndarray:
-    """P(k) pX, the physical part of a commuting predicate (possibly zero)."""
-    pX = linalg.as_matrix(pX)
-    p = fam.at(k)
-    if not linalg.commutes(pX, p, model.tol):
-        raise NotPhysicallyPossibleError(
-            f"predicate does not commute with the physical family at index {k}"
-        )
-    return p @ pX

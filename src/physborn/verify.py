@@ -6,7 +6,9 @@ outcome; when they pass, the outcome subspace splits into the part that
 certainly came from the condition (Z) and the part that certainly did
 not (W), and the probability can be rewritten as a trace against Z.
 Outcomes, the condition and Z are handled as d x m range bases; only
-:func:`z_subspace` and :func:`w_subspace` form a d x d projector.
+:func:`z_subspace` and :func:`w_subspace` form a d x d projector.  The
+family enters as P(k) B and its range (``PhysicalFamily.apply``,
+:func:`model.physical_range`): one formula for either storage form.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .model import (
     lift_predicate,
     lift_system1,
     lift_system2,
+    physical_range,
 )
 
 
@@ -88,10 +91,10 @@ def _zw_subspace(cond: ConditionSpec, wy: np.ndarray, k: int, negate: bool) -> n
     drops exactly the directions where that operator falls below it.
 
     With A = P(k_a) W_a W_a^dagger, A P(s) E = (P(k_a) W_a) (E P(s)
-    W_a)^dagger.  Both factors come as family blocks, frame @ coef, and a
-    QR factorization of E times the P(s) frame (or block) leaves a small
-    matrix with the same singular values; its range, mapped through the
-    P(k_a) frame, is Z.
+    W_a)^dagger.  The QR factorization E P(s) W_a = Q R leaves A P(s) E =
+    P(k_a) (W_a R^dagger) Q^dagger, whose range is that of P(k_a) (W_a
+    R^dagger), with the same singular values: Z is its range
+    (:func:`model.physical_range`).
     """
     if k == cond.k_c:
         raise DomainError("Z/W construction refused: outcome and condition share index "
@@ -101,16 +104,12 @@ def _zw_subspace(cond: ConditionSpec, wy: np.ndarray, k: int, negate: bool) -> n
         (ka, wa), we = (k, wy), cond.basis          # physical Y, classified against X
     else:
         (ka, wa), we = (cond.k_c, cond.basis), wy   # physical X, classified against Y
-    fa, ca = fam.restrict(ka, wa)       # P(k_a) W_a = fa ca
-    fs, cs = fam.restrict(min(k, cond.k_c), wa)
-    base = cs if fs is None else fs     # P(s) W_a = base, or fs cs
+    base = fam.apply(min(k, cond.k_c), wa)      # P(s) W_a
     eb = we @ (we.conj().T @ base)
     if negate:
         eb = base - eb
-    r = np.linalg.qr(eb, mode="r")      # E base = Q r
-    inner = r.conj().T if fs is None else cs.conj().T @ r.conj().T
-    q = linalg.range_basis(ca @ inner, cond.tol)
-    return q if fa is None else fa @ q
+    r = np.linalg.qr(eb, mode="r")              # E P(s) W_a = Q r
+    return physical_range(cond.model, fam, ka, wa @ r.conj().T)[1]
 
 
 def _verifiable_lift(cond: ConditionSpec, y, k: int) -> np.ndarray:

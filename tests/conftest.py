@@ -35,7 +35,6 @@ from physborn.model import (
     is_physically_possible,
     lift_predicate,
     lift_system1,
-    physical_restrict,
 )
 
 
@@ -58,6 +57,17 @@ def partial_trace_1(m, d1: int, d2: int) -> np.ndarray:
     if m.shape != (d1 * d2, d1 * d2):
         raise ShapeError(f"expected shape {(d1 * d2, d1 * d2)}, got {m.shape}")
     return np.einsum("kikj->ij", m.reshape(d1, d2, d1, d2))
+
+
+def physical_restrict(model: Model, fam: PhysicalFamily, pX, k: int) -> np.ndarray:
+    """P(k) pX, the physical part of a commuting predicate (possibly zero)."""
+    pX = linalg.as_matrix(pX)
+    p = fam.at(k)
+    if not linalg.commutes(pX, p, model.tol):
+        raise NotPhysicallyPossibleError(
+            f"predicate does not commute with the physical family at index {k}"
+        )
+    return p @ pX
 
 
 def projector_from_span(vectors, tol: linalg.Tolerance) -> np.ndarray:

@@ -21,11 +21,12 @@ from physborn.errors import (
     NotPhysicallyPossibleError,
     UnreachableConditionError,
 )
-from physborn.model import Model, PhysicalFamily, TimeGrid, physical_restrict
+from physborn.model import Model, PhysicalFamily, TimeGrid
 
 from conftest import (
     drifting_condition,
     expanded_condition_operator,
+    physical_restrict,
     random_nested_family,
     random_span_projector,
     random_unitary,

@@ -17,7 +17,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physborn import born, condition
 from physborn.born import (
     OutcomeSet,
     prob_approx,
@@ -217,14 +216,14 @@ def test_intermediate_full_trims_the_condition_once(monkeypatch):
     cond = ref.condition("Fup", ref.T1)
     start_time(cond)            # the start index is kept on the condition
     trims = []
-    original = condition._trim
+    original = PhysicalFamily._restrict
 
-    def counted(*args):
-        trims.append(args[1])
-        return original(*args)
+    def counted(fam, k, block):
+        if block is cond.basis:     # the family restricting the condition
+            trims.append(k)
+        return original(fam, k, block)
 
-    for module in (born, condition):
-        monkeypatch.setattr(module, "_trim", counted)
+    monkeypatch.setattr(PhysicalFamily, "_restrict", counted)
     outcomes = OutcomeSet((ref.predicate("I"), ref.predicate("notI")), ref.T0, complete=True)
     for i in range(2):
         trims.clear()

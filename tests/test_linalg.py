@@ -88,6 +88,19 @@ def test_projector_from_span_empty():
         projector_from_span([], DEFAULT_TOL)
 
 
+def test_is_projector_reads_the_projector_defect():
+    tol = DEFAULT_TOL
+    oblique = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)   # idempotent, not Hermitian
+    assert linalg.projector_defect(oblique) == 1.0
+    assert not linalg.is_projector(oblique, tol)
+    half = np.diag([0.5, 0.0]).astype(complex)
+    assert linalg.projector_defect(half) == 0.25
+    near = np.diag([1.0 + 0.5 * tol.eps_zero, 0.0]).astype(complex)
+    assert linalg.projector_defect(near) <= tol.eps_zero
+    assert linalg.is_projector(near, tol)
+    assert not linalg.is_projector(np.ones((2, 3), dtype=complex), tol)
+
+
 def test_predicates_on_constructed_cases():
     rng = np.random.default_rng(20)
     u = random_unitary(rng, 4)

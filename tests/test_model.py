@@ -1,8 +1,12 @@
 """Model, propagators, and physical-family validation."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import physborn
 from physborn import linalg
 from physborn.errors import (
     DomainError,
@@ -21,13 +25,14 @@ from physborn.model import (
     is_physically_possible,
     lift_system1,
     lift_system2,
-    physical_restrict,
+    physical_range,
     validate_family,
 )
 
 from conftest import (
     check_self_consistency,
     identity_family,
+    physical_restrict,
     random_model,
     random_nested_family,
     random_unitary,
@@ -214,3 +219,45 @@ def test_check_self_consistency_identity_family():
     fam = identity_family(4, m.n_indices)
     p = np.diag([1.0, 1.0, 0, 0]).astype(complex)
     assert check_self_consistency(m, fam, p, 0)
+
+
+def test_explicit_and_basis_families_answer_alike():
+    # the reference family as range bases and as explicit projectors: the
+    # operations callers use agree, and the norms match the dense formulas
+    ref = build_reference_experiment()
+    explicit = PhysicalFamily(ref.fam.projectors)
+    rng = np.random.default_rng(48)
+    for k in range(ref.model.n_indices):
+        p = ref.fam.at(k)
+        for name in ("I", "Fup", "ready"):
+            w = lift_system1(ref.model, ref.predicate(name), k, basis=True)
+            b = w @ random_unitary(rng, w.shape[1])[:, :2]
+            y = w @ w.conj().T
+            assert np.allclose(ref.fam.apply(k, b), explicit.apply(k, b), atol=1e-12)
+            assert np.allclose(ref.fam.sandwich(k, b), explicit.sandwich(k, b), atol=1e-12)
+            (g1, q1), (g2, q2) = (physical_range(ref.model, f, k, b) for f in (ref.fam, explicit))
+            assert np.allclose(g1, g2, atol=1e-12) and q1.shape == q2.shape
+            assert np.allclose(q1 @ q1.conj().T, q2 @ q2.conj().T, atol=1e-12)
+            assert np.allclose(q1.conj().T @ q1, np.eye(q1.shape[1]), atol=1e-12)
+            for fam in (ref.fam, explicit):
+                assert abs(fam.commutator_norm(k, w) - linalg.commutator_norm(y, p)) < 1e-12
+                assert abs(fam.overlap_norm(k, w) - linalg.max_abs(p @ y)) < 1e-12
+
+
+def test_only_the_family_reads_its_storage_form():
+    # whether P(k) is held as a projector or as a range basis is read by
+    # PhysicalFamily alone: no other library module touches its storage,
+    # its restriction, or branches on a restriction's frame
+    private = {"_projectors", "_bases", "_restrict", "restrict"}
+    for path in sorted(Path(physborn.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            assert name not in private, f"{path.name}:{getattr(node, 'lineno', '?')} reads {name}"
+            if isinstance(node, ast.Compare):
+                assert not (isinstance(node.left, ast.Name) and node.left.id == "frame"), \
+                    f"{path.name}:{node.lineno} branches on a restriction frame"
