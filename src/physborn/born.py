@@ -56,12 +56,6 @@ def _held_form(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _record_projector(labels: np.ndarray, dim: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=complex)
-    p[labels, labels] = 1.0
-    return p
-
-
 @dataclass(frozen=True, init=False)
 class OutcomeSet:
     """Pairwise-orthogonal system1 outcome projectors at one grid index.
@@ -89,7 +83,8 @@ class OutcomeSet:
     @property
     def projectors(self) -> tuple:
         """The outcome projectors as d1 x d1 matrices."""
-        return tuple(h if h.ndim == 2 else _record_projector(h, self._dim) for h in self._held)
+        return tuple(h if h.ndim == 2 else linalg.diagonal_projector(h, self._dim)
+                     for h in self._held)
 
     def __len__(self) -> int:
         return len(self._held)
@@ -146,11 +141,6 @@ def _born(wy: np.ndarray, rho: tuple, rule: str, tol: linalg.Tolerance,
     return _result(num, _trace(None, rho).real, rule, tol, warnings)
 
 
-def _lift(cond: ConditionSpec, y, k: int) -> np.ndarray:
-    """Range basis of the Heisenberg outcome predicate at k."""
-    return lift_predicate(cond.model, y, k, basis=True)
-
-
 def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
     """P(Y at k | X at k_c) for k >= k_c, with rho the condition
     operator X P(k0) X."""
@@ -158,7 +148,7 @@ def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResu
     if k < cond.k_c:
         raise DomainError(f"prob_forward requires k >= k_c, got k={k} < k_c={cond.k_c}")
     rho = condition_state(cond, k0)
-    return _born(_lift(cond, y, k), rho, "forward", cond.tol)
+    return _born(lift_predicate(cond.model, y, k), rho, "forward", cond.tol)
 
 
 def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: int,
@@ -189,7 +179,7 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     core = cond.fam.sandwich(k0, sup)
     terms = []
     for y1 in outcomes.projectors:
-        wy = _lift(cond, y1, k)
+        wy = lift_predicate(cond.model, y1, k)
         # Y S P(k0) S Y as a state, traced against G G^dagger
         terms.append(_real_trace(back, (wy @ (wy.conj().T @ sup), core), cond.tol,
                                  "prob_intermediate_full term"))
@@ -217,9 +207,9 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         if anchor is None:
             raise _no_weight(k)
     else:
-        anchor = lift_system1(cond.model, rep.system1_projector(k), k, basis=True)
+        anchor = lift_system1(cond.model, rep.system1_projector(k), k)
         variant = "observable"
-    wy = _lift(cond, y, k)
+    wy = lift_predicate(cond.model, y, k)
     rho = (anchor, cond.fam.sandwich(k0, anchor))
     return _born(wy, rho, f"intermediate_known/{variant}", cond.tol)
 
@@ -231,7 +221,8 @@ def prob_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResul
     if k > k0:
         raise DomainError(f"prob_before requires k <= k0, got k={k} > k0={k0}")
     check_k0(cond, k0)
-    return _born(_lift(cond, y, k), trimmed_state(cond, k0), "before", cond.tol)
+    return _born(lift_predicate(cond.model, y, k), trimmed_state(cond, k0), "before",
+                 cond.tol)
 
 
 def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
@@ -241,8 +232,8 @@ def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
     k = cond.model.grid.check_index(k)
     if k >= cond.k_c:
         raise DomainError(f"prob_approx requires k < k_c, got k={k}, k_c={cond.k_c}")
-    return _born(_lift(cond, y, k), trimmed_state(cond, k), "approx", cond.tol,
-                 warnings=("approximation: condition treated as starting at k",))
+    return _born(lift_predicate(cond.model, y, k), trimmed_state(cond, k), "approx",
+                 cond.tol, warnings=("approximation: condition treated as starting at k",))
 
 
 def verifiability_norms(cond: ConditionSpec, wy: np.ndarray, k: int) -> tuple:
@@ -270,8 +261,8 @@ def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     k1 = cond.model.grid.check_index(k1)
     k2 = cond.model.grid.check_index(k2)
     rho = condition_state(cond, k0)
-    wy1 = _lift(cond, y1, k1)
-    wy2 = _lift(cond, y2, k2)
+    wy1 = lift_predicate(cond.model, y1, k1)
+    wy2 = lift_predicate(cond.model, y2, k2)
     worst = max(verifiability_norms(cond, wy1, k1))
     if worst > cond.tol.eps_zero:
         raise UnverifiableSequenceError(

@@ -31,7 +31,7 @@ from .model import (
     Model,
     PhysicalFamily,
     _commutes,
-    _has_weight,
+    _is_possible,
     _require_commutes,
     _row_norms2,
     cumulative_propagator,
@@ -49,7 +49,7 @@ class ConditionSpec:
     range, V(k_c)^dagger (B (x) I) with B a range basis of ``x1``.  It is
     physically possible when W W^dagger commutes with P(k_c) and P(k_c) W
     W^dagger is not zero, both within eps_zero and decided from blocks
-    (:func:`model._commutes`, :func:`model._has_weight`).
+    (:func:`model._is_possible`).
     """
 
     model: Model
@@ -60,9 +60,8 @@ class ConditionSpec:
     def __post_init__(self):
         object.__setattr__(self, "x1", linalg.as_matrix(self.x1))
         object.__setattr__(self, "k_c", self.model.grid.check_index(self.k_c))
-        w = lift_system1(self.model, self.x1, self.k_c, basis=True)
-        at_kc = (self.model, self.fam, self.k_c, w, self.fam.apply(self.k_c, w))
-        if not (_commutes(*at_kc) and _has_weight(*at_kc)):
+        w = lift_system1(self.model, self.x1, self.k_c)
+        if not _is_possible(self.model, self.fam, self.k_c, w):
             raise NotPhysicallyPossibleError(
                 f"condition predicate is not physically possible at index {self.k_c}"
             )
@@ -82,8 +81,8 @@ class ConditionSpec:
     @property
     def projector(self) -> np.ndarray:
         """Heisenberg lift of the predicate at its own index, as a dense
-        d x d projector (rebuilt on each call)."""
-        return lift_system1(self.model, self.x1, self.k_c)
+        d x d projector W W^dagger (rebuilt on each call)."""
+        return self._basis @ self._basis.conj().T
 
 
 def _trim_index(cond: ConditionSpec, k: int) -> int:
@@ -168,8 +167,10 @@ class ObservableRep:
         return cols @ cols.conj().T
 
     def projector(self, k: int) -> np.ndarray:
-        """Heisenberg lift of the X(k) predicate at index k."""
-        return lift_system1(self.cond.model, self.system1_projector(k), k)
+        """Heisenberg lift of the X(k) predicate at index k, as a dense
+        d x d projector."""
+        w = lift_system1(self.cond.model, self.system1_projector(k), k)
+        return w @ w.conj().T
 
 
 def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
@@ -203,7 +204,7 @@ def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
 
     rep = ObservableRep(cond, basis, tuple(labels))
     for k in range(cond.k_c + 1):
-        w = lift_system1(model, rep.system1_projector(k), k, basis=True)
+        w = lift_system1(model, rep.system1_projector(k), k)
         if not _commutes(model, cond.fam, k, w):
             raise DomainError(
                 f"observable representation rejected: X({k}) does not commute with "
@@ -273,12 +274,12 @@ def _condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
     Frobenius norm is ||(I - P) W_x||_F.  Raises NotPhysicallyPossibleError
     when X(k) does not commute with P(k)."""
     model = cond.model
-    w = lift_system1(model, rep.system1_projector(k), k, basis=True)
+    w = lift_system1(model, rep.system1_projector(k), k)
     _require_commutes(model, cond.fam, k, w)
     frob = np.linalg.norm(w - cond.fam.apply(k, w))
 
     def measure():
-        px = rep.projector(k)
+        px = w @ w.conj().T
         return linalg.max_abs(cond.fam.at(k) @ px - px)
 
     return linalg.within_zero(frob, frob / model.dim, measure, cond.tol)

@@ -2,9 +2,9 @@
 
 Products, adjoints, traces and tensor products are plain numpy; this
 module holds what numpy does not: the tolerances, input coercion, the
-Hermitian part, support projectors and orthonormal range and span bases,
-the tolerance-based predicates, the bounded zero test and the
-projector-set check.  Every function that decides within a tolerance
+Hermitian part, record and support projectors, orthonormal range and
+span bases, the tolerance-based predicates, the bounded zero test and
+the projector-set check.  Every function that decides within a tolerance
 takes it as a required argument; the caller passes its model's.
 Matrices are plain ``numpy.ndarray`` objects with complex dtype;
 operator equality is always "max entry magnitude of the difference
@@ -165,6 +165,13 @@ def span_basis(vectors, tol: Tolerance) -> np.ndarray:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     keep = s > tol.eps_eig * max(1.0, float(s[0]) if s.size else 1.0)
     return u[:, keep]
+
+
+def diagonal_projector(labels, n: int) -> np.ndarray:
+    """n x n projector onto the given standard basis labels (a record)."""
+    p = np.zeros((n, n), dtype=complex)
+    p[labels, labels] = 1.0
+    return p
 
 
 def square_set(projectors) -> tuple:

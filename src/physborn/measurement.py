@@ -77,7 +77,7 @@ class MeasurementProcess:
                 cond = ConditionSpec(self.model, self.fam, p, k2)
             except NotPhysicallyPossibleError:
                 # Only an outcome without physical weight passes: unreachable.
-                w = lift_system1(self.model, p, k2, basis=True)
+                w = lift_system1(self.model, p, k2)
                 if _has_weight(self.model, self.fam, k2, w):
                     raise
                 conds.append(None)
@@ -200,7 +200,7 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
     else:
         orep = observable_rep(cond)  # raises if the basis is unsuitable
         kappas = _kappas(proc, state, lambda k: lift_system1(
-            proc.model, orep.system1_projector(k), k, basis=True), tol)
+            proc.model, orep.system1_projector(k), k), tol)
     return KappaPath(i, proc.k1, kappas, rep, tol)
 
 
@@ -260,9 +260,8 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
         labels = [int(l) for l in np.nonzero(diag > 0.5)[0]]
         paths, unreachable = {}, set()
         for label in labels:
-            e = np.zeros((proc.model.d1, proc.model.d1), dtype=complex)
-            e[label, label] = 1.0
-            w = lift_system1(proc.model, e, proc.k2, basis=True)
+            w = lift_system1(proc.model, linalg.diagonal_projector([label], proc.model.d1),
+                             proc.k2)
             state = state or _start_state(proc, tol)
             kappas = _kappas(proc, state, lambda k: _anchor(proc, k, w), tol)
             path = KappaPath(-1, proc.k1, kappas, "support", tol)

@@ -9,12 +9,12 @@ The nested family of subspaces describing which state vectors are
 physically admissible at each time is carried by ``PhysicalFamily`` and
 validated against the nesting law P(j) P(k) = P(j) for j < k.  A family
 built by :func:`forward_closure` keeps one orthonormal d x r range basis
-per index, and a lifted system1 predicate can be kept the same way, as a
-d x m basis of its range (:func:`lift_system1` with ``basis`` set), so
-that the rules work on d x r and d x m blocks; a dense d x d projector is
-formed only where a public function returns one.  ``PhysicalFamily`` is
-the one owner of its storage form: no other module asks whether P(k) is
-held as a projector or as a range basis.
+per index, and every lift returns a d x m orthonormal basis of the
+lifted range at its grid index (:func:`lift_predicate`), so that the
+rules work on d x r and d x m blocks; a dense d x d projector is formed
+only where a public function returns one.  ``PhysicalFamily`` is the one
+owner of its storage form: no other module asks whether P(k) is held as
+a projector or as a range basis.
 """
 
 from __future__ import annotations
@@ -133,46 +133,50 @@ def _projector_basis(p: np.ndarray) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def lift_system1(model: Model, p1, k: int | None = None, *,
-                 basis: bool = False) -> np.ndarray:
-    """Extend a system1 projector to the full space: kron(p1, identity).
+def _factor_basis(model: Model, p, which: str, n: int) -> np.ndarray:
+    """Range basis of a checked projector on the n-dimensional ``which``."""
+    p = linalg.as_matrix(p)
+    if p.shape != (n, n):
+        raise ShapeError(f"{which} operator shape {p.shape}, expected {(n, n)}")
+    if not linalg.is_projector(p, model.tol):
+        raise DomainError(f"lift_{which} requires a projector")
+    return _projector_basis(p)
 
-    With ``k`` given, the lifted operator is additionally moved to the
-    Heisenberg frame at that grid index.  With ``basis`` set, the result
-    is instead a d x m orthonormal basis W of the lifted range,
-    V(k)^dagger (B (x) identity) with B a range basis of p1, so that
-    W W^dagger is the lifted projector; no d x d product is made.
-    """
-    p1 = linalg.as_matrix(p1)
-    if p1.shape != (model.d1, model.d1):
-        raise ShapeError(f"system1 operator shape {p1.shape}, expected {(model.d1, model.d1)}")
-    if not linalg.is_projector(p1, model.tol):
-        raise DomainError("lift_system1 requires a projector")
-    if not basis:
-        full = np.kron(p1, np.eye(model.d2, dtype=complex))
-        return full if k is None else heisenberg(model, full, k)
-    b = _projector_basis(p1)
-    if k is None:
-        return np.kron(b, np.eye(model.d2, dtype=complex))
+
+def lift_system1(model: Model, p1, k: int) -> np.ndarray:
+    """Heisenberg lift of a system1 projector at grid index k, as the d x m
+    orthonormal basis W = V(k)^dagger (B (x) identity) of its range, with
+    B a range basis of p1; no d x d product is made."""
+    b = _factor_basis(model, p1, "system1", model.d1)
     # (B^dagger (x) I) V(k), row (b, j) = sum_a conj(B[a, b]) V[(a, j), :]
     v = cumulative_propagator(model, k)
     rows = b.conj().T @ v.reshape(model.d1, model.d2 * model.dim)
     return rows.reshape(-1, model.dim).conj().T
 
 
-def lift_predicate(model: Model, p, k: int, *, basis: bool = False) -> np.ndarray:
-    """Heisenberg operator of a predicate at index k: a system1 projector
-    is lifted with :func:`lift_system1`, a full-space projector is taken
-    as already lifted.  With ``basis`` set, an orthonormal basis of its
-    range is returned instead (see :func:`_full_space_basis`)."""
+def lift_system2(model: Model, p2, k: int) -> np.ndarray:
+    """Heisenberg lift of a system2 projector at grid index k, as the d x m
+    orthonormal basis V(k)^dagger (identity (x) B) of its range, with B a
+    range basis of p2."""
+    b = _factor_basis(model, p2, "system2", model.d2)
+    # column (a, c) = sum_j V^dagger[:, (a, j)] B[j, c]
+    vh = cumulative_propagator(model, k).conj().T.reshape(model.dim, model.d1, model.d2)
+    return (vh @ b).reshape(model.dim, -1)
+
+
+def lift_predicate(model: Model, p, k: int) -> np.ndarray:
+    """Heisenberg lift of a predicate at index k, as an orthonormal basis of
+    its range: a system1 projector is lifted with :func:`lift_system1`, a
+    full-space projector is taken as already lifted (see
+    :func:`_full_space_basis`)."""
     p = linalg.as_matrix(p)
     if p.shape == (model.d1, model.d1):
-        return lift_system1(model, p, k, basis=basis)
+        return lift_system1(model, p, k)
     if p.shape != (model.dim, model.dim):
         raise ShapeError(f"predicate shape {p.shape} matches neither system1 nor the full space")
     if not linalg.is_projector(p, model.tol):
         raise DomainError("a full-space predicate must be a projector")
-    return _full_space_basis(model, p, k) if basis else p
+    return _full_space_basis(model, p, k)
 
 
 def _full_space_basis(model: Model, p: np.ndarray, k: int) -> np.ndarray:
@@ -191,18 +195,8 @@ def _full_space_basis(model: Model, p: np.ndarray, k: int) -> np.ndarray:
     eps = model.tol.eps_zero
     kept = [linalg.max_abs(moved[:, a] - blocks[:, a]) <= eps for a in range(d1)]
     if all(kept[a] or linalg.max_abs(moved[:, a]) <= eps for a in range(d1)):
-        return lift_system1(model, np.diag(np.array(kept, dtype=complex)), k, basis=True)
+        return lift_system1(model, linalg.diagonal_projector(np.flatnonzero(kept), d1), k)
     return _projector_basis(p)
-
-
-def lift_system2(model: Model, p2) -> np.ndarray:
-    """Extend a system2 projector to the full space: kron(identity, p2)."""
-    p2 = linalg.as_matrix(p2)
-    if p2.shape != (model.d2, model.d2):
-        raise ShapeError(f"system2 operator shape {p2.shape}, expected {(model.d2, model.d2)}")
-    if not linalg.is_projector(p2, model.tol):
-        raise DomainError("lift_system2 requires a projector")
-    return np.kron(np.eye(model.d1, dtype=complex), p2)
 
 
 class PhysicalFamily:
@@ -468,6 +462,13 @@ def _has_weight(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
         g = fam.apply(k, w)
     frob = np.linalg.norm(g)
     return not linalg.within_zero(frob, frob / len(w), lambda: fam.overlap_norm(k, w), model.tol)
+
+
+def _is_possible(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> bool:
+    """Whether W W^dagger (W orthonormal) is physically possible at k: it
+    commutes with P(k) and P(k) W W^dagger is not zero."""
+    at_k = (model, fam, k, w, fam.apply(k, w))
+    return _commutes(*at_k) and _has_weight(*at_k)
 
 
 def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:

@@ -92,12 +92,11 @@ def _pairs_to_vector(entries, what: str) -> np.ndarray:
 
 
 def _label_projector(labels, d1: int, what: str) -> np.ndarray:
-    p = np.zeros((d1, d1), dtype=complex)
-    for l in _list(labels, f"{what} labels"):
+    labels = _list(labels, f"{what} labels")
+    for l in labels:
         if not _is_integer(l) or not 0 <= l < d1:
             raise ValidationError(f"{what} labels: {l!r} is not an integer in 0..{d1 - 1}")
-        p[l, l] = 1.0
-    return p
+    return linalg.diagonal_projector(labels, d1)
 
 
 class _Held:

@@ -34,7 +34,6 @@ from .model import (
     forward_closure,
     heisenberg,
     lift_predicate,
-    lift_system1,
 )
 
 # Record register labels (system1).
@@ -85,14 +84,6 @@ def _permutation_unitary(dim: int, cycles) -> np.ndarray:
         u = u - np.outer(a, a.conj()) - np.outer(b, b.conj()) \
               + np.outer(b, a.conj()) + np.outer(a, b.conj())
     return u
-
-
-def _diagonal_projector(labels, n: int = N_RECORDS) -> np.ndarray:
-    """n x n projector onto the given basis labels (records by default)."""
-    p = np.zeros((n, n), dtype=complex)
-    for l in labels:
-        p[l, l] = 1.0
-    return p
 
 
 @dataclass(frozen=True)
@@ -168,15 +159,15 @@ def build_reference_experiment(tol: Tolerance = DEFAULT_TOL) -> ReferenceExperim
     fam = forward_closure(model, _source_states(N_RECORDS), extras)
     eye1 = np.eye(N_RECORDS, dtype=complex)
     predicates = {
-        "ready": _diagonal_projector([REC_READY]),
-        "blocked": _diagonal_projector([REC_BLOCKED]),
-        "I": _diagonal_projector([REC_I]),
-        "Fup": _diagonal_projector([REC_F_UP]),
-        "Fdown": _diagonal_projector([REC_F_DOWN]),
-        "notI": eye1 - _diagonal_projector([REC_I]),
+        "ready": linalg.diagonal_projector([REC_READY], N_RECORDS),
+        "blocked": linalg.diagonal_projector([REC_BLOCKED], N_RECORDS),
+        "I": linalg.diagonal_projector([REC_I], N_RECORDS),
+        "Fup": linalg.diagonal_projector([REC_F_UP], N_RECORDS),
+        "Fdown": linalg.diagonal_projector([REC_F_DOWN], N_RECORDS),
+        "notI": eye1 - linalg.diagonal_projector([REC_I], N_RECORDS),
     }
     cells = tuple(
-        np.kron(np.eye(2, dtype=complex), _diagonal_projector([c], N_CELLS))
+        np.kron(np.eye(2, dtype=complex), linalg.diagonal_projector([c], N_CELLS))
         for c in range(N_CELLS)
     )
     return ReferenceExperiment(model, fam, predicates, cells)
@@ -218,12 +209,12 @@ def build_redundant_record_experiment(tol: Tolerance = DEFAULT_TOL) -> Redundant
     }
     fam = forward_closure(model, _source_states(n_rec), extras)
     predicates = {
-        "ready": _diagonal_projector([REC_READY], n_rec),
-        "I": _diagonal_projector([REC_I], n_rec),
-        "Fa": _diagonal_projector([REC6_F_A], n_rec),
-        "Fb": _diagonal_projector([REC6_F_B], n_rec),
-        "Fab": _diagonal_projector([REC6_F_A, REC6_F_B], n_rec),
-        "Fdown": _diagonal_projector([REC6_F_DOWN], n_rec),
+        "ready": linalg.diagonal_projector([REC_READY], n_rec),
+        "I": linalg.diagonal_projector([REC_I], n_rec),
+        "Fa": linalg.diagonal_projector([REC6_F_A], n_rec),
+        "Fb": linalg.diagonal_projector([REC6_F_B], n_rec),
+        "Fab": linalg.diagonal_projector([REC6_F_A, REC6_F_B], n_rec),
+        "Fdown": linalg.diagonal_projector([REC6_F_DOWN], n_rec),
     }
     return RedundantRecordExperiment(model, fam, predicates)
 
@@ -283,14 +274,16 @@ def build_sg_observer_space(directions, tol: Tolerance = DEFAULT_TOL) -> SGObser
 
 
 def textbook_born(model: Model, pX, k_x: int, pY, k_y: int) -> float:
-    """The unamended two-time rule Tr(X Y) / Tr(X) with both predicates
-    Heisenberg-lifted; the reduction oracle for the amended rules."""
-    px = lift_predicate(model, pX, k_x)
-    py = lift_predicate(model, pY, k_y)
-    den = np.trace(px).real
+    """The unamended two-time rule Tr(X Y) / Tr(X) = ||W_Y^dagger W_X||_F^2
+    / ||W_X||_F^2 for the range bases of the Heisenberg lifts, X = W_X
+    W_X^dagger; the reduction oracle for the amended rules."""
+    wx = lift_predicate(model, pX, k_x)
+    wy = lift_predicate(model, pY, k_y)
+    den = np.vdot(wx, wx).real
     if den <= model.tol.eps_zero:
         raise UnreachableConditionError("textbook condition has zero trace")
-    return float(np.trace(px @ py).real / den)
+    overlap = wy.conj().T @ wx
+    return float(np.vdot(overlap, overlap).real / den)
 
 
 @dataclass(frozen=True)
@@ -322,8 +315,8 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
     """
     ref = build_reference_experiment(tol)
     model, fam = ref.model, ref.fam
-    p_i = lift_system1(model, ref.predicate("I"), ref.T0)
-    p_fup = lift_system1(model, ref.predicate("Fup"), ref.T1)
+    cond_i, cond_fup = ref.condition("I", ref.T0), ref.condition("Fup", ref.T1)
+    p_i, p_fup = cond_i.projector, cond_fup.projector
 
     textbook = textbook_born(model, ref.predicate("I"), ref.T0,
                              ref.predicate("Fup"), ref.T1)
@@ -355,9 +348,7 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
         value = np.trace(p_fup @ px @ p0 @ px).real / weight
         results.append(MicrostateResult(label, float(weight), float(value)))
 
-    cond_fup = ref.condition("Fup", ref.T1)
     retro = prob_approx(cond_fup, ref.predicate("I"), ref.T0).value
-    cond_i = ref.condition("I", ref.T0)
     forward = prob_forward(cond_i, ref.predicate("Fup"), ref.T1).value
 
     restored = abs(retro - 1.0) <= 1e-9 and all(r.probability < 1 - 1e-6 for r in results)

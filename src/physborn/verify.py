@@ -24,6 +24,7 @@ from .errors import DomainError, NotPhysicallyPossibleError
 from .model import (
     Model,
     PhysicalFamily,
+    _is_possible,
     is_physically_possible,
     lift_predicate,
     lift_system1,
@@ -55,7 +56,7 @@ def _lifted_verdicts(cond: ConditionSpec, outcomes: OutcomeSet) -> list:
     k = outcomes.k
     pairs = []
     for y in outcomes.projectors:
-        wy = lift_predicate(cond.model, y, k, basis=True)
+        wy = lift_predicate(cond.model, y, k)
         phys, cnd = verifiability_norms(cond, wy, k)
         pairs.append((wy, OutcomeVerdict(phys, cnd, max(phys, cnd) <= cond.tol.eps_zero)))
     return pairs
@@ -115,7 +116,7 @@ def _zw_subspace(cond: ConditionSpec, wy: np.ndarray, k: int, negate: bool) -> n
 def _verifiable_lift(cond: ConditionSpec, y, k: int) -> np.ndarray:
     """Range basis of the lifted outcome, after checking both
     verifiability demands."""
-    wy = lift_predicate(cond.model, y, k, basis=True)
+    wy = lift_predicate(cond.model, y, k)
     if max(verifiability_norms(cond, wy, k)) > cond.tol.eps_zero:
         raise DomainError(
             "Z/W construction refused: outcome is not verifiable against the condition"
@@ -168,24 +169,29 @@ def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
 
 def observer_restriction_check(model: Model, fam: PhysicalFamily, pO, pM,
                                k: int) -> tuple:
-    """Given commuting, nonvanishing system1 observer and system2 target
-    predicates, the target must commute with the physical part of the
-    observer.  Returns (holds, commutator_norm)."""
-    full_o = lift_system1(model, pO)
-    full_m = lift_system2(model, pM)
-    for name, op in (("observer", full_o), ("target", full_m)):
-        if not is_physically_possible(model, fam, op, k):
+    """Given a system1 observer O and a system2 target M, both lifted at k
+    and physically possible there (decided as for a condition), M must
+    commute with the physical part P(k) O of the observer.  Returns
+    (holds, max entry of [M, P(k) O])."""
+    wo, wm = lift_system1(model, pO, k), lift_system2(model, pM, k)
+    for name, w in (("observer", wo), ("target", wm)):
+        if not _is_possible(model, fam, k, w):
             raise NotPhysicallyPossibleError(
                 f"hypothesis violated: {name} predicate is not physically possible at index {k}"
             )
-    norm = linalg.commutator_norm(full_m, fam.at(k) @ full_o)
+    # M P(k) O - P(k) O M from the blocks, with P(k) O = G W_O^dagger
+    g, wmh, woh = fam.apply(k, wo), wm.conj().T, wo.conj().T
+    norm = linalg.max_abs(wm @ (wmh @ g) @ woh - g @ (woh @ wm) @ wmh)
     return norm <= model.tol.eps_zero, norm
 
 
 def conditionally_realizable(model: Model, fam: PhysicalFamily, pC, pR,
                              k: int) -> bool:
     """A subspace is conditionally realizable when it commutes with, and
-    overlaps, the physical part of some physically possible reference."""
+    overlaps, the physical part of some physically possible reference.
+    ``pC`` and ``pR`` are arbitrary full-space matrices, Heisenberg-frame
+    operators at index 0, so the tests are dense, as in
+    :func:`model.is_physically_possible`."""
     tol = model.tol
     pC = linalg.as_matrix(pC)
     pR = linalg.as_matrix(pR)

@@ -32,8 +32,8 @@ from physborn.model import (
     TimeGrid,
     cumulative_propagator,
     forward_closure,
+    heisenberg,
     is_physically_possible,
-    lift_predicate,
     lift_system1,
 )
 
@@ -89,6 +89,30 @@ def schrodinger(model: Model, a_heisenberg, k: int) -> np.ndarray:
         raise ShapeError(f"operator shape {a.shape} does not match model dim {model.dim}")
     v = cumulative_propagator(model, k)
     return v @ a @ v.conj().T
+
+
+def dense_lift(model: Model, p, k: int) -> np.ndarray:
+    """Heisenberg lift of a predicate at index k as a dense d x d
+    projector: V(k)^dagger (p (x) I) V(k) for a system1 projector, a
+    full-space projector as it is.  The reference for the library's
+    range-basis lifts, with their refusals."""
+    p = linalg.as_matrix(p)
+    if p.shape == (model.d1, model.d1):
+        if not linalg.is_projector(p, model.tol):
+            raise DomainError("lift_system1 requires a projector")
+        return heisenberg(model, np.kron(p, np.eye(model.d2, dtype=complex)), k)
+    if p.shape != (model.dim, model.dim):
+        raise ShapeError(f"predicate shape {p.shape} matches neither system1 nor the full space")
+    if not linalg.is_projector(p, model.tol):
+        raise DomainError("a full-space predicate must be a projector")
+    return p
+
+
+def dense_textbook(model: Model, pX, k_x: int, pY, k_y: int) -> float:
+    """The unamended two-time rule Tr(X Y) / Tr(X) on ``dense_lift``
+    projectors: the reference for ``scenarios.textbook_born``."""
+    px, py = dense_lift(model, pX, k_x), dense_lift(model, pY, k_y)
+    return float(np.trace(px @ py).real / np.trace(px).real)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -220,7 +244,19 @@ def verifiable_pairs(seed: int, count: int):
 # Dense oracles.  The library keeps a condition, the family and every
 # support as d x r range bases and works on blocks; these are its earlier
 # bodies, written with d x d projectors throughout (P(k) from ``fam.at``,
-# X from ``cond.projector``), and keep its checks in their order.
+# X and every outcome from ``dense_lift``), and keep its checks in their
+# order.
+
+
+def dense_x(cond: ConditionSpec) -> np.ndarray:
+    """The condition's lifted predicate X at k_c, from ``dense_lift``."""
+    return dense_lift(cond.model, cond.x1, cond.k_c)
+
+
+def dense_rep_projector(rep: ObservableRep, k: int) -> np.ndarray:
+    """The lifted X(k) predicate of an observable representation, from
+    ``dense_lift``."""
+    return dense_lift(rep.cond.model, rep.system1_projector(k), k)
 
 
 def dense_trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
@@ -229,7 +265,7 @@ def dense_trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
     if k > cond.k_c:
         raise IndexError(f"trimming index {k} lies after the condition index {cond.k_c}")
     p = cond.fam.at(k)
-    return linalg.hermitian_part(p @ cond.projector @ p)
+    return linalg.hermitian_part(p @ dense_x(cond) @ p)
 
 
 def dense_support_at(cond: ConditionSpec, k: int) -> np.ndarray:
@@ -245,7 +281,7 @@ def dense_support_at(cond: ConditionSpec, k: int) -> np.ndarray:
 def dense_condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
     """X P(k0) X."""
     k0 = check_k0(cond, k0)
-    px = cond.projector
+    px = dense_x(cond)
     return linalg.hermitian_part(px @ cond.fam.at(k0) @ px)
 
 
@@ -272,7 +308,8 @@ def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
     if rep == "support":
         anchor_at = lambda k: _dense_support(dense_trimmed(cond, k), tol)  # noqa: E731
     else:
-        anchor_at = observable_rep(cond).projector
+        rep = observable_rep(cond)
+        anchor_at = lambda k: dense_rep_projector(rep, k)  # noqa: E731
     kappas = []
     for k in range(proc.k1, proc.k2 + 1):
         anchor = anchor_at(k)
@@ -288,7 +325,7 @@ def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
 def dense_verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int) -> tuple:
     """[Y, P(k)] and P(s) [Y, X] P(s) for the dense Heisenberg outcome py."""
     ps = cond.fam.at(min(k, cond.k_c))
-    px = cond.projector
+    px = dense_x(cond)
     return (linalg.commutator_norm(py, cond.fam.at(k)),
             linalg.max_abs(ps @ (py @ px - px @ py) @ ps))
 
@@ -298,7 +335,7 @@ def _dense_zw(cond: ConditionSpec, py: np.ndarray, k: int, negate: bool) -> np.n
         raise DomainError("Z/W construction refused: outcome and condition share index "
                           f"{k}, so neither direction applies")
     fam = cond.fam
-    px = cond.projector
+    px = dense_x(cond)
     if k > cond.k_c:
         a, e = fam.at(k) @ py, px
     else:
@@ -311,7 +348,7 @@ def _dense_zw(cond: ConditionSpec, py: np.ndarray, k: int, negate: bool) -> np.n
 
 def dense_zw_subspace(cond: ConditionSpec, y, k: int, negate: bool) -> np.ndarray:
     """Z (W with ``negate``): the support of (A P(s) E)(A P(s) E)^dagger."""
-    py = lift_predicate(cond.model, y, k)
+    py = dense_lift(cond.model, y, k)
     if max(dense_verifiability_norms(cond, py, k)) > cond.tol.eps_zero:
         raise DomainError(
             "Z/W construction refused: outcome is not verifiable against the condition"
@@ -323,7 +360,7 @@ def dense_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet, k0: int = 0)
     """The residuals of ``verify.verify_trace_identity``."""
     linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
     k = outcomes.k
-    lifted = [lift_predicate(cond.model, y, k) for y in outcomes.projectors]
+    lifted = [dense_lift(cond.model, y, k) for y in outcomes.projectors]
     if not all(max(dense_verifiability_norms(cond, py, k)) <= cond.tol.eps_zero
                for py in lifted):
         raise DomainError("trace identity requires a verifiable outcome set")
@@ -335,7 +372,7 @@ def dense_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet, k0: int = 0)
         if k > cond.k_c:
             lhs = np.einsum("ij,ji->", py, rho).real
         else:
-            lhs = np.trace(cond.fam.at(k) @ py @ cond.projector @ p0).real
+            lhs = np.trace(cond.fam.at(k) @ py @ dense_x(cond) @ p0).real
         rhs = np.trace(pz @ p0).real
         residuals.append(abs(lhs - rhs))
     return tuple(residuals)
@@ -363,14 +400,14 @@ def dense_condition1_indices(cond: ConditionSpec, top: int):
 
 def dense_condition_possible(model: Model, fam: PhysicalFamily, x1, k_c: int) -> bool:
     """The possibility test of ``ConditionSpec`` by its max-entry norms."""
-    w = lift_system1(model, x1, k_c, basis=True)
+    w = lift_system1(model, x1, k_c)
     eps = model.tol.eps_zero
     return fam.commutator_norm(k_c, w) <= eps and fam.overlap_norm(k_c, w) > eps
 
 
 def dense_condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
     """Demand (2) at k: P(k) X(k) = X(k) for the dense lifted X(k)."""
-    px = rep.projector(k)
+    px = dense_rep_projector(rep, k)
     restricted = physical_restrict(cond.model, cond.fam, px, k)
     return linalg.approx_equal(restricted, px, cond.tol)
 
@@ -449,7 +486,7 @@ def expanded_condition_operator(cond: ConditionSpec, k0: int = 0,
             raise DomainError(f"chain index {k} outside ({k0}, {cond.k_c})")
         s = dense_support_at(cond, k)
         core = s @ core @ s
-    px = cond.projector
+    px = dense_x(cond)
     return linalg.hermitian_part(px @ core @ px)
 
 
@@ -490,8 +527,8 @@ def chain_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityRes
     if k < cond.k_c:
         raise DomainError(f"prob_forward requires k >= k_c, got k={k} < k_c={cond.k_c}")
     check_k0(cond, k0, _K0_WORDING)
-    py = lift_predicate(cond.model, y, k)
-    px = cond.projector
+    py = dense_lift(cond.model, y, k)
+    px = dense_x(cond)
     p0 = cond.fam.at(k0)
     num = _chain_trace(py @ px @ p0 @ px, cond.tol, "prob_forward numerator")
     den = _chain_trace(px @ p0, cond.tol, "prob_forward denominator")
@@ -513,13 +550,13 @@ def chain_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: 
     check_k0(cond, k0, _K0_WORDING)
     if not 0 <= y_index < len(outcomes):
         raise IndexError(f"outcome index {y_index} out of range")
-    px = cond.projector
+    px = dense_x(cond)
     pk = cond.fam.at(k)
     sup = support_at(cond, k)
     core = sup @ cond.fam.at(k0) @ sup
     terms = []
     for y1 in outcomes.projectors:
-        py = lift_predicate(cond.model, y1, k)
+        py = dense_lift(cond.model, y1, k)
         terms.append(_chain_trace(px @ pk @ py @ core @ py @ pk, cond.tol,
                                   "prob_intermediate_full term"))
     return _chain_result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
@@ -537,8 +574,8 @@ def chain_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
     if rep is None:
         anchor, variant = support_at(cond, k), "support"
     else:
-        anchor, variant = rep.projector(k), "observable"
-    py = lift_predicate(cond.model, y, k)
+        anchor, variant = dense_rep_projector(rep, k), "observable"
+    py = dense_lift(cond.model, y, k)
     p0 = cond.fam.at(k0)
     num = _chain_trace(py @ anchor @ p0 @ anchor, cond.tol, "prob_intermediate_known")
     den = _chain_trace(anchor @ p0, cond.tol, "prob_intermediate_known")
@@ -551,8 +588,8 @@ def chain_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResu
     if k > k0:
         raise DomainError(f"prob_before requires k <= k0, got k={k} > k0={k0}")
     check_k0(cond, k0, _K0_WORDING)
-    py = lift_predicate(cond.model, y, k)
-    px = cond.projector
+    py = dense_lift(cond.model, y, k)
+    px = dense_x(cond)
     p0 = cond.fam.at(k0)
     num = _chain_trace(px @ p0 @ py @ p0, cond.tol, "prob_before numerator")
     den = _chain_trace(px @ p0, cond.tol, "prob_before denominator")
@@ -564,8 +601,8 @@ def chain_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
     k = cond.model.grid.check_index(k)
     if k >= cond.k_c:
         raise DomainError(f"prob_approx requires k < k_c, got k={k}, k_c={cond.k_c}")
-    py = lift_predicate(cond.model, y, k)
-    px = cond.projector
+    py = dense_lift(cond.model, y, k)
+    px = dense_x(cond)
     pk = cond.fam.at(k)
     num = _chain_trace(pk @ px @ pk @ py, cond.tol, "prob_approx numerator")
     den = _chain_trace(px @ pk, cond.tol, "prob_approx denominator")
@@ -580,8 +617,8 @@ def chain_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     k1 = cond.model.grid.check_index(k1)
     k2 = cond.model.grid.check_index(k2)
     check_k0(cond, k0, _K0_WORDING)
-    py1 = lift_predicate(cond.model, y1, k1)
-    py2 = lift_predicate(cond.model, y2, k2)
+    py1 = dense_lift(cond.model, y1, k1)
+    py2 = dense_lift(cond.model, y2, k2)
     worst = max(dense_verifiability_norms(cond, py1, k1))
     if worst > cond.tol.eps_zero:
         raise UnverifiableSequenceError(
@@ -589,7 +626,7 @@ def chain_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
             f"(commutator norm {worst:.3e})",
             worst,
         )
-    px = cond.projector
+    px = dense_x(cond)
     p0 = cond.fam.at(k0)
     num = _chain_trace(py2 @ py1 @ px @ p0 @ px @ py1, cond.tol, "prob_sequence")
     den = _chain_trace(px @ p0, cond.tol, "prob_sequence")

@@ -34,7 +34,6 @@ from physborn.model import (
     PhysicalFamily,
     TimeGrid,
     is_physically_possible,
-    lift_system1,
     validate_family,
 )
 from physborn.scenarios import (
@@ -54,6 +53,8 @@ from physborn.verify import (
 )
 
 from conftest import (
+    dense_lift,
+    dense_textbook,
     expanded_condition_operator,
     identity_family,
     random_model,
@@ -117,9 +118,9 @@ def test_criterion_03_reduction_oracle():
         py = uy[:, :int(rng.integers(1, d1))]
         py = py @ py.conj().T
         fwd = prob_forward(ConditionSpec(m, fam, px, 1), py, 2).value
-        worst = max(worst, abs(fwd - textbook_born(m, px, 1, py, 2)))
+        worst = max(worst, abs(fwd - dense_textbook(m, px, 1, py, 2)))
         bef = prob_before(ConditionSpec(m, fam, px, 2), py, 0).value
-        worst = max(worst, abs(bef - textbook_born(m, px, 2, py, 0)))
+        worst = max(worst, abs(bef - dense_textbook(m, px, 2, py, 0)))
     _report(3, worst <= 1e-9, f"max deviation from textbook rule {worst:.3e}")
 
 
@@ -233,7 +234,7 @@ def test_criterion_07_verifiability_suite(ref):
         y = ref.predicate(name)
         pz = z_subspace(cond_i, y, ref.T1)
         pw = w_subspace(cond_i, y, ref.T1)
-        phys = ref.fam.at(ref.T1) @ lift_system1(ref.model, y, ref.T1)
+        phys = ref.fam.at(ref.T1) @ dense_lift(ref.model, y, ref.T1)
         zw_res = max(zw_res, float(np.max(np.abs(pz + pw - phys))))
 
     rng = np.random.default_rng(700)

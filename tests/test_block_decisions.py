@@ -28,7 +28,6 @@ from physborn.model import (
     TimeGrid,
     forward_closure,
     is_physically_possible,
-    lift_system1,
     validate_family,
 )
 from physborn.scenarios import build_reference_experiment
@@ -36,6 +35,7 @@ from physborn.scenarios import build_reference_experiment
 from conftest import (
     dense_condition2_holds,
     dense_condition_possible,
+    dense_lift,
     dense_start_time,
     dense_validate_family,
     drifting_instance,
@@ -67,7 +67,7 @@ def _as_bases(model: Model, fam: PhysicalFamily, rng) -> PhysicalFamily:
 def _check_condition(model, fam, x1, k_c) -> None:
     """Possibility, T_s and the joint T_s with an observable
     representation, each against its dense oracle."""
-    lifted = lift_system1(model, x1, k_c)
+    lifted = dense_lift(model, x1, k_c)
     possible = dense_condition_possible(model, fam, x1, k_c)
     assert is_physically_possible(model, fam, lifted, k_c) == possible
     try:

@@ -25,8 +25,8 @@ from physborn.errors import (
     UnverifiableSequenceError,
 )
 from physborn.measurement import MeasurementProcess
-from physborn.model import Model, PhysicalFamily, TimeGrid, lift_system1
-from physborn.scenarios import build_reference_experiment, textbook_born
+from physborn.model import Model, PhysicalFamily, TimeGrid
+from physborn.scenarios import build_reference_experiment
 from physborn.verify import verifiability
 
 from conftest import (
@@ -36,6 +36,8 @@ from conftest import (
     chain_intermediate_full,
     chain_intermediate_known,
     chain_sequence,
+    dense_lift,
+    dense_textbook,
     identity_family,
     random_model,
     random_unitary,
@@ -68,9 +70,9 @@ def test_reduction_to_textbook_rule_on_identity_family():
         py = uy[:, :ry] @ uy[:, :ry].conj().T
         cond = ConditionSpec(m, fam, px, 1)
         fwd = prob_forward(cond, py, 2).value
-        worst = max(worst, abs(fwd - textbook_born(m, px, 1, py, 2)))
+        worst = max(worst, abs(fwd - dense_textbook(m, px, 1, py, 2)))
         before = prob_before(ConditionSpec(m, fam, px, 2), py, 0).value
-        worst = max(worst, abs(before - textbook_born(m, px, 2, py, 0)))
+        worst = max(worst, abs(before - dense_textbook(m, px, 2, py, 0)))
     assert worst <= 1e-9
 
 
@@ -230,7 +232,7 @@ def test_full_space_predicate_must_be_a_projector():
     with pytest.raises(DomainError):
         prob_forward(cond, 0.5 * np.eye(ref.model.dim), ref.T1)
     # a full-space projector is taken as already lifted
-    lifted = lift_system1(ref.model, ref.predicate("Fup"), ref.T1)
+    lifted = dense_lift(ref.model, ref.predicate("Fup"), ref.T1)
     assert (prob_forward(cond, lifted, ref.T1).value
             == prob_forward(cond, ref.predicate("Fup"), ref.T1).value)
 
@@ -291,7 +293,7 @@ def test_rules_match_product_chain_oracles_on_the_reference_model():
     ref = build_reference_experiment()
     n = ref.model.n_indices
     # lifted once here: the rules take a full-space projector as lifted
-    outcomes = [(lift_system1(ref.model, y, k), k)
+    outcomes = [(dense_lift(ref.model, y, k), k)
                 for y in ref.predicates.values() for k in range(n)]
     records = tuple(ref.predicate(name) for name in ("ready", "blocked", "I", "Fup", "Fdown"))
     sets = list(_complete_sets(n, records, (ref.predicate("I"), ref.predicate("notI"))))

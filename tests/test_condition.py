@@ -24,6 +24,7 @@ from physborn.errors import (
 from physborn.model import Model, PhysicalFamily, TimeGrid
 
 from conftest import (
+    dense_rep_projector,
     drifting_condition,
     expanded_condition_operator,
     physical_restrict,
@@ -151,7 +152,7 @@ def _quadratic_start_time(cond, rep=None):
         return all(linalg.approx_equal(trimmed(cond, t), tk, cond.tol) for t in range(k))
 
     def demand2(k):
-        px = rep.projector(k)
+        px = dense_rep_projector(rep, k)
         return linalg.approx_equal(physical_restrict(cond.model, cond.fam, px, k), px, cond.tol)
 
     cond1 = [k for k in range(cond.k_c + 1) if demand1(k)]

@@ -41,7 +41,6 @@ from physborn.model import (
     TimeGrid,
     forward_closure,
     is_physically_possible,
-    lift_system1,
 )
 from physborn.scenarios import build_reference_experiment
 from physborn.verify import verifiability, verify_trace_identity, w_subspace, z_subspace
@@ -55,6 +54,7 @@ from conftest import (
     chain_sequence,
     dense_condition_operator,
     dense_kappas,
+    dense_lift,
     dense_support_at,
     dense_trace_identity,
     dense_trimmed,
@@ -161,7 +161,7 @@ def _check_condition(cond, preds, rng):
     def dense_verdicts():
         if k == k_c:
             return verifiability(cond, single)      # the refusal needs no oracle
-        py = lift_system1(model, y, k)
+        py = dense_lift(model, y, k)
         phys, cnd = dense_verifiability_norms(cond, py, k)
         return phys, cnd, max(phys, cnd) <= tol.eps_zero
 
@@ -201,7 +201,7 @@ def test_factored_paths_match_the_dense_oracles(kind, seed):
     for _ in range(3):
         x = preds[int(rng.integers(len(preds)))]
         k_c = int(rng.integers(model.n_indices))
-        possible = is_physically_possible(model, fam, lift_system1(model, x, k_c), k_c)
+        possible = is_physically_possible(model, fam, dense_lift(model, x, k_c), k_c)
         try:
             cond = ConditionSpec(model, fam, x, k_c)
         except NotPhysicallyPossibleError:

@@ -31,6 +31,7 @@ from physborn.model import (
 
 from conftest import (
     check_self_consistency,
+    dense_lift,
     identity_family,
     physical_restrict,
     random_model,
@@ -105,14 +106,15 @@ def test_lift_structure_and_commutation():
     p1 = u[:, :1] @ u[:, :1].conj().T
     u2 = random_unitary(rng, 2)
     p2 = u2[:, :1] @ u2[:, :1].conj().T
-    l1 = lift_system1(m, p1)
-    l2 = lift_system2(m, p2)
+    w1, w2 = lift_system1(m, p1, 0), lift_system2(m, p2, 0)
+    l1, l2 = w1 @ w1.conj().T, w2 @ w2.conj().T
     assert np.max(np.abs(l1 - np.kron(p1, np.eye(2)))) < 1e-12
+    assert np.max(np.abs(l2 - np.kron(np.eye(3), p2))) < 1e-12
     assert linalg.commutes(l1, l2, m.tol)
     with pytest.raises(ShapeError):
-        lift_system1(m, p2)
+        lift_system1(m, p2, 0)
     with pytest.raises(DomainError):
-        lift_system1(m, 0.3 * p1)
+        lift_system1(m, 0.3 * p1, 0)
 
 
 def test_validate_family_random_nested():
@@ -204,7 +206,7 @@ def test_family_index_out_of_range_is_refused():
     # a negative index used to wrap to a later projector, and k = n raised
     # a bare tuple IndexError
     ref = build_reference_experiment()
-    x = lift_system1(ref.model, ref.predicate("I"), ref.T0)
+    x = dense_lift(ref.model, ref.predicate("I"), ref.T0)
     for k in (-1, -3, 3, 5):
         with pytest.raises(IndexError, match=rf"family index {k} out of range \[0, 2\]"):
             ref.fam.at(k)
@@ -230,7 +232,7 @@ def test_explicit_and_basis_families_answer_alike():
     for k in range(ref.model.n_indices):
         p = ref.fam.at(k)
         for name in ("I", "Fup", "ready"):
-            w = lift_system1(ref.model, ref.predicate(name), k, basis=True)
+            w = lift_system1(ref.model, ref.predicate(name), k)
             b = w @ random_unitary(rng, w.shape[1])[:, :2]
             y = w @ w.conj().T
             assert np.allclose(ref.fam.apply(k, b), explicit.apply(k, b), atol=1e-12)

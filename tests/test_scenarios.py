@@ -9,7 +9,6 @@ from physborn.errors import DomainError
 from physborn.linalg import Tolerance
 from physborn.model import (
     is_physically_possible,
-    lift_system1,
     validate_family,
 )
 from physborn.scenarios import (
@@ -21,7 +20,16 @@ from physborn.scenarios import (
     textbook_born,
 )
 
-from conftest import check_self_consistency, partial_trace_1, rank_of, schrodinger
+from conftest import (
+    check_self_consistency,
+    dense_lift,
+    dense_textbook,
+    partial_trace_1,
+    random_model,
+    random_projector,
+    rank_of,
+    schrodinger,
+)
 
 # value fixed by direct computation in the built model, then frozen
 TEXTBOOK_RETRODICTION = 0.1
@@ -42,7 +50,7 @@ def test_dimensions_and_unitarity(ref):
 def test_family_validates_and_is_self_consistent(ref):
     assert validate_family(ref.model, ref.fam).passed
     for name, k in (("I", ref.T0), ("Fup", ref.T1), ("Fdown", ref.T1)):
-        lifted = lift_system1(ref.model, ref.predicate(name), k)
+        lifted = dense_lift(ref.model, ref.predicate(name), k)
         assert check_self_consistency(ref.model, ref.fam, lifted, k)
 
 
@@ -50,7 +58,7 @@ def test_record_i_pins_down_the_particle(ref):
     # inside the physical subspace at t0, the first detector record
     # forces spin +y in the detector-1 cell
     p = ref.fam.at(ref.T0)
-    li = lift_system1(ref.model, ref.predicate("I"), ref.T0)
+    li = dense_lift(ref.model, ref.predicate("I"), ref.T0)
     red = partial_trace_1(
         schrodinger(ref.model, p @ li @ p, ref.T0), 5, 10
     )
@@ -87,6 +95,29 @@ def test_textbook_born_trivial_cases(ref):
     assert abs(textbook_born(ref.model, ref.predicate("I"), ref.T0, eye1, ref.T0) - 1.0) <= 1e-12
     assert abs(textbook_born(ref.model, ref.predicate("I"), ref.T0,
                              ref.predicate("I"), ref.T0) - 1.0) <= 1e-12
+
+
+def test_textbook_born_matches_the_dense_trace(ref):
+    # Tr(X Y) / Tr(X) on dense_lift projectors, for system1 predicates and
+    # for full-space ones (a lifted record and a generic projector)
+    worst = max(
+        abs(textbook_born(ref.model, ref.predicate(x), kx, ref.predicate(y), ky)
+            - dense_textbook(ref.model, ref.predicate(x), kx, ref.predicate(y), ky))
+        for x in ("I", "Fup", "notI") for y in ("ready", "I", "Fup")
+        for kx in range(3) for ky in range(3)
+    )
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        d1, d2 = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        m = random_model(rng, d1, d2, n_indices=3)
+        kx, ky = (int(k) for k in rng.integers(0, 3, size=2))
+        px = random_projector(rng, d1, int(rng.integers(1, d1 + 1)))
+        lifted = dense_lift(m, random_projector(rng, d1, int(rng.integers(1, d1))), ky)
+        generic = random_projector(rng, d1 * d2, int(rng.integers(1, d1 * d2)))
+        for py in (random_projector(rng, d1, int(rng.integers(1, d1))), lifted, generic):
+            worst = max(worst, abs(textbook_born(m, px, kx, py, ky)
+                                   - dense_textbook(m, px, kx, py, ky)))
+    assert worst <= 1e-12
 
 
 def test_complete_outcomes_from_ready_sum_to_one(ref):

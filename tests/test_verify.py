@@ -8,7 +8,7 @@ from physborn import linalg, verify
 from physborn.born import OutcomeSet, prob_forward, prob_sequence
 from physborn.condition import ConditionSpec
 from physborn.errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
-from physborn.model import Model, PhysicalFamily, TimeGrid, lift_system1
+from physborn.model import Model, PhysicalFamily, TimeGrid
 from physborn.scenarios import build_reference_experiment, build_sg_observer_space
 from physborn.verify import (
     conditionally_realizable,
@@ -19,7 +19,7 @@ from physborn.verify import (
     z_subspace,
 )
 
-from conftest import random_unitary, rank_of, verifiable_pairs
+from conftest import dense_lift, random_unitary, rank_of, verifiable_pairs
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ def test_zw_decomposition_forward(ref):
         pw = w_subspace(cond, y, ref.T1)
         assert linalg.is_projector(pz, cond.tol) and linalg.is_projector(pw, cond.tol)
         # together they recompose the physical part of the outcome
-        phys = ref.fam.at(ref.T1) @ lift_system1(ref.model, y, ref.T1)
+        phys = ref.fam.at(ref.T1) @ dense_lift(ref.model, y, ref.T1)
         assert np.max(np.abs(pz + pw - phys)) <= 1e-9
     # the detected outcomes certainly came from I; the blocked outcome
     # certainly did not
@@ -100,7 +100,7 @@ def test_zw_decomposition_backward(ref):
     # everything in the final record came through the first detector
     assert rank_of(pz, cond.tol) == 1
     assert rank_of(pw, cond.tol) == 0
-    phys = ref.fam.at(ref.T1) @ lift_system1(ref.model, ref.predicate("Fup"), ref.T1)
+    phys = ref.fam.at(ref.T1) @ dense_lift(ref.model, ref.predicate("Fup"), ref.T1)
     assert np.max(np.abs(pz - linalg.support_projector(phys @ phys.conj().T, cond.tol))) <= 1e-9
 
 
@@ -131,9 +131,10 @@ def test_zw_properties_on_generated_recording_models():
     assert sum(k < cond.k_c for cond, _, k in pairs) >= 100
     for cond, y, k in pairs:
         fam = cond.fam
-        py = lift_system1(cond.model, y, k)
+        py = dense_lift(cond.model, y, k)
         s = min(k, cond.k_c)
-        a = fam.at(k) @ py if k > cond.k_c else fam.at(cond.k_c) @ cond.projector
+        px = dense_lift(cond.model, cond.x1, cond.k_c)
+        a = fam.at(k) @ py if k > cond.k_c else fam.at(cond.k_c) @ px
         pz, pw = z_subspace(cond, y, k), w_subspace(cond, y, k)
         assert np.max(np.abs(pz @ pw)) <= 1e-9
         assert np.max(np.abs(a @ pz - pz)) <= 1e-9
@@ -243,6 +244,30 @@ def test_observer_restriction_hypothesis_guard():
     bad = np.full((m.d2, m.d2), 1.0 / m.d2, dtype=complex)
     with pytest.raises(NotPhysicallyPossibleError):
         observer_restriction_check(m, fam, po, bad, 0)
+
+
+def test_observer_restriction_decides_possibility_as_a_condition(ref):
+    # each predicate is lifted at k, so the check accepts an observer
+    # record exactly where a condition on it can be built
+    target = np.eye(ref.model.d2, dtype=complex)
+    for name in ("I", "Fup", "blocked"):
+        for k in range(ref.model.n_indices):
+            try:
+                ref.condition(name, k)
+                possible = True
+            except NotPhysicallyPossibleError:
+                possible = False
+            try:
+                holds, norm = observer_restriction_check(
+                    ref.model, ref.fam, ref.predicate(name), target, k)
+                accepted = True
+            except NotPhysicallyPossibleError as err:
+                assert str(err) == ("hypothesis violated: observer predicate is not "
+                                    f"physically possible at index {k}")
+                accepted = False
+            assert accepted == possible, (name, k)
+            if accepted:    # the identity target commutes with everything
+                assert holds and norm <= 1e-12
 
 
 def test_conditional_realizability_on_observer_space():
