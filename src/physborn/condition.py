@@ -166,12 +166,6 @@ class ObservableRep:
         cols = self.basis[:, sorted(self.labels_at(k))]
         return cols @ cols.conj().T
 
-    def projector(self, k: int) -> np.ndarray:
-        """Heisenberg lift of the X(k) predicate at index k, as a dense
-        d x d projector."""
-        w = lift_system1(self.cond.model, self.system1_projector(k), k)
-        return w @ w.conj().T
-
 
 def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
     """Derive the label sets X(k) from the partial trace of the trimmed

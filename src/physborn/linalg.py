@@ -69,8 +69,10 @@ def within_zero(upper: float, lower: float, measure, tol: Tolerance) -> bool:
     ``lower`` exceeds it; only in between is ``measure()`` called, which
     builds D densely and returns its max entry magnitude.
 
-    The callers hold D as d x m blocks and get both bounds in O(d m^2),
-    so the d x d matrix is formed only for a near miss.
+    The callers hold D as blocks with d rows and get both bounds from
+    them: in O(d r m) for a d x m block against a family of rank r, and
+    in O(d m^2) for the commutator with an explicit projector.  The d x d
+    matrix is formed only for a near miss.
     """
     if upper <= tol.eps_zero:
         return True

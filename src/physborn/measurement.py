@@ -8,7 +8,9 @@ probability.
 
 Each kappa is computed from blocks: the anchor is a d x s range basis Q,
 the start state a (phi, core) pair, and the partial trace over system1 of
-(V Q) K (V Q)^dagger is a contraction over a (d1, d2, s) reshape.
+(V Q) K (V Q)^dagger is a contraction over a (d1, d2, s) reshape.  An
+outcome probability is the trace of the last kappa, tr(K) / Tr(rho),
+and is read without the path.
 """
 
 from __future__ import annotations
@@ -85,11 +87,15 @@ class MeasurementProcess:
                 continue
             conds.append(cond)
             # X S = S for the start space X = W W^dagger and the support
-            # S = Q Q^dagger: max entry of (W W^dagger Q - Q) Q^dagger
+            # S = Q Q^dagger: no entry of (W W^dagger Q - Q) Q^dagger above
+            # eps_zero.  Q is orthonormal, so its Frobenius norm is that of
+            # the d x s block W W^dagger Q - Q.
             q = _anchor(self, k1, cond.basis)
             w = start_cond.basis
-            gap = (w @ (w.conj().T @ q) - q) @ q.conj().T
-            record_ok.append(linalg.max_abs(gap) <= tol.eps_zero)
+            miss = w @ (w.conj().T @ q) - q
+            frob = np.linalg.norm(miss)
+            record_ok.append(linalg.within_zero(
+                frob, frob / len(q), lambda: linalg.max_abs(miss @ q.conj().T), tol))
         object.__setattr__(self, "_conds", tuple(conds))
         object.__setattr__(self, "record_preserved", tuple(record_ok))
 
@@ -177,6 +183,24 @@ def _kappas(proc: MeasurementProcess, state: tuple, anchor_at,
     return tuple(kappas)
 
 
+def _outcome_anchor(proc: MeasurementProcess, i: int, rep: str) -> tuple:
+    """(state, anchor_at) for outcome i: the start state of
+    :func:`_start_state` and the range basis of the representation's
+    anchor at each index, None for an unreachable outcome.  Refuses a
+    start space without weight, then an unknown ``rep``, then a basis
+    that :func:`observable_rep` rejects."""
+    cond = proc.outcome_condition(i)
+    state = _start_state(proc, proc.model.tol)
+    if rep not in ("support", "observable"):
+        raise DomainError(f"unknown representation {rep!r}")
+    if cond is None:
+        return state, None
+    if rep == "support":
+        return state, lambda k: _anchor(proc, k, cond.basis)
+    orep = observable_rep(cond)  # raises if the basis is unsuitable
+    return state, lambda k: lift_system1(proc.model, orep.system1_projector(k), k)
+
+
 def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaPath:
     """System2 knowledge path for outcome i.
 
@@ -187,20 +211,13 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
     index so the tensor factorization stays aligned.
     """
     tol = proc.model.tol
-    cond = proc.outcome_condition(i)
-    state = _start_state(proc, tol)
-    if rep not in ("support", "observable"):
-        raise DomainError(f"unknown representation {rep!r}")
-    if cond is None:
+    state, anchor_at = _outcome_anchor(proc, i, rep)
+    if anchor_at is None:
         d2 = proc.model.d2
         kappas = tuple(np.zeros((d2, d2), dtype=complex)
                        for _ in range(proc.k1, proc.k2 + 1))
-    elif rep == "support":
-        kappas = _kappas(proc, state, lambda k: _anchor(proc, k, cond.basis), tol)
     else:
-        orep = observable_rep(cond)  # raises if the basis is unsuitable
-        kappas = _kappas(proc, state, lambda k: lift_system1(
-            proc.model, orep.system1_projector(k), k), tol)
+        kappas = _kappas(proc, state, anchor_at, tol)
     return KappaPath(i, proc.k1, kappas, rep, tol)
 
 
@@ -218,9 +235,23 @@ def rho_path(path: KappaPath) -> KappaPath:
 
 
 def outcome_probability(proc: MeasurementProcess, i: int, rep: str = "support") -> float:
-    """Tr(kappa_i(k2)); agrees with the forward rule for the outcome."""
-    path = kappa_path(proc, i, rep)
-    return float(np.trace(path.at(proc.k2)).real)
+    """Tr(kappa_i(k2)); agrees with the forward rule for the outcome.
+
+    kappa_i(k2) is the partial trace of Q K Q^dagger / Tr(rho), with Q
+    the orthonormal k2 anchor of ``rep`` and K = (Q^dagger phi) core
+    (Q^dagger phi)^dagger, so its trace is tr(K) / Tr(rho): one s x m
+    block, without the path, propagators or partial traces of
+    :func:`kappa_path`.  It refuses as :func:`kappa_path` does, in its
+    order: a start space without weight, an unknown ``rep``, then
+    ``observable_rep``'s rejection.  The per-index PSD check of the
+    kappas is not run: K is PSD by construction.  An unreachable outcome
+    has probability 0.0.
+    """
+    ((phi, core), den), anchor_at = _outcome_anchor(proc, i, rep)
+    if anchor_at is None:
+        return 0.0
+    m = anchor_at(proc.k2).conj().T @ phi
+    return float(np.vdot(m, m @ core).real / den)
 
 
 @dataclass(frozen=True)

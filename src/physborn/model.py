@@ -436,39 +436,53 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
 
 
 def _commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
-              g: np.ndarray | None = None) -> bool:
+              restricted: tuple | None = None) -> bool:
     """Whether [W W^dagger, P(k)] has no entry above eps_zero, for a d x m
-    orthonormal block W and G = P(k) W (computed when not given).
+    orthonormal block W; ``restricted`` is ``fam._restrict(k, w)``,
+    computed when not given.
 
-    The commutator is W G^dagger - G W^dagger.  Split G = W A + R with
-    A = W^dagger G and W^dagger R = 0: its three parts are orthogonal, so
-    its squared Frobenius norm is ||A - A^dagger||_F^2 + 2 ||R||_F^2, and
-    that norm over d bounds its largest entry from below.
+    For a family of range bases, P(k) = U U^dagger with U of rank r and
+    the coefficient block C = U^dagger W is r x m.  With X = W W^dagger
+    the commutator is X P (I - X) - (I - X) P X, two parts with
+    orthogonal ranges that are each other's adjoints (U U^dagger is
+    Hermitian by construction), and (I - X) P X = U_perp C W^dagger for
+    U_perp = U - W C^dagger = (I - X) U.  So its
+    Frobenius norm is sqrt(2) ||U_perp C||_F, in O(d r m).  For an
+    explicit projector, G = P(k) W splits as W A + R with A = W^dagger G
+    and W^dagger R = 0, and the squared norm is ||A - A^dagger||_F^2 +
+    2 ||R||_F^2, in O(d m^2).  The norm over d bounds the largest entry
+    from below.
     """
-    if g is None:
-        g = fam.apply(k, w)
-    a = w.conj().T @ g
-    frob = math.hypot(np.linalg.norm(a - a.conj().T), math.sqrt(2) * np.linalg.norm(g - w @ a))
+    frame, coef = fam._restrict(k, w) if restricted is None else restricted
+    if frame is None:
+        a = w.conj().T @ coef
+        frob = math.hypot(np.linalg.norm(a - a.conj().T),
+                          math.sqrt(2) * np.linalg.norm(coef - w @ a))
+    else:
+        frob = math.sqrt(2) * np.linalg.norm((frame - w @ coef.conj().T) @ coef)
     return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
 
 
 def _has_weight(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
-                g: np.ndarray | None = None) -> bool:
+                restricted: tuple | None = None) -> bool:
     """Whether P(k) W W^dagger has an entry above eps_zero, for a d x m
-    orthonormal block W and G = P(k) W (computed when not given): its
-    Frobenius norm is ||G||_F, and that norm over d bounds its largest
-    entry from below."""
-    if g is None:
-        g = fam.apply(k, w)
-    frob = np.linalg.norm(g)
+    orthonormal block W; ``restricted`` is ``fam._restrict(k, w)``,
+    computed when not given.  Its Frobenius norm is ||P(k) W||_F: the
+    norm of the coefficient block, r x m C = U^dagger W for a family of
+    orthonormal range bases U, or of P(k) W itself for an explicit
+    projector.  That norm over d bounds its largest entry from below."""
+    _, coef = fam._restrict(k, w) if restricted is None else restricted
+    frob = np.linalg.norm(coef)
     return not linalg.within_zero(frob, frob / len(w), lambda: fam.overlap_norm(k, w), model.tol)
 
 
 def _is_possible(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> bool:
     """Whether W W^dagger (W orthonormal) is physically possible at k: it
-    commutes with P(k) and P(k) W W^dagger is not zero."""
-    at_k = (model, fam, k, w, fam.apply(k, w))
-    return _commutes(*at_k) and _has_weight(*at_k)
+    commutes with P(k) and P(k) W W^dagger is not zero.  P(k) W is
+    restricted once, and both tests read the (frame, coef) pair."""
+    restricted = fam._restrict(k, w)
+    return (_commutes(model, fam, k, w, restricted)
+            and _has_weight(model, fam, k, w, restricted))
 
 
 def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:

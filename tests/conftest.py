@@ -5,6 +5,10 @@ Everything is seeded through numpy Generators so failures reproduce.
 
 from __future__ import annotations
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 
 from physborn import linalg
@@ -20,11 +24,13 @@ from physborn.condition import (
 from physborn.errors import (
     DomainError,
     NotPhysicallyPossibleError,
+    PhysbornError,
     ShapeError,
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
 from physborn.linalg import DEFAULT_TOL
+from physborn.measurement import kappa_path
 from physborn.model import (
     FamilyValidation,
     Model,
@@ -36,6 +42,20 @@ from physborn.model import (
     is_physically_possible,
     lift_system1,
 )
+
+
+# The refusals of a comparison that also reaches an index out of range.
+INDEX_REFUSALS = (PhysbornError, IndexError)
+
+
+def outcome_of(call, refusals=PhysbornError) -> tuple:
+    """(True, result) or (False, (exception type, message)): a refusal,
+    an exception of ``refusals``, compared as a value.  Any other
+    exception propagates and fails the test."""
+    try:
+        return True, call()
+    except refusals as exc:
+        return False, (type(exc), str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +204,18 @@ def recording_model(rng):
     return model, forward_closure(model, initial, extras)
 
 
+def bench_chain(n: int = 16, seed: int = 1) -> tuple:
+    """(chain, model, family) of the benchmark's n-stage Stern-Gerlach
+    chain (``bench/chain.py``): d = 6 (2n + 1), family ranks 2..n+1."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "chain.py"
+    spec = importlib.util.spec_from_file_location("bench_chain", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    c = module.Chain(n, seed)
+    model = Model(c.d1, c.d2, TimeGrid(tuple(float(t) for t in range(c.n + 1))), c.steps)
+    return c, model, forward_closure(model, c.initial, c.extras)
+
+
 def drifting_condition(rng):
     """A condition on random dynamics whose family drifts by a random walk
     of tiny rotations (steps of 1e-10 to 3e-9, either sign) and sometimes
@@ -322,6 +354,13 @@ def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
     return tuple(kappas)
 
 
+def path_outcome_probability(proc, i: int, rep: str = "support") -> float:
+    """The earlier body of ``measurement.outcome_probability``: the trace
+    of the last kappa of the whole path."""
+    path = kappa_path(proc, i, rep)
+    return float(np.trace(path.at(proc.k2)).real)
+
+
 def dense_verifiability_norms(cond: ConditionSpec, py: np.ndarray, k: int) -> tuple:
     """[Y, P(k)] and P(s) [Y, X] P(s) for the dense Heisenberg outcome py."""
     ps = cond.fam.at(min(k, cond.k_c))
@@ -396,6 +435,17 @@ def dense_condition1_indices(cond: ConditionSpec, top: int):
         ):
             yield k
     yield 0
+
+
+def mspace_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> bool:
+    """The earlier body of ``model._commutes``, in the predicate's m-space
+    for every family: G = P(k) W splits as W A + R with A = W^dagger G,
+    and ||[W W^dagger, P(k)]||_F^2 = ||A - A^dagger||_F^2 + 2 ||R||_F^2,
+    in O(d m^2)."""
+    g = fam.apply(k, w)
+    a = w.conj().T @ g
+    frob = math.hypot(np.linalg.norm(a - a.conj().T), math.sqrt(2) * np.linalg.norm(g - w @ a))
+    return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
 
 
 def dense_condition_possible(model: Model, fam: PhysicalFamily, x1, k_c: int) -> bool:

@@ -11,9 +11,6 @@ families take some, the n = 16 benchmark chain and a Haar model with the
 identity family take none.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,18 +18,18 @@ from hypothesis import strategies as st
 
 from physborn import condition, linalg
 from physborn.condition import ConditionSpec, StartTime, observable_rep, start_time
-from physborn.errors import NotPhysicallyPossibleError, PhysbornError
+from physborn.errors import NotPhysicallyPossibleError
 from physborn.model import (
     Model,
     PhysicalFamily,
     TimeGrid,
-    forward_closure,
     is_physically_possible,
     validate_family,
 )
 from physborn.scenarios import build_reference_experiment
 
 from conftest import (
+    bench_chain,
     dense_condition2_holds,
     dense_condition_possible,
     dense_lift,
@@ -40,19 +37,12 @@ from conftest import (
     dense_validate_family,
     drifting_instance,
     identity_family,
+    outcome_of,
     random_model,
     random_projector,
     random_record_projector,
     recording_model,
 )
-
-
-def _outcome(call):
-    """(True, result) or (False, (exception type, message))."""
-    try:
-        return True, call()
-    except PhysbornError as exc:
-        return False, (type(exc), str(exc))
 
 
 def _as_bases(model: Model, fam: PhysicalFamily, rng) -> PhysicalFamily:
@@ -77,12 +67,12 @@ def _check_condition(model, fam, x1, k_c) -> None:
         return
     assert possible
     assert start_time(cond) == dense_start_time(cond)
-    ok, rep = _outcome(lambda: observable_rep(cond))
+    ok, rep = outcome_of(lambda: observable_rep(cond))
     if ok:
-        assert _outcome(lambda: start_time(cond, rep)) == _outcome(
+        assert outcome_of(lambda: start_time(cond, rep)) == outcome_of(
             lambda: dense_start_time(cond, rep))
         for k in range(k_c + 1):    # demand (2) off the scan's path too
-            assert _outcome(lambda: condition._condition2_holds(cond, rep, k)) == _outcome(
+            assert outcome_of(lambda: condition._condition2_holds(cond, rep, k)) == outcome_of(
                 lambda: dense_condition2_holds(cond, rep, k))
 
 
@@ -172,18 +162,8 @@ def test_drifting_families_fall_back_near_the_threshold(fallbacks):
         assert len(fallbacks) > 0, kind
 
 
-def _bench_chain():
-    path = Path(__file__).resolve().parents[1] / "bench" / "chain.py"
-    spec = importlib.util.spec_from_file_location("bench_chain", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.Chain(16, 1)
-
-
 def test_the_benchmark_chain_takes_no_dense_fallback(fallbacks):
-    c = _bench_chain()
-    model = Model(c.d1, c.d2, TimeGrid(tuple(float(t) for t in range(c.n + 1))), c.steps)
-    fam = forward_closure(model, c.initial, c.extras)
+    c, model, fam = bench_chain()
     report = validate_family(model, fam)
     assert report.passed
     found = {}

@@ -33,7 +33,7 @@ from physborn.condition import (
     support_at,
     trimmed,
 )
-from physborn.errors import NotPhysicallyPossibleError, PhysbornError
+from physborn.errors import NotPhysicallyPossibleError
 from physborn.measurement import MeasurementProcess, kappa_path
 from physborn.model import (
     Model,
@@ -46,6 +46,7 @@ from physborn.scenarios import build_reference_experiment
 from physborn.verify import verifiability, verify_trace_identity, w_subspace, z_subspace
 
 from conftest import (
+    INDEX_REFUSALS,
     chain_approx,
     chain_before,
     chain_forward,
@@ -61,6 +62,7 @@ from conftest import (
     dense_verifiability_norms,
     dense_zw_subspace,
     identity_family,
+    outcome_of,
     random_model,
     random_projector,
     random_record_projector,
@@ -71,19 +73,11 @@ from conftest import (
 VALUE_TOL = 1e-12
 
 
-def _outcome(call):
-    """(True, result) or (False, (exception type, message))."""
-    try:
-        return True, call()
-    except (PhysbornError, IndexError) as exc:
-        return False, (type(exc), str(exc))
-
-
 def _same(call, oracle, close) -> bool:
     """Both answer and ``close`` holds for the answers, or both refuse
     with the same exception type and message.  True when both answered."""
-    ok, got = _outcome(call)
-    ok_o, want = _outcome(oracle)
+    ok, got = outcome_of(call, INDEX_REFUSALS)
+    ok_o, want = outcome_of(oracle, INDEX_REFUSALS)
     assert ok == ok_o, (got, want)
     if ok:
         assert close(got, want), (got, want)

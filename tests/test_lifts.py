@@ -100,6 +100,7 @@ def test_dense_projectors_handed_out_match_the_dense_lift():
             continue
         reps += 1
         for k in range(k_c + 1):
-            dense = dense_lift(ref.model, rep.system1_projector(k), k)
-            assert np.max(np.abs(rep.projector(k) - dense)) <= 1e-12
+            p1 = rep.system1_projector(k)
+            w = lift_system1(ref.model, p1, k)
+            assert np.max(np.abs(w @ w.conj().T - dense_lift(ref.model, p1, k))) <= 1e-12
     assert built >= 5 and reps >= 3
