@@ -21,6 +21,10 @@ family: the condition operator X P(k0) X, or a trimmed operator P X P.
 States are (phi, core) blocks from ``condition`` and outcomes are d x m
 range bases from ``lift_predicate``, so each trace is a sum over a small
 block, Tr(Y rho) = Tr(M core M^dagger) with M = W_Y^dagger phi.
+
+Verifiability, which the sequence rule and ``verify`` require, is decided
+by :func:`verifiable` from the same blocks; :func:`verifiability_norms`
+measures the two commutators densely for reports and refusal messages.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .errors import (
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
-from .model import lift_predicate, lift_system1
+from .model import _commutes, _sandwich_commutes, lift_predicate, lift_system1
 
 
 def _held_form(p: np.ndarray) -> np.ndarray:
@@ -236,18 +240,28 @@ def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
                  cond.tol, warnings=("approximation: condition treated as starting at k",))
 
 
-def verifiability_norms(cond: ConditionSpec, wy: np.ndarray, k: int) -> tuple:
-    """Max entry magnitudes of the two verifiability commutators for the
-    Heisenberg outcome Y = wy wy^dagger at index k (``wy`` a range basis
-    from ``lift_predicate``): [Y, P(k)], and [Y, X] sandwiched by P(s) at
-    the earlier index s = min(k, k_c).
+def verifiable(cond: ConditionSpec, wy: np.ndarray, k: int) -> bool:
+    """Whether the Heisenberg outcome Y = wy wy^dagger at index k (``wy`` a
+    range basis from ``lift_predicate``) is verifiable against the
+    condition: [Y, P(k)] and [Y, X] sandwiched by P(s) at the earlier
+    index s = min(k, k_c) have no entry above eps_zero.
 
-    The second is F - F^dagger for F = P(s) Y X P(s) = G_Y (wy^dagger W)
-    G_X^dagger, built from the blocks G_Y = P(s) wy and G_X = P(s) W.
+    Both demands are decided from blocks at the family's rank
+    (``model._commutes`` and ``model._sandwich_commutes``); a d x d
+    commutator is built only for a near miss.
     """
-    s, w = min(k, cond.k_c), cond.basis
-    f = cond.fam.apply(s, wy) @ (wy.conj().T @ w) @ cond.fam.apply(s, w).conj().T
-    return cond.fam.commutator_norm(k, wy), linalg.max_abs(f - f.conj().T)
+    return (_commutes(cond.model, cond.fam, k, wy)
+            and _sandwich_commutes(cond.model, cond.fam, min(k, cond.k_c), wy, cond.basis))
+
+
+def verifiability_norms(cond: ConditionSpec, wy: np.ndarray, k: int) -> tuple:
+    """Max entry magnitudes of the two commutators :func:`verifiable`
+    decides, for a report: [Y, P(k)], and [Y, X] sandwiched by P(s).  Both
+    are built as dense d x d matrices (``PhysicalFamily.commutator_norm``
+    and ``PhysicalFamily.sandwich_commutator_norm``); no verdict is taken
+    from them."""
+    return (cond.fam.commutator_norm(k, wy),
+            cond.fam.sandwich_commutator_norm(min(k, cond.k_c), wy, cond.basis))
 
 
 def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
@@ -256,15 +270,16 @@ def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     rho the condition operator X P(k0) X.
 
     Refuses unless the (Y1, k1) stage is verifiable against the
-    condition; otherwise the number would be unreliable.
+    condition (:func:`verifiable`); otherwise the number would be
+    unreliable.  Only a refusal measures the commutator norm it reports.
     """
     k1 = cond.model.grid.check_index(k1)
     k2 = cond.model.grid.check_index(k2)
     rho = condition_state(cond, k0)
     wy1 = lift_predicate(cond.model, y1, k1)
     wy2 = lift_predicate(cond.model, y2, k2)
-    worst = max(verifiability_norms(cond, wy1, k1))
-    if worst > cond.tol.eps_zero:
+    if not verifiable(cond, wy1, k1):
+        worst = max(verifiability_norms(cond, wy1, k1))
         raise UnverifiableSequenceError(
             "sequence refused: intermediate outcome is not verifiable "
             f"(commutator norm {worst:.3e})",

@@ -99,6 +99,16 @@ def _parse_at(sc: Scenario, token: str, what: str) -> tuple:
         raise UsageError(f"{what}: {exc.args[0]}") from None
 
 
+def _parse_k0(sc: Scenario, token) -> int:
+    """The grid index named by --k0; index 0 when it is not given."""
+    if token is None:
+        return 0
+    try:
+        return sc.grid_index(token)
+    except KeyError as exc:
+        raise UsageError(f"--k0: {exc.args[0]}") from None
+
+
 def _parse_outcomes(sc: Scenario, token: str, complete: bool) -> born.OutcomeSet:
     if "@" not in token:
         raise UsageError(f"--outcomes must look like A,B,C@TIME, got {token!r}")
@@ -131,7 +141,7 @@ def _cmd_prob(args, tol, out) -> int:
     sc = _resolve_scenario(args.scenario, tol)
     px, k_c = _parse_at(sc, args.cond, "--cond")
     cond = ConditionSpec(sc.model, sc.fam, px, k_c)
-    k0 = sc.grid_index(args.k0) if args.k0 is not None else 0
+    k0 = _parse_k0(sc, args.k0)
 
     rule = args.rule
     if rule in ("forward", "before", "approx", "intermediate-known"):
@@ -185,7 +195,7 @@ def _cmd_measure(args, tol, out) -> int:
     sc = _resolve_scenario(args.scenario, tol)
     m0, k1 = _parse_at(sc, args.start, "--start")
     outcomes = _parse_outcomes(sc, args.outcomes, complete=args.complete)
-    k0 = sc.grid_index(args.k0) if args.k0 is not None else 0
+    k0 = _parse_k0(sc, args.k0)
     proc = measurement.MeasurementProcess(sc.model, sc.fam, m0, k1, outcomes, k0)
     names = args.outcomes.rpartition("@")[0].split(",")
     rows = [("is_measurement", proc.is_measurement)]

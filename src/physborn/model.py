@@ -277,6 +277,13 @@ class PhysicalFamily:
         c = w @ self.apply(k, w).conj().T
         return linalg.max_abs(c - c.conj().T)
 
+    def sandwich_commutator_norm(self, s: int, a: np.ndarray, b: np.ndarray) -> float:
+        """Max entry magnitude of P(s) [A, B] P(s) for A = a a^dagger and
+        B = b b^dagger: F - F^dagger for F = P(s) A B P(s) = G_a (a^dagger
+        b) G_b^dagger, G_a = P(s) a and G_b = P(s) b."""
+        f = self.apply(s, a) @ (a.conj().T @ b) @ self.apply(s, b).conj().T
+        return linalg.max_abs(f - f.conj().T)
+
     def overlap_norm(self, k: int, w: np.ndarray) -> float:
         """Max entry magnitude of P(k) W W^dagger."""
         return linalg.max_abs(self.apply(k, w) @ w.conj().T)
@@ -461,6 +468,30 @@ def _commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
     else:
         frob = math.sqrt(2) * np.linalg.norm((frame - w @ coef.conj().T) @ coef)
     return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
+
+
+def _sandwich_commutes(model: Model, fam: PhysicalFamily, s: int, a: np.ndarray,
+                       b: np.ndarray) -> bool:
+    """Whether P(s) [A, B] P(s) has no entry above eps_zero, for A = a
+    a^dagger and B = b b^dagger with d x m_a and d x m_b orthonormal
+    blocks a and b.
+
+    That matrix is F - F^dagger with F = G_a (a^dagger b) G_b^dagger, and
+    ``fam._restrict`` gives G_a = frame C_a and G_b = frame C_b, with
+    frame the range basis U (C r x m) or the identity for an explicit
+    projector (C d x m).  The QR factorization [C_a, C_b] = Q [R_a, R_b]
+    leaves F = frame Q E Q^dagger frame^dagger with E = R_a (a^dagger b)
+    R_b^dagger, and frame and Q have orthonormal columns, so ||F -
+    F^dagger||_F = ||E - E^dagger||_F on at most m_a + m_b rows: one
+    formula for both storage forms.  That norm over d bounds the largest
+    entry from below.
+    """
+    (_, ca), (_, cb) = fam._restrict(s, a), fam._restrict(s, b)
+    r = np.linalg.qr(np.hstack((ca, cb)), mode="r")
+    e = r[:, :ca.shape[1]] @ (a.conj().T @ b) @ r[:, ca.shape[1]:].conj().T
+    frob = np.linalg.norm(e - e.conj().T)
+    return linalg.within_zero(frob, frob / len(a),
+                              lambda: fam.sandwich_commutator_norm(s, a, b), model.tol)
 
 
 def _has_weight(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,

@@ -2,9 +2,12 @@
 
 Probabilities are verifiable when every outcome retains the information
 that the condition held.  That reduces to two commutator demands per
-outcome; when they pass, the outcome subspace splits into the part that
-certainly came from the condition (Z) and the part that certainly did
-not (W), and the probability can be rewritten as a trace against Z.
+outcome, decided from blocks by :func:`born.verifiable`; the dense
+commutator norms (:func:`born.verifiability_norms`) are only reported,
+by :func:`verifiability`.  When the demands pass, the outcome subspace
+splits into the part that certainly came from the condition (Z) and the
+part that certainly did not (W), and the probability can be rewritten as
+a trace against Z.
 Outcomes, the condition and Z are handled as d x m range bases; only
 :func:`z_subspace` and :func:`w_subspace` form a d x d projector.  The
 family enters as P(k) B and its range (``PhysicalFamily.apply``,
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .born import OutcomeSet, _trace, verifiability_norms
+from .born import OutcomeSet, _trace, verifiability_norms, verifiable
 from .condition import ConditionSpec, condition_state
 from .errors import DomainError, NotPhysicallyPossibleError
 from .model import (
@@ -48,34 +51,27 @@ class VerifiabilityReport:
     verdict: bool
 
 
-def _lifted_verdicts(cond: ConditionSpec, outcomes: OutcomeSet) -> list:
-    """(range basis of the Heisenberg outcome, OutcomeVerdict) per
-    outcome, after checking the set within the model's tolerance; each
-    outcome is lifted once."""
-    linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
-    k = outcomes.k
-    pairs = []
-    for y in outcomes.projectors:
-        wy = lift_predicate(cond.model, y, k)
-        phys, cnd = verifiability_norms(cond, wy, k)
-        pairs.append((wy, OutcomeVerdict(phys, cnd, max(phys, cnd) <= cond.tol.eps_zero)))
-    return pairs
-
-
 def verifiability(cond: ConditionSpec, outcomes: OutcomeSet) -> VerifiabilityReport:
     """Verifiability of an outcome set against the condition.
 
     The direction follows from the indices: ``forward`` for outcomes
     after the condition, ``backward`` for outcomes before it.  The
     condition-commutator is sandwiched at the earlier of the two
-    indices.  Outcomes at the condition index are refused.
+    indices.  Outcomes at the condition index are refused.  Each verdict
+    is :func:`born.verifiable`; the two commutator norms beside it are
+    measured densely (:func:`born.verifiability_norms`) for the report.
     """
     if outcomes.k == cond.k_c:
         raise DomainError("verifiability requires outcomes at an index other than "
                           f"the condition index {cond.k_c}")
     direction = "forward" if outcomes.k > cond.k_c else "backward"
-    verdicts = tuple(v for _, v in _lifted_verdicts(cond, outcomes))
-    return VerifiabilityReport(outcomes.k, direction, verdicts,
+    k = outcomes.k
+    verdicts = []
+    for y in linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol):
+        wy = lift_predicate(cond.model, y, k)
+        phys, cnd = verifiability_norms(cond, wy, k)
+        verdicts.append(OutcomeVerdict(phys, cnd, verifiable(cond, wy, k)))
+    return VerifiabilityReport(k, direction, tuple(verdicts),
                                all(v.verdict for v in verdicts))
 
 
@@ -117,7 +113,7 @@ def _verifiable_lift(cond: ConditionSpec, y, k: int) -> np.ndarray:
     """Range basis of the lifted outcome, after checking both
     verifiability demands."""
     wy = lift_predicate(cond.model, y, k)
-    if max(verifiability_norms(cond, wy, k)) > cond.tol.eps_zero:
+    if not verifiable(cond, wy, k):
         raise DomainError(
             "Z/W construction refused: outcome is not verifiable against the condition"
         )
@@ -149,14 +145,15 @@ def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
     Q) for the range basis Q of Z (a squared Frobenius norm for a family
     of bases).  ``k0`` is refused as in the probability rules."""
     k = outcomes.k
-    lifted = _lifted_verdicts(cond, outcomes)
-    if not all(v.verdict for _, v in lifted):
+    lifted = [lift_predicate(cond.model, y, k) for y in
+              linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)]
+    if not all(verifiable(cond, wy, k) for wy in lifted):
         raise DomainError("trace identity requires a verifiable outcome set")
     rho = condition_state(cond, k0)   # also refuses k0 as the rules do
     k0 = cond.model.grid.check_index(k0)
     fam, w = cond.fam, cond.basis
     residuals = []
-    for wy, _ in lifted:
+    for wy in lifted:
         qz = _zw_subspace(cond, wy, k, negate=False)
         if k > cond.k_c:
             lhs = _trace(wy, rho).real

@@ -10,6 +10,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from physborn import linalg
 from physborn.born import OutcomeSet, ProbabilityResult
@@ -46,6 +47,21 @@ from physborn.model import (
 
 # The refusals of a comparison that also reaches an index out of range.
 INDEX_REFUSALS = (PhysbornError, IndexError)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch) -> list:
+    """Records each dense max-entry test that decides between the bounds
+    of ``linalg.within_zero``."""
+    calls = []
+    original = linalg._measured_within_zero
+
+    def counted(measure, tol):
+        calls.append(measure)
+        return original(measure, tol)
+
+    monkeypatch.setattr(linalg, "_measured_within_zero", counted)
+    return calls
 
 
 def outcome_of(call, refusals=PhysbornError) -> tuple:

@@ -12,7 +12,6 @@ identity family take none.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,20 +134,6 @@ def test_block_decisions_match_the_dense_oracles(kind, seed):
     assert validate_family(model, fam) == dense_validate_family(model, fam)
     for x1, k_c in conditions:
         _check_condition(model, fam, x1, k_c)
-
-
-@pytest.fixture
-def fallbacks(monkeypatch) -> list:
-    """Records each dense max-entry test that decides between the bounds."""
-    calls = []
-    original = linalg._measured_within_zero
-
-    def counted(measure, tol):
-        calls.append(measure)
-        return original(measure, tol)
-
-    monkeypatch.setattr(linalg, "_measured_within_zero", counted)
-    return calls
 
 
 def test_drifting_families_fall_back_near_the_threshold(fallbacks):

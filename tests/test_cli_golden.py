@@ -84,6 +84,11 @@ COMMANDS = (
      "--outcomes", "Fup,Fdown@t1"],
     ["--eps-zero", "1e-6", "--json", "verify", "--scenario", "reference", "--cond", "Fup@t1",
      "--outcomes", "I,notI@t0"],
+    # An unknown --k0 label is a usage error, as for --cond.
+    ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I@t0",
+     "--outcome", "Fup@t1", "--k0", "t9"],
+    ["measure", "--scenario", "reference", "--start", "I@t0", "--outcomes", "Fup,Fdown@t1",
+     "--k0", "t9"],
 )
 
 

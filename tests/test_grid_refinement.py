@@ -1,27 +1,36 @@
 """Grid refinement: inserting an identity step after index k, with P(k)
-repeated at the new index, changes no probability.
+repeated at the new index, changes no probability and no verdict.
 
 This is the discrete form of the paper's claim about measurements that
 run continuously in time: refining the grid where nothing happens leaves
-every rule value where it was.  Indices after k shift by one, and the
-start index T_s moves to the later copy when T_s = k lies before the
-condition.
+every rule value where it was, and with it the verifiability verdicts,
+the trace identity and the dimension of Z.  Indices after k shift by
+one, and the start index T_s moves to the later copy when T_s = k lies
+before the condition.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from physborn.born import prob_approx, prob_before, prob_forward
+from physborn.born import OutcomeSet, prob_approx, prob_before, prob_forward
 from physborn.condition import ConditionSpec, start_time
 from physborn.errors import PhysbornError
 from physborn.model import Model, PhysicalFamily, TimeGrid
 from physborn.scenarios import build_reference_experiment
+from physborn.verify import verifiability, verify_trace_identity, z_subspace
+
+from conftest import random_projector
 
 REF = build_reference_experiment()
 N = REF.model.n_indices
 NAMES = sorted(REF.predicates)
 RULES = {"forward": prob_forward, "before": prob_before, "approx": prob_approx}
+# Outcomes for the verdicts: the records, and two seeded rank-one system1
+# projectors off the record basis, which the records do not verify.
+OUTCOMES = {**REF.predicates,
+            **{f"mixed{i}": random_projector(np.random.default_rng(i), REF.model.d1, 1)
+               for i in range(2)}}
 
 
 def refine(model: Model, fam: PhysicalFamily, k: int) -> tuple:
@@ -81,3 +90,52 @@ def test_refining_the_grid_leaves_rule_values_unchanged(k, rule, x, k_c, y, k_y,
     if before is not None:
         for field in ("value", "numerator", "denominator"):
             assert abs(getattr(after, field) - getattr(before, field)) <= 1e-15
+
+
+def _refusal_or(call):
+    """(True, value), or (False, refusal type): refusal messages name
+    indices, which refinement shifts."""
+    try:
+        return True, call()
+    except PhysbornError as exc:
+        return False, type(exc)
+
+
+def _verdicts(model, fam, x, k_c, y, k_y):
+    """The verifiability verdicts of {Y, I - Y} at k_y, the trace-identity
+    residuals and the rank of Z for Y; the refusal type when the
+    condition is refused."""
+    ok, cond = _refusal_or(lambda: ConditionSpec(model, fam, x, k_c))
+    if not ok:
+        return cond
+    outcomes = OutcomeSet((y, np.eye(model.d1) - y), k_y)
+    report = _refusal_or(lambda: [v.verdict for v in verifiability(cond, outcomes).outcomes])
+    residuals = _refusal_or(lambda: verify_trace_identity(cond, outcomes))
+    z_rank = _refusal_or(lambda: round(np.trace(z_subspace(cond, y, k_y)).real))
+    return report, residuals, z_rank
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    k=st.integers(0, N - 1),
+    x=st.sampled_from(NAMES),
+    k_c=st.integers(0, N - 1),
+    y=st.sampled_from(sorted(OUTCOMES)),
+    k_y=st.integers(0, N - 1),
+)
+def test_refining_the_grid_leaves_verdicts_and_z_unchanged(k, x, k_c, y, k_y):
+    px, py = REF.predicate(x), OUTCOMES[y]
+    before = _verdicts(REF.model, REF.fam, px, k_c, py, k_y)
+    model, fam = REFINED[k]
+    after = _verdicts(model, fam, px, _shift(k_c, k), py, _shift(k_y, k))
+    if not isinstance(before, tuple):   # the condition itself is refused
+        assert after is before
+        return
+    (report, residuals, z_rank), (report2, residuals2, z_rank2) = before, after
+    assert report2 == report
+    assert z_rank2 == z_rank
+    assert residuals2[0] == residuals[0]
+    if residuals[0]:
+        assert max(residuals[1] + residuals2[1]) <= 1e-9
+    else:
+        assert residuals2[1] is residuals[1]
