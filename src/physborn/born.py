@@ -51,16 +51,16 @@ from .errors import (
 from .model import _commutes, _sandwich_commutes, lift_predicate, lift_system1
 
 
-def _held_form(p: np.ndarray) -> np.ndarray:
+def _held_form(p: np.ndarray):
     """A record projector (diagonal, every diagonal entry exactly 0 or 1)
-    as the array of its labels; any other matrix as it is."""
+    as the tuple of its labels; any other matrix as it is."""
     diag = np.diagonal(p)
     if not np.count_nonzero(p - np.diag(diag)) and np.all((diag == 0) | (diag == 1)):
-        return np.flatnonzero(diag)
+        return tuple(np.flatnonzero(diag).tolist())
     return p
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class OutcomeSet:
     """Pairwise-orthogonal system1 outcome projectors at one grid index.
 
@@ -87,7 +87,7 @@ class OutcomeSet:
     @property
     def projectors(self) -> tuple:
         """The outcome projectors as d1 x d1 matrices."""
-        return tuple(h if h.ndim == 2 else linalg.diagonal_projector(h, self._dim)
+        return tuple(linalg.diagonal_projector(h, self._dim) if isinstance(h, tuple) else h
                      for h in self._held)
 
     def __len__(self) -> int:
@@ -177,7 +177,7 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     if not 0 <= y_index < len(outcomes):
         raise IndexError(f"outcome index {y_index} out of range")
 
-    back, sup = _support(cond.model, cond.fam, k, cond.basis)
+    back, sup = _support(cond.fam, k, cond.lifted)
     if sup is None:
         raise _no_weight(k)
     core = cond.fam.sandwich(k0, sup)
@@ -207,7 +207,7 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         )
     check_k0(cond, k0)
     if rep is None:
-        anchor, variant = _support(cond.model, cond.fam, k, cond.basis)[1], "support"
+        anchor, variant = _support(cond.fam, k, cond.lifted)[1], "support"
         if anchor is None:
             raise _no_weight(k)
     else:
@@ -248,10 +248,12 @@ def verifiable(cond: ConditionSpec, wy: np.ndarray, k: int) -> bool:
 
     Both demands are decided from blocks at the family's rank
     (``model._commutes`` and ``model._sandwich_commutes``); a d x d
-    commutator is built only for a near miss.
+    commutator is built only for a near miss.  X enters by the block it
+    is held by, since [Y, I - X] = -[Y, X].
     """
     return (_commutes(cond.model, cond.fam, k, wy)
-            and _sandwich_commutes(cond.model, cond.fam, min(k, cond.k_c), wy, cond.basis))
+            and _sandwich_commutes(cond.model, cond.fam, min(k, cond.k_c), wy,
+                                   cond.lifted.block))
 
 
 def verifiability_norms(cond: ConditionSpec, wy: np.ndarray, k: int) -> tuple:

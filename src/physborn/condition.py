@@ -6,16 +6,23 @@ observable representation X(t) (what the predicate implies about system1
 at earlier times, in a chosen basis), the start index T_s, and the
 condition operator consumed by the probability rules.
 
-A condition keeps its lifted predicate as a d x m orthonormal basis W of
-its range (X = W W^dagger), and everything derived from it is a block:
-the trimmed operator at k is G G^dagger for G = P(k) W, the support is
-the range of G, and a state rho is a pair (phi, core) with rho = phi core
-phi^dagger (core None for the identity).  The rules and the measurement
-kappas use the blocks (:func:`condition_state`, :func:`trimmed_state`);
-:func:`trimmed`, :func:`support_at` and :func:`condition_operator` return
-dense d x d matrices, rebuilt from the blocks on each call.  G and its
-range come from the family, which alone knows how it holds P(k)
-(``PhysicalFamily.apply``, :func:`model.physical_range`).
+A condition keeps its lifted predicate X in the form
+:func:`model.held_lift` picks (``ConditionSpec.lifted``): the d x m
+orthonormal basis W of its range (X = W W^dagger), or, when m > d/2, the
+d x (d - m) basis Wbar of its complement's range (X = I - Wbar
+Wbar^dagger), so that a "not this record" outcome costs about what its
+record costs.  :class:`model.Lifted` is the one owner of the form: it
+decides possibility and finds the support of the trimmed operator P(k) X
+P(k) at the family's rank, in either form.  ``ConditionSpec.basis`` and
+``.projector`` rebuild the range form on demand, and the trimmed
+operator G G^dagger, G = P(k) W, of the rules and of the start-index
+scan is built on it, rebuilt once per call.  A state rho is a pair (phi, core) with rho = phi
+core phi^dagger (core None for the identity).  The rules and the
+measurement kappas use the blocks (:func:`condition_state`,
+:func:`trimmed_state`); :func:`trimmed`, :func:`support_at` and
+:func:`condition_operator` return dense d x d matrices, rebuilt from the
+blocks on each call.  ``check_k0`` passes k0 = 0 without the start-index
+scan, since 0 <= T_s always holds.
 """
 
 from __future__ import annotations
@@ -28,15 +35,15 @@ from . import linalg
 from .errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
 from .linalg import Tolerance
 from .model import (
+    Lifted,
     Model,
     PhysicalFamily,
     _commutes,
-    _is_possible,
     _require_commutes,
     _row_norms2,
     cumulative_propagator,
+    held_lift,
     lift_system1,
-    physical_range,
 )
 
 
@@ -45,11 +52,12 @@ class ConditionSpec:
     """A system1 predicate ``x1`` (Schrodinger picture at its own time)
     asserted at grid index ``k_c``.
 
-    It keeps the d x m orthonormal basis W of the lifted predicate's
-    range, V(k_c)^dagger (B (x) I) with B a range basis of ``x1``.  It is
-    physically possible when W W^dagger commutes with P(k_c) and P(k_c) W
-    W^dagger is not zero, both within eps_zero and decided from blocks
-    (:func:`model._is_possible`).
+    It keeps the lifted predicate X as :func:`model.held_lift` holds it
+    (:attr:`lifted`): by the d x m orthonormal basis W of its range,
+    V(k_c)^dagger (B (x) I) with B a range basis of ``x1``, or, when m >
+    d/2, by the basis of its complement's range.  It is physically
+    possible when X commutes with P(k_c) and P(k_c) X is not zero, both
+    within eps_zero and decided from blocks (:meth:`model.Lifted.is_possible`).
     """
 
     model: Model
@@ -60,12 +68,12 @@ class ConditionSpec:
     def __post_init__(self):
         object.__setattr__(self, "x1", linalg.as_matrix(self.x1))
         object.__setattr__(self, "k_c", self.model.grid.check_index(self.k_c))
-        w = lift_system1(self.model, self.x1, self.k_c)
-        if not _is_possible(self.model, self.fam, self.k_c, w):
+        lifted = held_lift(self.model, self.x1, self.k_c)
+        if not lifted.is_possible(self.fam, self.k_c):
             raise NotPhysicallyPossibleError(
                 f"condition predicate is not physically possible at index {self.k_c}"
             )
-        object.__setattr__(self, "_basis", w)
+        object.__setattr__(self, "_lifted", lifted)
         object.__setattr__(self, "_condition1_index", None)  # set by start_time
 
     @property
@@ -74,15 +82,22 @@ class ConditionSpec:
         return self.model.tol
 
     @property
+    def lifted(self) -> Lifted:
+        """The lifted predicate X, in the form it is held."""
+        return self._lifted
+
+    @property
     def basis(self) -> np.ndarray:
-        """The d x m orthonormal basis W of the lifted predicate's range."""
-        return self._basis
+        """The d x m orthonormal basis W of the lifted predicate's range
+        (rebuilt on each call when X is held by its complement)."""
+        return self._lifted.basis
 
     @property
     def projector(self) -> np.ndarray:
         """Heisenberg lift of the predicate at its own index, as a dense
         d x d projector W W^dagger (rebuilt on each call)."""
-        return self._basis @ self._basis.conj().T
+        w = self.basis
+        return w @ w.conj().T
 
 
 def _trim_index(cond: ConditionSpec, k: int) -> int:
@@ -92,20 +107,21 @@ def _trim_index(cond: ConditionSpec, k: int) -> int:
     return k
 
 
-def _trim(cond: ConditionSpec, k: int) -> np.ndarray:
-    """G = P(k) W: the one trimming step behind every trimmed operator."""
-    return cond.fam.apply(_trim_index(cond, k), cond.basis)
+def _trim(cond: ConditionSpec, k: int, w: np.ndarray) -> np.ndarray:
+    """G = P(k) W for the range basis W = ``cond.basis``, which the caller
+    takes once: the one trimming step behind every trimmed operator."""
+    return cond.fam.apply(_trim_index(cond, k), w)
 
 
-def _support(model: Model, fam: PhysicalFamily, k: int, block: np.ndarray) -> tuple:
-    """(G, Q) for G = P(k) block and Q the orthonormal basis of the support
-    of G G^dagger, the range of G at the eps_eig cut on its squared
-    singular values (:func:`model.physical_range`); Q is None when G
-    G^dagger has no physical weight (no entry above eps_zero: for a PSD
-    matrix the largest entry is on the diagonal, the largest squared row
-    norm of G)."""
-    g, q = physical_range(model, fam, k, block)
-    if g.size == 0 or np.max(_row_norms2(g)) <= model.tol.eps_zero:
+def _support(fam: PhysicalFamily, k: int, lifted: Lifted) -> tuple:
+    """(G, Q) for a factor G of P(k) X P(k) = G G^dagger and Q the
+    orthonormal basis of its support, the range of G at the eps_eig cut on
+    its squared singular values (:meth:`model.Lifted.support`); Q is None
+    when G G^dagger has no physical weight (no entry above eps_zero: for a
+    PSD matrix the largest entry is on the diagonal, the largest squared
+    row norm of G)."""
+    g, q = lifted.support(fam, k)
+    if g.size == 0 or np.max(_row_norms2(g)) <= lifted.model.tol.eps_zero:
         return g, None
     return g, q
 
@@ -123,7 +139,7 @@ def _dense(state: tuple) -> np.ndarray:
 
 def trimmed_state(cond: ConditionSpec, k: int) -> tuple:
     """P(k) X P(k) as the state (G, None), G = P(k) W."""
-    return _trim(cond, k), None
+    return _trim(cond, k, cond.basis), None
 
 
 def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
@@ -136,8 +152,8 @@ def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
 
 def support_at(cond: ConditionSpec, k: int) -> np.ndarray:
     """Projector onto the smallest subspace containing the trimmed
-    operator at index k: the range of P(k) W."""
-    _, q = _support(cond.model, cond.fam, _trim_index(cond, k), cond.basis)
+    operator at index k: the range of P(k) X."""
+    _, q = _support(cond.fam, _trim_index(cond, k), cond.lifted)
     if q is None:
         raise _no_weight(k)
     return q @ q.conj().T
@@ -182,10 +198,10 @@ def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
         if basis.shape != (model.d1, model.d1) or not linalg.is_unitary(basis, cond.tol):
             raise DomainError("basis1 must be a d1 x d1 orthonormal basis (unitary matrix)")
 
-    labels = []
+    labels, w = [], cond.basis
     for k in range(cond.k_c + 1):
         # Tr_2 of V(k) G G^dagger V(k)^dagger, G = P(k) W, by a reshape
-        r = (cumulative_propagator(model, k) @ _trim(cond, k)).reshape(
+        r = (cumulative_propagator(model, k) @ _trim(cond, k, w)).reshape(
             model.d1, model.d2, -1)
         a1 = np.einsum("ibp,jbp->ij", r, r.conj())
         diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, a1, basis))
@@ -245,18 +261,19 @@ def _same_trimming(cond: ConditionSpec, ga: np.ndarray, gb: np.ndarray) -> bool:
 def _condition1_indices(cond: ConditionSpec, top: int):
     """Indices k <= top that satisfy demand (1), in decreasing order.
 
-    Each trimmed operator is held as its block G_k = P(k) W, and two are
-    compared by :func:`_same_trimming`, which forms no d x d matrix
+    Each trimmed operator is held as its block G_k = P(k) W, on the
+    range basis W taken once for the scan, and two are compared by :func:`_same_trimming`, which forms no d x d matrix
     unless the difference is near eps_zero.  G_0 is held for the whole
     scan, so an index whose block already differs from index 0 costs one
     trimming product; only indices that match it are compared with every
     index 1..k-1.  Index 0 qualifies vacuously and is always yielded last.
     """
-    g0 = _trim(cond, 0)
+    w = cond.basis
+    g0 = _trim(cond, 0, w)
     for k in range(top, 0, -1):
-        gk = _trim(cond, k)
+        gk = _trim(cond, k, w)
         if _same_trimming(cond, g0, gk) and all(
-            _same_trimming(cond, _trim(cond, t), gk) for t in range(1, k)
+            _same_trimming(cond, _trim(cond, t, w), gk) for t in range(1, k)
         ):
             yield k
     yield 0
@@ -314,12 +331,15 @@ def start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTi
 def check_k0(cond: ConditionSpec, k0: int,
              bound: str = "the condition's start index T_s={ts}") -> int:
     """Validate k0 against the grid and the condition's demand-(1) start
-    index; return it as a grid index.
+    index; return it as a grid index.  k0 = 0 passes without the scan of
+    :func:`start_time`, since 0 <= T_s always holds.
 
     ``bound`` names the start index in the error message and may
     mention its value as ``{ts}``.
     """
     k0 = cond.model.grid.check_index(k0)
+    if k0 == 0:
+        return k0
     ts = start_time(cond).condition1_index
     if k0 > ts:
         raise DomainError(f"k0={k0} is later than " + bound.format(ts=ts))
@@ -334,8 +354,8 @@ def condition_state(cond: ConditionSpec, k0: int = 0) -> tuple:
     demand; by the equal-sandwich lemma the result is the same for every
     valid choice.
     """
-    k0 = check_k0(cond, k0)
-    return cond.basis, cond.fam.sandwich(k0, cond.basis)
+    k0, w = check_k0(cond, k0), cond.basis
+    return w, cond.fam.sandwich(k0, w)
 
 
 def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:

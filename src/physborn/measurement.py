@@ -11,6 +11,13 @@ the start state a (phi, core) pair, and the partial trace over system1 of
 (V Q) K (V Q)^dagger is a contraction over a (d1, d2, s) reshape.  An
 outcome probability is the trace of the last kappa, tr(K) / Tr(rho),
 and is read without the path.
+
+The start space and every outcome are conditions, so each is held as
+:func:`model.held_lift` picks: an outcome "not this record", of rank m >
+d/2, by the small basis of its complement, whose support anchor Q is
+found from the r x d block at the family's rank r.  The start space is
+checked against k0 by ``check_k0``, which needs no start-index scan for
+the default k0 = 0.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .errors import (
     ShapeError,
     UnreachableConditionError,
 )
-from .model import Model, PhysicalFamily, _has_weight, cumulative_propagator, lift_system1
+from .model import Lifted, Model, PhysicalFamily, cumulative_propagator, held_lift, lift_system1
 
 
 @dataclass(frozen=True)
@@ -79,20 +86,18 @@ class MeasurementProcess:
                 cond = ConditionSpec(self.model, self.fam, p, k2)
             except NotPhysicallyPossibleError:
                 # Only an outcome without physical weight passes: unreachable.
-                w = lift_system1(self.model, p, k2)
-                if _has_weight(self.model, self.fam, k2, w):
+                if held_lift(self.model, p, k2).has_weight(self.fam, k2):
                     raise
                 conds.append(None)
                 record_ok.append(True)
                 continue
             conds.append(cond)
-            # X S = S for the start space X = W W^dagger and the support
-            # S = Q Q^dagger: no entry of (W W^dagger Q - Q) Q^dagger above
-            # eps_zero.  Q is orthonormal, so its Frobenius norm is that of
-            # the d x s block W W^dagger Q - Q.
-            q = _anchor(self, k1, cond.basis)
-            w = start_cond.basis
-            miss = w @ (w.conj().T @ q) - q
+            # X S = S for the start space X and the support S = Q Q^dagger:
+            # no entry of ((I - X) Q) Q^dagger above eps_zero.  Q is
+            # orthonormal, so its Frobenius norm is that of the d x s block
+            # (I - X) Q.
+            q = _anchor(self, k1, cond.lifted)
+            miss = start_cond.lifted.outside(q)
             frob = np.linalg.norm(miss)
             record_ok.append(linalg.within_zero(
                 frob, frob / len(q), lambda: linalg.max_abs(miss @ q.conj().T), tol))
@@ -137,10 +142,10 @@ class KappaPath:
         return self.k1 + len(self.kappas) - 1
 
 
-def _anchor(proc: MeasurementProcess, k: int, w: np.ndarray) -> np.ndarray:
-    """Range basis of the support of P(k) W W^dagger P(k); no columns where
-    it has no physical weight."""
-    _, q = _support(proc.model, proc.fam, k, w)
+def _anchor(proc: MeasurementProcess, k: int, lifted: Lifted) -> np.ndarray:
+    """Range basis of the support of P(k) X P(k) for the lifted X; no
+    columns where it has no physical weight."""
+    _, q = _support(proc.fam, k, lifted)
     return np.zeros((proc.model.dim, 0), dtype=complex) if q is None else q
 
 
@@ -196,7 +201,7 @@ def _outcome_anchor(proc: MeasurementProcess, i: int, rep: str) -> tuple:
     if cond is None:
         return state, None
     if rep == "support":
-        return state, lambda k: _anchor(proc, k, cond.basis)
+        return state, lambda k: _anchor(proc, k, cond.lifted)
     orep = observable_rep(cond)  # raises if the basis is unsuitable
     return state, lambda k: lift_system1(proc.model, orep.system1_projector(k), k)
 
@@ -291,10 +296,10 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
         labels = [int(l) for l in np.nonzero(diag > 0.5)[0]]
         paths, unreachable = {}, set()
         for label in labels:
-            w = lift_system1(proc.model, linalg.diagonal_projector([label], proc.model.d1),
-                             proc.k2)
+            lifted = held_lift(proc.model, linalg.diagonal_projector([label], proc.model.d1),
+                               proc.k2)
             state = state or _start_state(proc, tol)
-            kappas = _kappas(proc, state, lambda k: _anchor(proc, k, w), tol)
+            kappas = _kappas(proc, state, lambda k: _anchor(proc, k, lifted), tol)
             path = KappaPath(-1, proc.k1, kappas, "support", tol)
             if np.trace(path.at(proc.k2)).real <= tol.eps_zero:
                 unreachable.add(label)

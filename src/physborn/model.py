@@ -14,7 +14,9 @@ lifted range at its grid index (:func:`lift_predicate`), so that the
 rules work on d x r and d x m blocks; a dense d x d projector is formed
 only where a public function returns one.  ``PhysicalFamily`` is the one
 owner of its storage form: no other module asks whether P(k) is held as
-a projector or as a range basis.
+a projector or as a range basis.  ``Lifted`` is the one owner of the form
+a condition's lifted predicate is held in (:func:`held_lift`): its range
+basis, or, for a rank above d/2, the basis of its complement's range.
 """
 
 from __future__ import annotations
@@ -92,8 +94,8 @@ class Model:
                 raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
             if not linalg.is_unitary(u, self.tol):
                 raise ValidationError(f"step {k} is not unitary within eps_zero")
-        cum = [np.eye(d, dtype=complex)]
-        for u in steps:
+        cum = [np.eye(d, dtype=complex), steps[0]]   # V(1) = U_1 itself, no copy
+        for u in steps[1:]:
             cum.append(u @ cum[-1])
         object.__setattr__(self, "_cum", tuple(cum))
 
@@ -261,10 +263,22 @@ class PhysicalFamily:
         u = self._bases[k]
         return u, u.conj().T @ block
 
+    def _restrict_complement(self, k: int, w: np.ndarray, restricted: tuple) -> tuple:
+        """P(k) (I - w w^dagger) as a pair (frame, coef) with P(k) (I - w
+        w^dagger) = frame @ coef, for a d x m orthonormal block w and
+        ``restricted`` = ``self._restrict(k, w)``: the index's range basis
+        U with the r x d block coef = U^dagger - (U^dagger w) w^dagger, or
+        None with coef = P(k) - (P(k) w) w^dagger for an explicit
+        projector.  coef is the adjoint view of the tall block U - w
+        (U^dagger w)^dagger (or P(k) - w (P(k) w)^dagger), which is what
+        is computed."""
+        frame, coef = restricted
+        base = self._projectors[self._index(k)] if frame is None else frame
+        return frame, (base - w @ coef.conj().T).conj().T
+
     def apply(self, k: int, block: np.ndarray) -> np.ndarray:
         """P(k) block."""
-        frame, coef = self._restrict(k, block)
-        return coef if frame is None else frame @ coef
+        return _join(*self._restrict(k, block))
 
     def sandwich(self, k: int, block: np.ndarray) -> np.ndarray:
         """block^dagger P(k) block."""
@@ -295,9 +309,13 @@ def physical_range(model: Model, fam: PhysicalFamily, k: int, block: np.ndarray)
     range bases, G = U C with C = U^dagger block and Q = U range_basis(C):
     the SVD is of the r x m matrix C, not of the d x m block G."""
     frame, coef = fam._restrict(k, block)
-    if frame is None:
-        return coef, linalg.range_basis(coef, model.tol)
-    return frame @ coef, frame @ linalg.range_basis(coef, model.tol)
+    return _join(frame, coef), _join(frame, linalg.range_basis(coef, model.tol))
+
+
+def _join(frame, coef: np.ndarray) -> np.ndarray:
+    """frame @ coef for a restriction's pair, frame None standing for the
+    identity."""
+    return coef if frame is None else frame @ coef
 
 
 @dataclass(frozen=True)
@@ -494,26 +512,112 @@ def _sandwich_commutes(model: Model, fam: PhysicalFamily, s: int, a: np.ndarray,
                               lambda: fam.sandwich_commutator_norm(s, a, b), model.tol)
 
 
-def _has_weight(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
-                restricted: tuple | None = None) -> bool:
-    """Whether P(k) W W^dagger has an entry above eps_zero, for a d x m
-    orthonormal block W; ``restricted`` is ``fam._restrict(k, w)``,
-    computed when not given.  Its Frobenius norm is ||P(k) W||_F: the
-    norm of the coefficient block, r x m C = U^dagger W for a family of
-    orthonormal range bases U, or of P(k) W itself for an explicit
-    projector.  That norm over d bounds its largest entry from below."""
-    _, coef = fam._restrict(k, w) if restricted is None else restricted
-    frob = np.linalg.norm(coef)
-    return not linalg.within_zero(frob, frob / len(w), lambda: fam.overlap_norm(k, w), model.tol)
+class Lifted:
+    """A lifted predicate X, a projector on the full space, held in the
+    smaller of two forms: by the d x m orthonormal basis W of its range,
+    X = W W^dagger, or, when m > d/2, by the d x (d - m) basis Wbar of its
+    complement's range, X = I - Wbar Wbar^dagger.  :func:`held_lift` picks
+    the form by that one rule, and only this class asks which form it
+    holds.
+
+    ``block`` is the held basis, W or Wbar.  Commutator tests read it as
+    it is, since [I - Wbar Wbar^dagger, A] = -[Wbar Wbar^dagger, A].
+    The weight and the support come from the trimming pair
+    (:meth:`_trimming`): for a family of range bases, P(k) = U U^dagger of
+    rank r, that is the r x m block C = U^dagger W, or the r x d block B
+    = U^dagger X = U^dagger - Cbar Wbar^dagger with Cbar = U^dagger Wbar,
+    built in O(d r (d - m)).  So a complement is handled at the family's
+    rank too: P(k) X P(k) = U B B^dagger U^dagger, the weight of P(k) X
+    is ||B||_F, and the support of P(k) X P(k) is U times the range of
+    B.  No quantity is taken as a difference of norms such as r -
+    ||Cbar||_F^2.  :attr:`basis` is the range basis W in either form,
+    rebuilt on demand for a complement.
+    """
+
+    __slots__ = ("model", "block", "_range")
+
+    def __init__(self, model: Model, block: np.ndarray, complement_of: tuple | None = None):
+        """``block`` is W; with ``complement_of`` = (p1, k) it is Wbar, and X
+        is the lift at k of the system1 projector p1."""
+        self.model = model
+        self.block = block
+        self._range = complement_of
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The d x m orthonormal basis W of X's range, as
+        :func:`lift_system1` gives it."""
+        if self._range is None:
+            return self.block
+        return lift_system1(self.model, *self._range)
+
+    def _trimming(self, fam: PhysicalFamily, k: int, restricted: tuple | None = None) -> tuple:
+        """(frame, coef) with T = frame @ coef (frame None for the
+        identity) and T T^dagger = P(k) X P(k): the family's restriction
+        of W, T = P(k) W, or for a complement T = P(k) X itself.  In both
+        forms ||coef||_F = ||P(k) X||_F.  ``restricted`` is
+        ``fam._restrict(k, block)``, computed when not given."""
+        if restricted is None:
+            restricted = fam._restrict(k, self.block)
+        if self._range is None:
+            return restricted
+        return fam._restrict_complement(k, self.block, restricted)
+
+    def is_possible(self, fam: PhysicalFamily, k: int) -> bool:
+        """Whether X is physically possible at k: it commutes with P(k)
+        (:func:`_commutes` on ``block``) and P(k) X is not zero.  P(k)
+        ``block`` is restricted once, and both tests read it."""
+        restricted = fam._restrict(k, self.block)
+        return (_commutes(self.model, fam, k, self.block, restricted)
+                and self.has_weight(fam, k, restricted))
+
+    def has_weight(self, fam: PhysicalFamily, k: int, restricted: tuple | None = None) -> bool:
+        """Whether P(k) X has an entry above eps_zero.  Its Frobenius norm
+        is ||coef||_F of :meth:`_trimming`: the r x m C or r x d B for a
+        family of range bases, P(k) W or P(k) X itself for an explicit
+        projector.  That norm over d bounds its largest entry from
+        below."""
+        frame, coef = self._trimming(fam, k, restricted)
+        frob = np.linalg.norm(coef)
+
+        def measure():
+            if self._range is None:
+                return fam.overlap_norm(k, self.block)
+            return linalg.max_abs(_join(frame, coef))
+
+        return not linalg.within_zero(frob, frob / self.model.dim, measure, self.model.tol)
+
+    def support(self, fam: PhysicalFamily, k: int) -> tuple:
+        """(T, Q): a factor T with T T^dagger = P(k) X P(k), and the
+        orthonormal basis Q of its range at the eps_eig cut of
+        :func:`linalg.range_basis`.  For W, T = P(k) W and Q its range
+        (:func:`physical_range`).  For a complement the SVD u s v^dagger
+        of the trimming coef gives T = frame u s and Q = frame u on the
+        kept singular values: against a family of range bases, at most r
+        columns from the SVD of the d x r block B^dagger."""
+        if self._range is None:
+            return physical_range(self.model, fam, k, self.block)
+        frame, coef = self._trimming(fam, k)
+        _, s, vh = np.linalg.svd(coef.conj().T, full_matrices=False)
+        u = vh.conj().T
+        return _join(frame, u * s), _join(frame, u[:, s * s > self.model.tol.eps_eig])
+
+    def outside(self, q: np.ndarray) -> np.ndarray:
+        """(I - X) q."""
+        c = self.block @ (self.block.conj().T @ q)
+        return q - c if self._range is None else c
 
 
-def _is_possible(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> bool:
-    """Whether W W^dagger (W orthonormal) is physically possible at k: it
-    commutes with P(k) and P(k) W W^dagger is not zero.  P(k) W is
-    restricted once, and both tests read the (frame, coef) pair."""
-    restricted = fam._restrict(k, w)
-    return (_commutes(model, fam, k, w, restricted)
-            and _has_weight(model, fam, k, w, restricted))
+def held_lift(model: Model, p1, k: int) -> Lifted:
+    """Heisenberg lift of a system1 projector p1 at grid index k, held by
+    the range basis :func:`lift_system1` gives it or, when its rank m is
+    above d/2, by that of its complement I - p1 (see :class:`Lifted`).
+    The rank m/d2 of a projector is its trace rounded."""
+    p1 = linalg.as_matrix(p1)
+    if p1.shape != (model.d1, model.d1) or 2 * round(np.trace(p1).real) <= model.d1:
+        return Lifted(model, lift_system1(model, p1, k))
+    rest = lift_system1(model, np.eye(model.d1, dtype=complex) - p1, k)
+    return Lifted(model, rest, (p1, k))
 
 
 def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:

@@ -25,9 +25,9 @@ from .born import OutcomeSet, _trace, verifiability_norms, verifiable
 from .condition import ConditionSpec, condition_state
 from .errors import DomainError, NotPhysicallyPossibleError
 from .model import (
+    Lifted,
     Model,
     PhysicalFamily,
-    _is_possible,
     is_physically_possible,
     lift_predicate,
     lift_system1,
@@ -172,7 +172,7 @@ def observer_restriction_check(model: Model, fam: PhysicalFamily, pO, pM,
     (holds, max entry of [M, P(k) O])."""
     wo, wm = lift_system1(model, pO, k), lift_system2(model, pM, k)
     for name, w in (("observer", wo), ("target", wm)):
-        if not _is_possible(model, fam, k, w):
+        if not Lifted(model, w).is_possible(fam, k):
             raise NotPhysicallyPossibleError(
                 f"hypothesis violated: {name} predicate is not physically possible at index {k}"
             )

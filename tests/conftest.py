@@ -370,6 +370,24 @@ def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
     return tuple(kappas)
 
 
+def dense_record_preserved(proc) -> tuple:
+    """The record check of ``MeasurementProcess``: per outcome, whether the
+    support S of its condition trimmed to k1 lies in the start space X,
+    max |X S - S| <= eps_zero with X from ``dense_lift``; True for an
+    unreachable outcome."""
+    model = proc.model
+    px = dense_lift(model, proc.m0, proc.k1)
+    flags = []
+    for i in range(len(proc.outcomes)):
+        cond = proc.outcome_condition(i)
+        if cond is None:
+            flags.append(True)
+            continue
+        s = _dense_support(dense_trimmed(cond, proc.k1), model.tol)
+        flags.append(linalg.max_abs(px @ s - s) <= model.tol.eps_zero)
+    return tuple(flags)
+
+
 def path_outcome_probability(proc, i: int, rep: str = "support") -> float:
     """The earlier body of ``measurement.outcome_probability``: the trace
     of the last kappa of the whole path."""

@@ -6,9 +6,14 @@ match exactly; floats match within 1e-12 absolute, because values such
 as commutator norms of about 1e-16 depend on the BLAS library.  Other
 stdout is compared byte for byte.
 
-Regenerate the file after an intended output change with::
+Add the entry of a newly listed command with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which runs only the commands the file lacks and keeps every existing
+entry byte for byte, so that a host whose BLAS rounds differently does
+not rewrite them.  To re-record an entry after an intended output
+change, delete it from the file first.
 """
 
 from __future__ import annotations
@@ -151,11 +156,32 @@ def test_cli_matches_golden(i, tmp_path):
         assert got["stdout"] == entry["stdout"]
 
 
-def _record(directory: Path) -> None:
+def _record(directory: Path, golden: Path = GOLDEN) -> None:
+    """Write the golden file in the order of COMMANDS: an existing entry
+    as it is, a command without one run and recorded.  Entries of
+    commands no longer listed are dropped."""
+    kept = {}
+    if golden.exists():
+        kept = {tuple(entry["argv"]): entry for entry in json.loads(golden.read_text())}
     files = _write_scenarios(directory)
-    entries = [_run(argv, files) for argv in COMMANDS]
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
+    entries = [kept.get(tuple(argv)) or _run(argv, files) for argv in COMMANDS]
+    golden.parent.mkdir(exist_ok=True)
+    golden.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+def test_recording_adds_only_missing_entries(tmp_path, monkeypatch):
+    text = GOLDEN.read_text()
+    assert json.dumps(json.loads(text), indent=1) + "\n" == text   # kept byte for byte
+    entries = json.loads(text)
+    entries[0]["stdout"] = "kept as recorded\n"    # what no fresh run prints
+    golden = tmp_path / "cli.json"
+    golden.write_text(json.dumps(entries[:-1], indent=1) + "\n")
+    ran, real = [], _run
+    monkeypatch.setitem(globals(), "_run",
+                        lambda argv, files: ran.append(list(argv)) or real(argv, files))
+    _record(tmp_path, golden)
+    assert ran == [list(COMMANDS[-1])]      # the one missing command, a usage error
+    assert golden.read_text() == json.dumps(entries, indent=1) + "\n"
 
 
 if __name__ == "__main__":

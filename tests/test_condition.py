@@ -189,9 +189,9 @@ def test_start_time_computed_once_per_condition(monkeypatch):
     calls = []
     original = condition._trim
 
-    def counting(cond, k):
+    def counting(cond, k, w):
         calls.append(k)
-        return original(cond, k)
+        return original(cond, k, w)
 
     monkeypatch.setattr(condition, "_trim", counting)
     rng = np.random.default_rng(47)

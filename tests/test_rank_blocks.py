@@ -29,11 +29,10 @@ from physborn.errors import DomainError, UnreachableConditionError
 from physborn.measurement import MeasurementProcess, outcome_probability
 from physborn.model import (
     Model,
+    Lifted,
     PhysicalFamily,
     TimeGrid,
     _commutes,
-    _has_weight,
-    _is_possible,
     lift_system1,
 )
 from physborn.scenarios import build_redundant_record_experiment, build_reference_experiment
@@ -111,14 +110,14 @@ def _check_block(m: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:
     comm, weight = x @ p - p @ x, p @ x
     with _bounds() as seen:
         commutes = _commutes(m, fam, k, w)
-        has_weight = _has_weight(m, fam, k, w)
+        has_weight = Lifted(m, w).has_weight(fam, k)
     assert len(seen) == 2
     for (upper, lower), dense in zip(seen, (comm, weight)):
         assert upper >= np.linalg.norm(dense) - 1e-12
         assert lower <= linalg.max_abs(dense) + 1e-12
     assert commutes == (fam.commutator_norm(k, w) <= eps) == mspace_commutes(m, fam, k, w)
     assert has_weight == (fam.overlap_norm(k, w) > eps)
-    assert _is_possible(m, fam, k, w) == (commutes and has_weight)
+    assert Lifted(m, w).is_possible(fam, k) == (commutes and has_weight)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -250,5 +249,5 @@ def test_a_chain_measurement_reads_one_trace_and_restricts_once(monkeypatch):
     counted(PhysicalFamily, "_restrict")
     for mod, family, k, w in cases:
         calls.clear()
-        assert _is_possible(mod, family, k, w)
+        assert Lifted(mod, w).is_possible(family, k)
         assert calls == ["_restrict"]
