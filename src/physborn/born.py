@@ -20,7 +20,10 @@ rho differs, and it is built from the condition trimmed to the physical
 family: the condition operator X P(k0) X, or a trimmed operator P X P.
 States are (phi, core) blocks from ``condition`` and outcomes are d x m
 range bases from ``lift_predicate``, so each trace is a sum over a small
-block, Tr(Y rho) = Tr(M core M^dagger) with M = W_Y^dagger phi.
+block, Tr(Y rho) = Tr(M core M^dagger) with M = W_Y^dagger phi.  The
+intermediate-full rule holds its outcomes as ``held_lift`` holds a
+condition instead, so that "not this record" is lifted by the small
+basis of its complement, and takes Y S from that form.
 
 Verifiability, which the sequence rule and ``verify`` require, is decided
 by :func:`verifiable` from the same blocks; :func:`verifiability_norms`
@@ -48,16 +51,14 @@ from .errors import (
     UnreachableConditionError,
     UnverifiableSequenceError,
 )
-from .model import _commutes, _sandwich_commutes, lift_predicate, lift_system1
-
-
-def _held_form(p: np.ndarray):
-    """A record projector (diagonal, every diagonal entry exactly 0 or 1)
-    as the tuple of its labels; any other matrix as it is."""
-    diag = np.diagonal(p)
-    if not np.count_nonzero(p - np.diag(diag)) and np.all((diag == 0) | (diag == 1)):
-        return tuple(np.flatnonzero(diag).tolist())
-    return p
+from .model import (
+    Lifted,
+    _commutes,
+    _sandwich_commutes,
+    held_lift,
+    lift_predicate,
+    lift_system1,
+)
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -68,8 +69,9 @@ class OutcomeSet:
     identity.  Construction checks only what needs no tolerance (at
     least one matrix, one square shape); each consumer checks the rest
     with its model's tolerance (:func:`linalg.orthogonal_projectors`).
-    A record projector is held as its labels, d1 integers instead of
-    d1 x d1 complex entries, and :attr:`projectors` rebuilds it exactly.
+    A record projector (:func:`linalg.record_labels`) is held as its
+    labels, d1 integers instead of d1 x d1 complex entries, and
+    :attr:`projectors` rebuilds it exactly.
     """
 
     k: int
@@ -81,7 +83,8 @@ class OutcomeSet:
         projs = linalg.square_set(projectors)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "complete", complete)
-        object.__setattr__(self, "_held", tuple(_held_form(p) for p in projs))
+        object.__setattr__(self, "_held", tuple(
+            p if (labels := linalg.record_labels(p)) is None else labels for p in projs))
         object.__setattr__(self, "_dim", projs[0].shape[0])
 
     @property
@@ -163,7 +166,9 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     Each outcome's term is Tr(trimmed(k) Y S P(k0) S Y), with S the
     support of the condition trimmed to k; the normalizer is the sum of
     the terms over the set.  The condition is trimmed to k once: G = P(k)
-    W gives both the trimmed operator G G^dagger and S, its range.
+    W gives both the trimmed operator G G^dagger and S, its range.  Each
+    outcome Y is held as :func:`_held_outcome` holds it, and Y S is taken
+    from that form (:meth:`model.Lifted.inside`).
     """
     linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
     k = cond.model.grid.check_index(outcomes.k)
@@ -183,11 +188,21 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     core = cond.fam.sandwich(k0, sup)
     terms = []
     for y1 in outcomes.projectors:
-        wy = lift_predicate(cond.model, y1, k)
         # Y S P(k0) S Y as a state, traced against G G^dagger
-        terms.append(_real_trace(back, (wy @ (wy.conj().T @ sup), core), cond.tol,
-                                 "prob_intermediate_full term"))
+        ys = _held_outcome(cond.model, y1, k).inside(sup)
+        terms.append(_real_trace(back, (ys, core), cond.tol, "prob_intermediate_full term"))
     return _result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
+
+
+def _held_outcome(model, y, k: int) -> Lifted:
+    """An outcome at k as a lifted predicate, split as
+    :func:`model.lift_predicate` splits it: a system1 projector held as
+    :func:`model.held_lift` holds a condition, by its complement's range
+    above rank d/2; a full-space projector by its range basis."""
+    y = linalg.as_matrix(y)
+    if y.shape == (model.d1, model.d1):
+        return held_lift(model, y, k)
+    return Lifted(model, lift_predicate(model, y, k))
 
 
 def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,

@@ -2,9 +2,9 @@
 
 Products, adjoints, traces and tensor products are plain numpy; this
 module holds what numpy does not: the tolerances, input coercion, the
-Hermitian part, record and support projectors, orthonormal range and
-span bases, the tolerance-based predicates, the bounded zero test and
-the projector-set check.  Every function that decides within a tolerance
+Hermitian part, record and support projectors, the labels of a record,
+orthonormal range and span bases, the tolerance-based predicates, the
+bounded zero test and the projector-set check.  Every function that decides within a tolerance
 takes it as a required argument; the caller passes its model's.
 Matrices are plain ``numpy.ndarray`` objects with complex dtype;
 operator equality is always "max entry magnitude of the difference
@@ -169,6 +169,21 @@ def span_basis(vectors, tol: Tolerance) -> np.ndarray:
     return u[:, keep]
 
 
+def record_labels(p: np.ndarray) -> tuple | None:
+    """The labels of a record projector, a square diagonal matrix whose
+    diagonal entries are each exactly 0 or 1, as the tuple of those with
+    entry 1; None for any other matrix.  Such a matrix is a projector
+    exactly, so no tolerance enters.  A non-diagonal projector usually
+    fails on its diagonal, before its n^2 entries are counted."""
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        return None
+    diag = p.diagonal().tolist()
+    ones = diag.count(1)
+    if ones + diag.count(0) != len(diag) or np.count_nonzero(p) != ones:
+        return None
+    return tuple(i for i, x in enumerate(diag) if x)
+
+
 def diagonal_projector(labels, n: int) -> np.ndarray:
     """n x n projector onto the given standard basis labels (a record)."""
     p = np.zeros((n, n), dtype=complex)
@@ -190,8 +205,24 @@ def square_set(projectors) -> tuple:
 
 def orthogonal_projectors(projectors, complete: bool, tol: Tolerance) -> tuple:
     """The given matrices as a tuple of pairwise-orthogonal projectors of
-    one shape; with ``complete`` set they must also sum to the identity."""
+    one shape; with ``complete`` set they must also sum to the identity.
+
+    A set of records (:func:`record_labels`) is decided from its labels:
+    records are projectors, two are orthogonal when their labels are
+    disjoint, and disjoint records sum to the identity when their labels
+    cover 0..n-1.  The verdicts and messages are those of the dense
+    checks, which any other set takes."""
     projs = square_set(projectors)
+    labels = [record_labels(p) for p in projs]
+    if None not in labels:
+        seen = set()
+        for held in labels:
+            if seen.intersection(held):
+                raise DomainError("outcome projectors must be pairwise orthogonal")
+            seen.update(held)
+        if complete and len(seen) != len(projs[0]):
+            raise DomainError("outcome set flagged complete does not sum to identity")
+        return projs
     if not all(is_projector(p, tol) for p in projs):
         raise DomainError("outcome set entries must be projectors")
     for i, a in enumerate(projs):

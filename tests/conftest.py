@@ -18,6 +18,7 @@ from physborn.condition import (
     ConditionSpec,
     ObservableRep,
     StartTime,
+    _support,
     check_k0,
     observable_rep,
     support_at,
@@ -41,6 +42,7 @@ from physborn.model import (
     forward_closure,
     heisenberg,
     is_physically_possible,
+    lift_predicate,
     lift_system1,
 )
 
@@ -142,6 +144,64 @@ def dense_lift(model: Model, p, k: int) -> np.ndarray:
     if not linalg.is_projector(p, model.tol):
         raise DomainError("a full-space predicate must be a projector")
     return p
+
+
+def projector_basis(p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of a projector, as columns: the
+    standard basis vectors on its unit diagonal when it is diagonal, its
+    eigenvectors with eigenvalue above 1/2 otherwise."""
+    diag = np.diagonal(p)
+    if not np.count_nonzero(p - np.diag(diag)):
+        return np.eye(len(p), dtype=complex)[:, diag.real > 0.5]
+    w, v = np.linalg.eigh(linalg.hermitian_part(p))
+    return v[:, w > 0.5]
+
+
+def product_lift1(model: Model, p1, k: int) -> np.ndarray:
+    """The lift of ``lift_system1`` as a product, (B^dagger (x) I) V(k)
+    with B = :func:`projector_basis` of p1, whatever p1 is, after the
+    same checks: the reference the gathered lift of a record must equal
+    bit for bit."""
+    p1 = linalg.as_matrix(p1)
+    if p1.shape != (model.d1, model.d1):
+        raise ShapeError(f"system1 operator shape {p1.shape}, expected {(model.d1, model.d1)}")
+    if not linalg.is_projector(p1, model.tol):
+        raise DomainError("lift_system1 requires a projector")
+    b = projector_basis(p1)
+    v = cumulative_propagator(model, k)
+    rows = b.conj().T @ v.reshape(model.d1, model.d2 * model.dim)
+    return rows.reshape(-1, model.dim).conj().T
+
+
+def product_lift2(model: Model, p2, k: int) -> np.ndarray:
+    """The lift of ``lift_system2`` as a product, V(k)^dagger (I (x) B)
+    with B = :func:`projector_basis` of p2, after the same checks."""
+    p2 = linalg.as_matrix(p2)
+    if p2.shape != (model.d2, model.d2):
+        raise ShapeError(f"system2 operator shape {p2.shape}, expected {(model.d2, model.d2)}")
+    if not linalg.is_projector(p2, model.tol):
+        raise DomainError("lift_system2 requires a projector")
+    b = projector_basis(p2)
+    vh = cumulative_propagator(model, k).conj().T.reshape(model.dim, model.d1, model.d2)
+    return (vh @ b).reshape(model.dim, -1)
+
+
+def dense_orthogonal_projectors(projectors, complete: bool, tol: linalg.Tolerance) -> tuple:
+    """``linalg.orthogonal_projectors`` with dense checks for every set:
+    each matrix through ``is_projector``, each pair through its product,
+    and the sum against the identity."""
+    projs = linalg.square_set(projectors)
+    if not all(linalg.is_projector(p, tol) for p in projs):
+        raise DomainError("outcome set entries must be projectors")
+    for i, a in enumerate(projs):
+        for b in projs[i + 1:]:
+            if linalg.max_abs(a @ b) > tol.eps_zero:
+                raise DomainError("outcome projectors must be pairwise orthogonal")
+    if complete:
+        total = sum(projs[1:], start=projs[0])
+        if not linalg.approx_equal(total, np.eye(total.shape[0], dtype=complex), tol):
+            raise DomainError("outcome set flagged complete does not sum to identity")
+    return projs
 
 
 def dense_textbook(model: Model, pX, k_x: int, pY, k_y: int) -> float:
@@ -642,6 +702,35 @@ def chain_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: 
     for y1 in outcomes.projectors:
         py = dense_lift(cond.model, y1, k)
         terms.append(_chain_trace(px @ pk @ py @ core @ py @ pk, cond.tol,
+                                  "prob_intermediate_full term"))
+    return _chain_result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
+
+
+def range_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: int,
+                            k0: int = 0) -> ProbabilityResult:
+    """The intermediate-full rule with every outcome in the range form:
+    Y S = W_Y (W_Y^dagger S) for the d x m range basis W_Y of
+    ``lift_predicate``, whatever the outcome's rank."""
+    dense_orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
+    k = cond.model.grid.check_index(outcomes.k)
+    if not (k0 < k < cond.k_c):
+        raise DomainError(
+            f"prob_intermediate_full requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
+        )
+    if not outcomes.complete:
+        raise DomainError("prob_intermediate_full needs a complete outcome set")
+    check_k0(cond, k0, _K0_WORDING)
+    if not 0 <= y_index < len(outcomes):
+        raise IndexError(f"outcome index {y_index} out of range")
+    back, sup = _support(cond.fam, k, cond.lifted)
+    if sup is None:
+        raise UnreachableConditionError(f"condition has no physical weight at index {k}")
+    core = cond.fam.sandwich(k0, sup)
+    terms = []
+    for y1 in outcomes.projectors:
+        wy = lift_predicate(cond.model, y1, k)
+        m = back.conj().T @ (wy @ (wy.conj().T @ sup))
+        terms.append(_chain_trace(m @ core @ m.conj().T, cond.tol,
                                   "prob_intermediate_full term"))
     return _chain_result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
 

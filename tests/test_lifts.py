@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from physborn.condition import ConditionSpec, observable_rep
 from physborn.errors import DomainError, NotPhysicallyPossibleError, ShapeError
-from physborn.model import heisenberg, lift_predicate, lift_system1, lift_system2
+from physborn.model import heisenberg, held_lift, lift_predicate, lift_system1, lift_system2
 from physborn.scenarios import build_reference_experiment
 
 from conftest import dense_lift, random_model, random_projector, random_record_projector
@@ -78,6 +78,19 @@ def test_lift_refusals_keep_their_types_and_messages():
          "a full-space predicate must be a projector"),
         (lambda: lift_predicate(model, 0.3 * p1, 0), DomainError,
          "lift_system1 requires a projector"),
+        # diagonal matrices that are not records, and records of the wrong shape
+        (lambda: lift_system1(model, np.diag([1.0, 0.5, 0.0]), 0), DomainError,
+         "lift_system1 requires a projector"),
+        (lambda: lift_system2(model, np.diag([0.5, 1.0]), 0), DomainError,
+         "lift_system2 requires a projector"),
+        (lambda: held_lift(model, np.diag([1.0, 0.5, 1.0]), 0), DomainError,
+         "lift_system1 requires a projector"),
+        (lambda: lift_system1(model, np.diag([1.0, 0.0]), 0), ShapeError,
+         "system1 operator shape (2, 2), expected (3, 3)"),
+        (lambda: lift_system2(model, np.diag([1.0, 0.0, 0.0]), 0), ShapeError,
+         "system2 operator shape (3, 3), expected (2, 2)"),
+        (lambda: held_lift(model, np.eye(6), 0), ShapeError,
+         "system1 operator shape (6, 6), expected (3, 3)"),
     ]
     for call, error, message in cases:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
