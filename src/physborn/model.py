@@ -12,7 +12,7 @@ built by :func:`forward_closure` keeps one orthonormal d x r range basis
 per index, and every lift returns a d x m orthonormal basis of the
 lifted range at its grid index (:func:`lift_predicate`), so that the
 rules work on d x r and d x m blocks; a dense d x d projector is formed
-only where a public function returns one.  A diagonal factor projector
+only where a public function returns one.  A record factor projector
 is lifted by gathering V(k)'s rows (or columns) at its labels.
 ``PhysicalFamily`` is the one owner of its storage form: no other module
 asks whether P(k) is held as a projector or as a range basis.
@@ -126,22 +126,23 @@ def heisenberg(model: Model, a_schrodinger, k: int) -> np.ndarray:
     return v.conj().T @ a @ v
 
 
-def _projector_range(p: np.ndarray):
-    """The range of a projector: the tuple of the labels on its unit
-    diagonal when it is diagonal, else the orthonormal basis, as columns,
-    of its eigenvectors with eigenvalue above 1/2."""
+def _projector_basis(p: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of a projector, as columns: the
+    standard basis vectors on its unit diagonal when it is diagonal, its
+    eigenvectors with eigenvalue above 1/2 otherwise."""
     diag = np.diagonal(p)
     if not np.count_nonzero(p - np.diag(diag)):
-        return tuple(np.flatnonzero(diag.real > 0.5).tolist())
+        return np.eye(len(p), dtype=complex)[:, diag.real > 0.5]
     w, v = np.linalg.eigh(linalg.hermitian_part(p))
     return v[:, w > 0.5]
 
 
 def _factor_basis(model: Model, p, which: str, n: int):
-    """The range of a checked projector on the n-dimensional ``which``, as
-    :func:`_projector_range` gives it.  A record (:func:`linalg.record_labels`)
-    is a projector exactly and gives its labels unchecked; any other
-    matrix must pass :func:`linalg.is_projector`."""
+    """The range of a checked projector on the n-dimensional ``which``: a
+    record's labels (:func:`linalg.record_labels`), unchecked since a
+    record is a projector exactly, or the range basis
+    :func:`_projector_basis` gives any other matrix that passes
+    :func:`linalg.is_projector`."""
     p = linalg.as_matrix(p)
     if p.shape != (n, n):
         raise ShapeError(f"{which} operator shape {p.shape}, expected {(n, n)}")
@@ -150,21 +151,16 @@ def _factor_basis(model: Model, p, which: str, n: int):
         return labels
     if not linalg.is_projector(p, model.tol):
         raise DomainError(f"lift_{which} requires a projector")
-    return _projector_range(p)
+    return _projector_basis(p)
 
 
 def lift_system1(model: Model, p1, k: int) -> np.ndarray:
     """Heisenberg lift of a system1 projector at grid index k, as the d x m
     orthonormal basis W = V(k)^dagger (B (x) identity) of its range, with
     B a range basis of p1 (:func:`_factor_basis`); no d x d product is
-    made.  For a diagonal p1, B is the standard basis vectors at its
-    labels, and W^dagger is V(k)'s rows at those labels, gathered rather
-    than multiplied."""
-    return _lift_rows(model, _factor_basis(model, p1, "system1", model.d1), k)
-
-
-def _lift_rows(model: Model, b, k: int) -> np.ndarray:
-    """:func:`lift_system1` for the range b of p1: labels or a basis."""
+    made.  For a record, W^dagger is V(k)'s rows at its labels, gathered
+    rather than multiplied."""
+    b = _factor_basis(model, p1, "system1", model.d1)
     # (B^dagger (x) I) V(k), row (b, j) = sum_a conj(B[a, b]) V[(a, j), :]
     v = cumulative_propagator(model, k).reshape(model.d1, model.d2 * model.dim)
     rows = v[list(b)] if isinstance(b, tuple) else b.conj().T @ v
@@ -174,7 +170,7 @@ def _lift_rows(model: Model, b, k: int) -> np.ndarray:
 def lift_system2(model: Model, p2, k: int) -> np.ndarray:
     """Heisenberg lift of a system2 projector at grid index k, as the d x m
     orthonormal basis V(k)^dagger (identity (x) B) of its range, with B a
-    range basis of p2; for a diagonal p2, V(k)^dagger's columns at its
+    range basis of p2; for a record p2, V(k)^dagger's columns at its
     labels within each system1 block."""
     b = _factor_basis(model, p2, "system2", model.d2)
     # column (a, c) = sum_j V^dagger[:, (a, j)] B[j, c]
@@ -214,9 +210,8 @@ def _full_space_basis(model: Model, p: np.ndarray, k: int) -> np.ndarray:
     eps = model.tol.eps_zero
     kept = [linalg.max_abs(moved[:, a] - blocks[:, a]) <= eps for a in range(d1)]
     if all(kept[a] or linalg.max_abs(moved[:, a]) <= eps for a in range(d1)):
-        return _lift_rows(model, tuple(np.flatnonzero(kept).tolist()), k)
-    b = _projector_range(p)
-    return np.eye(d, dtype=complex)[:, list(b)] if isinstance(b, tuple) else b
+        return lift_system1(model, linalg.diagonal_projector(np.flatnonzero(kept), d1), k)
+    return _projector_basis(p)
 
 
 class PhysicalFamily:
@@ -636,16 +631,11 @@ def held_lift(model: Model, p1, k: int) -> Lifted:
     """Heisenberg lift of a system1 projector p1 at grid index k, held by
     the range basis :func:`lift_system1` gives it or, when its rank m is
     above d/2, by that of its complement I - p1 (see :class:`Lifted`).
-    The rank m/d2 of a projector is its trace rounded; a record's
-    complement is lifted from the labels it lacks."""
+    The rank m/d2 of a projector is its trace rounded."""
     p1 = linalg.as_matrix(p1)
     if p1.shape != (model.d1, model.d1) or 2 * round(np.trace(p1).real) <= model.d1:
         return Lifted(model, lift_system1(model, p1, k))
-    labels = linalg.record_labels(p1)
-    if labels is None:
-        rest = lift_system1(model, np.eye(model.d1, dtype=complex) - p1, k)
-    else:
-        rest = _lift_rows(model, tuple(sorted(set(range(model.d1)).difference(labels))), k)
+    rest = lift_system1(model, np.eye(model.d1, dtype=complex) - p1, k)
     return Lifted(model, rest, (p1, k))
 
 

@@ -244,9 +244,8 @@ def test_the_support_cut_is_on_squared_singular_values():
 def test_a_chain_measurement_lifts_nothing_wider_than_a_record(monkeypatch):
     c, model, fam = bench_chain()
     widths, trims, restricts = [], [], []
-    # every system1 lift, a record's complement included, gathers its rows here
-    lift, trim, restrict = model_mod._lift_rows, condition._trim, PhysicalFamily._restrict
-    monkeypatch.setattr(model_mod, "_lift_rows",
+    lift, trim, restrict = model_mod.lift_system1, condition._trim, PhysicalFamily._restrict
+    monkeypatch.setattr(model_mod, "lift_system1",
                         lambda *args: widths.append(lift(*args).shape[1]) or lift(*args))
     monkeypatch.setattr(condition, "_trim", lambda *args: trims.append(args) or trim(*args))
     t = 9
