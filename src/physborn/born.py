@@ -32,6 +32,7 @@ measures the two commutators densely for reports and refusal messages.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ from .errors import (
 )
 from .model import (
     Lifted,
+    Model,
     _commutes,
     _sandwich_commutes,
     held_lift,
@@ -63,38 +65,63 @@ from .model import (
 
 @dataclass(frozen=True, init=False, slots=True)
 class OutcomeSet:
-    """Pairwise-orthogonal system1 outcome projectors at one grid index.
+    """Pairwise-orthogonal projectors of one shape at one grid index,
+    system1 or full-space, that sum to the identity when ``complete``.
 
-    With ``complete`` set, the projectors must sum to the system1
-    identity.  Construction checks only what needs no tolerance (at
-    least one matrix, one square shape); each consumer checks the rest
-    with its model's tolerance (:func:`linalg.orthogonal_projectors`).
-    A record projector (:func:`linalg.record_labels`) is held as its
-    labels, d1 integers instead of d1 x d1 complex entries, and
+    Construction checks only what needs no tolerance (at least one
+    matrix, one square shape); :meth:`lifted`, through which every
+    consumer reads the set, checks the rest.  A record projector
+    (:func:`linalg.record_labels`) is held as its labels, and
     :attr:`projectors` rebuilds it exactly.
     """
 
     k: int
     complete: bool
+    dim: int = field(repr=False)
     _held: tuple = field(repr=False)
-    _dim: int = field(repr=False)
 
     def __init__(self, projectors, k: int, complete: bool = False):
         projs = linalg.square_set(projectors)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "dim", projs[0].shape[0])
         object.__setattr__(self, "_held", tuple(
             p if (labels := linalg.record_labels(p)) is None else labels for p in projs))
-        object.__setattr__(self, "_dim", projs[0].shape[0])
 
     @property
     def projectors(self) -> tuple:
-        """The outcome projectors as d1 x d1 matrices."""
-        return tuple(linalg.diagonal_projector(h, self._dim) if isinstance(h, tuple) else h
+        """The outcome projectors as dim x dim matrices."""
+        return tuple(linalg.diagonal_projector(h, self.dim) if isinstance(h, tuple) else h
                      for h in self._held)
 
     def __len__(self) -> int:
         return len(self._held)
+
+    def lifted(self, model: Model) -> Iterator[Lifted]:
+        """Check the set with ``model.tol`` and lift each member at k: a
+        system1 one as :func:`model.held_lift` holds a condition, a
+        full-space one by the range basis of :func:`model.lift_predicate`.
+
+        A set of records is checked from its labels (disjoint, and
+        covering 0..dim-1 when complete), any other set by
+        :func:`linalg.orthogonal_projectors`, with the same verdicts and
+        messages.  The check runs on the call and each lift when the
+        returned iterator reaches it, so a consumer's refusals in between
+        keep their order.
+        """
+        projs = self.projectors
+        if all(isinstance(h, tuple) for h in self._held):
+            seen = set()
+            for labels in self._held:
+                if seen.intersection(labels):
+                    raise DomainError("outcome projectors must be pairwise orthogonal")
+                seen.update(labels)
+            if self.complete and len(seen) != self.dim:
+                raise DomainError("outcome set flagged complete does not sum to identity")
+        else:
+            linalg.orthogonal_projectors(projs, self.complete, model.tol)
+        return (held_lift(model, y, self.k) if self.dim == model.d1
+                else Lifted(model, lift_predicate(model, y, self.k)) for y in projs)
 
 
 @dataclass(frozen=True)
@@ -167,10 +194,10 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     support of the condition trimmed to k; the normalizer is the sum of
     the terms over the set.  The condition is trimmed to k once: G = P(k)
     W gives both the trimmed operator G G^dagger and S, its range.  Each
-    outcome Y is held as :func:`_held_outcome` holds it, and Y S is taken
-    from that form (:meth:`model.Lifted.inside`).
+    outcome Y is held as :meth:`OutcomeSet.lifted` holds it, and Y S is
+    taken from that form (:meth:`model.Lifted.inside`).
     """
-    linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
+    members = outcomes.lifted(cond.model)
     k = cond.model.grid.check_index(outcomes.k)
     if not (k0 < k < cond.k_c):
         raise DomainError(
@@ -187,22 +214,11 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
         raise _no_weight(k)
     core = cond.fam.sandwich(k0, sup)
     terms = []
-    for y1 in outcomes.projectors:
+    for member in members:
         # Y S P(k0) S Y as a state, traced against G G^dagger
-        ys = _held_outcome(cond.model, y1, k).inside(sup)
+        ys = member.inside(sup)
         terms.append(_real_trace(back, (ys, core), cond.tol, "prob_intermediate_full term"))
     return _result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
-
-
-def _held_outcome(model, y, k: int) -> Lifted:
-    """An outcome at k as a lifted predicate, split as
-    :func:`model.lift_predicate` splits it: a system1 projector held as
-    :func:`model.held_lift` holds a condition, by its complement's range
-    above rank d/2; a full-space projector by its range basis."""
-    y = linalg.as_matrix(y)
-    if y.shape == (model.d1, model.d1):
-        return held_lift(model, y, k)
-    return Lifted(model, lift_predicate(model, y, k))
 
 
 def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,

@@ -13,10 +13,10 @@ d x (d - m) basis Wbar of its complement's range (X = I - Wbar
 Wbar^dagger), so that a "not this record" outcome costs about what its
 record costs.  :class:`model.Lifted` is the one owner of the form: it
 decides possibility and finds the support of the trimmed operator P(k) X
-P(k) at the family's rank, in either form.  ``ConditionSpec.basis`` and
-``.projector`` rebuild the range form on demand, and the trimmed
-operator G G^dagger, G = P(k) W, of the rules and of the start-index
-scan is built on it, rebuilt once per call.  A state rho is a pair (phi, core) with rho = phi
+P(k) at the family's rank, in either form.  ``ConditionSpec.basis``
+rebuilds the range form on demand, and the trimmed operator G G^dagger,
+G = P(k) W, of the rules and of the start-index scan is built on it,
+rebuilt once per call.  A state rho is a pair (phi, core) with rho = phi
 core phi^dagger (core None for the identity).  The rules and the
 measurement kappas use the blocks (:func:`condition_state`,
 :func:`trimmed_state`); :func:`trimmed`, :func:`support_at` and
@@ -91,13 +91,6 @@ class ConditionSpec:
         """The d x m orthonormal basis W of the lifted predicate's range
         (rebuilt on each call when X is held by its complement)."""
         return self._lifted.basis
-
-    @property
-    def projector(self) -> np.ndarray:
-        """Heisenberg lift of the predicate at its own index, as a dense
-        d x d projector W W^dagger (rebuilt on each call)."""
-        w = self.basis
-        return w @ w.conj().T
 
 
 def _trim_index(cond: ConditionSpec, k: int) -> int:

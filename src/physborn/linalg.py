@@ -206,23 +206,9 @@ def square_set(projectors) -> tuple:
 def orthogonal_projectors(projectors, complete: bool, tol: Tolerance) -> tuple:
     """The given matrices as a tuple of pairwise-orthogonal projectors of
     one shape; with ``complete`` set they must also sum to the identity.
-
-    A set of records (:func:`record_labels`) is decided from its labels:
-    records are projectors, two are orthogonal when their labels are
-    disjoint, and disjoint records sum to the identity when their labels
-    cover 0..n-1.  The verdicts and messages are those of the dense
-    checks, which any other set takes."""
+    Each matrix is checked by :func:`is_projector`, each pair by its
+    product and the sum against the identity, all within eps_zero."""
     projs = square_set(projectors)
-    labels = [record_labels(p) for p in projs]
-    if None not in labels:
-        seen = set()
-        for held in labels:
-            if seen.intersection(held):
-                raise DomainError("outcome projectors must be pairwise orthogonal")
-            seen.update(held)
-        if complete and len(seen) != len(projs[0]):
-            raise DomainError("outcome set flagged complete does not sum to identity")
-        return projs
     if not all(is_projector(p, tol) for p in projs):
         raise DomainError("outcome set entries must be projectors")
     for i, a in enumerate(projs):

@@ -12,7 +12,8 @@ the start state a (phi, core) pair, and the partial trace over system1 of
 outcome probability is the trace of the last kappa, tr(K) / Tr(rho),
 and is read without the path.
 
-The start space and every outcome are conditions, so each is held as
+The start space is kept as its condition and every outcome as
+:meth:`born.OutcomeSet.lifted` lifts it, in the form
 :func:`model.held_lift` picks: an outcome "not this record", of rank m >
 d/2, by the small basis of its complement, whose support anchor Q is
 found from the r x d block at the family's rank r.  The start space is
@@ -64,7 +65,7 @@ class MeasurementProcess:
 
     def __post_init__(self):
         tol = self.model.tol
-        linalg.orthogonal_projectors(self.outcomes.projectors, self.outcomes.complete, tol)
+        members = self.outcomes.lifted(self.model)
         object.__setattr__(self, "m0", linalg.as_matrix(self.m0))
         k1 = self.model.grid.check_index(self.k1)
         k2 = self.model.grid.check_index(self.outcomes.k)
@@ -79,29 +80,32 @@ class MeasurementProcess:
             ) from None
         check_k0(start_cond, self.k0, "the start space's start index")
         object.__setattr__(self, "_start", start_cond)
+        d1, dim = self.model.d1, self.outcomes.dim
+        if dim != d1:
+            raise ShapeError(f"system1 operator shape {(dim, dim)}, expected {(d1, d1)}")
 
-        conds, record_ok = [], []
-        for p in self.outcomes.projectors:
-            try:
-                cond = ConditionSpec(self.model, self.fam, p, k2)
-            except NotPhysicallyPossibleError:
-                # Only an outcome without physical weight passes: unreachable.
-                if held_lift(self.model, p, k2).has_weight(self.fam, k2):
-                    raise
-                conds.append(None)
+        lifts, record_ok = [], []
+        for lifted in members:
+            # Only an outcome without physical weight passes: unreachable.
+            if not lifted.is_possible(self.fam, k2):
+                if lifted.has_weight(self.fam, k2):
+                    raise NotPhysicallyPossibleError(
+                        f"condition predicate is not physically possible at index {k2}"
+                    )
+                lifts.append(None)
                 record_ok.append(True)
                 continue
-            conds.append(cond)
+            lifts.append(lifted)
             # X S = S for the start space X and the support S = Q Q^dagger:
             # no entry of ((I - X) Q) Q^dagger above eps_zero.  Q is
             # orthonormal, so its Frobenius norm is that of the d x s block
             # (I - X) Q.
-            q = _anchor(self, k1, cond.lifted)
+            q = _anchor(self, k1, lifted)
             miss = start_cond.lifted.outside(q)
             frob = np.linalg.norm(miss)
             record_ok.append(linalg.within_zero(
                 frob, frob / len(q), lambda: linalg.max_abs(miss @ q.conj().T), tol))
-        object.__setattr__(self, "_conds", tuple(conds))
+        object.__setattr__(self, "_lifted", tuple(lifts))
         object.__setattr__(self, "record_preserved", tuple(record_ok))
 
     @property
@@ -113,8 +117,11 @@ class MeasurementProcess:
         return all(self.record_preserved)
 
     def outcome_condition(self, i: int) -> ConditionSpec | None:
-        """Condition spec for outcome i, or None when unreachable."""
-        return self._conds[i]
+        """Condition spec for outcome i, built on each call, or None when
+        the outcome is unreachable."""
+        if self._lifted[i] is None:
+            return None
+        return ConditionSpec(self.model, self.fam, self.outcomes.projectors[i], self.k2)
 
 
 @dataclass(frozen=True)
@@ -194,15 +201,15 @@ def _outcome_anchor(proc: MeasurementProcess, i: int, rep: str) -> tuple:
     anchor at each index, None for an unreachable outcome.  Refuses a
     start space without weight, then an unknown ``rep``, then a basis
     that :func:`observable_rep` rejects."""
-    cond = proc.outcome_condition(i)
+    lifted = proc._lifted[i]
     state = _start_state(proc, proc.model.tol)
     if rep not in ("support", "observable"):
         raise DomainError(f"unknown representation {rep!r}")
-    if cond is None:
+    if lifted is None:
         return state, None
     if rep == "support":
-        return state, lambda k: _anchor(proc, k, cond.lifted)
-    orep = observable_rep(cond)  # raises if the basis is unsuitable
+        return state, lambda k: _anchor(proc, k, lifted)
+    orep = observable_rep(proc.outcome_condition(i))  # raises if the basis is unsuitable
     return state, lambda k: lift_system1(proc.model, orep.system1_projector(k), k)
 
 

@@ -31,9 +31,10 @@ from .model import (
     Model,
     PhysicalFamily,
     TimeGrid,
+    cumulative_propagator,
     forward_closure,
-    heisenberg,
     lift_predicate,
+    physical_range,
 )
 
 # Record register labels (system1).
@@ -316,37 +317,31 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
     ref = build_reference_experiment(tol)
     model, fam = ref.model, ref.fam
     cond_i, cond_fup = ref.condition("I", ref.T0), ref.condition("Fup", ref.T1)
-    p_i, p_fup = cond_i.projector, cond_fup.projector
 
     textbook = textbook_born(model, ref.predicate("I"), ref.T0,
                              ref.predicate("Fup"), ref.T1)
 
-    # Microstates: eigenbasis of the physical part of the record
-    # predicate, plus every product-basis record-I state with nonzero
-    # physical weight.
-    micro = []
-    phys_i = fam.at(ref.T0) @ p_i
-    w, v = np.linalg.eigh(linalg.hermitian_part(phys_i))
-    n_phys = 0
-    for col, lam in zip(v.T, w):
-        if lam < 1 - 100 * tol.eps_eig:
-            continue
-        n_phys += 1
-        micro.append(("physical-eigenstate-%d" % n_phys, np.outer(col, col.conj())))
+    # Microstates, each a Heisenberg-frame vector v held as a d x 1 block:
+    # an orthonormal basis of the physical part of the record predicate
+    # (one state on this model, so unique up to phase), plus every
+    # product-basis record-I state with nonzero physical weight.
+    _, phys = physical_range(model, fam, ref.T0, cond_i.basis)
+    micro = [(f"physical-eigenstate-{n + 1}", phys[:, [n]]) for n in range(phys.shape[1])]
+    vh = cumulative_propagator(model, ref.T0).conj().T
     for spin_name, spin in (("z+", KET_Z_UP), ("z-", KET_Z_DOWN)):
         for cell in range(N_CELLS):
-            ket = _basis_state(REC_I, spin, cell)
-            px = heisenberg(model, np.outer(ket, ket.conj()), ref.T0)
-            if np.trace(fam.at(ref.T0) @ px).real <= tol.eps_zero:
+            v = vh @ _basis_state(REC_I, spin, cell)[:, None]
+            if fam.sandwich(ref.T0, v).real.item() <= tol.eps_zero:
                 continue
-            micro.append((f"I,spin {spin_name},{CELL_NAMES[cell]}", px))
+            micro.append((f"I,spin {spin_name},{CELL_NAMES[cell]}", v))
 
-    p0 = fam.at(0)
-    results = []
-    for label, px in micro:
-        weight = np.trace(px @ p0).real
-        value = np.trace(p_fup @ px @ p0 @ px).real / weight
-        results.append(MicrostateResult(label, float(weight), float(value)))
+    # For the microstate |v><v|, the weight Tr(|v><v| P(0)) is v^dagger P(0)
+    # v, and the value Tr(Y |v><v| P(0) |v><v|) / weight is ||W^dagger v||^2
+    # for Y = W W^dagger, W the range basis of Fup lifted at t1.
+    w_fup = cond_fup.basis
+    results = [MicrostateResult(label, fam.sandwich(0, v).real.item(),
+                                float(np.linalg.norm(w_fup.conj().T @ v) ** 2))
+               for label, v in micro]
 
     retro = prob_approx(cond_fup, ref.predicate("I"), ref.T0).value
     forward = prob_forward(cond_i, ref.predicate("Fup"), ref.T1).value

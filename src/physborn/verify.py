@@ -67,8 +67,8 @@ def verifiability(cond: ConditionSpec, outcomes: OutcomeSet) -> VerifiabilityRep
     direction = "forward" if outcomes.k > cond.k_c else "backward"
     k = outcomes.k
     verdicts = []
-    for y in linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol):
-        wy = lift_predicate(cond.model, y, k)
+    for member in outcomes.lifted(cond.model):
+        wy = member.basis
         phys, cnd = verifiability_norms(cond, wy, k)
         verdicts.append(OutcomeVerdict(phys, cnd, verifiable(cond, wy, k)))
     return VerifiabilityReport(k, direction, tuple(verdicts),
@@ -145,8 +145,7 @@ def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
     Q) for the range basis Q of Z (a squared Frobenius norm for a family
     of bases).  ``k0`` is refused as in the probability rules."""
     k = outcomes.k
-    lifted = [lift_predicate(cond.model, y, k) for y in
-              linalg.orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)]
+    lifted = [member.basis for member in outcomes.lifted(cond.model)]
     if not all(verifiable(cond, wy, k) for wy in lifted):
         raise DomainError("trace identity requires a verifiable outcome set")
     rho = condition_state(cond, k0)   # also refuses k0 as the rules do

@@ -138,7 +138,8 @@ def test_held_lift_picks_the_complement_above_half_the_rank():
         # the public form is still the range basis of the lift
         assert np.array_equal(cond.basis, lift_system1(model, rest, t))
         assert cond.basis.shape == (d, d - model.d2)
-        assert np.max(np.abs(cond.projector - dense_lift(model, rest, t))) <= TOL
+        w = cond.basis
+        assert np.max(np.abs(w @ w.conj().T - dense_lift(model, rest, t))) <= TOL
     haar = random_model(np.random.default_rng(5), 4, 2, 2)
     half = held_lift(haar, np.diag([1.0, 1, 0, 0]), 1)      # m = d/2 keeps the range form
     assert half.block.shape == (8, 4) and half.basis is half.block
@@ -254,9 +255,10 @@ def test_a_chain_measurement_lifts_nothing_wider_than_a_record(monkeypatch):
     assert widths == [model.d2] * 3     # the start space, R_t, and I - R_t by R_t
     assert trims == []                  # no start-index scan for k0 = 0
     assert abs(sum(values) - 1) <= TOL
+    cond = proc.outcome_condition(1)    # built on demand, with its own possibility test
     monkeypatch.setattr(PhysicalFamily, "_restrict",
                         lambda *args: restricts.append(args) or restrict(*args))
-    assert proc.outcome_condition(1).lifted.is_possible(fam, t)
+    assert cond.lifted.is_possible(fam, t)
     assert len(restricts) == 1          # one restriction per possibility test
 
 

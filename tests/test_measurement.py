@@ -1,13 +1,15 @@
 """Measurement processes, kappa paths, refinement, and position
 distributions."""
 
+import re
+
 import numpy as np
 import pytest
 
 from physborn import condition, measurement, model, verify
 from physborn.born import OutcomeSet, prob_forward
 from physborn.condition import ConditionSpec
-from physborn.errors import DomainError, ShapeError
+from physborn.errors import DomainError, NotPhysicallyPossibleError, ShapeError
 from physborn.measurement import (
     MeasurementProcess,
     kappa_path,
@@ -19,6 +21,8 @@ from physborn.measurement import (
 from physborn.scenarios import (
     CELL_DET1,
     KET_Y_UP,
+    REC_F_DOWN,
+    REC_F_UP,
     build_redundant_record_experiment,
     build_reference_experiment,
 )
@@ -103,6 +107,24 @@ def test_outcomes_must_follow_start(ref):
     outcomes = OutcomeSet((ref.predicate("I"),), ref.T0)
     with pytest.raises(DomainError):
         MeasurementProcess(ref.model, ref.fam, ref.predicate("I"), ref.T0, outcomes)
+
+
+def test_outcome_refusals_keep_their_types_and_messages(ref):
+    # an outcome with weight that does not commute with the family at k2
+    u = np.zeros(5, dtype=complex)
+    u[REC_F_UP] = u[REC_F_DOWN] = 2 ** -0.5
+    tilted = np.outer(u, u.conj())
+    message = f"condition predicate is not physically possible at index {ref.T1}"
+    for outcomes in ((tilted, np.eye(5) - tilted), (np.eye(5) - tilted, tilted)):
+        with pytest.raises(NotPhysicallyPossibleError, match=f"^{re.escape(message)}$"):
+            MeasurementProcess(ref.model, ref.fam, ref.predicate("I"), ref.T0,
+                               OutcomeSet(outcomes, ref.T1, complete=True))
+    # outcomes must be system1 projectors; refused after the start space's checks
+    full = OutcomeSet((np.eye(ref.model.dim),), ref.T1)
+    with pytest.raises(ShapeError, match=r"^system1 operator shape \(50, 50\), expected \(5, 5\)$"):
+        MeasurementProcess(ref.model, ref.fam, ref.predicate("I"), ref.T0, full)
+    with pytest.raises(NotPhysicallyPossibleError, match="^start space is not physically possible"):
+        MeasurementProcess(ref.model, ref.fam, ref.predicate("blocked"), ref.T_S, full)
 
 
 def test_position_distribution_tracks_the_particle(ref):

@@ -3,28 +3,32 @@
 A record projector, diagonal with every diagonal entry exactly 0 or 1
 (``linalg.record_labels``), is lifted by gathering the rows of V(k) at
 its labels, without a projector check, a basis search or a product; its
-outcome set is checked from its labels; and the intermediate-full rule
-holds each outcome as ``held_lift`` holds a condition, so "not this
+outcome set is checked from its labels by ``OutcomeSet.lifted``, the one
+owner of that check and of the members' lifts; and the intermediate-full
+rule holds each outcome as ``held_lift`` holds a condition, so "not this
 record" enters by its complement's small basis.  These tests hold the
 gathered lifts to the product lift of ``conftest`` bit for bit, the
 label-based set check to the dense one verdict for verdict and message
 for message, and the held-form rule to the range-form one within 1e-12.
 """
 
+import ast
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import physborn
 from physborn import linalg
 from physborn.born import OutcomeSet, prob_intermediate_full
 from physborn.condition import ConditionSpec
 from physborn.errors import PhysbornError
 from physborn.measurement import MeasurementProcess, outcome_probability
-from physborn.model import held_lift, lift_system1, lift_system2
+from physborn.model import Model, TimeGrid, held_lift, lift_system1, lift_system2
 from physborn.scenarios import build_reference_experiment
 
 from conftest import (
@@ -159,7 +163,8 @@ def test_chain_measurements_and_full_queries_check_no_record_densely(monkeypatch
     assert callers == []
     # a set that is not all records still goes through the dense check
     tilted = random_projector(np.random.default_rng(3), c.d1, 1)
-    assert not outcome_of(lambda: linalg.orthogonal_projectors((up, tilted), False, model.tol))[0]
+    mixed = OutcomeSet((up, tilted), j)
+    assert not outcome_of(lambda: mixed.lifted(model))[0]
     assert callers == ["orthogonal_projectors"] * 2
 
 
@@ -179,15 +184,29 @@ def _record_sets(draw):
     return [linalg.diagonal_projector(sorted(set(a)), n) for a in sets], draw(st.booleans())
 
 
+def _identity_model(n: int) -> Model:
+    """d1 = n, d2 = 1 and one identity step: each member of an outcome set
+    lifts to its own range."""
+    return Model(n, 1, TimeGrid((0.0, 1.0)), (np.eye(n, dtype=complex),))
+
+
+def _set_check(projs, complete: bool) -> tuple:
+    """``OutcomeSet.lifted``'s check on an identity model, with the
+    members' range projectors when it passes."""
+    model = _identity_model(projs[0].shape[0])
+    return outcome_of(lambda: tuple(
+        m.basis @ m.basis.conj().T for m in OutcomeSet(projs, 0, complete).lifted(model)))
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(_record_sets())
 def test_label_set_check_matches_the_dense_check(case):
     projs, complete = case
-    got = outcome_of(lambda: linalg.orthogonal_projectors(projs, complete, linalg.DEFAULT_TOL))
+    got = _set_check(projs, complete)
     want = outcome_of(lambda: dense_orthogonal_projectors(projs, complete, linalg.DEFAULT_TOL))
     assert got[0] == want[0]
     if got[0]:
-        assert all(a is b for a, b in zip(got[1], want[1]))
+        assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
     else:
         assert got[1] == want[1]
 
@@ -201,7 +220,7 @@ def test_mixed_sets_keep_the_dense_check(case, seed):
     other = (random_projector(rng, n, int(rng.integers(0, n + 1))) if rng.random() < 0.5
              else np.diag(rng.choice((0.0, 0.5, 1.0), n)).astype(complex))
     projs = projs + [other]
-    got = outcome_of(lambda: linalg.orthogonal_projectors(projs, complete, linalg.DEFAULT_TOL))
+    got = _set_check(projs, complete)
     want = outcome_of(lambda: dense_orthogonal_projectors(projs, complete, linalg.DEFAULT_TOL))
     assert got[0] == want[0] and (got[0] or got[1] == want[1])
 
@@ -274,3 +293,26 @@ def test_intermediate_full_refusals_keep_their_types_and_messages():
         assert not got[0] and re.fullmatch(re.escape(message), got[1][1]), got
         _agree(lambda: prob_intermediate_full(cond, outcomes, y_index, k0),
                lambda: range_intermediate_full(cond, outcomes, y_index, k0))
+
+
+def _references(name: str) -> set:
+    """(module, top-level definition) of every place in the package whose
+    code names ``name``; None for a module-level statement."""
+    found = set()
+    for path in sorted(Path(physborn.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                named = (node.attr if isinstance(node, ast.Attribute)
+                         else node.id if isinstance(node, ast.Name)
+                         else node.name if isinstance(node, ast.alias) else None)
+                if named == name:
+                    found.add((path.stem, getattr(top, "name", None)))
+    return found
+
+
+def test_only_outcome_sets_check_and_hold_their_members():
+    # an outcome set is checked by OutcomeSet.lifted, and the dense check is
+    # left to the position cells of position_distribution
+    assert _references("orthogonal_projectors") == {
+        ("born", "OutcomeSet"), ("measurement", "position_distribution")}
+    assert {module for module, _ in _references("_held")} == {"born"}

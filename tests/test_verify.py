@@ -4,7 +4,7 @@ observer restriction."""
 import numpy as np
 import pytest
 
-from physborn import linalg, verify
+from physborn import born, linalg
 from physborn.born import OutcomeSet, prob_forward, prob_sequence
 from physborn.condition import ConditionSpec
 from physborn.errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
@@ -192,14 +192,15 @@ def test_trace_identity_refuses_k0_as_the_rules_do(ref):
 
 
 def test_trace_identity_lifts_each_outcome_once(ref, monkeypatch):
+    # the outcome set lifts its system1 members (OutcomeSet.lifted)
     lifts = []
-    real = verify.lift_predicate
+    real = born.held_lift
 
     def counted(*args, **kwargs):
         lifts.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "lift_predicate", counted)
+    monkeypatch.setattr(born, "held_lift", counted)
     outcomes = OutcomeSet((ref.predicate("Fup"), ref.predicate("Fdown")), ref.T1)
     verify_trace_identity(ref.condition("I", ref.T0), outcomes)
     assert len(lifts) == 2
