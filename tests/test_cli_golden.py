@@ -89,6 +89,13 @@ COMMANDS = (
      "--outcomes", "Fup,Fdown@t1"],
     ["--eps-zero", "1e-6", "--json", "verify", "--scenario", "reference", "--cond", "Fup@t1",
      "--outcomes", "I,notI@t0"],
+    # Complement outcomes ("not this record") through the rules and verify.
+    _prob("forward", "I@t0", "notI@t1"),
+    _prob("approx", "Fup@t1", "notI@t0"),
+    _prob("before", "Fup@t1", "notI@ts"),
+    _prob("sequence", "ready@ts", "notI@t0", "--outcome2", "Fup@t1"),
+    _prob("sequence", "ready@ts", "I@t0", "--outcome2", "notI@t1"),
+    _verify("I@t0", "I,notI@t1"),
     # An unknown --k0 label is a usage error, as for --cond.
     ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I@t0",
      "--outcome", "Fup@t1", "--k0", "t9"],
