@@ -18,12 +18,11 @@ switching formulas.
 Every rule is the textbook trace Tr(Y rho) / Tr(rho).  Only the state
 rho differs, and it is built from the condition trimmed to the physical
 family: the condition operator X P(k0) X, or a trimmed operator P X P.
-States are (phi, core) blocks from ``condition`` and outcomes are d x m
-range bases from ``lift_predicate``, so each trace is a sum over a small
-block, Tr(Y rho) = Tr(M core M^dagger) with M = W_Y^dagger phi.  The
-intermediate-full rule holds its outcomes as ``held_lift`` holds a
-condition instead, so that "not this record" is lifted by the small
-basis of its complement, and takes Y S from that form.
+States are (phi, core) blocks from ``condition``, and every outcome is
+held as ``model.lift_predicate`` holds it (``model.Lifted``), so that
+"not this record" is lifted by the small basis of its complement.  Each
+trace is a sum over a small block, Tr(Y rho) = Tr(M core M^dagger) with
+M^dagger M = phi^dagger Y phi (``Lifted.factor``).
 
 Verifiability, which the sequence rule and ``verify`` require, is decided
 by :func:`verifiable` from the same blocks; :func:`verifiability_norms`
@@ -42,7 +41,6 @@ from .condition import (
     ConditionSpec,
     ObservableRep,
     _no_weight,
-    _support,
     check_k0,
     condition_state,
     trimmed_state,
@@ -57,7 +55,6 @@ from .model import (
     Model,
     _commutes,
     _sandwich_commutes,
-    held_lift,
     lift_predicate,
     lift_system1,
 )
@@ -98,9 +95,8 @@ class OutcomeSet:
         return len(self._held)
 
     def lifted(self, model: Model) -> Iterator[Lifted]:
-        """Check the set with ``model.tol`` and lift each member at k: a
-        system1 one as :func:`model.held_lift` holds a condition, a
-        full-space one by the range basis of :func:`model.lift_predicate`.
+        """Check the set with ``model.tol`` and lift each member at k with
+        :func:`model.lift_predicate`.
 
         A set of records is checked from its labels (disjoint, and
         covering 0..dim-1 when complete), any other set by
@@ -120,8 +116,7 @@ class OutcomeSet:
                 raise DomainError("outcome set flagged complete does not sum to identity")
         else:
             linalg.orthogonal_projectors(projs, self.complete, model.tol)
-        return (held_lift(model, y, self.k) if self.dim == model.d1
-                else Lifted(model, lift_predicate(model, y, self.k)) for y in projs)
+        return (lift_predicate(model, y, self.k) for y in projs)
 
 
 @dataclass(frozen=True)
@@ -133,17 +128,16 @@ class ProbabilityResult:
     warnings: tuple = field(default_factory=tuple)
 
 
-def _trace(a, state: tuple) -> complex:
-    """Tr(a a^dagger rho) for rho = phi core phi^dagger (Tr(rho) when a is
-    None), as Tr(M core M^dagger) with M = a^dagger phi."""
-    phi, core = state
-    m = phi if a is None else a.conj().T @ phi
+def _trace(m: np.ndarray, core) -> complex:
+    """Tr(M core M^dagger), core None standing for the identity: Tr(rho)
+    for rho = phi core phi^dagger with M = phi, Tr(Y rho) with M the
+    factor of phi^dagger Y phi (``Lifted.factor``)."""
     return complex(np.vdot(m, m if core is None else m @ core))
 
 
-def _real_trace(a, state: tuple, tol: linalg.Tolerance, context: str) -> float:
+def _real_trace(m: np.ndarray, core, tol: linalg.Tolerance, context: str) -> float:
     """The real part of :func:`_trace`, refusing an imaginary residue."""
-    t = _trace(a, state)
+    t = _trace(m, core)
     if abs(t.imag) > tol.eps_zero * max(1.0, abs(t.real)):
         raise DomainError(
             f"trace in {context} has imaginary residue {t.imag:.3e}; "
@@ -164,15 +158,16 @@ def _result(num: float, den: float, rule: str, tol: linalg.Tolerance,
     return ProbabilityResult(float(value), float(num), float(den), rule, warnings)
 
 
-def _born(wy: np.ndarray, rho: tuple, rule: str, tol: linalg.Tolerance,
+def _born(y: Lifted, rho: tuple, rule: str, tol: linalg.Tolerance,
           warnings: tuple = (), effect: tuple | None = None) -> ProbabilityResult:
-    """Tr(Y rho) / Tr(rho) for Y = wy wy^dagger and a Hermitian state rho.
-    Each rule builds only its rho; the numerator is taken against
+    """Tr(Y rho) / Tr(rho) for the lifted outcome Y and a Hermitian state
+    rho.  Each rule builds only its rho; the numerator is taken against
     ``effect`` instead when given (the sequence rule's Y1 rho Y1).  The
     intermediate-full rule normalizes its terms over the outcome set
     instead."""
-    num = _real_trace(wy, rho if effect is None else effect, tol, f"{rule} numerator")
-    return _result(num, _trace(None, rho).real, rule, tol, warnings)
+    phi, core = rho if effect is None else effect
+    num = _real_trace(y.factor(phi), core, tol, f"{rule} numerator")
+    return _result(num, _trace(*rho).real, rule, tol, warnings)
 
 
 def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
@@ -209,15 +204,15 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     if not 0 <= y_index < len(outcomes):
         raise IndexError(f"outcome index {y_index} out of range")
 
-    back, sup = _support(cond.fam, k, cond.lifted)
+    back, sup = cond.lifted.support(cond.fam, k)
     if sup is None:
         raise _no_weight(k)
     core = cond.fam.sandwich(k0, sup)
     terms = []
     for member in members:
         # Y S P(k0) S Y as a state, traced against G G^dagger
-        ys = member.inside(sup)
-        terms.append(_real_trace(back, (ys, core), cond.tol, "prob_intermediate_full term"))
+        m = back.conj().T @ member.inside(sup)
+        terms.append(_real_trace(m, core, cond.tol, "prob_intermediate_full term"))
     return _result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
 
 
@@ -238,15 +233,14 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         )
     check_k0(cond, k0)
     if rep is None:
-        anchor, variant = _support(cond.fam, k, cond.lifted)[1], "support"
+        anchor, variant = cond.lifted.support(cond.fam, k)[1], "support"
         if anchor is None:
             raise _no_weight(k)
     else:
         anchor = lift_system1(cond.model, rep.system1_projector(k), k)
         variant = "observable"
-    wy = lift_predicate(cond.model, y, k)
     rho = (anchor, cond.fam.sandwich(k0, anchor))
-    return _born(wy, rho, f"intermediate_known/{variant}", cond.tol)
+    return _born(lift_predicate(cond.model, y, k), rho, f"intermediate_known/{variant}", cond.tol)
 
 
 def prob_before(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResult:
@@ -271,30 +265,30 @@ def prob_approx(cond: ConditionSpec, y, k: int) -> ProbabilityResult:
                  cond.tol, warnings=("approximation: condition treated as starting at k",))
 
 
-def verifiable(cond: ConditionSpec, wy: np.ndarray, k: int) -> bool:
-    """Whether the Heisenberg outcome Y = wy wy^dagger at index k (``wy`` a
-    range basis from ``lift_predicate``) is verifiable against the
+def verifiable(cond: ConditionSpec, y: Lifted, k: int) -> bool:
+    """Whether the lifted outcome Y at index k is verifiable against the
     condition: [Y, P(k)] and [Y, X] sandwiched by P(s) at the earlier
     index s = min(k, k_c) have no entry above eps_zero.
 
     Both demands are decided from blocks at the family's rank
     (``model._commutes`` and ``model._sandwich_commutes``); a d x d
-    commutator is built only for a near miss.  X enters by the block it
-    is held by, since [Y, I - X] = -[Y, X].
+    commutator is built only for a near miss.  Y and X enter by the
+    blocks they are held by, since [I - B, A] = -[B, A].
     """
-    return (_commutes(cond.model, cond.fam, k, wy)
-            and _sandwich_commutes(cond.model, cond.fam, min(k, cond.k_c), wy,
+    return (_commutes(cond.model, cond.fam, k, y.block)
+            and _sandwich_commutes(cond.model, cond.fam, min(k, cond.k_c), y.block,
                                    cond.lifted.block))
 
 
-def verifiability_norms(cond: ConditionSpec, wy: np.ndarray, k: int) -> tuple:
+def verifiability_norms(cond: ConditionSpec, y: Lifted, k: int) -> tuple:
     """Max entry magnitudes of the two commutators :func:`verifiable`
-    decides, for a report: [Y, P(k)], and [Y, X] sandwiched by P(s).  Both
-    are built as dense d x d matrices (``PhysicalFamily.commutator_norm``
-    and ``PhysicalFamily.sandwich_commutator_norm``); no verdict is taken
+    decides, for a report: [Y, P(k)], and [Y, X] sandwiched by P(s), from
+    the blocks Y and X are held by.  Both are built as dense d x d
+    matrices (``PhysicalFamily.commutator_norm`` and
+    ``PhysicalFamily.sandwich_commutator_norm``); no verdict is taken
     from them."""
-    return (cond.fam.commutator_norm(k, wy),
-            cond.fam.sandwich_commutator_norm(min(k, cond.k_c), wy, cond.basis))
+    return (cond.fam.commutator_norm(k, y.block),
+            cond.fam.sandwich_commutator_norm(min(k, cond.k_c), y.block, cond.lifted.block))
 
 
 def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
@@ -309,15 +303,14 @@ def prob_sequence(cond: ConditionSpec, y1, k1: int, y2, k2: int,
     k1 = cond.model.grid.check_index(k1)
     k2 = cond.model.grid.check_index(k2)
     rho = condition_state(cond, k0)
-    wy1 = lift_predicate(cond.model, y1, k1)
-    wy2 = lift_predicate(cond.model, y2, k2)
-    if not verifiable(cond, wy1, k1):
-        worst = max(verifiability_norms(cond, wy1, k1))
+    lifted1 = lift_predicate(cond.model, y1, k1)
+    lifted2 = lift_predicate(cond.model, y2, k2)
+    if not verifiable(cond, lifted1, k1):
+        worst = max(verifiability_norms(cond, lifted1, k1))
         raise UnverifiableSequenceError(
             "sequence refused: intermediate outcome is not verifiable "
             f"(commutator norm {worst:.3e})",
             worst,
         )
     phi, core = rho
-    return _born(wy2, rho, "sequence", cond.tol,
-                 effect=(wy1 @ (wy1.conj().T @ phi), core))
+    return _born(lifted2, rho, "sequence", cond.tol, effect=(lifted1.inside(phi), core))

@@ -7,7 +7,7 @@ at earlier times, in a chosen basis), the start index T_s, and the
 condition operator consumed by the probability rules.
 
 A condition keeps its lifted predicate X in the form
-:func:`model.held_lift` picks (``ConditionSpec.lifted``): the d x m
+:func:`model.lift_predicate` picks (``ConditionSpec.lifted``): the d x m
 orthonormal basis W of its range (X = W W^dagger), or, when m > d/2, the
 d x (d - m) basis Wbar of its complement's range (X = I - Wbar
 Wbar^dagger), so that a "not this record" outcome costs about what its
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
+from .errors import DomainError, NotPhysicallyPossibleError, ShapeError, UnreachableConditionError
 from .linalg import Tolerance
 from .model import (
     Lifted,
@@ -42,7 +42,7 @@ from .model import (
     _require_commutes,
     _row_norms2,
     cumulative_propagator,
-    held_lift,
+    lift_predicate,
     lift_system1,
 )
 
@@ -52,7 +52,7 @@ class ConditionSpec:
     """A system1 predicate ``x1`` (Schrodinger picture at its own time)
     asserted at grid index ``k_c``.
 
-    It keeps the lifted predicate X as :func:`model.held_lift` holds it
+    It keeps the lifted predicate X as :func:`model.lift_predicate` holds it
     (:attr:`lifted`): by the d x m orthonormal basis W of its range,
     V(k_c)^dagger (B (x) I) with B a range basis of ``x1``, or, when m >
     d/2, by the basis of its complement's range.  It is physically
@@ -68,7 +68,10 @@ class ConditionSpec:
     def __post_init__(self):
         object.__setattr__(self, "x1", linalg.as_matrix(self.x1))
         object.__setattr__(self, "k_c", self.model.grid.check_index(self.k_c))
-        lifted = held_lift(self.model, self.x1, self.k_c)
+        d1 = self.model.d1
+        if self.x1.shape != (d1, d1):
+            raise ShapeError(f"system1 operator shape {self.x1.shape}, expected {(d1, d1)}")
+        lifted = lift_predicate(self.model, self.x1, self.k_c)
         if not lifted.is_possible(self.fam, self.k_c):
             raise NotPhysicallyPossibleError(
                 f"condition predicate is not physically possible at index {self.k_c}"
@@ -106,19 +109,6 @@ def _trim(cond: ConditionSpec, k: int, w: np.ndarray) -> np.ndarray:
     return cond.fam.apply(_trim_index(cond, k), w)
 
 
-def _support(fam: PhysicalFamily, k: int, lifted: Lifted) -> tuple:
-    """(G, Q) for a factor G of P(k) X P(k) = G G^dagger and Q the
-    orthonormal basis of its support, the range of G at the eps_eig cut on
-    its squared singular values (:meth:`model.Lifted.support`); Q is None
-    when G G^dagger has no physical weight (no entry above eps_zero: for a
-    PSD matrix the largest entry is on the diagonal, the largest squared
-    row norm of G)."""
-    g, q = lifted.support(fam, k)
-    if g.size == 0 or np.max(_row_norms2(g)) <= lifted.model.tol.eps_zero:
-        return g, None
-    return g, q
-
-
 def _no_weight(k: int) -> UnreachableConditionError:
     return UnreachableConditionError(f"condition has no physical weight at index {k}")
 
@@ -146,7 +136,7 @@ def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
 def support_at(cond: ConditionSpec, k: int) -> np.ndarray:
     """Projector onto the smallest subspace containing the trimmed
     operator at index k: the range of P(k) X."""
-    _, q = _support(cond.fam, _trim_index(cond, k), cond.lifted)
+    _, q = cond.lifted.support(cond.fam, _trim_index(cond, k))
     if q is None:
         raise _no_weight(k)
     return q @ q.conj().T

@@ -95,15 +95,18 @@ def is_hermitian(m: np.ndarray, tol: Tolerance) -> bool:
     return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= tol.eps_zero
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def is_unitary(m: np.ndarray, tol: Tolerance) -> bool:
     if m.shape[0] != m.shape[1]:
         return False
     return max_abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol.eps_zero
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def projector_defect(p: np.ndarray) -> float:
-    """max(max|P - P^dagger|, max|P^2 - P|) for a square matrix P."""
-    return max(max_abs(p - p.conj().T), max_abs(p @ p - p))
+    """max(max|P - P^dagger|, max|P^2 - P|) for a square matrix P; inf or
+    NaN, never the other part, when an entry is too large to square."""
+    return float(np.maximum(max_abs(p - p.conj().T), max_abs(p @ p - p)))
 
 
 def is_projector(p, tol: Tolerance) -> bool:

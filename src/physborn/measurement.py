@@ -14,8 +14,8 @@ and is read without the path.
 
 The start space is kept as its condition and every outcome as
 :meth:`born.OutcomeSet.lifted` lifts it, in the form
-:func:`model.held_lift` picks: an outcome "not this record", of rank m >
-d/2, by the small basis of its complement, whose support anchor Q is
+:func:`model.lift_predicate` picks: an outcome "not this record", of rank
+m > d/2, by the small basis of its complement, whose support anchor Q is
 found from the r x d block at the family's rank r.  The start space is
 checked against k0 by ``check_k0``, which needs no start-index scan for
 the default k0 = 0.
@@ -29,20 +29,21 @@ import numpy as np
 
 from . import linalg
 from .born import OutcomeSet
-from .condition import (
-    ConditionSpec,
-    _support,
-    check_k0,
-    condition_state,
-    observable_rep,
-)
+from .condition import ConditionSpec, check_k0, condition_state, observable_rep
 from .errors import (
     DomainError,
     NotPhysicallyPossibleError,
     ShapeError,
     UnreachableConditionError,
 )
-from .model import Lifted, Model, PhysicalFamily, cumulative_propagator, held_lift, lift_system1
+from .model import (
+    Lifted,
+    Model,
+    PhysicalFamily,
+    cumulative_propagator,
+    lift_predicate,
+    lift_system1,
+)
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ class KappaPath:
 def _anchor(proc: MeasurementProcess, k: int, lifted: Lifted) -> np.ndarray:
     """Range basis of the support of P(k) X P(k) for the lifted X; no
     columns where it has no physical weight."""
-    _, q = _support(proc.fam, k, lifted)
+    _, q = lifted.support(proc.fam, k)
     return np.zeros((proc.model.dim, 0), dtype=complex) if q is None else q
 
 
@@ -303,8 +304,8 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
         labels = [int(l) for l in np.nonzero(diag > 0.5)[0]]
         paths, unreachable = {}, set()
         for label in labels:
-            lifted = held_lift(proc.model, linalg.diagonal_projector([label], proc.model.d1),
-                               proc.k2)
+            lifted = lift_predicate(proc.model,
+                                    linalg.diagonal_projector([label], proc.model.d1), proc.k2)
             state = state or _start_state(proc, tol)
             kappas = _kappas(proc, state, lambda k: _anchor(proc, k, lifted), tol)
             path = KappaPath(-1, proc.k1, kappas, "support", tol)

@@ -9,15 +9,16 @@ The nested family of subspaces describing which state vectors are
 physically admissible at each time is carried by ``PhysicalFamily`` and
 validated against the nesting law P(j) P(k) = P(j) for j < k.  A family
 built by :func:`forward_closure` keeps one orthonormal d x r range basis
-per index, and every lift returns a d x m orthonormal basis of the
-lifted range at its grid index (:func:`lift_predicate`), so that the
+per index.  :func:`lift_system1` and :func:`lift_system2` return a d x m
+orthonormal basis of the lifted range at their grid index, so that the
 rules work on d x r and d x m blocks; a dense d x d projector is formed
 only where a public function returns one.  A record factor projector
 is lifted by gathering V(k)'s rows (or columns) at its labels.
 ``PhysicalFamily`` is the one owner of its storage form: no other module
 asks whether P(k) is held as a projector or as a range basis.
-``Lifted`` is the one owner of the form a condition's lifted predicate
-is held in (:func:`held_lift`): its range basis, or, for a rank above
+:func:`lift_predicate`, the one lift of a condition or an outcome,
+returns a :class:`Lifted`, the one owner of the form a lifted predicate
+is held in: its range basis, or, for a system1 predicate of rank above
 d/2, the basis of its complement's range.
 """
 
@@ -179,19 +180,24 @@ def lift_system2(model: Model, p2, k: int) -> np.ndarray:
     return cols.reshape(model.dim, -1)
 
 
-def lift_predicate(model: Model, p, k: int) -> np.ndarray:
-    """Heisenberg lift of a predicate at index k, as an orthonormal basis of
-    its range: a system1 projector is lifted with :func:`lift_system1`, a
-    full-space projector is taken as already lifted (see
-    :func:`_full_space_basis`)."""
+def lift_predicate(model: Model, p, k: int) -> Lifted:
+    """Heisenberg lift of a predicate at index k, held as :class:`Lifted`:
+    a system1 projector by the range basis :func:`lift_system1` gives it
+    or, when its rank m, d2 times its trace, is above d/2 (2 tr p > d1 +
+    1/2 for a trace within 1/4 of an integer), by that of I - p; a
+    full-space projector, taken as already lifted, by the range basis
+    :func:`_full_space_basis` gives it."""
     p = linalg.as_matrix(p)
     if p.shape == (model.d1, model.d1):
-        return lift_system1(model, p, k)
+        if 2 * np.trace(p).real <= model.d1 + 0.5:
+            return Lifted(model, lift_system1(model, p, k))
+        rest = lift_system1(model, np.eye(model.d1, dtype=complex) - p, k)
+        return Lifted(model, rest, (p, k))
     if p.shape != (model.dim, model.dim):
         raise ShapeError(f"predicate shape {p.shape} matches neither system1 nor the full space")
     if not linalg.is_projector(p, model.tol):
         raise DomainError("a full-space predicate must be a projector")
-    return _full_space_basis(model, p, k)
+    return Lifted(model, _full_space_basis(model, p, k))
 
 
 def _full_space_basis(model: Model, p: np.ndarray, k: int) -> np.ndarray:
@@ -363,8 +369,10 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     return FamilyValidation(proj_ok, nonzero, violations, passed)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _dense_checks(model: Model, fam: PhysicalFamily) -> tuple:
-    """The checks of :func:`validate_family` on explicit projectors."""
+    """The checks of :func:`validate_family` on explicit projectors; a
+    product that overflows is non-finite and fails its check."""
     tol = model.tol
     projs = fam.projectors
     n = len(projs)
@@ -377,7 +385,7 @@ def _dense_checks(model: Model, fam: PhysicalFamily) -> tuple:
     for j in range(n):
         for k in range(j + 1, n):
             pj, pk = projs[j], projs[k]
-            if pj.shape == pk.shape and linalg.max_abs(pj @ pk - pj) > tol.eps_zero:
+            if pj.shape == pk.shape and not linalg.max_abs(pj @ pk - pj) <= tol.eps_zero:
                 violations.append((j, k))
     return proj_ok, nonzero, tuple(violations)
 
@@ -529,9 +537,9 @@ class Lifted:
     """A lifted predicate X, a projector on the full space, held in the
     smaller of two forms: by the d x m orthonormal basis W of its range,
     X = W W^dagger, or, when m > d/2, by the d x (d - m) basis Wbar of its
-    complement's range, X = I - Wbar Wbar^dagger.  :func:`held_lift` picks
-    the form by that one rule, and only this class asks which form it
-    holds.
+    complement's range, X = I - Wbar Wbar^dagger.  :func:`lift_predicate`
+    picks the form by that one rule, and only this class asks which form
+    it holds.
 
     ``block`` is the held basis, W or Wbar.  Commutator tests read it as
     it is, since [I - Wbar Wbar^dagger, A] = -[Wbar Wbar^dagger, A].
@@ -543,8 +551,9 @@ class Lifted:
     rank too: P(k) X P(k) = U B B^dagger U^dagger, the weight of P(k) X
     is ||B||_F, and the support of P(k) X P(k) is U times the range of
     B.  No quantity is taken as a difference of norms such as r -
-    ||Cbar||_F^2.  :attr:`basis` is the range basis W in either form,
-    rebuilt on demand for a complement.
+    ||Cbar||_F^2.  A trace against X reads :meth:`factor`.  :attr:`basis`
+    is the range basis W in either form, rebuilt on demand for a
+    complement.
     """
 
     __slots__ = ("model", "block", "_range")
@@ -603,17 +612,28 @@ class Lifted:
     def support(self, fam: PhysicalFamily, k: int) -> tuple:
         """(T, Q): a factor T with T T^dagger = P(k) X P(k), and the
         orthonormal basis Q of its range at the eps_eig cut of
-        :func:`linalg.range_basis`.  For W, T = P(k) W and Q its range
-        (:func:`physical_range`).  For a complement the SVD u s v^dagger
-        of the trimming coef gives T = frame u s and Q = frame u on the
-        kept singular values: against a family of range bases, at most r
-        columns from the SVD of the d x r block B^dagger."""
+        :func:`linalg.range_basis`, None when no entry of T T^dagger, whose
+        largest is T's largest squared row norm, is above eps_zero.  For
+        W, T = P(k) W and Q its range (:func:`physical_range`).  For a
+        complement the SVD u s v^dagger of the trimming coef gives T =
+        frame u s and Q = frame u on the kept singular values: against a
+        family of range bases, at most r columns from the SVD of the d x r
+        block B^dagger."""
         if self._range is None:
-            return physical_range(self.model, fam, k, self.block)
-        frame, coef = self._trimming(fam, k)
-        _, s, vh = np.linalg.svd(coef.conj().T, full_matrices=False)
-        u = vh.conj().T
-        return _join(frame, u * s), _join(frame, u[:, s * s > self.model.tol.eps_eig])
+            t, q = physical_range(self.model, fam, k, self.block)
+        else:
+            frame, coef = self._trimming(fam, k)
+            _, s, vh = np.linalg.svd(coef.conj().T, full_matrices=False)
+            u = vh.conj().T
+            t, q = _join(frame, u * s), _join(frame, u[:, s * s > self.model.tol.eps_eig])
+        if t.size == 0 or np.max(_row_norms2(t)) <= self.model.tol.eps_zero:
+            return t, None
+        return t, q
+
+    def factor(self, q: np.ndarray) -> np.ndarray:
+        """A block F with F^dagger F = q^dagger X q, what a trace against X
+        reads: W^dagger q, or X q for a complement."""
+        return self.block.conj().T @ q if self._range is None else self.inside(q)
 
     def inside(self, q: np.ndarray) -> np.ndarray:
         """X q: W (W^dagger q), or q - Wbar (Wbar^dagger q) for a
@@ -625,18 +645,6 @@ class Lifted:
         """(I - X) q."""
         c = self.block @ (self.block.conj().T @ q)
         return q - c if self._range is None else c
-
-
-def held_lift(model: Model, p1, k: int) -> Lifted:
-    """Heisenberg lift of a system1 projector p1 at grid index k, held by
-    the range basis :func:`lift_system1` gives it or, when its rank m is
-    above d/2, by that of its complement I - p1 (see :class:`Lifted`).
-    The rank m/d2 of a projector is its trace rounded."""
-    p1 = linalg.as_matrix(p1)
-    if p1.shape != (model.d1, model.d1) or 2 * round(np.trace(p1).real) <= model.d1:
-        return Lifted(model, lift_system1(model, p1, k))
-    rest = lift_system1(model, np.eye(model.d1, dtype=complex) - p1, k)
-    return Lifted(model, rest, (p1, k))
 
 
 def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:

@@ -275,15 +275,15 @@ def build_sg_observer_space(directions, tol: Tolerance = DEFAULT_TOL) -> SGObser
 
 
 def textbook_born(model: Model, pX, k_x: int, pY, k_y: int) -> float:
-    """The unamended two-time rule Tr(X Y) / Tr(X) = ||W_Y^dagger W_X||_F^2
-    / ||W_X||_F^2 for the range bases of the Heisenberg lifts, X = W_X
-    W_X^dagger; the reduction oracle for the amended rules."""
-    wx = lift_predicate(model, pX, k_x)
-    wy = lift_predicate(model, pY, k_y)
+    """The unamended two-time rule Tr(X Y) / Tr(X) = ||F||_F^2 /
+    ||W_X||_F^2 for the range basis W_X of the Heisenberg lift X = W_X
+    W_X^dagger and the factor F of W_X^dagger Y W_X (``Lifted.factor``);
+    the reduction oracle for the amended rules."""
+    wx = lift_predicate(model, pX, k_x).basis
+    overlap = lift_predicate(model, pY, k_y).factor(wx)
     den = np.vdot(wx, wx).real
     if den <= model.tol.eps_zero:
         raise UnreachableConditionError("textbook condition has zero trace")
-    overlap = wy.conj().T @ wx
     return float(np.vdot(overlap, overlap).real / den)
 
 

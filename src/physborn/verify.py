@@ -8,10 +8,11 @@ by :func:`verifiability`.  When the demands pass, the outcome subspace
 splits into the part that certainly came from the condition (Z) and the
 part that certainly did not (W), and the probability can be rewritten as
 a trace against Z.
-Outcomes, the condition and Z are handled as d x m range bases; only
-:func:`z_subspace` and :func:`w_subspace` form a d x d projector.  The
-family enters as P(k) B and its range (``PhysicalFamily.apply``,
-:func:`model.physical_range`): one formula for either storage form.
+Outcomes and the condition are read as ``model.lift_predicate`` holds
+them, and Z as a d x m range basis; only :func:`z_subspace` and
+:func:`w_subspace` form a d x d projector.  The family enters as P(k) B
+and its range (``PhysicalFamily.apply``, :func:`model.physical_range`):
+one formula for either storage form.
 """
 
 from __future__ import annotations
@@ -68,24 +69,24 @@ def verifiability(cond: ConditionSpec, outcomes: OutcomeSet) -> VerifiabilityRep
     k = outcomes.k
     verdicts = []
     for member in outcomes.lifted(cond.model):
-        wy = member.basis
-        phys, cnd = verifiability_norms(cond, wy, k)
-        verdicts.append(OutcomeVerdict(phys, cnd, verifiable(cond, wy, k)))
+        phys, cnd = verifiability_norms(cond, member, k)
+        verdicts.append(OutcomeVerdict(phys, cnd, verifiable(cond, member, k)))
     return VerifiabilityReport(k, direction, tuple(verdicts),
                                all(v.verdict for v in verdicts))
 
 
-def _zw_subspace(cond: ConditionSpec, wy: np.ndarray, k: int, negate: bool) -> np.ndarray:
+def _zw_subspace(cond: ConditionSpec, y: Lifted, k: int, negate: bool) -> np.ndarray:
     """Orthonormal basis of Z (or W with ``negate``) for the verified
-    Heisenberg outcome with range basis wy at k.
+    lifted outcome Y at k.
 
     The later of the two predicates supplies A, its physical part at its
-    own index; the earlier one, E (or I - E for W), is taken at the
-    earlier index s.  The demands make P(s) A P(s) commute with the
-    projector P(s) E, so A carries the range of P(s) E onto Z: the range
-    of A P(s) E.  Its squared singular values are the eigenvalues of
-    P(s) A P(s) on the range of P(s) E, so the support cut at eps_eig
-    drops exactly the directions where that operator falls below it.
+    own index, read by its range basis W_a; the earlier one, E (or I - E
+    for W), is applied at the earlier index s in the form it is held by.
+    The demands make P(s) A P(s) commute with the projector P(s) E, so A
+    carries the range of P(s) E onto Z: the range of A P(s) E.  Its
+    squared singular values are the eigenvalues of P(s) A P(s) on the
+    range of P(s) E, so the support cut at eps_eig drops exactly the
+    directions where that operator falls below it.
 
     With A = P(k_a) W_a W_a^dagger, A P(s) E = (P(k_a) W_a) (E P(s)
     W_a)^dagger.  The QR factorization E P(s) W_a = Q R leaves A P(s) E =
@@ -98,26 +99,23 @@ def _zw_subspace(cond: ConditionSpec, wy: np.ndarray, k: int, negate: bool) -> n
                           f"{k}, so neither direction applies")
     fam = cond.fam
     if k > cond.k_c:
-        (ka, wa), we = (k, wy), cond.basis          # physical Y, classified against X
+        (ka, wa), e = (k, y.basis), cond.lifted     # physical Y, classified against X
     else:
-        (ka, wa), we = (cond.k_c, cond.basis), wy   # physical X, classified against Y
+        (ka, wa), e = (cond.k_c, cond.basis), y     # physical X, classified against Y
     base = fam.apply(min(k, cond.k_c), wa)      # P(s) W_a
-    eb = we @ (we.conj().T @ base)
-    if negate:
-        eb = base - eb
+    eb = e.outside(base) if negate else e.inside(base)
     r = np.linalg.qr(eb, mode="r")              # E P(s) W_a = Q r
     return physical_range(cond.model, fam, ka, wa @ r.conj().T)[1]
 
 
-def _verifiable_lift(cond: ConditionSpec, y, k: int) -> np.ndarray:
-    """Range basis of the lifted outcome, after checking both
-    verifiability demands."""
-    wy = lift_predicate(cond.model, y, k)
-    if not verifiable(cond, wy, k):
+def _verifiable_lift(cond: ConditionSpec, y, k: int) -> Lifted:
+    """The lifted outcome, after checking both verifiability demands."""
+    lifted = lift_predicate(cond.model, y, k)
+    if not verifiable(cond, lifted, k):
         raise DomainError(
             "Z/W construction refused: outcome is not verifiable against the condition"
         )
-    return wy
+    return lifted
 
 
 def z_subspace(cond: ConditionSpec, y, k: int) -> np.ndarray:
@@ -145,19 +143,19 @@ def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
     Q) for the range basis Q of Z (a squared Frobenius norm for a family
     of bases).  ``k0`` is refused as in the probability rules."""
     k = outcomes.k
-    lifted = [member.basis for member in outcomes.lifted(cond.model)]
-    if not all(verifiable(cond, wy, k) for wy in lifted):
+    lifted = list(outcomes.lifted(cond.model))
+    if not all(verifiable(cond, y, k) for y in lifted):
         raise DomainError("trace identity requires a verifiable outcome set")
-    rho = condition_state(cond, k0)   # also refuses k0 as the rules do
+    phi, core = condition_state(cond, k0)   # also refuses k0 as the rules do
     k0 = cond.model.grid.check_index(k0)
     fam, w = cond.fam, cond.basis
     residuals = []
-    for wy in lifted:
-        qz = _zw_subspace(cond, wy, k, negate=False)
+    for y in lifted:
+        qz = _zw_subspace(cond, y, k, negate=False)
         if k > cond.k_c:
-            lhs = _trace(wy, rho).real
-        else:   # Tr(W^dagger P(k0) P(k) W_Y W_Y^dagger W)
-            lhs = np.vdot(fam.apply(k0, w), fam.apply(k, wy) @ (wy.conj().T @ w)).real
+            lhs = _trace(y.factor(phi), core).real
+        else:   # Tr(W^dagger P(k0) P(k) Y W)
+            lhs = np.vdot(fam.apply(k0, w), fam.apply(k, y.inside(w))).real
         rhs = np.trace(fam.sandwich(k0, qz)).real
         residuals.append(abs(lhs - rhs))
     return tuple(residuals)

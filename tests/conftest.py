@@ -18,7 +18,6 @@ from physborn.condition import (
     ConditionSpec,
     ObservableRep,
     StartTime,
-    _support,
     check_k0,
     observable_rep,
     support_at,
@@ -709,8 +708,8 @@ def chain_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: 
 def range_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: int,
                             k0: int = 0) -> ProbabilityResult:
     """The intermediate-full rule with every outcome in the range form:
-    Y S = W_Y (W_Y^dagger S) for the d x m range basis W_Y of
-    ``lift_predicate``, whatever the outcome's rank."""
+    Y S = W_Y (W_Y^dagger S) for the d x m range basis W_Y of the lifted
+    outcome (``Lifted.basis``), whatever the outcome's rank."""
     dense_orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
     k = cond.model.grid.check_index(outcomes.k)
     if not (k0 < k < cond.k_c):
@@ -722,13 +721,13 @@ def range_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: 
     check_k0(cond, k0, _K0_WORDING)
     if not 0 <= y_index < len(outcomes):
         raise IndexError(f"outcome index {y_index} out of range")
-    back, sup = _support(cond.fam, k, cond.lifted)
+    back, sup = cond.lifted.support(cond.fam, k)
     if sup is None:
         raise UnreachableConditionError(f"condition has no physical weight at index {k}")
     core = cond.fam.sandwich(k0, sup)
     terms = []
     for y1 in outcomes.projectors:
-        wy = lift_predicate(cond.model, y1, k)
+        wy = lift_predicate(cond.model, y1, k).basis
         m = back.conj().T @ (wy @ (wy.conj().T @ sup))
         terms.append(_chain_trace(m @ core @ m.conj().T, cond.tol,
                                   "prob_intermediate_full term"))

@@ -1,7 +1,7 @@
 """Complement-held conditions against their dense oracles.
 
 A condition whose lifted predicate X has rank m > d/2 is held by the
-basis of its complement's range (``model.held_lift``); its possibility,
+basis of its complement's range (``model.lift_predicate``); its possibility,
 its supports and the measurement's record check then come from the r x d
 block B = U^dagger X at the family's rank r.  These tests run such
 conditions next to the dense oracles in ``conftest``, which rebuild X
@@ -33,7 +33,7 @@ from physborn.condition import (
 )
 from physborn.errors import DomainError, NotPhysicallyPossibleError
 from physborn.measurement import MeasurementProcess, kappa_path, outcome_probability
-from physborn.model import Lifted, PhysicalFamily, held_lift, lift_system1
+from physborn.model import Lifted, PhysicalFamily, lift_predicate, lift_system1
 from physborn.scenarios import build_reference_experiment
 
 from conftest import (
@@ -127,13 +127,13 @@ def _split(model, y, k):
     return OutcomeSet((y, np.eye(model.d1) - y), k, complete=True)
 
 
-def test_held_lift_picks_the_complement_above_half_the_rank():
+def test_lift_predicate_picks_the_complement_above_half_the_rank():
     c, model, fam = bench_chain()
     d = model.dim
     for t in (1, 8, c.n):
         rec, rest = c.records(t), np.eye(c.d1) - c.records(t)
-        assert held_lift(model, rec, t).block.shape == (d, model.d2)
-        assert held_lift(model, rest, t).block.shape == (d, model.d2)
+        assert lift_predicate(model, rec, t).block.shape == (d, model.d2)
+        assert lift_predicate(model, rest, t).block.shape == (d, model.d2)
         cond = ConditionSpec(model, fam, rest, t)
         # the public form is still the range basis of the lift
         assert np.array_equal(cond.basis, lift_system1(model, rest, t))
@@ -141,10 +141,10 @@ def test_held_lift_picks_the_complement_above_half_the_rank():
         w = cond.basis
         assert np.max(np.abs(w @ w.conj().T - dense_lift(model, rest, t))) <= TOL
     haar = random_model(np.random.default_rng(5), 4, 2, 2)
-    half = held_lift(haar, np.diag([1.0, 1, 0, 0]), 1)      # m = d/2 keeps the range form
+    half = lift_predicate(haar, np.diag([1.0, 1, 0, 0]), 1)     # m = d/2 keeps the range form
     assert half.block.shape == (8, 4) and half.basis is half.block
-    assert held_lift(haar, np.diag([1.0, 1, 1, 0]), 1).block.shape == (8, 2)
-    assert held_lift(haar, np.eye(4), 1).block.shape == (8, 0)
+    assert lift_predicate(haar, np.diag([1.0, 1, 1, 0]), 1).block.shape == (8, 2)
+    assert lift_predicate(haar, np.eye(4), 1).block.shape == (8, 0)
 
 
 def test_the_chain_complement_matches_the_dense_oracles(fallbacks):

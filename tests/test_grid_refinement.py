@@ -4,7 +4,7 @@ repeated at the new index, changes no probability and no verdict.
 This is the discrete form of the paper's claim about measurements that
 run continuously in time: refining the grid where nothing happens leaves
 every rule value where it was, and with it the verifiability verdicts,
-the trace identity and the dimension of Z.  Indices after k shift by
+the trace identity, the dimension of Z and the measurement's kappa paths.  Indices after k shift by
 one, and the start index T_s moves to the later copy when T_s = k lies
 before the condition.
 """
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from physborn.born import OutcomeSet, prob_approx, prob_before, prob_forward
 from physborn.condition import ConditionSpec, start_time
 from physborn.errors import PhysbornError
+from physborn.measurement import MeasurementProcess, kappa_path, outcome_probability
 from physborn.model import Model, PhysicalFamily, TimeGrid
 from physborn.scenarios import build_reference_experiment
 from physborn.verify import verifiability, verify_trace_identity, z_subspace
@@ -139,3 +140,24 @@ def test_refining_the_grid_leaves_verdicts_and_z_unchanged(k, x, k_c, y, k_y):
         assert max(residuals[1] + residuals2[1]) <= 1e-9
     else:
         assert residuals2[1] is residuals[1]
+
+
+def _measurement(model, fam, k: int | None = None) -> MeasurementProcess:
+    """I at t0 measured by Fup, Fdown at t1, on the grid refined after k
+    (the reference grid when k is None)."""
+    shift = (lambda j: j) if k is None else (lambda j: _shift(j, k))
+    outcomes = OutcomeSet((REF.predicate("Fup"), REF.predicate("Fdown")), shift(REF.T1))
+    return MeasurementProcess(model, fam, REF.predicate("I"), shift(REF.T0), outcomes)
+
+
+def test_refining_the_grid_leaves_kappa_paths_unchanged():
+    proc = _measurement(REF.model, REF.fam)
+    for k in range(N):
+        refined = _measurement(*REFINED[k], k)
+        for i in range(len(proc.outcomes)):
+            for rep in ("support", "observable"):
+                path, path2 = kappa_path(proc, i, rep), kappa_path(refined, i, rep)
+                for j in range(proc.k1, proc.k2 + 1):
+                    assert np.max(np.abs(path2.at(_shift(j, k)) - path.at(j))) <= 1e-12
+                assert abs(outcome_probability(refined, i, rep)
+                           - outcome_probability(proc, i, rep)) <= 1e-12

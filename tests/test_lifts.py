@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from physborn.condition import ConditionSpec, observable_rep
 from physborn.errors import DomainError, NotPhysicallyPossibleError, ShapeError
-from physborn.model import heisenberg, held_lift, lift_predicate, lift_system1, lift_system2
+from physborn.model import (
+    PhysicalFamily,
+    heisenberg,
+    lift_predicate,
+    lift_system1,
+    lift_system2,
+)
 from physborn.scenarios import build_reference_experiment
 
 from conftest import dense_lift, random_model, random_projector, random_record_projector
@@ -44,8 +50,8 @@ def test_lifts_are_orthonormal_bases_of_the_dense_lift(d1, d2, n, seed):
             (lift_system1(model, p1, k), dense_lift(model, p1, k)),
             (lift_system1(model, record, k), lifted_record),
             (lift_system2(model, p2, k), _dense_lift2(model, p2, k)),
-            (lift_predicate(model, generic, k), dense_lift(model, generic, k)),
-            (lift_predicate(model, lifted_record, k), dense_lift(model, lifted_record, k)),
+            (lift_predicate(model, generic, k).basis, dense_lift(model, generic, k)),
+            (lift_predicate(model, lifted_record, k).basis, dense_lift(model, lifted_record, k)),
         ):
             assert _gap(w, dense) <= 1e-12
     # index 0 is the reference frame: the lift is kron(B, I) exactly, for
@@ -61,6 +67,7 @@ def test_lift_refusals_keep_their_types_and_messages():
     rng = np.random.default_rng(90)
     model = random_model(rng, 3, 2, n_indices=3)
     p1, p2 = random_projector(rng, 3, 1), random_projector(rng, 2, 1)
+    fam = PhysicalFamily((np.eye(6, dtype=complex),) * 3)
     cases = [
         (lambda: lift_system1(model, p2, 0), ShapeError,
          "system1 operator shape (2, 2), expected (3, 3)"),
@@ -83,13 +90,13 @@ def test_lift_refusals_keep_their_types_and_messages():
          "lift_system1 requires a projector"),
         (lambda: lift_system2(model, np.diag([0.5, 1.0]), 0), DomainError,
          "lift_system2 requires a projector"),
-        (lambda: held_lift(model, np.diag([1.0, 0.5, 1.0]), 0), DomainError,
+        (lambda: lift_predicate(model, np.diag([1.0, 0.5, 1.0]), 0), DomainError,
          "lift_system1 requires a projector"),
         (lambda: lift_system1(model, np.diag([1.0, 0.0]), 0), ShapeError,
          "system1 operator shape (2, 2), expected (3, 3)"),
         (lambda: lift_system2(model, np.diag([1.0, 0.0, 0.0]), 0), ShapeError,
          "system2 operator shape (3, 3), expected (2, 2)"),
-        (lambda: held_lift(model, np.eye(6), 0), ShapeError,
+        (lambda: ConditionSpec(model, fam, np.eye(6), 0), ShapeError,
          "system1 operator shape (6, 6), expected (3, 3)"),
     ]
     for call, error, message in cases:

@@ -5,7 +5,7 @@ A record projector, diagonal with every diagonal entry exactly 0 or 1
 its labels, without a projector check, a basis search or a product; its
 outcome set is checked from its labels by ``OutcomeSet.lifted``, the one
 owner of that check and of the members' lifts; and the intermediate-full
-rule holds each outcome as ``held_lift`` holds a condition, so "not this
+rule holds each outcome as ``lift_predicate`` holds a condition, so "not this
 record" enters by its complement's small basis.  These tests hold the
 gathered lifts to the product lift of ``conftest`` bit for bit, the
 label-based set check to the dense one verdict for verdict and message
@@ -28,7 +28,7 @@ from physborn.born import OutcomeSet, prob_intermediate_full
 from physborn.condition import ConditionSpec
 from physborn.errors import PhysbornError
 from physborn.measurement import MeasurementProcess, outcome_probability
-from physborn.model import Model, TimeGrid, held_lift, lift_system1, lift_system2
+from physborn.model import Model, TimeGrid, lift_predicate, lift_system1, lift_system2
 from physborn.scenarios import build_reference_experiment
 
 from conftest import (
@@ -106,7 +106,7 @@ def test_near_records_pass_the_check_and_get_the_record_basis():
         assert np.array_equal(lift_system1(model, near1, k), lift_system1(model, exact1, k))
         assert np.array_equal(lift_system2(model, near2, k), lift_system2(model, exact2, k))
         # the held complement of a near record is that of the record
-        held, exact = held_lift(model, near1, k), held_lift(model, exact1, k)
+        held, exact = lift_predicate(model, near1, k), lift_predicate(model, exact1, k)
         assert np.array_equal(held.block, exact.block)
         assert np.array_equal(held.basis, exact.basis)
 
@@ -245,7 +245,7 @@ def test_held_full_outcomes_match_the_range_form_on_the_chain():
         for j in range(1, s):
             up, lost = c.records(j), c.records(c.lost(j))
             outcomes = OutcomeSet((up, lost, np.eye(c.d1) - up - lost), j, complete=True)
-            assert held_lift(model, outcomes.projectors[2], j).block.shape[1] == 2 * c.d2
+            assert lift_predicate(model, outcomes.projectors[2], j).block.shape[1] == 2 * c.d2
             for i in range(3):
                 _agree(lambda: prob_intermediate_full(cond, outcomes, i),
                        lambda: range_intermediate_full(cond, outcomes, i))

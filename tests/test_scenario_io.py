@@ -4,6 +4,7 @@ messages."""
 import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,45 @@ def test_bad_predicate_is_named():
     doc["predicates"]["I"] = {"matrix": [[[0.5, 0.0]] * 5] * 5}
     with pytest.raises(ValidationError, match="'I'"):
         loads(json.dumps(doc), "broken")
+
+
+def _huge_entries(where: str) -> dict:
+    """The reference document with entries too large to square: all of
+    step 0 or of family projector 0 at 1e308 + 1e308j, predicate I all
+    1e200, or I Hermitian with a 1e200 (1 + 1j) pair, whose square has
+    NaN entries where P - P^dagger is exactly zero."""
+    doc = json.loads(dump_builtin("reference"))
+    if where == "step":
+        doc["steps"][0] = [[[1e308, 1e308]] * 50] * 50
+    elif where == "family":
+        doc["family"]["projectors"][0] = [[[1e308, 1e308]] * 50] * 50
+    elif where == "predicate":
+        doc["predicates"]["I"] = {"matrix": [[[1e200, 0]] * 5] * 5}
+    else:
+        rows = [[[0.0, 0.0]] * 5 for _ in range(5)]
+        rows[0][0] = rows[1][1] = [1e200, 0.0]
+        rows[0][1], rows[1][0] = [1e200, 1e200], [1e200, -1e200]
+        doc["predicates"]["I"] = {"matrix": rows}
+    return doc
+
+
+@pytest.mark.parametrize("where, message", [
+    ("step", "{name}: step 0 is not unitary within eps_zero"),
+    ("family", "family projector 0 is not a 50x50 projector"),
+    ("predicate", "predicate 'I' is not a projector"),
+    ("hermitian", "predicate 'I' is not a projector"),
+])
+def test_huge_finite_entries_fail_their_check_without_warnings(where, message, tmp_path):
+    # a warning is an error under this suite's settings, and exit 2
+    # carries the same message
+    text = json.dumps(_huge_entries(where))
+    with pytest.raises(ValidationError, match=f"^{re.escape(message.format(name='huge'))}$"):
+        loads(text, "huge")
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["validate", str(path)], out, err) == 2
+    assert err.getvalue() == f"validation error: {message.format(name=path)}\n"
 
 
 def test_parse_and_structure_errors():

@@ -4,7 +4,8 @@ observer restriction."""
 import numpy as np
 import pytest
 
-from physborn import born, linalg
+from physborn import linalg
+from physborn import model as model_mod
 from physborn.born import OutcomeSet, prob_forward, prob_sequence
 from physborn.condition import ConditionSpec
 from physborn.errors import DomainError, NotPhysicallyPossibleError, UnreachableConditionError
@@ -192,18 +193,26 @@ def test_trace_identity_refuses_k0_as_the_rules_do(ref):
 
 
 def test_trace_identity_lifts_each_outcome_once(ref, monkeypatch):
-    # the outcome set lifts its system1 members (OutcomeSet.lifted)
+    # each member of the outcome set is lifted once (OutcomeSet.lifted),
+    # and "not this record" once, by its complement
     lifts = []
-    real = born.held_lift
+    real = model_mod.lift_system1
 
     def counted(*args, **kwargs):
         lifts.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(born, "held_lift", counted)
-    outcomes = OutcomeSet((ref.predicate("Fup"), ref.predicate("Fdown")), ref.T1)
-    verify_trace_identity(ref.condition("I", ref.T0), outcomes)
-    assert len(lifts) == 2
+    cases = (
+        (ref.condition("I", ref.T0), ("Fup", "Fdown"), ref.T1),
+        (ref.condition("Fup", ref.T1), ("I", "notI"), ref.T0),
+    )
+    monkeypatch.setattr(model_mod, "lift_system1", counted)
+    for cond, names, k in cases:
+        outcomes = OutcomeSet(tuple(ref.predicate(name) for name in names), k)
+        for check in (verifiability, verify_trace_identity):
+            lifts.clear()
+            check(cond, outcomes)
+            assert len(lifts) == 2, (names, check.__name__)
 
 
 def _random_observer_instance(rng):
