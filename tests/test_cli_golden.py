@@ -96,6 +96,21 @@ COMMANDS = (
     _prob("sequence", "ready@ts", "notI@t0", "--outcome2", "Fup@t1"),
     _prob("sequence", "ready@ts", "I@t0", "--outcome2", "notI@t1"),
     _verify("I@t0", "I,notI@t1"),
+    # Complement conditions: states, the start-index scan and Z/W of a
+    # condition held by its complement.
+    _prob("forward", "notI@t1", "notI@t1"),
+    _prob("forward", "notI@t1", "notI@t1", "--k0", "t0"),
+    _prob("approx", "notI@t1", "I@t0"),
+    _prob("before", "notI@t0", "ready@ts"),
+    _prob("before", "notI@t1", "ready@ts", "--k0", "t0"),
+    _prob("before", "notI@t1", "ready@ts", "--k0", "t1"),
+    _prob("intermediate-known", "notI@t1", "blocked@t0"),
+    _prob("intermediate-known", "notI@t1", "blocked@t0", "--variant", "observable"),
+    ["--json", "prob", "--scenario", "reference", "--rule", "intermediate-full",
+     "--cond", "notI@t1", "--outcomes", "I,notI@t0", "--outcome", "notI@t0"],
+    _prob("sequence", "notI@ts", "I@t0", "--outcome2", "Fup@t1"),
+    _verify("notI@t1", "I,notI@t0"),
+    _measure("notI@ts", "I,notI@t0", "--complete"),
     # An unknown --k0 label is a usage error, as for --cond.
     ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I@t0",
      "--outcome", "Fup@t1", "--k0", "t9"],
