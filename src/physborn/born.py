@@ -150,7 +150,8 @@ def _result(num: float, den: float, rule: str, tol: linalg.Tolerance,
             warnings: tuple = ()) -> ProbabilityResult:
     if den <= tol.eps_zero:
         raise UnreachableConditionError(
-            f"{rule}: condition has no physical weight (denominator {den:.3e})"
+            f"{rule}: condition has no physical weight (denominator at most "
+            f"eps_zero={tol.eps_zero:g})"
         )
     value = num / den
     if value < -tol.eps_zero or value > 1.0 + tol.eps_zero:

@@ -6,19 +6,17 @@ observable representation X(t) (what the predicate implies about system1
 at earlier times, in a chosen basis), the start index T_s, and the
 condition operator consumed by the probability rules.
 
-A condition keeps its lifted predicate X in the form
+A condition keeps its lifted predicate X only in the form
 :func:`model.lift_predicate` picks (``ConditionSpec.lifted``): the d x m
 orthonormal basis W of its range (X = W W^dagger), or, when m > d/2, the
 d x (d - m) basis Wbar of its complement's range (X = I - Wbar
-Wbar^dagger), so that a "not this record" outcome costs about what its
-record costs.  :class:`model.Lifted` is the one owner of the form: it
-decides possibility and finds the support of the trimmed operator P(k) X
-P(k) at the family's rank, in either form.  ``ConditionSpec.basis``
-rebuilds the range form on demand, and the trimmed operator G G^dagger,
-G = P(k) W, of the rules and of the start-index scan is built on it,
-rebuilt once per call.  A state rho is a pair (phi, core) with rho = phi
-core phi^dagger (core None for the identity).  The rules and the
-measurement kappas use the blocks (:func:`condition_state`,
+Wbar^dagger), so that "not this record" costs about what its record
+costs.  :class:`model.Lifted` is the one owner of the form: it decides
+possibility and builds, at the family's rank, the support of P(k) X P(k),
+the trimmed factor T = P(k) W or P(k) X with T T^dagger = P(k) X P(k),
+and the condition state X P(k0) X.  A state rho is a pair (phi, core)
+with rho = phi core phi^dagger (core None for the identity).  The rules
+and the measurement kappas use the blocks (:func:`condition_state`,
 :func:`trimmed_state`); :func:`trimmed`, :func:`support_at` and
 :func:`condition_operator` return dense d x d matrices, rebuilt from the
 blocks on each call.  ``check_k0`` passes k0 = 0 without the start-index
@@ -89,12 +87,6 @@ class ConditionSpec:
         """The lifted predicate X, in the form it is held."""
         return self._lifted
 
-    @property
-    def basis(self) -> np.ndarray:
-        """The d x m orthonormal basis W of the lifted predicate's range
-        (rebuilt on each call when X is held by its complement)."""
-        return self._lifted.basis
-
 
 def _trim_index(cond: ConditionSpec, k: int) -> int:
     k = cond.model.grid.check_index(k)
@@ -103,10 +95,10 @@ def _trim_index(cond: ConditionSpec, k: int) -> int:
     return k
 
 
-def _trim(cond: ConditionSpec, k: int, w: np.ndarray) -> np.ndarray:
-    """G = P(k) W for the range basis W = ``cond.basis``, which the caller
-    takes once: the one trimming step behind every trimmed operator."""
-    return cond.fam.apply(_trim_index(cond, k), w)
+def _trim(cond: ConditionSpec, k: int) -> np.ndarray:
+    """The trimmed factor T at k (:meth:`model.Lifted.trimmed`): the one
+    trimming step behind every trimmed operator T T^dagger."""
+    return cond.lifted.trimmed(cond.fam, _trim_index(cond, k))
 
 
 def _no_weight(k: int) -> UnreachableConditionError:
@@ -121,15 +113,15 @@ def _dense(state: tuple) -> np.ndarray:
 
 
 def trimmed_state(cond: ConditionSpec, k: int) -> tuple:
-    """P(k) X P(k) as the state (G, None), G = P(k) W."""
-    return _trim(cond, k, cond.basis), None
+    """P(k) X P(k) as the state (T, None) for the trimmed factor T."""
+    return _trim(cond, k), None
 
 
 def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
-    """P(k) X P(k) = G G^dagger with G = P(k) W: the condition moved back
-    to index k with all non-physical components removed, and the state
-    rho of the before and approx rules.  Hermitian PSD, not a projector
-    in general."""
+    """P(k) X P(k) = T T^dagger for the trimmed factor T: the condition
+    moved back to index k with all non-physical components removed, and
+    the state rho of the before and approx rules.  Hermitian PSD, not a
+    projector in general."""
     return _dense(trimmed_state(cond, k))
 
 
@@ -181,10 +173,10 @@ def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
         if basis.shape != (model.d1, model.d1) or not linalg.is_unitary(basis, cond.tol):
             raise DomainError("basis1 must be a d1 x d1 orthonormal basis (unitary matrix)")
 
-    labels, w = [], cond.basis
+    labels = []
     for k in range(cond.k_c + 1):
-        # Tr_2 of V(k) G G^dagger V(k)^dagger, G = P(k) W, by a reshape
-        r = (cumulative_propagator(model, k) @ _trim(cond, k, w)).reshape(
+        # Tr_2 of V(k) T T^dagger V(k)^dagger for the trimmed factor T, by a reshape
+        r = (cumulative_propagator(model, k) @ _trim(cond, k)).reshape(
             model.d1, model.d2, -1)
         a1 = np.einsum("ibp,jbp->ij", r, r.conj())
         diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, a1, basis))
@@ -228,7 +220,7 @@ class StartTime:
 
 def _same_trimming(cond: ConditionSpec, ga: np.ndarray, gb: np.ndarray) -> bool:
     """Whether the trimmed operators G_a G_a^dagger and G_b G_b^dagger agree
-    within eps_zero, for d x m blocks G = P(k) W.
+    within eps_zero, for trimmed factors G = P(k) L (:func:`_trim`).
 
     Their difference D = G_a (G_a - G_b)^dagger + (G_a - G_b) G_b^dagger
     has ||D||_F <= (||G_a||_F + ||G_b||_F) ||G_a - G_b||_F, and its
@@ -236,6 +228,8 @@ def _same_trimming(cond: ConditionSpec, ga: np.ndarray, gb: np.ndarray) -> bool:
     entry from below; the dense operators are compared only in between.
     """
     upper = (np.linalg.norm(ga) + np.linalg.norm(gb)) * np.linalg.norm(ga - gb)
+    if upper <= cond.tol.eps_zero:      # settled before the row norms are taken
+        return True
     lower = np.max(np.abs(_row_norms2(ga) - _row_norms2(gb)))
     return linalg.within_zero(
         upper, lower, lambda: linalg.max_abs(_dense((ga, None)) - _dense((gb, None))), cond.tol)
@@ -244,19 +238,18 @@ def _same_trimming(cond: ConditionSpec, ga: np.ndarray, gb: np.ndarray) -> bool:
 def _condition1_indices(cond: ConditionSpec, top: int):
     """Indices k <= top that satisfy demand (1), in decreasing order.
 
-    Each trimmed operator is held as its block G_k = P(k) W, on the
-    range basis W taken once for the scan, and two are compared by :func:`_same_trimming`, which forms no d x d matrix
-    unless the difference is near eps_zero.  G_0 is held for the whole
-    scan, so an index whose block already differs from index 0 costs one
-    trimming product; only indices that match it are compared with every
-    index 1..k-1.  Index 0 qualifies vacuously and is always yielded last.
+    Each trimmed operator is held as its factor G_k = P(k) L (:func:`_trim`),
+    and two are compared by :func:`_same_trimming`, which forms no d x d
+    product unless the difference is near eps_zero.  G_0 is held for the
+    whole scan, so an index whose block already differs from index 0 costs
+    one trimming product; only indices that match it are compared with
+    every index 1..k-1.  Index 0 qualifies vacuously and is always yielded last.
     """
-    w = cond.basis
-    g0 = _trim(cond, 0, w)
+    g0 = _trim(cond, 0)
     for k in range(top, 0, -1):
-        gk = _trim(cond, k, w)
+        gk = _trim(cond, k)
         if _same_trimming(cond, g0, gk) and all(
-            _same_trimming(cond, _trim(cond, t, w), gk) for t in range(1, k)
+            _same_trimming(cond, _trim(cond, t), gk) for t in range(1, k)
         ):
             yield k
     yield 0
@@ -292,8 +285,8 @@ def start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTi
 
     Indices are scanned from k_c down to 0 and the first that qualifies
     is returned.  Each index is first compared with index 0, so a scan
-    typically costs k_c+1 trimming products P(k) W rather than one per
-    pair of indices.  Both demands are decided from d x m blocks, with
+    typically costs k_c+1 trimming products rather than one per pair of
+    indices.  Both demands are decided from blocks, with
     the dense max-entry test only for a difference near eps_zero (see
     :func:`linalg.within_zero`).  The demand-(1) index is computed once
     per condition and kept on it; with ``rep`` the scan for both demands
@@ -330,15 +323,14 @@ def check_k0(cond: ConditionSpec, k0: int,
 
 
 def condition_state(cond: ConditionSpec, k0: int = 0) -> tuple:
-    """X P(k0) X as the state (W, W^dagger P(k0) W): the state rho of the
-    forward and sequence rules and of the measurement kappas.
+    """X P(k0) X as a state (:meth:`model.Lifted.state`): the state rho of
+    the forward and sequence rules and of the measurement kappas.
 
     ``k0`` must not exceed the start index computed from the trimming
     demand; by the equal-sandwich lemma the result is the same for every
     valid choice.
     """
-    k0, w = check_k0(cond, k0), cond.basis
-    return w, cond.fam.sandwich(k0, w)
+    return cond.lifted.state(cond.fam, check_k0(cond, k0))
 
 
 def condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:

@@ -16,9 +16,9 @@ The start space is kept as its condition and every outcome as
 :meth:`born.OutcomeSet.lifted` lifts it, in the form
 :func:`model.lift_predicate` picks: an outcome "not this record", of rank
 m > d/2, by the small basis of its complement, whose support anchor Q is
-found from the r x d block at the family's rank r.  The start space is
-checked against k0 by ``check_k0``, which needs no start-index scan for
-the default k0 = 0.
+found from the r x d block at the family's rank r; so is the start state
+(phi, None) of a start space so held.  ``check_k0`` checks the start
+space against k0, with no start-index scan for the default k0 = 0.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .born import OutcomeSet
+from .born import OutcomeSet, _trace
 from .condition import ConditionSpec, check_k0, condition_state, observable_rep
 from .errors import (
     DomainError,
@@ -162,7 +162,7 @@ def _start_state(proc: MeasurementProcess, tol: linalg.Tolerance) -> tuple:
     space's condition operator M P(k0) M: the core of every kappa and its
     normalizer."""
     phi, core = condition_state(proc._start, proc.k0)
-    den = np.vdot(phi, phi @ core).real
+    den = _trace(phi, core).real
     if den <= tol.eps_zero:
         raise UnreachableConditionError("start space has no physical weight at k0")
     return (phi, core), den
@@ -186,7 +186,7 @@ def _kappas(proc: MeasurementProcess, state: tuple, anchor_at,
         q = anchor_at(k)
         m = q.conj().T @ phi
         r = cumulative_propagator(model, k) @ q
-        rk = (r @ (m @ core @ m.conj().T)).reshape(model.d1, model.d2, -1)
+        rk = (r @ ((m if core is None else m @ core) @ m.conj().T)).reshape(model.d1, model.d2, -1)
         op = np.einsum("aip,ajp->ij", rk, r.reshape(model.d1, model.d2, -1).conj())
         kap = linalg.hermitian_part(op / den)
         w = np.linalg.eigvalsh(kap)
@@ -264,7 +264,7 @@ def outcome_probability(proc: MeasurementProcess, i: int, rep: str = "support") 
     if anchor_at is None:
         return 0.0
     m = anchor_at(proc.k2).conj().T @ phi
-    return float(np.vdot(m, m @ core).real / den)
+    return float(_trace(m, core).real / den)
 
 
 @dataclass(frozen=True)

@@ -189,10 +189,11 @@ def lift_predicate(model: Model, p, k: int) -> Lifted:
     :func:`_full_space_basis` gives it."""
     p = linalg.as_matrix(p)
     if p.shape == (model.d1, model.d1):
-        if 2 * np.trace(p).real <= model.d1 + 0.5:
+        # a sum of Python floats overflows to inf unwarned, and the lift refuses it
+        if 2 * sum(np.diagonal(p).real.tolist()) <= model.d1 + 0.5:
             return Lifted(model, lift_system1(model, p, k))
         rest = lift_system1(model, np.eye(model.d1, dtype=complex) - p, k)
-        return Lifted(model, rest, (p, k))
+        return Lifted(model, rest, complement=True)
     if p.shape != (model.dim, model.dim):
         raise ShapeError(f"predicate shape {p.shape} matches neither system1 nor the full space")
     if not linalg.is_projector(p, model.tol):
@@ -543,35 +544,24 @@ class Lifted:
 
     ``block`` is the held basis, W or Wbar.  Commutator tests read it as
     it is, since [I - Wbar Wbar^dagger, A] = -[Wbar Wbar^dagger, A].
-    The weight and the support come from the trimming pair
+    Everything trimmed to the family comes from the trimming pair
     (:meth:`_trimming`): for a family of range bases, P(k) = U U^dagger of
     rank r, that is the r x m block C = U^dagger W, or the r x d block B
     = U^dagger X = U^dagger - Cbar Wbar^dagger with Cbar = U^dagger Wbar,
     built in O(d r (d - m)).  So a complement is handled at the family's
     rank too: P(k) X P(k) = U B B^dagger U^dagger, the weight of P(k) X
-    is ||B||_F, and the support of P(k) X P(k) is U times the range of
-    B.  No quantity is taken as a difference of norms such as r -
-    ||Cbar||_F^2.  A trace against X reads :meth:`factor`.  :attr:`basis`
-    is the range basis W in either form, rebuilt on demand for a
-    complement.
+    is ||B||_F, the support of P(k) X P(k) is U times the range of B, and
+    X P(k) X = B^dagger B.  No quantity is taken as a difference of norms
+    such as r - ||Cbar||_F^2.  A trace against X reads :meth:`factor`.
     """
 
-    __slots__ = ("model", "block", "_range")
+    __slots__ = ("model", "block", "_complement")
 
-    def __init__(self, model: Model, block: np.ndarray, complement_of: tuple | None = None):
-        """``block`` is W; with ``complement_of`` = (p1, k) it is Wbar, and X
-        is the lift at k of the system1 projector p1."""
+    def __init__(self, model: Model, block: np.ndarray, complement: bool = False):
+        """``block`` is W, or Wbar with ``complement``."""
         self.model = model
         self.block = block
-        self._range = complement_of
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The d x m orthonormal basis W of X's range, as
-        :func:`lift_system1` gives it."""
-        if self._range is None:
-            return self.block
-        return lift_system1(self.model, *self._range)
+        self._complement = complement
 
     def _trimming(self, fam: PhysicalFamily, k: int, restricted: tuple | None = None) -> tuple:
         """(frame, coef) with T = frame @ coef (frame None for the
@@ -581,9 +571,27 @@ class Lifted:
         ``fam._restrict(k, block)``, computed when not given."""
         if restricted is None:
             restricted = fam._restrict(k, self.block)
-        if self._range is None:
+        if not self._complement:
             return restricted
         return fam._restrict_complement(k, self.block, restricted)
+
+    def trimmed(self, fam: PhysicalFamily, k: int) -> np.ndarray:
+        """The trimmed factor T = P(k) L of :meth:`_trimming`, L = W, or X
+        for a complement: P(k) times one block at every k."""
+        return _join(*self._trimming(fam, k))
+
+    def state(self, fam: PhysicalFamily, k0: int) -> tuple:
+        """X P(k0) X as a state (phi, core): (W, W^dagger P(k0) W), or for a
+        complement (coef^dagger, None) of :meth:`_trimming`, X P X = B^dagger B."""
+        if not self._complement:
+            return self.block, fam.sandwich(k0, self.block)
+        return self._trimming(fam, k0)[1].conj().T, None
+
+    def trimmed_range(self, fam: PhysicalFamily, k: int, r: np.ndarray) -> np.ndarray:
+        """Range basis of T r^dagger for the trimmed factor T at k, at the
+        eps_eig cut, from the SVD of coef r^dagger (r rows for a basis family)."""
+        frame, coef = self._trimming(fam, k)
+        return _join(frame, linalg.range_basis(coef @ r.conj().T, self.model.tol))
 
     def is_possible(self, fam: PhysicalFamily, k: int) -> bool:
         """Whether X is physically possible at k: it commutes with P(k)
@@ -603,7 +611,7 @@ class Lifted:
         frob = np.linalg.norm(coef)
 
         def measure():
-            if self._range is None:
+            if not self._complement:
                 return fam.overlap_norm(k, self.block)
             return linalg.max_abs(_join(frame, coef))
 
@@ -619,7 +627,7 @@ class Lifted:
         frame u s and Q = frame u on the kept singular values: against a
         family of range bases, at most r columns from the SVD of the d x r
         block B^dagger."""
-        if self._range is None:
+        if not self._complement:
             t, q = physical_range(self.model, fam, k, self.block)
         else:
             frame, coef = self._trimming(fam, k)
@@ -633,18 +641,18 @@ class Lifted:
     def factor(self, q: np.ndarray) -> np.ndarray:
         """A block F with F^dagger F = q^dagger X q, what a trace against X
         reads: W^dagger q, or X q for a complement."""
-        return self.block.conj().T @ q if self._range is None else self.inside(q)
+        return self.inside(q) if self._complement else self.block.conj().T @ q
 
     def inside(self, q: np.ndarray) -> np.ndarray:
         """X q: W (W^dagger q), or q - Wbar (Wbar^dagger q) for a
         complement."""
         c = self.block @ (self.block.conj().T @ q)
-        return c if self._range is None else q - c
+        return q - c if self._complement else c
 
     def outside(self, q: np.ndarray) -> np.ndarray:
         """(I - X) q."""
         c = self.block @ (self.block.conj().T @ q)
-        return q - c if self._range is None else c
+        return c if self._complement else q - c
 
 
 def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:

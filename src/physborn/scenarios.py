@@ -34,6 +34,7 @@ from .model import (
     cumulative_propagator,
     forward_closure,
     lift_predicate,
+    lift_system1,
     physical_range,
 )
 
@@ -279,7 +280,7 @@ def textbook_born(model: Model, pX, k_x: int, pY, k_y: int) -> float:
     ||W_X||_F^2 for the range basis W_X of the Heisenberg lift X = W_X
     W_X^dagger and the factor F of W_X^dagger Y W_X (``Lifted.factor``);
     the reduction oracle for the amended rules."""
-    wx = lift_predicate(model, pX, k_x).basis
+    wx = lift_system1(model, pX, k_x)
     overlap = lift_predicate(model, pY, k_y).factor(wx)
     den = np.vdot(wx, wx).real
     if den <= model.tol.eps_zero:
@@ -325,7 +326,7 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
     # an orthonormal basis of the physical part of the record predicate
     # (one state on this model, so unique up to phase), plus every
     # product-basis record-I state with nonzero physical weight.
-    _, phys = physical_range(model, fam, ref.T0, cond_i.basis)
+    _, phys = physical_range(model, fam, ref.T0, lift_system1(model, ref.predicate("I"), ref.T0))
     micro = [(f"physical-eigenstate-{n + 1}", phys[:, [n]]) for n in range(phys.shape[1])]
     vh = cumulative_propagator(model, ref.T0).conj().T
     for spin_name, spin in (("z+", KET_Z_UP), ("z-", KET_Z_DOWN)):
@@ -338,7 +339,7 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
     # For the microstate |v><v|, the weight Tr(|v><v| P(0)) is v^dagger P(0)
     # v, and the value Tr(Y |v><v| P(0) |v><v|) / weight is ||W^dagger v||^2
     # for Y = W W^dagger, W the range basis of Fup lifted at t1.
-    w_fup = cond_fup.basis
+    w_fup = lift_system1(model, ref.predicate("Fup"), ref.T1)
     results = [MicrostateResult(label, fam.sandwich(0, v).real.item(),
                                 float(np.linalg.norm(w_fup.conj().T @ v) ** 2))
                for label, v in micro]

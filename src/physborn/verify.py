@@ -9,10 +9,10 @@ splits into the part that certainly came from the condition (Z) and the
 part that certainly did not (W), and the probability can be rewritten as
 a trace against Z.
 Outcomes and the condition are read as ``model.lift_predicate`` holds
-them, and Z as a d x m range basis; only :func:`z_subspace` and
-:func:`w_subspace` form a d x d projector.  The family enters as P(k) B
-and its range (``PhysicalFamily.apply``, :func:`model.physical_range`):
-one formula for either storage form.
+them, and Z as a range basis; only :func:`z_subspace` and
+:func:`w_subspace` form a d x d projector.  The family enters through
+their trimmed factors (``Lifted.trimmed``) and P(k) B
+(``PhysicalFamily.apply``): one formula for every form.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .model import (
     lift_predicate,
     lift_system1,
     lift_system2,
-    physical_range,
 )
 
 
@@ -79,33 +78,32 @@ def _zw_subspace(cond: ConditionSpec, y: Lifted, k: int, negate: bool) -> np.nda
     """Orthonormal basis of Z (or W with ``negate``) for the verified
     lifted outcome Y at k.
 
-    The later of the two predicates supplies A, its physical part at its
-    own index, read by its range basis W_a; the earlier one, E (or I - E
-    for W), is applied at the earlier index s in the form it is held by.
-    The demands make P(s) A P(s) commute with the projector P(s) E, so A
+    The later of the two predicates, X_a, supplies A = P(k_a) X_a, its
+    physical part at its own index k_a; the earlier one, E (or I - E for
+    W), is applied at the earlier index s in the form it is held by.  The
+    demands make P(s) A P(s) commute with the projector P(s) E, so A
     carries the range of P(s) E onto Z: the range of A P(s) E.  Its
     squared singular values are the eigenvalues of P(s) A P(s) on the
     range of P(s) E, so the support cut at eps_eig drops exactly the
     directions where that operator falls below it.
 
-    With A = P(k_a) W_a W_a^dagger, A P(s) E = (P(k_a) W_a) (E P(s)
-    W_a)^dagger.  The QR factorization E P(s) W_a = Q R leaves A P(s) E =
-    P(k_a) (W_a R^dagger) Q^dagger, whose range is that of P(k_a) (W_a
-    R^dagger), with the same singular values: Z is its range
-    (:func:`model.physical_range`).
+    With the trimmed factor T(k) = P(k) L of X_a = L L^dagger
+    (``Lifted.trimmed``), A P(s) E = T(k_a) (E T(s))^dagger.  The QR
+    factorization E T(s) = Q R leaves T(k_a) R^dagger Q^dagger, whose
+    range is that of T(k_a) R^dagger, with the same singular values: Z is
+    its range (``Lifted.trimmed_range``).
     """
     if k == cond.k_c:
         raise DomainError("Z/W construction refused: outcome and condition share index "
                           f"{k}, so neither direction applies")
     fam = cond.fam
     if k > cond.k_c:
-        (ka, wa), e = (k, y.basis), cond.lifted     # physical Y, classified against X
+        a, e = y, cond.lifted       # physical Y, classified against X
     else:
-        (ka, wa), e = (cond.k_c, cond.basis), y     # physical X, classified against Y
-    base = fam.apply(min(k, cond.k_c), wa)      # P(s) W_a
-    eb = e.outside(base) if negate else e.inside(base)
-    r = np.linalg.qr(eb, mode="r")              # E P(s) W_a = Q r
-    return physical_range(cond.model, fam, ka, wa @ r.conj().T)[1]
+        a, e = cond.lifted, y       # physical X, classified against Y
+    ts = a.trimmed(fam, min(k, cond.k_c))
+    r = np.linalg.qr(e.outside(ts) if negate else e.inside(ts), mode="r")
+    return a.trimmed_range(fam, max(k, cond.k_c), r)
 
 
 def _verifiable_lift(cond: ConditionSpec, y, k: int) -> Lifted:
@@ -147,16 +145,15 @@ def verify_trace_identity(cond: ConditionSpec, outcomes: OutcomeSet,
     if not all(verifiable(cond, y, k) for y in lifted):
         raise DomainError("trace identity requires a verifiable outcome set")
     phi, core = condition_state(cond, k0)   # also refuses k0 as the rules do
-    k0 = cond.model.grid.check_index(k0)
-    fam, w = cond.fam, cond.basis
     residuals = []
     for y in lifted:
         qz = _zw_subspace(cond, y, k, negate=False)
         if k > cond.k_c:
             lhs = _trace(y.factor(phi), core).real
-        else:   # Tr(W^dagger P(k0) P(k) Y W)
-            lhs = np.vdot(fam.apply(k0, w), fam.apply(k, y.inside(w))).real
-        rhs = np.trace(fam.sandwich(k0, qz)).real
+        else:   # the real part of Tr(L^dagger Y P(k) T(k0)), T(k0) = P(k0) L
+            t0 = cond.lifted.trimmed(cond.fam, k0)
+            lhs = np.trace(cond.lifted.factor(y.inside(cond.fam.apply(k, t0)))).real
+        rhs = np.trace(cond.fam.sandwich(k0, qz)).real
         residuals.append(abs(lhs - rhs))
     return tuple(residuals)
 

@@ -656,7 +656,8 @@ def _chain_result(num: float, den: float, rule: str, tol: linalg.Tolerance,
                   warnings: tuple = ()) -> ProbabilityResult:
     if den <= tol.eps_zero:
         raise UnreachableConditionError(
-            f"{rule}: condition has no physical weight (denominator {den:.3e})"
+            f"{rule}: condition has no physical weight "
+            f"(denominator at most eps_zero={tol.eps_zero:g})"
         )
     value = num / den
     if value < -tol.eps_zero or value > 1.0 + tol.eps_zero:
@@ -709,7 +710,9 @@ def range_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: 
                             k0: int = 0) -> ProbabilityResult:
     """The intermediate-full rule with every outcome in the range form:
     Y S = W_Y (W_Y^dagger S) for the d x m range basis W_Y of the lifted
-    outcome (``Lifted.basis``), whatever the outcome's rank."""
+    outcome, whatever the outcome's rank: ``lift_system1``'s for a system1
+    outcome, and for a full-space one the block ``lift_predicate`` holds
+    it by, which is always its range."""
     dense_orthogonal_projectors(outcomes.projectors, outcomes.complete, cond.tol)
     k = cond.model.grid.check_index(outcomes.k)
     if not (k0 < k < cond.k_c):
@@ -727,7 +730,8 @@ def range_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: 
     core = cond.fam.sandwich(k0, sup)
     terms = []
     for y1 in outcomes.projectors:
-        wy = lift_predicate(cond.model, y1, k).basis
+        wy = (lift_system1(cond.model, y1, k) if y1.shape == (cond.model.d1,) * 2
+              else lift_predicate(cond.model, y1, k).block)
         m = back.conj().T @ (wy @ (wy.conj().T @ sup))
         terms.append(_chain_trace(m @ core @ m.conj().T, cond.tol,
                                   "prob_intermediate_full term"))

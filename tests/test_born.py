@@ -2,10 +2,12 @@
 the sequence guard, and agreement with the product-chain oracles."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
+from physborn import model as model_mod
 from physborn.born import (
     OutcomeSet,
     prob_approx,
@@ -172,8 +174,24 @@ def test_unreachable_condition_raises():
     m = Model(4, 1, TimeGrid((0.0, 1.0)), (np.eye(4, dtype=complex),))
     fam = PhysicalFamily((proj, np.eye(4, dtype=complex)))
     cond = ConditionSpec(m, fam, np.diag([0, 1.0, 0, 0]).astype(complex), 1)
-    with pytest.raises(UnreachableConditionError):
+    # the refusal names the threshold, not the rounding noise below it
+    with pytest.raises(UnreachableConditionError, match=re.escape(
+            "forward: condition has no physical weight (denominator at most eps_zero=1e-09)")):
         prob_forward(cond, np.diag([0, 1.0, 0, 0]).astype(complex), 1)
+
+
+def test_rules_lift_a_complement_condition_once(monkeypatch):
+    # the condition's states are built from the block it is held by, so a
+    # rule lifts only its outcome
+    ref = build_reference_experiment()
+    cond = ref.condition("notI", ref.T0)
+    lifts = []
+    real = model_mod.lift_system1
+    monkeypatch.setattr(model_mod, "lift_system1",
+                        lambda *args: lifts.append(args) or real(*args))
+    for _ in range(2):
+        prob_forward(cond, ref.predicate("Fup"), ref.T1)
+    assert len(lifts) == 2
 
 
 def test_sequence_refuses_no_record_instance():

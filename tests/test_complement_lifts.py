@@ -100,7 +100,7 @@ def _check(cond, scan: bool = True) -> None:
         assert start_time(cond) == dense_start_time(cond)
     for k0 in range(model.n_indices):
         _same(lambda: condition_operator(cond, k0), lambda: dense_condition_operator(cond, k0))
-    plain = Lifted(model, cond.basis)
+    plain = Lifted(model, lift_system1(model, cond.x1, cond.k_c))
     for k in range(model.n_indices):
         assert cond.lifted.is_possible(fam, k) == plain.is_possible(fam, k)
         assert cond.lifted.has_weight(fam, k) == plain.has_weight(fam, k)
@@ -134,15 +134,12 @@ def test_lift_predicate_picks_the_complement_above_half_the_rank():
         rec, rest = c.records(t), np.eye(c.d1) - c.records(t)
         assert lift_predicate(model, rec, t).block.shape == (d, model.d2)
         assert lift_predicate(model, rest, t).block.shape == (d, model.d2)
-        cond = ConditionSpec(model, fam, rest, t)
-        # the public form is still the range basis of the lift
-        assert np.array_equal(cond.basis, lift_system1(model, rest, t))
-        assert cond.basis.shape == (d, d - model.d2)
-        w = cond.basis
+        w = lift_system1(model, rest, t)
+        assert w.shape == (d, d - model.d2)
         assert np.max(np.abs(w @ w.conj().T - dense_lift(model, rest, t))) <= TOL
     haar = random_model(np.random.default_rng(5), 4, 2, 2)
-    half = lift_predicate(haar, np.diag([1.0, 1, 0, 0]), 1)     # m = d/2 keeps the range form
-    assert half.block.shape == (8, 4) and half.basis is half.block
+    half = np.diag([1.0, 1, 0, 0])      # m = d/2 keeps the range form
+    assert np.array_equal(lift_predicate(haar, half, 1).block, lift_system1(haar, half, 1))
     assert lift_predicate(haar, np.diag([1.0, 1, 1, 0]), 1).block.shape == (8, 2)
     assert lift_predicate(haar, np.eye(4), 1).block.shape == (8, 0)
 
@@ -267,9 +264,9 @@ def test_check_k0_zero_makes_no_trimming_product(monkeypatch):
     calls = []
     original = condition._trim
 
-    def counting(cond, k, w):
+    def counting(cond, k):
         calls.append(k)
-        return original(cond, k, w)
+        return original(cond, k)
 
     monkeypatch.setattr(condition, "_trim", counting)
     ref = build_reference_experiment()
@@ -293,5 +290,5 @@ def test_only_the_model_reads_the_held_form():
         if path.name == "model.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            assert not (isinstance(node, ast.Attribute) and node.attr == "_range"), \
+            assert not (isinstance(node, ast.Attribute) and node.attr == "_complement"), \
                 f"{path.name}:{node.lineno} reads the form of a lifted predicate"

@@ -185,13 +185,13 @@ def test_start_time_matches_quadratic_oracle_on_drifting_families():
 
 
 def test_start_time_computed_once_per_condition(monkeypatch):
-    # the scan compares blocks P(k) W, so count the trimming products
+    # the scan compares trimmed factors, so count the trimming products
     calls = []
     original = condition._trim
 
-    def counting(cond, k, w):
+    def counting(cond, k):
         calls.append(k)
-        return original(cond, k, w)
+        return original(cond, k)
 
     monkeypatch.setattr(condition, "_trim", counting)
     rng = np.random.default_rng(47)

@@ -213,7 +213,7 @@ def test_intermediate_full_trims_the_condition_once(monkeypatch):
     original = PhysicalFamily._restrict
 
     def counted(fam, k, block):
-        if block is cond.basis:     # the family restricting the condition
+        if block is cond.lifted.block:      # the family restricting the condition
             trims.append(k)
         return original(fam, k, block)
 

@@ -50,10 +50,14 @@ def test_lifts_are_orthonormal_bases_of_the_dense_lift(d1, d2, n, seed):
             (lift_system1(model, p1, k), dense_lift(model, p1, k)),
             (lift_system1(model, record, k), lifted_record),
             (lift_system2(model, p2, k), _dense_lift2(model, p2, k)),
-            (lift_predicate(model, generic, k).basis, dense_lift(model, generic, k)),
-            (lift_predicate(model, lifted_record, k).basis, dense_lift(model, lifted_record, k)),
         ):
             assert _gap(w, dense) <= 1e-12
+        for p in (generic, lifted_record):
+            # the held form, whichever it is, against the dense lift
+            held, dense = lift_predicate(model, p, k), dense_lift(model, p, k)
+            b = held.block
+            assert np.max(np.abs(b.conj().T @ b - np.eye(b.shape[1])), initial=0.0) <= 1e-12
+            assert np.max(np.abs(held.inside(np.eye(model.dim)) - dense)) <= 1e-12
     # index 0 is the reference frame: the lift is kron(B, I) exactly, for
     # the range basis B = W[::d2, ::d2] of p1
     for p in (p1, record):
@@ -69,6 +73,9 @@ def test_lift_refusals_keep_their_types_and_messages():
     p1, p2 = random_projector(rng, 3, 1), random_projector(rng, 2, 1)
     fam = PhysicalFamily((np.eye(6, dtype=complex),) * 3)
     cases = [
+        # a trace too large for a float reaches the projector check, unwarned
+        (lambda: ConditionSpec(model, fam, 1e308 * np.eye(3), 1), DomainError,
+         "lift_system1 requires a projector"),
         (lambda: lift_system1(model, p2, 0), ShapeError,
          "system1 operator shape (2, 2), expected (3, 3)"),
         (lambda: lift_system1(model, 0.3 * p1, 0), DomainError,
@@ -113,8 +120,10 @@ def test_dense_projectors_handed_out_match_the_dense_lift():
         except NotPhysicallyPossibleError:
             continue
         built += 1
-        w = cond.basis
+        w = lift_system1(ref.model, x1, k_c)
         assert np.max(np.abs(w @ w.conj().T - dense_lift(ref.model, x1, k_c))) <= 1e-12
+        x = cond.lifted.inside(np.eye(ref.model.dim))   # X from the held form
+        assert np.max(np.abs(x - dense_lift(ref.model, x1, k_c))) <= 1e-12
         try:
             rep = observable_rep(cond)
         except DomainError:     # the standard basis cannot represent it

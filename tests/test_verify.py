@@ -194,7 +194,8 @@ def test_trace_identity_refuses_k0_as_the_rules_do(ref):
 
 def test_trace_identity_lifts_each_outcome_once(ref, monkeypatch):
     # each member of the outcome set is lifted once (OutcomeSet.lifted),
-    # and "not this record" once, by its complement
+    # and "not this record" once, by its complement, as an outcome on
+    # either side of the condition and as the condition itself
     lifts = []
     real = model_mod.lift_system1
 
@@ -205,6 +206,8 @@ def test_trace_identity_lifts_each_outcome_once(ref, monkeypatch):
     cases = (
         (ref.condition("I", ref.T0), ("Fup", "Fdown"), ref.T1),
         (ref.condition("Fup", ref.T1), ("I", "notI"), ref.T0),
+        (ref.condition("I", ref.T0), ("I", "notI"), ref.T1),
+        (ref.condition("notI", ref.T0), ("Fup", "Fdown"), ref.T1),
     )
     monkeypatch.setattr(model_mod, "lift_system1", counted)
     for cond, names, k in cases:
