@@ -56,7 +56,6 @@ from .model import (
     _commutes,
     _sandwich_commutes,
     lift_predicate,
-    lift_system1,
 )
 
 
@@ -224,7 +223,7 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
 
     The anchor A is the support of the trimmed condition (rule
     ``intermediate_known/support``), or, with an accepted observable
-    representation ``rep``, its lifted X(k) predicate
+    representation ``rep``, its lifted X(k) predicate as ``rep`` holds it
     (``intermediate_known/observable``).
     """
     k = cond.model.grid.check_index(k)
@@ -238,7 +237,7 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
         if anchor is None:
             raise _no_weight(k)
     else:
-        anchor = lift_system1(cond.model, rep.system1_projector(k), k)
+        anchor = rep.lifted(k)
         variant = "observable"
     rho = (anchor, cond.fam.sandwich(k0, anchor))
     return _born(lift_predicate(cond.model, y, k), rho, f"intermediate_known/{variant}", cond.tol)

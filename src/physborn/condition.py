@@ -3,8 +3,8 @@
 Given a system1 predicate asserted at a grid index, this module derives
 the trimmed operator at earlier times, its support projector, the
 observable representation X(t) (what the predicate implies about system1
-at earlier times, in a chosen basis), the start index T_s, and the
-condition operator consumed by the probability rules.
+at earlier times, as sets of record labels, each lifted once), the start
+index T_s, and the condition operator consumed by the probability rules.
 
 A condition keeps its lifted predicate X only in the form
 :func:`model.lift_predicate` picks (``ConditionSpec.lifted``): the d x m
@@ -25,7 +25,7 @@ scan, since 0 <= T_s always holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .model import (
     Model,
     PhysicalFamily,
     _commutes,
-    _require_commutes,
     _row_norms2,
     cumulative_propagator,
     lift_predicate,
@@ -136,16 +135,16 @@ def support_at(cond: ConditionSpec, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ObservableRep:
-    """Per-index label sets X(k) in a chosen system1 basis, for k <= k_c.
+    """Per-index record label sets X(k), for k <= k_c.
 
-    ``basis`` holds the orthonormal system1 basis as columns; ``labels``
-    maps each grid index k <= k_c to the frozenset of column indices that
-    the condition leaves possible at that time.
+    ``labels`` maps each grid index k <= k_c to the frozenset of system1
+    record labels that the condition leaves possible at that time;
+    ``lifts`` holds the range basis of each lifted X(k), lifted once.
     """
 
     cond: ConditionSpec
-    basis: np.ndarray
     labels: tuple
+    lifts: tuple = field(compare=False, repr=False)
 
     def labels_at(self, k: int) -> frozenset:
         if not 0 <= k <= self.cond.k_c:
@@ -153,33 +152,28 @@ class ObservableRep:
         return self.labels[k]
 
     def system1_projector(self, k: int) -> np.ndarray:
-        """d1 x d1 projector onto the X(k) labels."""
-        cols = self.basis[:, sorted(self.labels_at(k))]
-        return cols @ cols.conj().T
+        """d1 x d1 record projector onto the X(k) labels."""
+        return linalg.diagonal_projector(sorted(self.labels_at(k)), self.cond.model.d1)
+
+    def lifted(self, k: int) -> np.ndarray:
+        """The d x m range basis of the lifted X(k), checked against the family."""
+        self.labels_at(k)       # refuses an index past k_c
+        return self.lifts[k]
 
 
-def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
-    """Derive the label sets X(k) from the partial trace of the trimmed
-    operator, expressed in the Schrodinger picture at each index.
+def observable_rep(cond: ConditionSpec) -> ObservableRep:
+    """Derive the label sets X(k) from the diagonal of the partial trace
+    Tr_2 of the trimmed operator, expressed in the Schrodinger picture at
+    each index, and lift each X(k) once.
 
     Raises DomainError if any lifted X(k) fails to commute with the
-    physical family at k; that signals an unsuitable basis choice.
+    physical family at k, or if X(k_c) does not cover the predicate.
     """
     model = cond.model
-    if basis1 is None:
-        basis = np.eye(model.d1, dtype=complex)
-    else:
-        basis = linalg.as_matrix(basis1)
-        if basis.shape != (model.d1, model.d1) or not linalg.is_unitary(basis, cond.tol):
-            raise DomainError("basis1 must be a d1 x d1 orthonormal basis (unitary matrix)")
-
     labels = []
     for k in range(cond.k_c + 1):
-        # Tr_2 of V(k) T T^dagger V(k)^dagger for the trimmed factor T, by a reshape
-        r = (cumulative_propagator(model, k) @ _trim(cond, k)).reshape(
-            model.d1, model.d2, -1)
-        a1 = np.einsum("ibp,jbp->ij", r, r.conj())
-        diag = np.real(np.einsum("ij,jk,ki->i", basis.conj().T, a1, basis))
+        r = cumulative_propagator(model, k) @ _trim(cond, k)
+        diag = _row_norms2(r.reshape(model.d1, -1))     # the diagonal of Tr_2 of r r^dagger
         chosen = frozenset(int(i) for i in np.nonzero(diag > cond.tol.eps_eig)[0])
         if not chosen:
             raise UnreachableConditionError(
@@ -187,14 +181,14 @@ def observable_rep(cond: ConditionSpec, basis1=None) -> ObservableRep:
             )
         labels.append(chosen)
 
-    rep = ObservableRep(cond, basis, tuple(labels))
-    for k in range(cond.k_c + 1):
-        w = lift_system1(model, rep.system1_projector(k), k)
+    lifts = []
+    for k, chosen in enumerate(labels):
+        w = lift_system1(model, linalg.diagonal_projector(sorted(chosen), model.d1), k)
         if not _commutes(model, cond.fam, k, w):
-            raise DomainError(
-                f"observable representation rejected: X({k}) does not commute with "
-                "the physical family; perhaps the wrong system1 basis was chosen"
-            )
+            raise DomainError(f"observable representation rejected: X({k}) does not "
+                              "commute with the physical family")
+        lifts.append(w)
+    rep = ObservableRep(cond, tuple(labels), tuple(lifts))
     # The representation must reproduce the original predicate at k_c.
     own = rep.system1_projector(cond.k_c)
     if linalg.max_abs(own @ cond.x1 - cond.x1) > 10 * cond.tol.eps_eig:
@@ -218,16 +212,24 @@ class StartTime:
     condition1_index: int
 
 
-def _same_trimming(cond: ConditionSpec, ga: np.ndarray, gb: np.ndarray) -> bool:
+def _held_factor(cond: ConditionSpec, k: int) -> tuple:
+    """The trimmed factor G_k = P(k) L (:func:`_trim`) with its Frobenius norm."""
+    g = _trim(cond, k)
+    return g, np.linalg.norm(g)
+
+
+def _same_trimming(cond: ConditionSpec, a: tuple, b: tuple) -> bool:
     """Whether the trimmed operators G_a G_a^dagger and G_b G_b^dagger agree
-    within eps_zero, for trimmed factors G = P(k) L (:func:`_trim`).
+    within eps_zero, for held trimmed factors a = (G_a, ||G_a||_F) and b
+    (:func:`_held_factor`).
 
     Their difference D = G_a (G_a - G_b)^dagger + (G_a - G_b) G_b^dagger
     has ||D||_F <= (||G_a||_F + ||G_b||_F) ||G_a - G_b||_F, and its
     diagonal, the difference of the squared row norms, bounds its largest
     entry from below; the dense operators are compared only in between.
     """
-    upper = (np.linalg.norm(ga) + np.linalg.norm(gb)) * np.linalg.norm(ga - gb)
+    (ga, na), (gb, nb) = a, b
+    upper = (na + nb) * np.linalg.norm(ga - gb)
     if upper <= cond.tol.eps_zero:      # settled before the row norms are taken
         return True
     lower = np.max(np.abs(_row_norms2(ga) - _row_norms2(gb)))
@@ -238,18 +240,20 @@ def _same_trimming(cond: ConditionSpec, ga: np.ndarray, gb: np.ndarray) -> bool:
 def _condition1_indices(cond: ConditionSpec, top: int):
     """Indices k <= top that satisfy demand (1), in decreasing order.
 
-    Each trimmed operator is held as its factor G_k = P(k) L (:func:`_trim`),
-    and two are compared by :func:`_same_trimming`, which forms no d x d
-    product unless the difference is near eps_zero.  G_0 is held for the
-    whole scan, so an index whose block already differs from index 0 costs
-    one trimming product; only indices that match it are compared with
-    every index 1..k-1.  Index 0 qualifies vacuously and is always yielded last.
+    Each trimmed operator is held as its factor with its norm
+    (:func:`_held_factor`), and two are compared by :func:`_same_trimming`,
+    which forms no d x d product unless the difference is near eps_zero.
+    G_0 is held for the whole scan, so an index whose block already differs
+    from index 0 costs one trimming product; only indices that match it are
+    compared with every index 1..k-1, each built again (a complement factor
+    on an explicit family is d x d).  Index 0 qualifies vacuously and is
+    always yielded last.
     """
-    g0 = _trim(cond, 0)
+    h0 = _held_factor(cond, 0)
     for k in range(top, 0, -1):
-        gk = _trim(cond, k)
-        if _same_trimming(cond, g0, gk) and all(
-            _same_trimming(cond, _trim(cond, t), gk) for t in range(1, k)
+        hk = _held_factor(cond, k)
+        if _same_trimming(cond, h0, hk) and all(
+            _same_trimming(cond, _held_factor(cond, t), hk) for t in range(1, k)
         ):
             yield k
     yield 0
@@ -257,12 +261,11 @@ def _condition1_indices(cond: ConditionSpec, top: int):
 
 def _condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
     """Demand (2) at k: P(k) X(k) = X(k) within eps_zero, for the lifted
-    X(k) = W_x W_x^dagger.  P X - X = -((I - P) W_x) W_x^dagger, whose
-    Frobenius norm is ||(I - P) W_x||_F.  Raises NotPhysicallyPossibleError
-    when X(k) does not commute with P(k)."""
+    X(k) = W_x W_x^dagger that ``rep`` holds.  P X - X = -((I - P) W_x)
+    W_x^dagger, whose Frobenius norm is ||(I - P) W_x||_F.  P X = X implies
+    [X, P] = 0, so a non-commuting X(k) reads false."""
     model = cond.model
-    w = lift_system1(model, rep.system1_projector(k), k)
-    _require_commutes(model, cond.fam, k, w)
+    w = rep.lifted(k)
     frob = np.linalg.norm(w - cond.fam.apply(k, w))
 
     def measure():

@@ -42,7 +42,6 @@ from .model import (
     PhysicalFamily,
     cumulative_propagator,
     lift_predicate,
-    lift_system1,
 )
 
 
@@ -117,10 +116,16 @@ class MeasurementProcess:
     def is_measurement(self) -> bool:
         return all(self.record_preserved)
 
+    def _lifted_outcome(self, i: int) -> Lifted | None:
+        """Outcome i as lifted, None when unreachable; refuses i outside 0..n-1."""
+        if not 0 <= i < len(self._lifted):
+            raise IndexError(f"outcome index {i} out of range")
+        return self._lifted[i]
+
     def outcome_condition(self, i: int) -> ConditionSpec | None:
         """Condition spec for outcome i, built on each call, or None when
         the outcome is unreachable."""
-        if self._lifted[i] is None:
+        if self._lifted_outcome(i) is None:
             return None
         return ConditionSpec(self.model, self.fam, self.outcomes.projectors[i], self.k2)
 
@@ -199,10 +204,10 @@ def _kappas(proc: MeasurementProcess, state: tuple, anchor_at,
 def _outcome_anchor(proc: MeasurementProcess, i: int, rep: str) -> tuple:
     """(state, anchor_at) for outcome i: the start state of
     :func:`_start_state` and the range basis of the representation's
-    anchor at each index, None for an unreachable outcome.  Refuses a
-    start space without weight, then an unknown ``rep``, then a basis
-    that :func:`observable_rep` rejects."""
-    lifted = proc._lifted[i]
+    anchor at each index, None for an unreachable outcome.  Refuses an
+    outcome index out of range, a start space without weight, an unknown
+    ``rep``, then what :func:`observable_rep` rejects."""
+    lifted = proc._lifted_outcome(i)
     state = _start_state(proc, proc.model.tol)
     if rep not in ("support", "observable"):
         raise DomainError(f"unknown representation {rep!r}")
@@ -210,8 +215,8 @@ def _outcome_anchor(proc: MeasurementProcess, i: int, rep: str) -> tuple:
         return state, None
     if rep == "support":
         return state, lambda k: _anchor(proc, k, lifted)
-    orep = observable_rep(proc.outcome_condition(i))  # raises if the basis is unsuitable
-    return state, lambda k: lift_system1(proc.model, orep.system1_projector(k), k)
+    orep = observable_rep(proc.outcome_condition(i))  # raises if X(k) is rejected
+    return state, orep.lifted
 
 
 def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaPath:
@@ -219,9 +224,9 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
 
     ``rep="support"`` anchors each time on the support of the outcome
     condition trimmed back from k2; ``rep="observable"`` anchors on the
-    lifted label sets of an observable representation (standard system1
-    basis).  Partial traces are taken in the Schrodinger picture at each
-    index so the tensor factorization stays aligned.
+    lifted record label sets X(k) of :func:`observable_rep`.  Partial
+    traces are taken in the Schrodinger picture at each index so the
+    tensor factorization stays aligned.
     """
     tol = proc.model.tol
     state, anchor_at = _outcome_anchor(proc, i, rep)
@@ -255,10 +260,10 @@ def outcome_probability(proc: MeasurementProcess, i: int, rep: str = "support") 
     (Q^dagger phi)^dagger, so its trace is tr(K) / Tr(rho): one s x m
     block, without the path, propagators or partial traces of
     :func:`kappa_path`.  It refuses as :func:`kappa_path` does, in its
-    order: a start space without weight, an unknown ``rep``, then
-    ``observable_rep``'s rejection.  The per-index PSD check of the
-    kappas is not run: K is PSD by construction.  An unreachable outcome
-    has probability 0.0.
+    order: an outcome index out of range, a start space without weight,
+    an unknown ``rep``, then ``observable_rep``'s rejection.  The
+    per-index PSD check of the kappas is not run: K is PSD by
+    construction.  An unreachable outcome has probability 0.0.
     """
     ((phi, core), den), anchor_at = _outcome_anchor(proc, i, rep)
     if anchor_at is None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, NotPhysicallyPossibleError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .linalg import DEFAULT_TOL, Tolerance
 
 
@@ -653,13 +653,6 @@ class Lifted:
         """(I - X) q."""
         c = self.block @ (self.block.conj().T @ q)
         return c if self._complement else q - c
-
-
-def _require_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> None:
-    if not _commutes(model, fam, k, w):
-        raise NotPhysicallyPossibleError(
-            f"predicate does not commute with the physical family at index {k}"
-        )
 
 
 def is_physically_possible(model: Model, fam: PhysicalFamily, pX, k: int) -> bool:

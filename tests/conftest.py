@@ -366,6 +366,33 @@ def dense_rep_projector(rep: ObservableRep, k: int) -> np.ndarray:
     return dense_lift(rep.cond.model, rep.system1_projector(k), k)
 
 
+def dense_observable_labels(cond: ConditionSpec) -> tuple:
+    """The label sets X(k), k = 0..k_c, of ``observable_rep``: the labels
+    whose diagonal entry of Tr_2 of the trimmed operator, moved to the
+    Schrodinger picture at k, is above eps_eig.  Refuses as
+    ``observable_rep`` does, in its order: no label at some index, a lifted
+    X(k) that does not commute with P(k), then an X(k_c) that does not
+    cover the predicate."""
+    model, tol = cond.model, cond.tol
+    labels = []
+    for k in range(cond.k_c + 1):
+        a1 = partial_trace_2(schrodinger(model, dense_trimmed(cond, k), k), model.d1, model.d2)
+        chosen = frozenset(int(i) for i in np.flatnonzero(np.diagonal(a1).real > tol.eps_eig))
+        if not chosen:
+            raise UnreachableConditionError(f"condition implies no system1 labels at index {k}")
+        labels.append(chosen)
+    for k, chosen in enumerate(labels):
+        px = dense_lift(model, linalg.diagonal_projector(sorted(chosen), model.d1), k)
+        if linalg.commutator_norm(px, cond.fam.at(k)) > tol.eps_zero:
+            raise DomainError(
+                f"observable representation rejected: X({k}) does not commute with "
+                "the physical family")
+    own = linalg.diagonal_projector(sorted(labels[-1]), model.d1)
+    if linalg.max_abs(own @ cond.x1 - cond.x1) > 10 * tol.eps_eig:
+        raise DomainError("observable representation rejected: X(k_c) does not cover the predicate")
+    return tuple(labels)
+
+
 def dense_trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
     """P(k) X P(k)."""
     k = cond.model.grid.check_index(k)

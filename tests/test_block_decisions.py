@@ -11,6 +11,8 @@ families take some, the n = 16 benchmark chain and a Haar model with the
 identity family take none.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from conftest import (
     dense_condition2_holds,
     dense_condition_possible,
     dense_lift,
+    dense_observable_labels,
     dense_start_time,
     dense_validate_family,
     drifting_instance,
@@ -67,6 +70,8 @@ def _check_condition(model, fam, x1, k_c) -> None:
     assert possible
     assert start_time(cond) == dense_start_time(cond)
     ok, rep = outcome_of(lambda: observable_rep(cond))
+    assert ((ok, rep.labels) if ok else (ok, rep)) == outcome_of(
+        lambda: dense_observable_labels(cond))
     if ok:
         assert outcome_of(lambda: start_time(cond, rep)) == outcome_of(
             lambda: dense_start_time(cond, rep))
@@ -134,6 +139,21 @@ def test_block_decisions_match_the_dense_oracles(kind, seed):
     assert validate_family(model, fam) == dense_validate_family(model, fam)
     for x1, k_c in conditions:
         _check_condition(model, fam, x1, k_c)
+
+
+def test_observable_labels_match_the_dense_oracle_on_the_reference_model():
+    ref = build_reference_experiment()
+    reps = 0
+    for x1, k_c in itertools.product(ref.predicates.values(), range(ref.model.n_indices)):
+        try:
+            cond = ConditionSpec(ref.model, ref.fam, x1, k_c)
+        except NotPhysicallyPossibleError:
+            continue
+        ok, rep = outcome_of(lambda: observable_rep(cond))
+        want = outcome_of(lambda: dense_observable_labels(cond))
+        assert ((ok, rep.labels) if ok else (ok, rep)) == want
+        reps += ok
+    assert reps >= 3
 
 
 def test_drifting_families_fall_back_near_the_threshold(fallbacks):

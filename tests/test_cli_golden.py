@@ -111,6 +111,15 @@ COMMANDS = (
     _prob("sequence", "notI@ts", "I@t0", "--outcome2", "Fup@t1"),
     _verify("notI@t1", "I,notI@t0"),
     _measure("notI@ts", "I,notI@t0", "--complete"),
+    # Observable representations: the intermediate-known anchor and the
+    # measurement kappas read the lifted X(k) label sets.
+    _prob("intermediate-known", "Fdown@t1", "I@t0", "--variant", "observable"),
+    _prob("intermediate-known", "Fup@t1", "notI@t0", "--variant", "observable"),
+    _measure("ready@ts", "I,blocked@t0", "--rep", "observable"),
+    _measure("ready@ts", "I,notI@t0", "--complete", "--rep", "observable"),
+    _measure("I@t0", "Fup,Fdown@t1", "--rep", "observable", "--k0", "t0"),
+    ["--json", "measure", "--scenario", "sg-observers", "--start", "O+z@t0",
+     "--outcomes", "O+z,O-z@t1", "--rep", "observable"],
     # An unknown --k0 label is a usage error, as for --cond.
     ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I@t0",
      "--outcome", "Fup@t1", "--k0", "t9"],

@@ -28,7 +28,9 @@ from conftest import (
     drifting_condition,
     expanded_condition_operator,
     physical_restrict,
+    random_model,
     random_nested_family,
+    random_projector,
     random_span_projector,
     random_unitary,
 )
@@ -119,13 +121,11 @@ def test_observable_rep_diagonal_model():
     assert np.max(np.abs(rep.system1_projector(0) - np.diag([1.0, 0, 0]))) < 1e-12
 
 
-def test_observable_rep_rejects_bad_basis():
+def test_observable_rep_labels_on_a_trivial_model():
     rng = np.random.default_rng(45)
     m = _trivial_model(rng, 4, 2)
     fam = PhysicalFamily((np.eye(4, dtype=complex),) * 2)
     cond = ConditionSpec(m, fam, np.diag([1.0, 0, 0, 0]).astype(complex), 1)
-    with pytest.raises(DomainError):
-        observable_rep(cond, basis1=np.ones((4, 4)))  # not unitary
     assert observable_rep(cond).labels_at(0) == frozenset({0})
 
 
@@ -210,6 +210,23 @@ def test_start_time_computed_once_per_condition(monkeypatch):
     assert calls == []
 
 
+def test_start_time_takes_each_trimmed_factor_norm_once(monkeypatch):
+    # the dense-textbook set-up: Haar steps and the identity family, so
+    # every trimmed factor matches and T_s = k_c = 22 takes 22 comparisons
+    rng = np.random.default_rng(49)
+    model = random_model(rng, 8, 16, 24)
+    fam = PhysicalFamily((np.eye(model.dim, dtype=complex),) * 24)
+    norms = []
+    real = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: norms.append(a) or real(*a, **kw))
+    for rank in (2, 6):         # held by its range and by its complement's
+        cond = ConditionSpec(model, fam, random_projector(rng, 8, rank), 22)
+        assert cond.lifted._complement == (rank > 4)
+        norms.clear()
+        assert start_time(cond) == StartTime(22, False, 22)
+        assert len(norms) == 23 + 22    # one per factor G_0..G_22, one per comparison
+
+
 def _swap_model():
     """d1 = d2 = 2, identity first step, then a step that flips system1
     when system2 is 1."""
@@ -240,6 +257,19 @@ def test_start_time_demand2_empty_joint_set():
     ts = start_time(cond, rep)
     assert ts == StartTime(0, True, 2)
     assert ts == _quadratic_start_time(cond, rep)
+
+
+def test_demand2_of_a_representation_built_on_another_family():
+    # X(k) = label 0 commutes with the identity family it was built on, not
+    # with the projector onto (|0> + |1>)/sqrt(2): P X = X fails, so demand
+    # (2) reads false there rather than refusing
+    m = _trivial_model(np.random.default_rng(50), 2, 2)
+    rep = observable_rep(ConditionSpec(m, PhysicalFamily((np.eye(2, dtype=complex),) * 2),
+                                       np.diag([1.0, 0]).astype(complex), 1))
+    fam = PhysicalFamily((np.full((2, 2), 0.5, dtype=complex),) * 2)
+    cond = ConditionSpec(m, fam, np.eye(2, dtype=complex), 1)
+    assert not condition._condition2_holds(cond, rep, 1)
+    assert start_time(cond, rep) == StartTime(0, True, 1)
 
 
 def test_condition_operator_k0_guard_and_invariance():

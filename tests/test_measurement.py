@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from physborn import condition, measurement, model, verify
-from physborn.born import OutcomeSet, prob_forward
-from physborn.condition import ConditionSpec
+from physborn import born, condition, measurement, model, verify
+from physborn.born import OutcomeSet, prob_forward, prob_intermediate_known
+from physborn.condition import ConditionSpec, observable_rep, start_time
 from physborn.errors import DomainError, NotPhysicallyPossibleError, ShapeError
 from physborn.measurement import (
     MeasurementProcess,
@@ -51,7 +51,8 @@ def test_outcome_probabilities_and_forward_agreement(ref):
     assert abs(total - 1.0) <= 1e-9
 
 
-def test_each_reachable_outcome_is_lifted_once(ref, monkeypatch):
+def _counted_lifts(monkeypatch) -> list:
+    """Records each ``lift_system1`` call, in every module that imports it."""
     lifts = []
     real = model.lift_system1
 
@@ -59,10 +60,48 @@ def test_each_reachable_outcome_is_lifted_once(ref, monkeypatch):
         lifts.append(args)
         return real(*args, **kwargs)
 
-    for module in (model, condition, measurement, verify):
+    for module in (model, condition, verify):
         monkeypatch.setattr(module, "lift_system1", counted)
+    return lifts
+
+
+def test_each_reachable_outcome_is_lifted_once(ref, monkeypatch):
+    lifts = _counted_lifts(monkeypatch)
     _proc_i_to_f(ref)
     assert len(lifts) == 3      # the start space and the two outcomes
+
+
+def test_observable_readers_take_the_lifts_of_the_representation(ref, monkeypatch):
+    # observable_rep lifts each X(k) once; demand (2), the observable rule
+    # and the observable anchors read those lifts
+    assert not hasattr(born, "lift_system1") and not hasattr(measurement, "lift_system1")
+    cond = ref.condition("Fup", ref.T1)
+    rep = observable_rep(cond)
+    proc = _proc_i_to_f(ref)
+    lifts = _counted_lifts(monkeypatch)
+
+    def count(call) -> int:
+        lifts.clear()
+        call()
+        return len(lifts)
+
+    assert count(lambda: start_time(cond, rep)) == 0
+    assert count(lambda: prob_intermediate_known(cond, ref.predicate("I"), ref.T0, 0, rep)) == 1
+    # the outcome's condition, then its X(k) at k = 0..k2
+    assert count(lambda: kappa_path(proc, 0, "observable")) == 4
+    assert count(lambda: outcome_probability(proc, 0, "observable")) == 4
+    assert count(lambda: observable_rep(cond)) == 3
+
+
+def test_an_outcome_index_out_of_range_is_refused(ref):
+    proc = _proc_i_to_f(ref)
+    calls = (lambda i: outcome_probability(proc, i), lambda i: kappa_path(proc, i),
+             lambda i: outcome_probability(proc, i, "observable"), proc.outcome_condition)
+    for call in calls:
+        for i in (-2, -1, 2):
+            with pytest.raises(IndexError, match=f"^outcome index {i} out of range$"):
+                call(i)
+    assert kappa_path(proc, 1).outcome_index == 1
 
 
 def test_support_and_observable_representations_agree(ref):
