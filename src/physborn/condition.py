@@ -73,6 +73,21 @@ class ConditionSpec:
             raise NotPhysicallyPossibleError(
                 f"condition predicate is not physically possible at index {self.k_c}"
             )
+        self._hold(lifted)
+
+    @classmethod
+    def of_lifted(cls, model: Model, fam: PhysicalFamily, x1: np.ndarray, k_c: int,
+                  lifted: Lifted) -> ConditionSpec:
+        """The condition of ``x1`` at ``k_c`` from ``lifted``, its lift at
+        ``k_c`` already found possible there: nothing is checked, lifted
+        or tested again."""
+        cond = cls.__new__(cls)
+        for name, value in (("model", model), ("fam", fam), ("x1", x1), ("k_c", k_c)):
+            object.__setattr__(cond, name, value)
+        cond._hold(lifted)
+        return cond
+
+    def _hold(self, lifted: Lifted) -> None:
         object.__setattr__(self, "_lifted", lifted)
         object.__setattr__(self, "_condition1_index", None)  # set by start_time
 

@@ -123,11 +123,13 @@ class MeasurementProcess:
         return self._lifted[i]
 
     def outcome_condition(self, i: int) -> ConditionSpec | None:
-        """Condition spec for outcome i, built on each call, or None when
-        the outcome is unreachable."""
-        if self._lifted_outcome(i) is None:
+        """Condition spec for outcome i, built on each call from the
+        outcome as lifted and checked, or None when it is unreachable."""
+        lifted = self._lifted_outcome(i)
+        if lifted is None:
             return None
-        return ConditionSpec(self.model, self.fam, self.outcomes.projectors[i], self.k2)
+        return ConditionSpec.of_lifted(self.model, self.fam, self.outcomes.projectors[i],
+                                       self.k2, lifted)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
 """Time-gridded closed-system models and the physical-subspace family.
 
 A ``Model`` is a system1 (x) system2 Hilbert factorization with one unitary
-per grid step.  All stored projector families live in the Heisenberg
+per grid step.  A step that writes a record moves only a few indices: U
+differs from the identity on the set S of the nonzero rows and columns of
+U - I, read from exact zeros.  Outside S x S, U^dagger U - I is exactly
+zero, so the model checks unitarity on the principal block U[S, S], and it
+builds V(k) from V(k-1) by updating only the rows in S.  A step that moves
+every index (S is found from the diagonal alone) is checked and applied
+densely.  All stored projector families live in the Heisenberg
 picture with reference at grid index 0; ``heisenberg`` converts a
 Schrodinger-picture operator at index k into that frame.
 
@@ -72,7 +78,14 @@ class Model:
     """Closed-system model: dimensions, grid, and per-step propagators.
 
     ``steps[k]`` propagates grid index k -> k+1 in the Schrodinger
-    picture and must be unitary on the full d1*d2 space.
+    picture and must be unitary on the full d1*d2 space.  For each step U
+    the model finds the set S of indices it moves (:func:`_moved`) and
+    checks unitarity on the principal block U[S, S]: U^dagger U - I is
+    exactly zero outside S x S and sums the same terms inside it, so the
+    verdict is the dense one.  V(k) is V(k-1) with the rows in S replaced
+    by U[S, S] V(k-1)[S, :]; V(1) is ``steps[0]`` and a step with S empty
+    shares V(k-1), neither copied.  A step that moves every index is
+    checked and applied densely.
     """
 
     d1: int
@@ -92,14 +105,22 @@ class Model:
                 f"expected {self.grid.n_steps} step unitaries, got {len(steps)}"
             )
         d = self.dim
+        cum = [np.eye(d, dtype=complex)]
         for k, u in enumerate(steps):
             if u.shape != (d, d):
                 raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
-            if not linalg.is_unitary(u, self.tol):
+            s = _moved(u)
+            if not linalg.is_unitary(u if s is None else u[np.ix_(s, s)], self.tol):
                 raise ValidationError(f"step {k} is not unitary within eps_zero")
-        cum = [np.eye(d, dtype=complex), steps[0]]   # V(1) = U_1 itself, no copy
-        for u in steps[1:]:
-            cum.append(u @ cum[-1])
+            v = cum[-1]
+            if k == 0:
+                v = u       # V(1) = U_1 itself, no copy
+            elif s is None:
+                v = u @ v
+            elif len(s):
+                v = v.copy()
+                v[s] = u[np.ix_(s, s)] @ v[s]
+            cum.append(v)
         object.__setattr__(self, "_cum", tuple(cum))
 
     @property
@@ -109,6 +130,25 @@ class Model:
     @property
     def n_indices(self) -> int:
         return len(self.grid)
+
+
+def _moved(u: np.ndarray):
+    """The sorted indices S of the nonzero rows and columns of U - I,
+    from exact zeros, or None when S is every index.  An index whose
+    diagonal entry is not exactly 1 is in S; when that holds of every
+    index, as for a Haar step, the off-diagonal entries are not read."""
+    off = np.diagonal(u) != 1
+    if off.all():
+        return None
+    d = len(u)
+    # each entry's real and imaginary parts, compared as floats: several
+    # times faster than comparing the complex numbers
+    nonzero = (np.ascontiguousarray(u).view(np.float64) != 0).reshape(d, d, 2)
+    i = np.arange(d)
+    nonzero[i, i] = off[:, None]
+    rows = nonzero.reshape(d, 2 * d).any(axis=1)
+    s = np.flatnonzero(rows | nonzero.any(axis=0).any(axis=1))
+    return None if len(s) == d else s
 
 
 def cumulative_propagator(model: Model, k: int) -> np.ndarray:

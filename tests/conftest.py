@@ -29,6 +29,7 @@ from physborn.errors import (
     ShapeError,
     UnreachableConditionError,
     UnverifiableSequenceError,
+    ValidationError,
 )
 from physborn.linalg import DEFAULT_TOL
 from physborn.measurement import kappa_path
@@ -76,8 +77,26 @@ def outcome_of(call, refusals=PhysbornError) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Dense helpers the library no longer needs: partial traces, span
-# projectors, ranks, and the move back to the Schrodinger picture.
+# Dense helpers the library no longer needs: the dense model construction,
+# partial traces, span projectors, ranks, and the move back to the
+# Schrodinger picture.
+
+
+def dense_propagators(steps, d: int, tol: linalg.Tolerance = DEFAULT_TOL) -> tuple:
+    """(V(0), ..., V(n)) by the dense construction: each d x d step checked
+    by the dense ``is_unitary``, V(k) = U_k V(k-1) by the full product;
+    refuses with the ``ValidationError`` ``Model`` raises.  The reference
+    for ``Model``'s construction from the indices each step moves."""
+    steps = tuple(linalg.as_matrix(u) for u in steps)
+    for k, u in enumerate(steps):
+        if u.shape != (d, d):
+            raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
+        if not linalg.is_unitary(u, tol):
+            raise ValidationError(f"step {k} is not unitary within eps_zero")
+    cum = [np.eye(d, dtype=complex)]
+    for u in steps:
+        cum.append(u @ cum[-1])
+    return tuple(cum)
 
 
 def partial_trace_2(m, d1: int, d2: int) -> np.ndarray:

@@ -87,10 +87,26 @@ def test_observable_readers_take_the_lifts_of_the_representation(ref, monkeypatc
 
     assert count(lambda: start_time(cond, rep)) == 0
     assert count(lambda: prob_intermediate_known(cond, ref.predicate("I"), ref.T0, 0, rep)) == 1
-    # the outcome's condition, then its X(k) at k = 0..k2
-    assert count(lambda: kappa_path(proc, 0, "observable")) == 4
-    assert count(lambda: outcome_probability(proc, 0, "observable")) == 4
+    # the outcome's condition reads its held lift; then X(k) at k = 0..k2
+    assert count(lambda: kappa_path(proc, 0, "observable")) == 3
+    assert count(lambda: outcome_probability(proc, 0, "observable")) == 3
     assert count(lambda: observable_rep(cond)) == 3
+
+
+def test_an_outcome_condition_is_the_condition_of_its_held_lift(ref):
+    # built from the process's lift, it equals a condition built afresh,
+    # for a complement-held outcome (I - Fup, rank above d/2) too
+    fup = ref.predicate("Fup")
+    outcomes = OutcomeSet((fup, np.eye(len(fup)) - fup), ref.T1)
+    proc = MeasurementProcess(ref.model, ref.fam, ref.predicate("I"), ref.T0, outcomes)
+    for i, y in enumerate(outcomes.projectors):
+        held, fresh = proc.outcome_condition(i), ConditionSpec(ref.model, ref.fam, y, ref.T1)
+        assert held.lifted is proc._lifted_outcome(i)
+        assert np.array_equal(held.x1, fresh.x1) and held.k_c == fresh.k_c
+        assert held.lifted._complement == fresh.lifted._complement
+        assert np.array_equal(held.lifted.block, fresh.lifted.block)
+        assert start_time(held) == start_time(fresh)
+    assert [proc.outcome_condition(i).lifted._complement for i in range(2)] == [False, True]
 
 
 def test_an_outcome_index_out_of_range_is_refused(ref):

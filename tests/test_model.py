@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import physborn
-from physborn import linalg
+from physborn import linalg, model
 from physborn.errors import (
     DomainError,
     NotPhysicallyPossibleError,
@@ -30,9 +32,12 @@ from physborn.model import (
 )
 
 from conftest import (
+    bench_chain,
     check_self_consistency,
     dense_lift,
+    dense_propagators,
     identity_family,
+    outcome_of,
     physical_restrict,
     random_model,
     random_nested_family,
@@ -86,6 +91,86 @@ def test_cumulative_propagator_composition():
         assert np.max(np.abs(cumulative_propagator(m, k) - v)) < 1e-12
         if k < 3:
             v = m.steps[k] @ v
+
+
+def _step(rng, kind: str, d: int, size: int) -> np.ndarray:
+    """A d x d unitary step of one kind, moving ``size`` random indices
+    (all of them for a Haar step)."""
+    u = np.eye(d, dtype=complex)
+    s = np.sort(rng.choice(d, size=size, replace=False))
+    if kind == "permutation":     # a phased permutation, as a record step
+        u[:, s] = 0
+        u[rng.permutation(s), s] = np.exp(2j * np.pi * rng.random(size))
+    elif kind == "block":
+        u[np.ix_(s, s)] = random_unitary(rng, size)
+    elif kind == "haar":
+        u = random_unitary(rng, d)
+    return u
+
+
+def _near_miss(u: np.ndarray, miss: str) -> None:
+    """Perturb u in place: by 2e-9 along, or 5e-10 across, the phase of
+    the largest entry of its moved block, which moves U^dagger U - I by
+    more than eps_zero (that entry is at least 1/sqrt(12) in size), or
+    by at most 5e-10; or by 2e-9 at an entry of an unmoved row or
+    column, which widens S.  A step that moves nothing is perturbed on
+    its diagonal."""
+    s = model._moved(u)
+    s = np.arange(len(u)) if s is None else s
+    rest = np.setdiff1d(np.arange(len(u)), s)
+    if miss.startswith("outside") and len(rest):
+        a, b = rest[0], s[0] if len(s) else rest[0]
+        u[(a, b) if miss == "outside row" else (b, a)] += 2e-9
+        return
+    if not len(s):
+        s = rest[:1]
+    block = np.abs(u[np.ix_(s, s)])
+    i, j = np.unravel_index(np.argmax(block), block.shape)
+    phase = u[s[i], s[j]] / abs(u[s[i], s[j]])
+    u[s[i], s[j]] += 5e-10j * phase if miss == "accepted" else 2e-9 * phase
+
+
+_KINDS = ("identity", "permutation", "block", "haar")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(d1=st.integers(1, 4), d2=st.integers(1, 3),
+       kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4),
+       miss=st.sampled_from((None, "refused", "accepted", "outside row", "outside column")),
+       seed=st.integers(0, 2**32 - 1))
+def test_model_matches_the_dense_construction(d1, d2, kinds, miss, seed):
+    # identical verdicts and messages, and V(k) within 1e-12, on steps
+    # that move no index, a few, a random block of 1..d, or all of them
+    rng = np.random.default_rng(seed)
+    d = d1 * d2
+    steps = [_step(rng, kind, d, int(rng.integers(1, d + 1))) for kind in kinds]
+    if miss is not None:
+        _near_miss(steps[int(rng.integers(len(steps)))], miss)
+    grid = TimeGrid(tuple(float(t) for t in range(len(steps) + 1)))
+    built = outcome_of(lambda: Model(d1, d2, grid, tuple(steps)))
+    dense = outcome_of(lambda: dense_propagators(steps, d))
+    assert built[0] == dense[0] == (miss in (None, "accepted"))
+    if not built[0]:
+        assert built[1] == dense[1]
+        return
+    for k, v in enumerate(dense[1]):
+        assert np.max(np.abs(cumulative_propagator(built[1], k) - v)) <= 1e-12
+
+
+def test_a_step_is_read_by_the_indices_it_moves():
+    # a chain step moves 6 indices, a Haar step all of them (found from
+    # the diagonal), the identity none; V(1) is the first step and an
+    # identity step shares V(k-1), neither copied
+    _, chain, _ = bench_chain(4)
+    assert [len(model._moved(u)) for u in chain.steps] == [6] * 4
+    rng = np.random.default_rng(36)
+    haar, eye = random_unitary(rng, 6), np.eye(6, dtype=complex)
+    assert model._moved(haar) is None and not len(model._moved(eye))
+    m = Model(2, 3, TimeGrid((0.0, 1.0, 2.0, 3.0)), (haar, eye, haar))
+    assert cumulative_propagator(m, 1) is m.steps[0]
+    assert cumulative_propagator(m, 2) is cumulative_propagator(m, 1)
+    for k, v in enumerate(dense_propagators(m.steps, 6)):
+        assert np.max(np.abs(cumulative_propagator(m, k) - v)) <= 1e-12
 
 
 def test_heisenberg_schrodinger_roundtrip():

@@ -143,6 +143,26 @@ def test_huge_finite_entries_fail_their_check_without_warnings(where, message, t
     assert err.getvalue() == f"validation error: {message.format(name=path)}\n"
 
 
+@pytest.mark.parametrize("step, row, col, value", [
+    (0, 5, 0, 1e200),   # inside the indices step 0 moves, too large to square
+    (1, 1, 2, 1e-6),    # an entry of step 1 off the indices it moves
+])
+def test_a_broken_step_is_named_through_the_cli(step, row, col, value, tmp_path):
+    # checked on the block of the indices the step moves, widened by an
+    # entry off them: the dense check's exit code and message, no warning
+    doc = json.loads(dump_builtin("reference"))
+    doc["steps"][step][row][col] = [value, 0.0]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    message = f"validation error: {path}: step {step} is not unitary within eps_zero\n"
+    for args in (["validate", str(path)],
+                 ["prob", "--scenario", str(path), "--rule", "forward",
+                  "--cond", "I@t0", "--outcome", "Fup@t1"]):
+        out, err = io.StringIO(), io.StringIO()
+        assert main(args, out, err) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", message)
+
+
 def test_parse_and_structure_errors():
     with pytest.raises(ValidationError, match="line"):
         loads("{not json", "broken")
