@@ -2,10 +2,11 @@
 
 Products, adjoints, traces and tensor products are plain numpy; this
 module holds what numpy does not: the tolerances, input coercion, the
-Hermitian part, record and support projectors, the labels of a record,
-orthonormal range and span bases, the tolerance-based predicates, the
-bounded zero test and the projector-set check.  Every function that decides within a tolerance
-takes it as a required argument; the caller passes its model's.
+Hermitian part, record and support projectors, the labels of a record
+(exact, or within eps_zero), orthonormal range and span bases, the
+tolerance-based predicates, the bounded zero test and the projector-set
+check.  Every function that decides within a tolerance takes it as a
+required argument; the caller passes its model's.
 Matrices are plain ``numpy.ndarray`` objects with complex dtype;
 operator equality is always "max entry magnitude of the difference
 below a tolerance", never bitwise.
@@ -185,6 +186,19 @@ def record_labels(p: np.ndarray) -> tuple | None:
     if ones + diag.count(0) != len(diag) or np.count_nonzero(p) != ones:
         return None
     return tuple(i for i, x in enumerate(diag) if x)
+
+
+def near_record_labels(p: np.ndarray, tol: Tolerance) -> tuple | None:
+    """The labels of the record a square matrix is within eps_zero of, as
+    a tuple: the indices whose diagonal entry has real part above 1/2,
+    when p minus the record on them has no entry above eps_zero in
+    magnitude; None otherwise."""
+    if p.shape[0] != p.shape[1]:
+        return None
+    labels = np.flatnonzero(np.diagonal(p).real > 0.5)
+    if max_abs(p - diagonal_projector(labels, len(p))) > tol.eps_zero:
+        return None
+    return tuple(labels.tolist())
 
 
 def diagonal_projector(labels, n: int) -> np.ndarray:

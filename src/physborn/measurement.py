@@ -164,19 +164,18 @@ def _anchor(proc: MeasurementProcess, k: int, lifted: Lifted) -> np.ndarray:
     return np.zeros((proc.model.dim, 0), dtype=complex) if q is None else q
 
 
-def _start_state(proc: MeasurementProcess, tol: linalg.Tolerance) -> tuple:
+def _start_state(proc: MeasurementProcess) -> tuple:
     """((phi, core), Tr(rho)) for rho = phi core phi^dagger the start
     space's condition operator M P(k0) M: the core of every kappa and its
     normalizer."""
     phi, core = condition_state(proc._start, proc.k0)
     den = _trace(phi, core).real
-    if den <= tol.eps_zero:
+    if den <= proc.model.tol.eps_zero:
         raise UnreachableConditionError("start space has no physical weight at k0")
     return (phi, core), den
 
 
-def _kappas(proc: MeasurementProcess, state: tuple, anchor_at,
-            tol: linalg.Tolerance) -> tuple:
+def _kappas(proc: MeasurementProcess, state: tuple, anchor_at) -> tuple:
     """kappa(k) for k in [k1, k2]: the partial trace over system1, in the
     Schrodinger picture at k, of A rho A / Tr(rho), with A = Q Q^dagger
     for the range basis Q = anchor_at(k) and ``state`` = ((phi, core),
@@ -197,7 +196,7 @@ def _kappas(proc: MeasurementProcess, state: tuple, anchor_at,
         op = np.einsum("aip,ajp->ij", rk, r.reshape(model.d1, model.d2, -1).conj())
         kap = linalg.hermitian_part(op / den)
         w = np.linalg.eigvalsh(kap)
-        if w[0] < -tol.eps_eig:
+        if w[0] < -model.tol.eps_eig:
             raise DomainError(f"kappa at index {k} is not PSD (eigenvalue {w[0]:.3e})")
         kappas.append(kap)
     return tuple(kappas)
@@ -210,7 +209,7 @@ def _outcome_anchor(proc: MeasurementProcess, i: int, rep: str) -> tuple:
     outcome index out of range, a start space without weight, an unknown
     ``rep``, then what :func:`observable_rep` rejects."""
     lifted = proc._lifted_outcome(i)
-    state = _start_state(proc, proc.model.tol)
+    state = _start_state(proc)
     if rep not in ("support", "observable"):
         raise DomainError(f"unknown representation {rep!r}")
     if lifted is None:
@@ -237,7 +236,7 @@ def kappa_path(proc: MeasurementProcess, i: int, rep: str = "support") -> KappaP
         kappas = tuple(np.zeros((d2, d2), dtype=complex)
                        for _ in range(proc.k1, proc.k2 + 1))
     else:
-        kappas = _kappas(proc, state, anchor_at, tol)
+        kappas = _kappas(proc, state, anchor_at)
     return KappaPath(i, proc.k1, kappas, rep, tol)
 
 
@@ -287,9 +286,10 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
     """Split every outcome into the smallest label sets that still behave
     as measurement outcomes.
 
-    Outcomes must be diagonal 0/1 projectors in the standard system1
-    basis.  Labels within one outcome land in the same class iff their
-    normalized system2 paths coincide at every index of the window.
+    Outcomes must be within eps_zero of records, diagonal 0/1 projectors
+    in the standard system1 basis (:func:`linalg.near_record_labels`).
+    Labels within one outcome land in the same class iff their normalized
+    system2 paths coincide at every index of the window.
 
     A label's path is anchored on the support of its projector trimmed
     at each index, without a ConditionSpec: labels that are physically
@@ -301,20 +301,17 @@ def refine_outcomes(proc: MeasurementProcess) -> RefinedOutcomes:
     all_classes, all_unreachable = [], []
     state = None    # built at the first label, after its outcome's diagonal check
     for p in proc.outcomes.projectors:
-        diag = np.diag(p).real
-        if linalg.max_abs(p - np.diag(diag)) > tol.eps_zero or not np.all(
-            (np.abs(diag) <= tol.eps_zero) | (np.abs(diag - 1) <= tol.eps_zero)
-        ):
+        labels = linalg.near_record_labels(p, tol)
+        if labels is None:
             raise DomainError(
                 "refine_outcomes requires outcomes diagonal in the standard system1 basis"
             )
-        labels = [int(l) for l in np.nonzero(diag > 0.5)[0]]
         paths, unreachable = {}, set()
         for label in labels:
             lifted = lift_predicate(proc.model,
                                     linalg.diagonal_projector([label], proc.model.d1), proc.k2)
-            state = state or _start_state(proc, tol)
-            kappas = _kappas(proc, state, lambda k: _anchor(proc, k, lifted), tol)
+            state = state or _start_state(proc)
+            kappas = _kappas(proc, state, lambda k: _anchor(proc, k, lifted))
             path = KappaPath(-1, proc.k1, kappas, "support", tol)
             if np.trace(path.at(proc.k2)).real <= tol.eps_zero:
                 unreachable.add(label)

@@ -5,11 +5,11 @@ per grid step.  A step that writes a record moves only a few indices: U
 differs from the identity on the set S of the nonzero rows and columns of
 U - I, read from exact zeros.  Outside S x S, U^dagger U - I is exactly
 zero, so the model checks unitarity on the principal block U[S, S], and it
-builds V(k) from V(k-1) by updating only the rows in S.  A step that moves
-every index (S is found from the diagonal alone) is checked and applied
-densely.  All stored projector families live in the Heisenberg
-picture with reference at grid index 0; ``heisenberg`` converts a
-Schrodinger-picture operator at index k into that frame.
+builds V(k) from V(k-1) by updating only the rows in S.  Every step takes
+that one path; for a Haar step S is every index.  All stored projector
+families live in the Heisenberg picture with reference at grid index 0;
+``heisenberg`` converts a Schrodinger-picture operator at index k into
+that frame.
 
 The nested family of subspaces describing which state vectors are
 physically admissible at each time is carried by ``PhysicalFamily`` and
@@ -83,9 +83,9 @@ class Model:
     checks unitarity on the principal block U[S, S]: U^dagger U - I is
     exactly zero outside S x S and sums the same terms inside it, so the
     verdict is the dense one.  V(k) is V(k-1) with the rows in S replaced
-    by U[S, S] V(k-1)[S, :]; V(1) is ``steps[0]`` and a step with S empty
-    shares V(k-1), neither copied.  A step that moves every index is
-    checked and applied densely.
+    by U[S, S] V(k-1)[S, :], from V(0) = I; a step with S empty shares
+    V(k-1), uncopied.  Every step's shape is checked before V(0) is
+    built.
     """
 
     d1: int
@@ -105,21 +105,19 @@ class Model:
                 f"expected {self.grid.n_steps} step unitaries, got {len(steps)}"
             )
         d = self.dim
-        cum = [np.eye(d, dtype=complex)]
         for k, u in enumerate(steps):
             if u.shape != (d, d):
                 raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
+        cum = [np.eye(d, dtype=complex)]
+        for k, u in enumerate(steps):
             s = _moved(u)
-            if not linalg.is_unitary(u if s is None else u[np.ix_(s, s)], self.tol):
+            block = u[np.ix_(s, s)]
+            if not linalg.is_unitary(block, self.tol):
                 raise ValidationError(f"step {k} is not unitary within eps_zero")
             v = cum[-1]
-            if k == 0:
-                v = u       # V(1) = U_1 itself, no copy
-            elif s is None:
-                v = u @ v
-            elif len(s):
+            if len(s):
                 v = v.copy()
-                v[s] = u[np.ix_(s, s)] @ v[s]
+                v[s] = block @ v[s]
             cum.append(v)
         object.__setattr__(self, "_cum", tuple(cum))
 
@@ -132,23 +130,17 @@ class Model:
         return len(self.grid)
 
 
-def _moved(u: np.ndarray):
+def _moved(u: np.ndarray) -> np.ndarray:
     """The sorted indices S of the nonzero rows and columns of U - I,
-    from exact zeros, or None when S is every index.  An index whose
-    diagonal entry is not exactly 1 is in S; when that holds of every
-    index, as for a Haar step, the off-diagonal entries are not read."""
-    off = np.diagonal(u) != 1
-    if off.all():
-        return None
+    from exact zeros."""
     d = len(u)
     # each entry's real and imaginary parts, compared as floats: several
     # times faster than comparing the complex numbers
     nonzero = (np.ascontiguousarray(u).view(np.float64) != 0).reshape(d, d, 2)
     i = np.arange(d)
-    nonzero[i, i] = off[:, None]
+    nonzero[i, i] = (np.diagonal(u) != 1)[:, None]
     rows = nonzero.reshape(d, 2 * d).any(axis=1)
-    s = np.flatnonzero(rows | nonzero.any(axis=0).any(axis=1))
-    return None if len(s) == d else s
+    return np.flatnonzero(rows | nonzero.any(axis=0).any(axis=1))
 
 
 def cumulative_propagator(model: Model, k: int) -> np.ndarray:
@@ -273,8 +265,8 @@ class PhysicalFamily:
     per index instead, with P(k) = U U^dagger: the family then holds
     O(d r) numbers per index, applying P(k) to a d x m block costs
     O(d r m), and :meth:`at` rebuilds the dense projector on each call.
-    Callers use P(k) B (:meth:`apply`), B^dagger P(k) B (:meth:`sandwich`)
-    and the range of P(k) B (:func:`physical_range`), whatever the form.
+    Callers use P(k) B (:meth:`apply`) and B^dagger P(k) B
+    (:meth:`sandwich`), whatever the form.
     """
 
     __slots__ = ("_projectors", "_bases")
@@ -361,15 +353,6 @@ class PhysicalFamily:
     def overlap_norm(self, k: int, w: np.ndarray) -> float:
         """Max entry magnitude of P(k) W W^dagger."""
         return linalg.max_abs(self.apply(k, w) @ w.conj().T)
-
-
-def physical_range(model: Model, fam: PhysicalFamily, k: int, block: np.ndarray) -> tuple:
-    """(G, Q): G = P(k) block and the orthonormal basis Q of its range
-    at the eps_eig cut of :func:`linalg.range_basis`.  For a family of
-    range bases, G = U C with C = U^dagger block and Q = U range_basis(C):
-    the SVD is of the r x m matrix C, not of the d x m block G."""
-    frame, coef = fam._restrict(k, block)
-    return _join(frame, coef), _join(frame, linalg.range_basis(coef, model.tol))
 
 
 def _join(frame, coef: np.ndarray) -> np.ndarray:
@@ -661,22 +644,21 @@ class Lifted:
         """(T, Q): a factor T with T T^dagger = P(k) X P(k), and the
         orthonormal basis Q of its range at the eps_eig cut of
         :func:`linalg.range_basis`, None when no entry of T T^dagger, whose
-        largest is T's largest squared row norm, is above eps_zero.  For
-        W, T = P(k) W and Q its range (:func:`physical_range`).  For a
-        complement the SVD u s v^dagger of the trimming coef gives T =
-        frame u s and Q = frame u on the kept singular values: against a
-        family of range bases, at most r columns from the SVD of the d x r
-        block B^dagger."""
-        if not self._complement:
-            t, q = physical_range(self.model, fam, k, self.block)
-        else:
-            frame, coef = self._trimming(fam, k)
-            _, s, vh = np.linalg.svd(coef.conj().T, full_matrices=False)
-            u = vh.conj().T
-            t, q = _join(frame, u * s), _join(frame, u[:, s * s > self.model.tol.eps_eig])
+        largest is T's largest squared row norm, is above eps_zero.  The
+        SVD u s v^dagger of the trimming coef (:meth:`_trimming`) gives T =
+        frame u s and Q = frame u on the kept singular values, in either
+        held form: against a family of range bases, at most r columns from
+        the SVD of the r x m block C or the r x d block B.  The SVD is
+        taken of coef^dagger, so that B is read as the tall d x r block:
+        LAPACK's SVD of the wide r x d form takes about 1.5 times as long
+        (r = 17, d = 198)."""
+        frame, coef = self._trimming(fam, k)
+        _, s, vh = np.linalg.svd(coef.conj().T, full_matrices=False)
+        u = vh.conj().T
+        t = _join(frame, u * s)
         if t.size == 0 or np.max(_row_norms2(t)) <= self.model.tol.eps_zero:
             return t, None
-        return t, q
+        return t, _join(frame, u[:, s * s > self.model.tol.eps_eig])
 
     def factor(self, q: np.ndarray) -> np.ndarray:
         """A block F with F^dagger F = q^dagger X q, what a trace against X

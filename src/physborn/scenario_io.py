@@ -158,8 +158,9 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
 
     The family is stored as explicit projectors unless ``family_spec``
     supplies a forward-closure description to embed instead.  A predicate
-    is stored as ``labels`` when it is diagonal with 0/1 entries within
-    the model's ``eps_zero``, and as a ``matrix`` otherwise.
+    is stored as ``labels`` when it is within the model's ``eps_zero`` of
+    a record (:func:`linalg.near_record_labels`), and as a ``matrix``
+    otherwise.
     """
     doc = {
         "format": FORMAT_VERSION,
@@ -177,9 +178,9 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
     }
     for pname in sorted(predicates):
         p = linalg.as_matrix(predicates[pname])
-        labels = np.diag(p).real > 0.5
-        if linalg.max_abs(p - np.diag(labels)) <= model.tol.eps_zero:
-            doc["predicates"][pname] = {"labels": np.flatnonzero(labels).tolist()}
+        labels = linalg.near_record_labels(p, model.tol)
+        if labels is not None:
+            doc["predicates"][pname] = {"labels": list(labels)}
         else:
             doc["predicates"][pname] = {"matrix": _Held(p)}
     return _render(doc)

@@ -35,7 +35,6 @@ from .model import (
     forward_closure,
     lift_predicate,
     lift_system1,
-    physical_range,
 )
 
 # Record register labels (system1).
@@ -326,7 +325,7 @@ def intro_inconsistency_demo(tol: Tolerance = DEFAULT_TOL) -> IntroReport:
     # an orthonormal basis of the physical part of the record predicate
     # (one state on this model, so unique up to phase), plus every
     # product-basis record-I state with nonzero physical weight.
-    _, phys = physical_range(model, fam, ref.T0, lift_system1(model, ref.predicate("I"), ref.T0))
+    phys = lift_predicate(model, ref.predicate("I"), ref.T0).support(fam, ref.T0)[1]
     micro = [(f"physical-eigenstate-{n + 1}", phys[:, [n]]) for n in range(phys.shape[1])]
     vh = cumulative_propagator(model, ref.T0).conj().T
     for spin_name, spin in (("z+", KET_Z_UP), ("z-", KET_Z_DOWN)):

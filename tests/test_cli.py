@@ -116,6 +116,20 @@ def test_exit_code_validation_errors(tmp_path):
     assert code == 2
 
 
+def test_step_shapes_are_refused_before_the_propagators_are_built(tmp_path):
+    # d = 9000000: numpy refuses an identity that size at once, so the
+    # mismatched step must be refused before V(0) is allocated
+    doc = {"dimensions": {"d1": 3000, "d2": 3000}, "grid": [0.0, 1.0],
+           "steps": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+           "family": {"type": "explicit", "projectors": []}, "predicates": {}}
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["validate", str(path)])
+    assert code == 2 and out == ""
+    assert err == (f"validation error: {path}: step 0 has shape (2, 2), "
+                   "expected (9000000, 9000000)\n")
+
+
 def test_exit_code_mathematical_refusal(tmp_path):
     # blocked at the source time has no overlap with the physical family
     code, _, err = run(["prob", "--scenario", "reference", "--rule", "forward",

@@ -1,12 +1,13 @@
 """Measurement processes, kappa paths, refinement, and position
 distributions."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
-from physborn import born, condition, measurement, model, verify
+from physborn import born, condition, linalg, measurement, model, verify
 from physborn.born import OutcomeSet, prob_forward, prob_intermediate_known
 from physborn.condition import ConditionSpec, observable_rep, start_time
 from physborn.errors import DomainError, NotPhysicallyPossibleError, ShapeError
@@ -242,4 +243,27 @@ def test_refinement_requires_diagonal_outcomes():
     proc = MeasurementProcess(m, fam, np.eye(2, dtype=complex), 0,
                               OutcomeSet((plus,), 1))
     with pytest.raises(DomainError):
+        refine_outcomes(proc)
+
+
+def test_a_near_record_is_judged_alike_by_serialize_and_refinement():
+    # a diagonal entry 1 + 0.9e-9 (1 + i) has each part within eps_zero of
+    # 1 but lies 1.27e-9 from it, so it is no record; 1 + 0.9e-9 is one
+    from physborn.model import Model, PhysicalFamily, TimeGrid
+    from physborn.scenario_io import serialize
+
+    m = Model(2, 1, TimeGrid((0.0, 1.0)), (np.eye(2, dtype=complex),))
+    fam = PhysicalFamily((np.eye(2, dtype=complex),) * 2)
+    corner = np.diag([1 + 0.9e-9 * (1 + 1j), 0.0])
+    near = np.diag([1 + 0.9e-9, 0.0])
+    assert linalg.near_record_labels(corner, m.tol) is None
+    assert linalg.near_record_labels(near, m.tol) == (0,)
+    preds = json.loads(serialize("near", m, fam, {"corner": corner, "near": near}))["predicates"]
+    assert list(preds["corner"]) == ["matrix"] and preds["near"] == {"labels": [0]}
+    proc = MeasurementProcess(m, fam, np.eye(2, dtype=complex), 0, OutcomeSet((near,), 1))
+    assert refine_outcomes(proc).classes == ((frozenset({0}),),)
+    # the process refuses the corner as a projector (its Hermitian defect
+    # is 1.8e-9), so refinement is handed it after construction
+    object.__setattr__(proc, "outcomes", OutcomeSet((corner,), 1))
+    with pytest.raises(DomainError, match="requires outcomes diagonal"):
         refine_outcomes(proc)

@@ -25,9 +25,9 @@ from physborn.model import (
     forward_closure,
     heisenberg,
     is_physically_possible,
+    lift_predicate,
     lift_system1,
     lift_system2,
-    physical_range,
     validate_family,
 )
 
@@ -116,7 +116,6 @@ def _near_miss(u: np.ndarray, miss: str) -> None:
     column, which widens S.  A step that moves nothing is perturbed on
     its diagonal."""
     s = model._moved(u)
-    s = np.arange(len(u)) if s is None else s
     rest = np.setdiff1d(np.arange(len(u)), s)
     if miss.startswith("outside") and len(rest):
         a, b = rest[0], s[0] if len(s) else rest[0]
@@ -158,16 +157,14 @@ def test_model_matches_the_dense_construction(d1, d2, kinds, miss, seed):
 
 
 def test_a_step_is_read_by_the_indices_it_moves():
-    # a chain step moves 6 indices, a Haar step all of them (found from
-    # the diagonal), the identity none; V(1) is the first step and an
-    # identity step shares V(k-1), neither copied
+    # a chain step moves 6 indices, a Haar step all of them, the identity
+    # none; an identity step shares V(k-1), uncopied
     _, chain, _ = bench_chain(4)
     assert [len(model._moved(u)) for u in chain.steps] == [6] * 4
     rng = np.random.default_rng(36)
     haar, eye = random_unitary(rng, 6), np.eye(6, dtype=complex)
-    assert model._moved(haar) is None and not len(model._moved(eye))
+    assert len(model._moved(haar)) == 6 and not len(model._moved(eye))
     m = Model(2, 3, TimeGrid((0.0, 1.0, 2.0, 3.0)), (haar, eye, haar))
-    assert cumulative_propagator(m, 1) is m.steps[0]
     assert cumulative_propagator(m, 2) is cumulative_propagator(m, 1)
     for k, v in enumerate(dense_propagators(m.steps, 6)):
         assert np.max(np.abs(cumulative_propagator(m, k) - v)) <= 1e-12
@@ -310,9 +307,12 @@ def test_check_self_consistency_identity_family():
 
 def test_explicit_and_basis_families_answer_alike():
     # the reference family as range bases and as explicit projectors: the
-    # operations callers use agree, and the norms match the dense formulas
+    # operations callers use agree, a support (of a predicate held by its
+    # range or by its complement's) has the same P X P and range, and the
+    # norms match the dense formulas
     ref = build_reference_experiment()
     explicit = PhysicalFamily(ref.fam.projectors)
+    eye = np.eye(ref.model.d1, dtype=complex)
     rng = np.random.default_rng(48)
     for k in range(ref.model.n_indices):
         p = ref.fam.at(k)
@@ -322,10 +322,20 @@ def test_explicit_and_basis_families_answer_alike():
             y = w @ w.conj().T
             assert np.allclose(ref.fam.apply(k, b), explicit.apply(k, b), atol=1e-12)
             assert np.allclose(ref.fam.sandwich(k, b), explicit.sandwich(k, b), atol=1e-12)
-            (g1, q1), (g2, q2) = (physical_range(ref.model, f, k, b) for f in (ref.fam, explicit))
-            assert np.allclose(g1, g2, atol=1e-12) and q1.shape == q2.shape
-            assert np.allclose(q1 @ q1.conj().T, q2 @ q2.conj().T, atol=1e-12)
-            assert np.allclose(q1.conj().T @ q1, np.eye(q1.shape[1]), atol=1e-12)
+            pred = ref.predicate(name)
+            for x1, x in ((pred, y), (eye - pred, np.eye(len(y)) - y)):
+                lifted = lift_predicate(ref.model, x1, k)
+                assert lifted._complement == (x is not y)
+                pxp = p @ x @ p
+                (t1, q1), (t2, q2) = (lifted.support(f, k) for f in (ref.fam, explicit))
+                for t in (t1, t2):
+                    assert np.allclose(t @ t.conj().T, pxp, atol=1e-12)
+                assert (q1 is None) == (q2 is None) == (linalg.max_abs(pxp) <= 1e-9)
+                if q1 is None:
+                    continue
+                assert q1.shape == q2.shape
+                assert np.allclose(q1 @ q1.conj().T, q2 @ q2.conj().T, atol=1e-12)
+                assert np.allclose(q1.conj().T @ q1, np.eye(q1.shape[1]), atol=1e-12)
             for fam in (ref.fam, explicit):
                 assert abs(fam.commutator_norm(k, w) - linalg.commutator_norm(y, p)) < 1e-12
                 assert abs(fam.overlap_norm(k, w) - linalg.max_abs(p @ y)) < 1e-12

@@ -46,7 +46,7 @@ REQUIRED = {
     *(f"linalg.{name}" for name in (
         "approx_equal", "is_hermitian", "is_unitary", "is_projector", "commutes",
         "within_zero", "support_projector", "range_basis", "span_basis",
-        "orthogonal_projectors",
+        "orthogonal_projectors", "near_record_labels",
     )),
     "measurement.KappaPath",
 }
