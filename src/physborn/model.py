@@ -20,8 +20,11 @@ orthonormal basis of the lifted range at their grid index, so that the
 rules work on d x r and d x m blocks; a dense d x d projector is formed
 only where a public function returns one.  A record factor projector
 is lifted by gathering V(k)'s rows (or columns) at its labels.
-``PhysicalFamily`` is the one owner of its storage form: no other module
-asks whether P(k) is held as a projector or as a range basis.
+``PhysicalFamily`` is the one owner of its storage form: no code outside
+the class, in this module or another, asks whether P(k) is held as a
+projector or as a range basis.  :func:`validate_family` is one loop over
+the indices and the pairs j < k for both forms, and the class holds each
+form's tests of an index and of a pair.
 :func:`lift_predicate`, the one lift of a condition or an outcome,
 returns a :class:`Lifted`, the one owner of the form a lifted predicate
 is held in: its range basis, or, for a system1 predicate of rank above
@@ -266,7 +269,12 @@ class PhysicalFamily:
     O(d r) numbers per index, applying P(k) to a d x m block costs
     O(d r m), and :meth:`at` rebuilds the dense projector on each call.
     Callers use P(k) B (:meth:`apply`) and B^dagger P(k) B
-    (:meth:`sandwich`), whatever the form.
+    (:meth:`sandwich`), whatever the form.  Only this class reads the
+    form: a restriction's pair (frame, coef) is joined by :meth:`_join`,
+    the commutator norm of :func:`_commutes` comes from
+    :meth:`_commutator_frobenius`, and :func:`validate_family` asks it to
+    check each index (:meth:`_index_checks`) and each pair
+    (:meth:`_nests`).
     """
 
     __slots__ = ("_projectors", "_bases")
@@ -328,9 +336,95 @@ class PhysicalFamily:
         base = self._projectors[self._index(k)] if frame is None else frame
         return frame, (base - w @ coef.conj().T).conj().T
 
+    @staticmethod
+    def _join(frame, coef: np.ndarray) -> np.ndarray:
+        """frame @ coef for a restriction's pair, frame None standing for
+        the identity."""
+        return coef if frame is None else frame @ coef
+
+    def _commutator_frobenius(self, k: int, w: np.ndarray,
+                              restricted: tuple | None = None) -> float:
+        """||[W W^dagger, P(k)]||_F for a d x m orthonormal block W;
+        ``restricted`` is ``self._restrict(k, w)``, computed when not given.
+
+        For a family of range bases, P(k) = U U^dagger with U of rank r and
+        the coefficient block C = U^dagger W is r x m.  With X = W W^dagger
+        the commutator is X P (I - X) - (I - X) P X, two parts with
+        orthogonal ranges that are each other's adjoints (U U^dagger is
+        Hermitian by construction), and (I - X) P X = U_perp C W^dagger for
+        U_perp = U - W C^dagger = (I - X) U.  So the norm is sqrt(2)
+        ||U_perp C||_F, in O(d r m).  For an explicit projector, G = P(k) W
+        splits as W A + R with A = W^dagger G and W^dagger R = 0, and the
+        squared norm is ||A - A^dagger||_F^2 + 2 ||R||_F^2, in O(d m^2).
+        """
+        frame, coef = self._restrict(k, w) if restricted is None else restricted
+        if frame is None:
+            a = w.conj().T @ coef
+            return math.hypot(np.linalg.norm(a - a.conj().T),
+                              math.sqrt(2) * np.linalg.norm(coef - w @ a))
+        return math.sqrt(2) * np.linalg.norm((frame - w @ coef.conj().T) @ coef)
+
+    def _index_checks(self, k: int, dim: int, tol: Tolerance) -> tuple:
+        """(projector_ok, nonzero, e) of :func:`validate_family` for P(k);
+        e is what the pair tests of :meth:`_nests` read for j = k.
+
+        An explicit projector is checked densely, and a product that
+        overflows is non-finite and fails its check; e is None.  For P =
+        U U^dagger, e = ||E||_F with E = U^dagger U - I: P^2 - P = U E
+        U^dagger, whose Frobenius norm is at most (1 + ||E||_F) ||E||_F
+        and whose diagonal bounds its largest entry from below; U U^dagger
+        is Hermitian up to rounding.  ||P||_F is ||U^dagger U||_F and the
+        largest squared row norm of U is a diagonal entry of P.  The
+        diagonal of P^2 - P is taken only when the Frobenius bound does not
+        settle the test, and the dense test runs only between the bounds
+        (:func:`linalg.within_zero`).
+        """
+        if self._projectors is not None:
+            p = self._projectors[k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return (p.shape == (dim, dim) and linalg.is_projector(p, tol),
+                        linalg.max_abs(p) > tol.eps_zero, None)
+        u = self._bases[k]
+        gram = u.conj().T @ u
+        e = gram - np.eye(len(gram))
+        e_norm = float(np.linalg.norm(e))
+        upper = (1 + e_norm) * e_norm
+        projector_ok = u.shape[0] == dim and (upper <= tol.eps_zero or linalg.within_zero(
+            upper, np.max(np.abs(np.einsum("ij,jk,ik->i", u, e, u.conj())), initial=0.0),
+            lambda: linalg.projector_defect(self.at(k)), tol))
+        nonzero = not linalg.within_zero(
+            np.linalg.norm(gram), np.max(_row_norms2(u), initial=0.0),
+            lambda: linalg.max_abs(self.at(k)), tol)
+        return projector_ok, nonzero, e_norm
+
+    def _nests(self, j: int, k: int, e_j, tol: Tolerance) -> bool:
+        """Whether P(j) P(k) = P(j) within eps_zero, for j < k and e_j of
+        :meth:`_index_checks` at j; true for two P of different sizes,
+        which the projector checks refuse.
+
+        An explicit pair is checked densely, as in :meth:`_index_checks`.
+        For bases, P(j) P(k) - P(j) = -U_j R^dagger with R = (I - P(k))
+        U_j, so its Frobenius norm is at most ||U_j||_2 ||R||_F <= sqrt(1
+        + e_j) ||R||_F, and its diagonal, taken only when that bound does
+        not settle the test, is the row-wise product of U_j and R.  One
+        pair costs O(d r_j r_k).
+        """
+        if self._projectors is not None:
+            pj, pk = self._projectors[j], self._projectors[k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return pj.shape != pk.shape or linalg.max_abs(pj @ pk - pj) <= tol.eps_zero
+        uj, uk = self._bases[j], self._bases[k]
+        if uj.shape[0] != uk.shape[0]:
+            return True
+        r = uj - uk @ (uk.conj().T @ uj)
+        upper = math.sqrt(1 + e_j) * float(np.linalg.norm(r))
+        return upper <= tol.eps_zero or linalg.within_zero(
+            upper, np.max(np.abs(np.einsum("ij,ij->i", uj, r.conj()))),
+            lambda: linalg.max_abs(self.at(j) @ self.at(k) - self.at(j)), tol)
+
     def apply(self, k: int, block: np.ndarray) -> np.ndarray:
         """P(k) block."""
-        return _join(*self._restrict(k, block))
+        return self._join(*self._restrict(k, block))
 
     def sandwich(self, k: int, block: np.ndarray) -> np.ndarray:
         """block^dagger P(k) block."""
@@ -355,12 +449,6 @@ class PhysicalFamily:
         return linalg.max_abs(self.apply(k, w) @ w.conj().T)
 
 
-def _join(frame, coef: np.ndarray) -> np.ndarray:
-    """frame @ coef for a restriction's pair, frame None standing for the
-    identity."""
-    return coef if frame is None else frame @ coef
-
-
 @dataclass(frozen=True)
 class FamilyValidation:
     """Diagnostic output of :func:`validate_family`."""
@@ -375,91 +463,23 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     """Check projector validity, nonzeroness, and the nesting law
     P(j) P(k) = P(j) for every index pair j < k, each within eps_zero.
 
-    An explicit family is checked with dense d x d products.  A basis
-    family is checked from its blocks (:func:`_basis_checks`), and the
-    dense max-entry test runs only for a quantity that falls between
-    the bounds of :func:`linalg.within_zero`; the verdicts are the same.
+    One loop for both storage forms: each index is checked once
+    (``PhysicalFamily._index_checks``), then each pair j < k
+    (``PhysicalFamily._nests``).  An explicit family is checked with
+    dense d x d products.  A family of range bases is checked from its
+    blocks, one pair at a time, and the dense max-entry test runs only
+    for a quantity that falls between the bounds of
+    :func:`linalg.within_zero`; the verdicts are the same.
     """
-    if fam._projectors is None:
-        proj_ok, nonzero, violations = _basis_checks(model, fam)
-    else:
-        proj_ok, nonzero, violations = _dense_checks(model, fam)
-    passed = (
-        len(fam) == model.n_indices
-        and all(proj_ok)
-        and all(nonzero)
-        and not violations
-    )
-    return FamilyValidation(proj_ok, nonzero, violations, passed)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _dense_checks(model: Model, fam: PhysicalFamily) -> tuple:
-    """The checks of :func:`validate_family` on explicit projectors; a
-    product that overflows is non-finite and fails its check."""
-    tol = model.tol
-    projs = fam.projectors
-    n = len(projs)
-    proj_ok = tuple(
-        p.shape == (model.dim, model.dim) and linalg.is_projector(p, tol)
-        for p in projs
-    )
-    nonzero = tuple(linalg.max_abs(p) > tol.eps_zero for p in projs)
-    violations = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            pj, pk = projs[j], projs[k]
-            if pj.shape == pk.shape and not linalg.max_abs(pj @ pk - pj) <= tol.eps_zero:
-                violations.append((j, k))
-    return proj_ok, nonzero, tuple(violations)
-
-
-def _basis_checks(model: Model, fam: PhysicalFamily) -> tuple:
-    """The checks of :func:`validate_family` on P(k) = U U^dagger, from
-    blocks of U.
-
-    With E = U^dagger U - I, P^2 - P = U E U^dagger, whose Frobenius norm
-    is at most (1 + ||E||_F) ||E||_F and whose diagonal bounds its largest
-    entry from below; U U^dagger is Hermitian up to rounding.  ||P||_F is
-    ||U^dagger U||_F and the largest squared row norm of U is a diagonal
-    entry of P.  For j < k, P(j) P(k) - P(j) = -U_j R^dagger with
-    R = (I - P(k)) U_j, so its Frobenius norm is at most ||U_j||_2 ||R||_F
-    and its diagonal is the row-wise product of U_j and R; R is formed
-    for every j < k at once.
-    """
-    tol = model.tol
-    bases = fam._bases
-    proj_ok, nonzero, e_norms = [], [], []
-    for k, u in enumerate(bases):
-        gram = u.conj().T @ u
-        e = gram - np.eye(len(gram))
-        e_norms.append(np.linalg.norm(e))
-        diag = np.einsum("ij,jk,ik->i", u, e, u.conj())
-        proj_ok.append(u.shape[0] == model.dim and linalg.within_zero(
-            (1 + e_norms[k]) * e_norms[k], np.max(np.abs(diag), initial=0.0),
-            lambda: linalg.projector_defect(fam.at(k)), tol))
-        nonzero.append(not linalg.within_zero(
-            np.linalg.norm(gram), np.max(_row_norms2(u), initial=0.0),
-            lambda: linalg.max_abs(fam.at(k)), tol))
-
-    violations = []
-    for k, uk in enumerate(bases):
-        earlier = [j for j in range(k) if bases[j].shape[0] == uk.shape[0]]
-        if not earlier:
-            continue
-        stacked = np.hstack([bases[j] for j in earlier])
-        rest = stacked - uk @ (uk.conj().T @ stacked)
-        start = 0
-        for j in earlier:
-            cols = slice(start, start + bases[j].shape[1])
-            start = cols.stop
-            uj, r = stacked[:, cols], rest[:, cols]
-            if not linalg.within_zero(
-                    math.sqrt(1 + e_norms[j]) * np.linalg.norm(r),
-                    np.max(np.abs(np.einsum("ij,ij->i", uj, r.conj()))),
-                    lambda: linalg.max_abs(fam.at(j) @ fam.at(k) - fam.at(j)), tol):
-                violations.append((j, k))
-    return tuple(proj_ok), tuple(nonzero), tuple(sorted(violations))
+    checks, violations = [], []
+    for k in range(len(fam)):
+        checks.append(fam._index_checks(k, model.dim, model.tol))
+        violations += [(j, k) for j in range(k)
+                       if not fam._nests(j, k, checks[j][2], model.tol)]
+    proj_ok = tuple(c[0] for c in checks)
+    nonzero = tuple(c[1] for c in checks)
+    passed = len(fam) == model.n_indices and all(proj_ok) and all(nonzero) and not violations
+    return FamilyValidation(proj_ok, nonzero, tuple(sorted(violations)), passed)
 
 
 def _row_norms2(g: np.ndarray) -> np.ndarray:
@@ -509,27 +529,12 @@ def _commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
               restricted: tuple | None = None) -> bool:
     """Whether [W W^dagger, P(k)] has no entry above eps_zero, for a d x m
     orthonormal block W; ``restricted`` is ``fam._restrict(k, w)``,
-    computed when not given.
-
-    For a family of range bases, P(k) = U U^dagger with U of rank r and
-    the coefficient block C = U^dagger W is r x m.  With X = W W^dagger
-    the commutator is X P (I - X) - (I - X) P X, two parts with
-    orthogonal ranges that are each other's adjoints (U U^dagger is
-    Hermitian by construction), and (I - X) P X = U_perp C W^dagger for
-    U_perp = U - W C^dagger = (I - X) U.  So its
-    Frobenius norm is sqrt(2) ||U_perp C||_F, in O(d r m).  For an
-    explicit projector, G = P(k) W splits as W A + R with A = W^dagger G
-    and W^dagger R = 0, and the squared norm is ||A - A^dagger||_F^2 +
-    2 ||R||_F^2, in O(d m^2).  The norm over d bounds the largest entry
-    from below.
+    computed when not given.  The Frobenius norm comes from the
+    restriction at the family's rank
+    (``PhysicalFamily._commutator_frobenius``); that norm over d bounds
+    the largest entry from below.
     """
-    frame, coef = fam._restrict(k, w) if restricted is None else restricted
-    if frame is None:
-        a = w.conj().T @ coef
-        frob = math.hypot(np.linalg.norm(a - a.conj().T),
-                          math.sqrt(2) * np.linalg.norm(coef - w @ a))
-    else:
-        frob = math.sqrt(2) * np.linalg.norm((frame - w @ coef.conj().T) @ coef)
+    frob = fam._commutator_frobenius(k, w, restricted)
     return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
 
 
@@ -601,7 +606,7 @@ class Lifted:
     def trimmed(self, fam: PhysicalFamily, k: int) -> np.ndarray:
         """The trimmed factor T = P(k) L of :meth:`_trimming`, L = W, or X
         for a complement: P(k) times one block at every k."""
-        return _join(*self._trimming(fam, k))
+        return fam._join(*self._trimming(fam, k))
 
     def state(self, fam: PhysicalFamily, k0: int) -> tuple:
         """X P(k0) X as a state (phi, core): (W, W^dagger P(k0) W), or for a
@@ -614,7 +619,7 @@ class Lifted:
         """Range basis of T r^dagger for the trimmed factor T at k, at the
         eps_eig cut, from the SVD of coef r^dagger (r rows for a basis family)."""
         frame, coef = self._trimming(fam, k)
-        return _join(frame, linalg.range_basis(coef @ r.conj().T, self.model.tol))
+        return fam._join(frame, linalg.range_basis(coef @ r.conj().T, self.model.tol))
 
     def is_possible(self, fam: PhysicalFamily, k: int) -> bool:
         """Whether X is physically possible at k: it commutes with P(k)
@@ -636,7 +641,7 @@ class Lifted:
         def measure():
             if not self._complement:
                 return fam.overlap_norm(k, self.block)
-            return linalg.max_abs(_join(frame, coef))
+            return linalg.max_abs(fam._join(frame, coef))
 
         return not linalg.within_zero(frob, frob / self.model.dim, measure, self.model.tol)
 
@@ -655,10 +660,10 @@ class Lifted:
         frame, coef = self._trimming(fam, k)
         _, s, vh = np.linalg.svd(coef.conj().T, full_matrices=False)
         u = vh.conj().T
-        t = _join(frame, u * s)
+        t = fam._join(frame, u * s)
         if t.size == 0 or np.max(_row_norms2(t)) <= self.model.tol.eps_zero:
             return t, None
-        return t, _join(frame, u[:, s * s > self.model.tol.eps_eig])
+        return t, fam._join(frame, u[:, s * s > self.model.tol.eps_eig])
 
     def factor(self, q: np.ndarray) -> np.ndarray:
         """A block F with F^dagger F = q^dagger X q, what a trace against X

@@ -67,28 +67,30 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
+def _complex_array(entries, what: str) -> np.ndarray:
+    """The complex array ``entries()`` builds of [re, im] pairs, refused
+    unless every entry is finite; an integer beyond the float range
+    counts as infinite, as in :class:`model.TimeGrid`."""
+    try:
+        a = np.array(entries(), dtype=complex)
+    except OverflowError:
+        a = np.array([np.inf])
+    except (TypeError, IndexError, KeyError, ValueError):
+        raise ValidationError(f"{what}: entries must be [re, im] pairs") from None
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{what}: non-finite entry (NaN or infinity)")
     return a
 
 
 def _pairs_to_matrix(rows, what: str) -> np.ndarray:
-    try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError, KeyError, ValueError):
-        raise ValidationError(f"{what}: entries must be [re, im] pairs") from None
+    m = _complex_array(lambda: [[complex(re, im) for re, im in row] for row in rows], what)
     if m.ndim != 2 or m.size == 0:
         raise ValidationError(f"{what}: expected a non-empty matrix of [re, im] pairs")
-    return _finite(m, what)
+    return m
 
 
 def _pairs_to_vector(entries, what: str) -> np.ndarray:
-    try:
-        v = np.array([complex(re, im) for re, im in entries], dtype=complex)
-    except (TypeError, IndexError, KeyError, ValueError):
-        raise ValidationError(f"{what}: entries must be [re, im] pairs") from None
-    return _finite(v, what)
+    return _complex_array(lambda: [complex(re, im) for re, im in entries], what)
 
 
 def _label_projector(labels, d1: int, what: str) -> np.ndarray:

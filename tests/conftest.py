@@ -85,12 +85,14 @@ def outcome_of(call, refusals=PhysbornError) -> tuple:
 def dense_propagators(steps, d: int, tol: linalg.Tolerance = DEFAULT_TOL) -> tuple:
     """(V(0), ..., V(n)) by the dense construction: each d x d step checked
     by the dense ``is_unitary``, V(k) = U_k V(k-1) by the full product;
-    refuses with the ``ValidationError`` ``Model`` raises.  The reference
-    for ``Model``'s construction from the indices each step moves."""
+    refuses with the ``ValidationError`` ``Model`` raises, in its order:
+    every step's shape first.  The reference for ``Model``'s construction
+    from the indices each step moves."""
     steps = tuple(linalg.as_matrix(u) for u in steps)
     for k, u in enumerate(steps):
         if u.shape != (d, d):
             raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
+    for k, u in enumerate(steps):
         if not linalg.is_unitary(u, tol):
             raise ValidationError(f"step {k} is not unitary within eps_zero")
     cum = [np.eye(d, dtype=complex)]

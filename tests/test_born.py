@@ -41,6 +41,7 @@ from conftest import (
     dense_lift,
     dense_textbook,
     identity_family,
+    outcome_of,
     random_model,
     random_unitary,
     verifiable_pairs,
@@ -178,6 +179,24 @@ def test_unreachable_condition_raises():
     with pytest.raises(UnreachableConditionError, match=re.escape(
             "forward: condition has no physical weight (denominator at most eps_zero=1e-09)")):
         prob_forward(cond, np.diag([0, 1.0, 0, 0]).astype(complex), 1)
+
+
+def test_intermediate_rules_refuse_a_condition_without_weight_at_the_outcome():
+    # the condition is possible at k_c = 2, but the family at index 1 is
+    # orthogonal to it, so its trimmed support there is empty: both
+    # intermediate rules refuse as the product-chain oracles do, on
+    # either storage form
+    e0, e1, eye = _diag_projector([0], 2), _diag_projector([1], 2), np.eye(2, dtype=complex)
+    m = Model(2, 1, TimeGrid((0.0, 1.0, 2.0)), (eye, eye))
+    refusal = (False, (UnreachableConditionError, "condition has no physical weight at index 1"))
+    for fam in (PhysicalFamily((e0, e0, eye)),
+                PhysicalFamily.from_bases((eye[:, :1], eye[:, :1], eye))):
+        cond = ConditionSpec(m, fam, e1, 2)
+        outcomes = OutcomeSet((e0, e1), 1, complete=True)
+        assert (outcome_of(lambda: prob_intermediate_full(cond, outcomes, 0))
+                == outcome_of(lambda: chain_intermediate_full(cond, outcomes, 0)) == refusal)
+        assert (outcome_of(lambda: prob_intermediate_known(cond, e0, 1))
+                == outcome_of(lambda: chain_intermediate_known(cond, e0, 1)) == refusal)
 
 
 def test_rules_lift_a_complement_condition_once(monkeypatch):

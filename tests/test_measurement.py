@@ -10,7 +10,12 @@ import pytest
 from physborn import born, condition, linalg, measurement, model, verify
 from physborn.born import OutcomeSet, prob_forward, prob_intermediate_known
 from physborn.condition import ConditionSpec, observable_rep, start_time
-from physborn.errors import DomainError, NotPhysicallyPossibleError, ShapeError
+from physborn.errors import (
+    DomainError,
+    NotPhysicallyPossibleError,
+    ShapeError,
+    UnreachableConditionError,
+)
 from physborn.measurement import (
     MeasurementProcess,
     kappa_path,
@@ -27,6 +32,8 @@ from physborn.scenarios import (
     build_redundant_record_experiment,
     build_reference_experiment,
 )
+
+from conftest import dense_kappas
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +251,39 @@ def test_refinement_requires_diagonal_outcomes():
                               OutcomeSet((plus,), 1))
     with pytest.raises(DomainError):
         refine_outcomes(proc)
+
+
+def _unreachable_label_process(outcomes) -> MeasurementProcess:
+    """A process on d1 = 3, d2 = 1 with identity dynamics from label 0 at
+    index 0 to system1 records at index 1, where the family keeps label 0
+    alone: every other label has no physical weight at k2."""
+    p0 = np.diag([1.0, 0, 0]).astype(complex)
+    m = model.Model(3, 1, model.TimeGrid((0.0, 1.0)), (np.eye(3, dtype=complex),))
+    return MeasurementProcess(m, model.PhysicalFamily((p0, p0)), p0, 0, OutcomeSet(outcomes, 1))
+
+
+def test_an_unreachable_outcome_has_no_normalized_path():
+    # its kappas vanish, as the dense oracle's do, and rho_path refuses at
+    # the first index of the window
+    proc = _unreachable_label_process((np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])))
+    path = kappa_path(proc, 1)
+    for kap, dense in zip(path.kappas, dense_kappas(proc, 1)):
+        assert not np.any(kap) and not np.any(dense)
+    assert outcome_probability(proc, 1) == 0.0
+    with pytest.raises(UnreachableConditionError, match="^outcome unreachable at index 0$"):
+        rho_path(path)
+
+
+def test_refinement_sets_apart_labels_without_weight():
+    # label 1 of the reachable outcome {0, 1} and label 2, all of the
+    # unreachable outcome {2}, have probability 0 by the dense kappas
+    proc = _unreachable_label_process((np.diag([1.0, 1.0, 0]), np.diag([0, 0, 1.0])))
+    refined = refine_outcomes(proc)
+    assert refined.classes == ((frozenset({0}),), ())
+    assert refined.unreachable == (frozenset({1}), frozenset({2}))
+    for label, weight in ((0, 1.0), (1, 0.0), (2, 0.0)):
+        single = _unreachable_label_process((np.diag(np.eye(3)[label]),))
+        assert abs(np.trace(dense_kappas(single, 0)[-1]).real - weight) <= 1e-12
 
 
 def test_a_near_record_is_judged_alike_by_serialize_and_refinement():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import physborn
@@ -135,22 +135,32 @@ _KINDS = ("identity", "permutation", "block", "haar")
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(d1=st.integers(1, 4), d2=st.integers(1, 3),
        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4),
-       miss=st.sampled_from((None, "refused", "accepted", "outside row", "outside column")),
+       miss=st.sampled_from((None, "refused", "accepted", "outside row", "outside column",
+                             "misshaped")),
        seed=st.integers(0, 2**32 - 1))
+@example(d1=2, d2=1, kinds=["identity"], miss="misshaped", seed=0)
 def test_model_matches_the_dense_construction(d1, d2, kinds, miss, seed):
     # identical verdicts and messages, and V(k) within 1e-12, on steps
-    # that move no index, a few, a random block of 1..d, or all of them
+    # that move no index, a few, a random block of 1..d, or all of them;
+    # "misshaped" refuses a step and appends a (d + 1) x (d + 1) one,
+    # whose shape both refuse first
     rng = np.random.default_rng(seed)
     d = d1 * d2
     steps = [_step(rng, kind, d, int(rng.integers(1, d + 1))) for kind in kinds]
     if miss is not None:
-        _near_miss(steps[int(rng.integers(len(steps)))], miss)
+        _near_miss(steps[int(rng.integers(len(steps)))],
+                   "refused" if miss == "misshaped" else miss)
+    if miss == "misshaped":
+        steps.append(np.eye(d + 1, dtype=complex))
     grid = TimeGrid(tuple(float(t) for t in range(len(steps) + 1)))
     built = outcome_of(lambda: Model(d1, d2, grid, tuple(steps)))
     dense = outcome_of(lambda: dense_propagators(steps, d))
     assert built[0] == dense[0] == (miss in (None, "accepted"))
     if not built[0]:
         assert built[1] == dense[1]
+        if miss == "misshaped":
+            assert built[1] == (ValidationError, f"step {len(kinds)} has shape "
+                                f"{(d + 1, d + 1)}, expected {(d, d)}")
         return
     for k, v in enumerate(dense[1]):
         assert np.max(np.abs(cumulative_propagator(built[1], k) - v)) <= 1e-12
@@ -344,17 +354,24 @@ def test_explicit_and_basis_families_answer_alike():
 def test_only_the_family_reads_its_storage_form():
     # whether P(k) is held as a projector or as a range basis is read by
     # PhysicalFamily alone: no other library module touches its storage,
-    # its restriction, or branches on a restriction's frame
-    private = {"_projectors", "_bases", "_restrict", "restrict"}
+    # its restriction, or branches on a restriction's frame, and nothing
+    # in model.py outside the class body reads its storage or branches on
+    # a frame
+    sites = []
     for path in sorted(Path(physborn.__file__).parent.glob("*.py")):
-        if path.name == "model.py":
-            continue
         tree = ast.parse(path.read_text())
+        private = {"_projectors", "_bases", "_restrict", "restrict"}
+        if path.name == "model.py":
+            tree.body = [node for node in tree.body
+                         if not (isinstance(node, ast.ClassDef) and node.name == "PhysicalFamily")]
+            private = {"_projectors", "_bases"}
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
                     else node.name if isinstance(node, ast.alias) else None)
-            assert name not in private, f"{path.name}:{getattr(node, 'lineno', '?')} reads {name}"
-            if isinstance(node, ast.Compare):
-                assert not (isinstance(node.left, ast.Name) and node.left.id == "frame"), \
-                    f"{path.name}:{node.lineno} branches on a restriction frame"
+            if name in private:
+                sites.append(f"{path.name}:{getattr(node, 'lineno', '?')} reads {name}")
+            if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+                    and node.left.id == "frame"):
+                sites.append(f"{path.name}:{node.lineno} branches on a restriction frame")
+    assert not sites

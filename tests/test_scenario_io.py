@@ -273,6 +273,76 @@ def test_malformed_scenario_exits_two_naming_the_field(doc, field, tmp_path):
     assert "Traceback" not in err.getvalue()
 
 
+def _huge_integer(where: str) -> dict:
+    """The reference document with one entry an integer of 401 digits:
+    in step 0, family projector 1, a predicate matrix, or, in the
+    forward-closure form of :func:`_forward_closure_doc`, the initial
+    state or the extra state at index 1."""
+    huge = 10 ** 400
+    if where == "step":
+        return _set(["steps", 0, 0, 0], [huge, 0])
+    if where == "family":
+        return _set(["family", "projectors", 1, 0, 0], [0, huge])
+    if where == "predicate":
+        return _set(["predicates", "I"], {"matrix": [[[huge, 0]] * 5] * 5})
+    doc = json.loads(json.dumps(_forward_closure_doc("1")))   # unshare the states
+    vector = doc["family"]["initial" if where == "initial" else "extras"]
+    vector = vector[0] if where == "initial" else vector["1"][0]
+    vector[0] = [-huge, 0]
+    return doc
+
+
+@pytest.mark.parametrize("where, field", [
+    ("step", "step 0"),
+    ("family", "family projector 1"),
+    ("predicate", "predicate 'I'"),
+    ("initial", "family initial state 0"),
+    ("extra", "family extra at index 1"),
+])
+def test_an_integer_beyond_the_float_range_is_a_non_finite_entry(where, field, tmp_path):
+    # complex() of such an integer overflows; the entry is refused as
+    # TimeGrid refuses such a time, with exit 2 and no traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_integer(where)))
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["validate", str(path)], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == (
+        "", f"validation error: {field}: non-finite entry (NaN or infinity)\n")
+
+
+def _vector_entry_with_a_third_number():
+    doc = _forward_closure_doc("1")
+    doc["family"]["initial"][0][0].append(9.0)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (lambda: _set(["dimensions", "d1"], "5"),
+     "{path}: dimensions must carry integer d1 and d2"),
+    (lambda: _set(["steps", 0], []),
+     "step 0: expected a non-empty matrix of [re, im] pairs"),
+    (_vector_entry_with_a_third_number,
+     "family initial state 0: entries must be [re, im] pairs"),
+    (lambda: _set(["family", "projectors", 0], [[[0.0, 0.0]] * 50] * 50),
+     "family projector 0 is zero"),
+    (lambda: _set(["predicates", "I"], {}),
+     "predicate 'I' needs 'labels' or 'matrix'"),
+    (lambda: _set(["predicates", "I"], {"matrix": [[[1.0, 0.0]]]}),
+     "predicate 'I' has shape (1, 1), expected (5, 5)"),
+    (lambda: _set(["grid_names"], ["ts", "t0"]),
+     "{path}: grid_names length does not match the grid"),
+], ids=["dimensions", "empty-matrix", "vector-pairs", "zero-projector",
+        "predicate-form", "predicate-shape", "grid_names-length"])
+def test_each_loads_refusal_exits_two_naming_its_field(doc, message, tmp_path):
+    # one mutation of the reference dump per refusal of loads
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc()))
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["validate", str(path)], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == (
+        "", f"validation error: {message.format(path=path)}\n")
+
+
 # ---------------------------------------------------------------------------
 # Dump bytes
 
