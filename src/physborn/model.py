@@ -15,16 +15,20 @@ The nested family of subspaces describing which state vectors are
 physically admissible at each time is carried by ``PhysicalFamily`` and
 validated against the nesting law P(j) P(k) = P(j) for j < k.  A family
 built by :func:`forward_closure` keeps one orthonormal d x r range basis
-per index.  :func:`lift_system1` and :func:`lift_system2` return a d x m
-orthonormal basis of the lifted range at their grid index, so that the
-rules work on d x r and d x m blocks; a dense d x d projector is formed
-only where a public function returns one.  A record factor projector
-is lifted by gathering V(k)'s rows (or columns) at its labels.
-``PhysicalFamily`` is the one owner of its storage form: no code outside
-the class, in this module or another, asks whether P(k) is held as a
-projector or as a range basis.  :func:`validate_family` is one loop over
-the indices and the pairs j < k for both forms, and the class holds each
-form's tests of an index and of a pair.
+per index.  A family of given projectors that are all records (diagonal,
+each entry exactly 0 or 1) keeps each one's labels and applies it by
+gathering and scattering rows, so that the identity costs nothing; any
+other given family keeps its dense projectors.  :func:`lift_system1` and
+:func:`lift_system2` return a d x m orthonormal basis of the lifted range
+at their grid index, so that the rules work on d x r and d x m blocks; a
+dense d x d projector is formed only where a public function returns
+one.  A record factor projector is lifted by gathering V(k)'s rows (or
+columns) at its labels.  ``PhysicalFamily`` is the one owner of its
+storage form: no code outside the class, in this module or another, asks
+whether P(k) is held as a projector, by its labels or as a range basis.
+:func:`validate_family` is one loop over the indices and the pairs j < k
+for every form, and the class holds each form's tests of an index and of
+a pair.
 :func:`lift_predicate`, the one lift of a condition or an outcome,
 returns a :class:`Lifted`, the one owner of the form a lifted predicate
 is held in: its range basis, or, for a system1 predicate of rank above
@@ -262,38 +266,52 @@ class PhysicalFamily:
     later ones) is checked by :func:`validate_family`, not at
     construction.
 
+    The family holds each P(k) in one of three forms.
     ``PhysicalFamily(projectors)`` keeps the given dense projectors and
-    applies them as they are.  :meth:`from_bases` (what
-    :func:`forward_closure` builds) keeps one orthonormal d x r basis U
-    per index instead, with P(k) = U U^dagger: the family then holds
-    O(d r) numbers per index, applying P(k) to a d x m block costs
-    O(d r m), and :meth:`at` rebuilds the dense projector on each call.
-    Callers use P(k) B (:meth:`apply`) and B^dagger P(k) B
-    (:meth:`sandwich`), whatever the form.  Only this class reads the
-    form: a restriction's pair (frame, coef) is joined by :meth:`_join`,
-    the commutator norm of :func:`_commutes` comes from
+    applies them as they are, unless every one of them is a record
+    (:func:`linalg.record_labels`: diagonal, each entry exactly 0 or 1);
+    then it keeps each record's size n and labels instead, with P(k) =
+    E E^dagger for the selection E = I[:, labels], and applies P(k) by
+    gathering rows: E^dagger B is B's rows at the labels, B itself when
+    they cover every index, so the identity costs nothing.
+    :meth:`from_bases` (what :func:`forward_closure` builds) keeps one
+    orthonormal d x r basis U per index, with P(k) = U U^dagger: the
+    family then holds O(d r) numbers per index, and applying P(k) to a
+    d x m block costs O(d r m).  For labels and bases :meth:`at` rebuilds
+    the dense projector on each call.  Callers use P(k) B (:meth:`apply`)
+    and B^dagger P(k) B (:meth:`sandwich`), whatever the form.  Only this
+    class reads the form: a restriction's pair (frame, coef) is joined by
+    :meth:`_join`, the commutator norm of :func:`_commutes` comes from
     :meth:`_commutator_frobenius`, and :func:`validate_family` asks it to
     check each index (:meth:`_index_checks`) and each pair
     (:meth:`_nests`).
     """
 
-    __slots__ = ("_projectors", "_bases")
+    __slots__ = ("_projectors", "_bases", "_labels")
 
     def __init__(self, projectors):
-        self._projectors = tuple(linalg.as_matrix(p) for p in projectors)
+        projectors = tuple(linalg.as_matrix(p) for p in projectors)
+        labels = tuple(linalg.record_labels(p) for p in projectors)
         self._bases = None
+        if None in labels:
+            self._projectors, self._labels = projectors, None
+        else:
+            self._projectors = None
+            self._labels = tuple((len(p), np.array(l, dtype=np.intp))
+                                 for p, l in zip(projectors, labels))
 
     @classmethod
     def from_bases(cls, bases) -> "PhysicalFamily":
         """Family with P(k) = U_k U_k^dagger for the given orthonormal
         column bases U_k."""
         fam = cls.__new__(cls)
-        fam._projectors = None
+        fam._projectors = fam._labels = None
         fam._bases = tuple(bases)
         return fam
 
     def __len__(self) -> int:
-        return len(self._bases if self._projectors is None else self._projectors)
+        held = self._bases if self._projectors is None else self._projectors
+        return len(self._labels if held is None else held)
 
     def _index(self, k: int) -> int:
         if not 0 <= k < len(self):
@@ -305,6 +323,9 @@ class PhysicalFamily:
         k = self._index(k)
         if self._projectors is not None:
             return self._projectors[k]
+        if self._labels is not None:
+            n, labels = self._labels[k]
+            return linalg.diagonal_projector(labels, n)
         u = self._bases[k]
         return u @ u.conj().T
 
@@ -315,9 +336,20 @@ class PhysicalFamily:
 
     def _restrict(self, k: int, block: np.ndarray) -> tuple:
         """P(k) block as a pair (frame, coef) with P(k) block = frame @ coef:
-        the index's range basis U with coef = U^dagger block, or None with
-        coef = P(k) block for an explicit projector."""
+        the index's range basis U with coef = U^dagger block; for a record,
+        its pair (n, labels) standing for the selection E with coef =
+        E^dagger block, the block's rows at the labels; or None with coef
+        = P(k) block for an explicit projector, and with coef the block
+        itself, uncopied, for a record whose labels cover every index."""
         k = self._index(k)
+        if self._labels is not None:
+            n, labels = self._labels[k]
+            if n != len(block):
+                raise ShapeError(f"family index {k} is {n} x {n}, "
+                                 f"block has {len(block)} rows")
+            if len(labels) == n:
+                return None, block
+            return self._labels[k], block[labels]
         if self._projectors is not None:
             return None, self._projectors[k] @ block
         u = self._bases[k]
@@ -326,21 +358,36 @@ class PhysicalFamily:
     def _restrict_complement(self, k: int, w: np.ndarray, restricted: tuple) -> tuple:
         """P(k) (I - w w^dagger) as a pair (frame, coef) with P(k) (I - w
         w^dagger) = frame @ coef, for a d x m orthonormal block w and
-        ``restricted`` = ``self._restrict(k, w)``: the index's range basis
-        U with the r x d block coef = U^dagger - (U^dagger w) w^dagger, or
-        None with coef = P(k) - (P(k) w) w^dagger for an explicit
-        projector.  coef is the adjoint view of the tall block U - w
-        (U^dagger w)^dagger (or P(k) - w (P(k) w)^dagger), which is what
+        ``restricted`` = ``self._restrict(k, w)`` = (frame, C): coef =
+        U^dagger - C w^dagger for the index's range basis U, E^dagger - C
+        w^dagger for a record's selection E (the identity when its labels
+        cover every index), or P(k) - C w^dagger for an explicit
+        projector.  For a record that is one product, -C w^dagger, plus 1
+        at (i, labels[i]).  For the other forms coef is the adjoint view of
+        the tall block U - w C^dagger or P(k) - w C^dagger, which is what
         is computed."""
         frame, coef = restricted
-        base = self._projectors[self._index(k)] if frame is None else frame
-        return frame, (base - w @ coef.conj().T).conj().T
+        if self._labels is None:
+            base = self._projectors[self._index(k)] if frame is None else frame
+            return frame, (base - w @ coef.conj().T).conj().T
+        labels = self._labels[self._index(k)][1]
+        wide = coef @ -w.conj().T
+        wide[np.arange(len(labels)), labels] += 1
+        return frame, wide
 
     @staticmethod
     def _join(frame, coef: np.ndarray) -> np.ndarray:
         """frame @ coef for a restriction's pair, frame None standing for
-        the identity."""
-        return coef if frame is None else frame @ coef
+        the identity and a record's pair (n, labels) for its selection E,
+        applied by scattering coef's rows to the labels."""
+        if frame is None:
+            return coef
+        if isinstance(frame, tuple):
+            n, labels = frame
+            out = np.zeros((n, coef.shape[1]), dtype=complex)
+            out[labels] = coef
+            return out
+        return frame @ coef
 
     def _commutator_frobenius(self, k: int, w: np.ndarray,
                               restricted: tuple | None = None) -> float:
@@ -353,22 +400,30 @@ class PhysicalFamily:
         orthogonal ranges that are each other's adjoints (U U^dagger is
         Hermitian by construction), and (I - X) P X = U_perp C W^dagger for
         U_perp = U - W C^dagger = (I - X) U.  So the norm is sqrt(2)
-        ||U_perp C||_F, in O(d r m).  For an explicit projector, G = P(k) W
-        splits as W A + R with A = W^dagger G and W^dagger R = 0, and the
-        squared norm is ||A - A^dagger||_F^2 + 2 ||R||_F^2, in O(d m^2).
+        ||U_perp C||_F, in O(d r m).  The identity, a record with every
+        label, commutes with every W: the norm is 0.  For an explicit
+        projector or another record, G = P(k) W (the joined E C for a
+        record) splits as W A + R with A = W^dagger G and W^dagger R = 0,
+        and the squared norm is ||A - A^dagger||_F^2 + 2 ||R||_F^2, in O(d
+        m^2).
         """
         frame, coef = self._restrict(k, w) if restricted is None else restricted
-        if frame is None:
-            a = w.conj().T @ coef
+        if self._labels is not None and frame is None:
+            return 0.0
+        if self._bases is None:
+            g = self._join(frame, coef)
+            a = w.conj().T @ g
             return math.hypot(np.linalg.norm(a - a.conj().T),
-                              math.sqrt(2) * np.linalg.norm(coef - w @ a))
+                              math.sqrt(2) * np.linalg.norm(g - w @ a))
         return math.sqrt(2) * np.linalg.norm((frame - w @ coef.conj().T) @ coef)
 
     def _index_checks(self, k: int, dim: int, tol: Tolerance) -> tuple:
         """(projector_ok, nonzero, e) of :func:`validate_family` for P(k);
         e is what the pair tests of :meth:`_nests` read for j = k.
 
-        An explicit projector is checked densely, and a product that
+        A record is a projector exactly, so it passes when its size is
+        dim, and it is nonzero when it has a label; e is None.  An
+        explicit projector is checked densely, and a product that
         overflows is non-finite and fails its check; e is None.  For P =
         U U^dagger, e = ||E||_F with E = U^dagger U - I: P^2 - P = U E
         U^dagger, whose Frobenius norm is at most (1 + ||E||_F) ||E||_F
@@ -379,6 +434,9 @@ class PhysicalFamily:
         settle the test, and the dense test runs only between the bounds
         (:func:`linalg.within_zero`).
         """
+        if self._labels is not None:
+            n, labels = self._labels[k]
+            return n == dim, len(labels) > 0, None
         if self._projectors is not None:
             p = self._projectors[k]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -402,13 +460,19 @@ class PhysicalFamily:
         :meth:`_index_checks` at j; true for two P of different sizes,
         which the projector checks refuse.
 
-        An explicit pair is checked densely, as in :meth:`_index_checks`.
-        For bases, P(j) P(k) - P(j) = -U_j R^dagger with R = (I - P(k))
-        U_j, so its Frobenius norm is at most ||U_j||_2 ||R||_F <= sqrt(1
-        + e_j) ||R||_F, and its diagonal, taken only when that bound does
-        not settle the test, is the row-wise product of U_j and R.  One
-        pair costs O(d r_j r_k).
+        Two records of one size nest when the labels of P(j) are among
+        those of P(k), since P(j) P(k) - P(j) is -1 at each label of P(j)
+        that P(k) lacks and 0 elsewhere.  An explicit pair is checked
+        densely, as in :meth:`_index_checks`.  For bases, P(j) P(k) -
+        P(j) = -U_j R^dagger with R = (I - P(k)) U_j, so its Frobenius
+        norm is at most ||U_j||_2 ||R||_F <= sqrt(1 + e_j) ||R||_F, and
+        its diagonal, taken only when that bound does not settle the test,
+        is the row-wise product of U_j and R.  One pair costs O(d r_j
+        r_k).
         """
+        if self._labels is not None:
+            (nj, lj), (nk, lk) = self._labels[j], self._labels[k]
+            return nj != nk or bool(np.isin(lj, lk).all())
         if self._projectors is not None:
             pj, pk = self._projectors[j], self._projectors[k]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -463,10 +527,11 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     """Check projector validity, nonzeroness, and the nesting law
     P(j) P(k) = P(j) for every index pair j < k, each within eps_zero.
 
-    One loop for both storage forms: each index is checked once
+    One loop for every storage form: each index is checked once
     (``PhysicalFamily._index_checks``), then each pair j < k
-    (``PhysicalFamily._nests``).  An explicit family is checked with
-    dense d x d products.  A family of range bases is checked from its
+    (``PhysicalFamily._nests``).  A family of records is checked exactly
+    from its sizes and labels, and any other explicit family with dense d
+    x d products.  A family of range bases is checked from its
     blocks, one pair at a time, and the dense max-entry test runs only
     for a quantity that falls between the bounds of
     :func:`linalg.within_zero`; the verdicts are the same.
@@ -546,12 +611,13 @@ def _sandwich_commutes(model: Model, fam: PhysicalFamily, s: int, a: np.ndarray,
 
     That matrix is F - F^dagger with F = G_a (a^dagger b) G_b^dagger, and
     ``fam._restrict`` gives G_a = frame C_a and G_b = frame C_b, with
-    frame the range basis U (C r x m) or the identity for an explicit
-    projector (C d x m).  The QR factorization [C_a, C_b] = Q [R_a, R_b]
+    frame the range basis U or a record's selection I[:, labels] (C r x
+    m), or the identity for an explicit projector or the identity family
+    (C d x m).  The QR factorization [C_a, C_b] = Q [R_a, R_b]
     leaves F = frame Q E Q^dagger frame^dagger with E = R_a (a^dagger b)
     R_b^dagger, and frame and Q have orthonormal columns, so ||F -
     F^dagger||_F = ||E - E^dagger||_F on at most m_a + m_b rows: one
-    formula for both storage forms.  That norm over d bounds the largest
+    formula for every storage form.  That norm over d bounds the largest
     entry from below.
     """
     (_, ca), (_, cb) = fam._restrict(s, a), fam._restrict(s, b)
@@ -632,9 +698,9 @@ class Lifted:
     def has_weight(self, fam: PhysicalFamily, k: int, restricted: tuple | None = None) -> bool:
         """Whether P(k) X has an entry above eps_zero.  Its Frobenius norm
         is ||coef||_F of :meth:`_trimming`: the r x m C or r x d B for a
-        family of range bases, P(k) W or P(k) X itself for an explicit
-        projector.  That norm over d bounds its largest entry from
-        below."""
+        family of range bases or of records, P(k) W or P(k) X itself for
+        an explicit projector.  That norm over d bounds its largest entry
+        from below."""
         frame, coef = self._trimming(fam, k, restricted)
         frob = np.linalg.norm(coef)
 

@@ -67,12 +67,28 @@ def _is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+class _BooleanEntry(Exception):
+    """A JSON true or false in an [re, im] pair."""
+
+
+def _boolean_entry():
+    """Raise :class:`_BooleanEntry`.  The pair readers call it in place of
+    complex(re, im) when ``re.__class__ is not bool is not im.__class__``
+    fails, that is when re or im is a bool; the test is inline, since a
+    function call per pair slows :func:`loads` by several per cent."""
+    raise _BooleanEntry
+
+
 def _complex_array(entries, what: str) -> np.ndarray:
     """The complex array ``entries()`` builds of [re, im] pairs, refused
-    unless every entry is finite; an integer beyond the float range
-    counts as infinite, as in :class:`model.TimeGrid`."""
+    unless every entry is a finite number.  ``complex()`` reads true and
+    false as 1 and 0, so ``entries()`` calls :func:`_boolean_entry` on a
+    pair holding one; an integer beyond the float range counts as
+    infinite, as in :class:`model.TimeGrid`."""
     try:
         a = np.array(entries(), dtype=complex)
+    except _BooleanEntry:
+        raise ValidationError(f"{what}: entries must be numbers") from None
     except OverflowError:
         a = np.array([np.inf])
     except (TypeError, IndexError, KeyError, ValueError):
@@ -83,14 +99,16 @@ def _complex_array(entries, what: str) -> np.ndarray:
 
 
 def _pairs_to_matrix(rows, what: str) -> np.ndarray:
-    m = _complex_array(lambda: [[complex(re, im) for re, im in row] for row in rows], what)
+    m = _complex_array(lambda: [[complex(re, im) if re.__class__ is not bool is not im.__class__
+                                 else _boolean_entry() for re, im in row] for row in rows], what)
     if m.ndim != 2 or m.size == 0:
         raise ValidationError(f"{what}: expected a non-empty matrix of [re, im] pairs")
     return m
 
 
 def _pairs_to_vector(entries, what: str) -> np.ndarray:
-    return _complex_array(lambda: [complex(re, im) for re, im in entries], what)
+    return _complex_array(lambda: [complex(re, im) if re.__class__ is not bool is not im.__class__
+                                   else _boolean_entry() for re, im in entries], what)
 
 
 def _label_projector(labels, d1: int, what: str) -> np.ndarray:
@@ -278,6 +296,9 @@ def loads(text: str, name: str = "<string>",
     ), "grid_names"))
     if len(grid_names) != model.n_indices:
         raise ValidationError(f"{name}: grid_names length does not match the grid")
+    for k, label in enumerate(grid_names):
+        if label in grid_names[:k]:
+            raise ValidationError(f"grid_names: repeated label {label!r}")
     return Scenario(str(doc.get("name", name)), model, fam, predicates, grid_names)
 
 

@@ -101,6 +101,17 @@ def dense_propagators(steps, d: int, tol: linalg.Tolerance = DEFAULT_TOL) -> tup
     return tuple(cum)
 
 
+def dense_family(projectors) -> PhysicalFamily:
+    """The family of the given projectors held as dense explicit
+    projectors even when every one is a record: each restriction is a
+    d x d product, as ``PhysicalFamily`` applies any non-record family.
+    The reference for the labels form of a family of records."""
+    fam = PhysicalFamily.__new__(PhysicalFamily)
+    fam._projectors = tuple(linalg.as_matrix(p) for p in projectors)
+    fam._bases = fam._labels = None
+    return fam
+
+
 def partial_trace_2(m, d1: int, d2: int) -> np.ndarray:
     """Trace out the second tensor factor of a (d1*d2) x (d1*d2) matrix."""
     m = linalg.as_matrix(m)

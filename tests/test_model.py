@@ -352,19 +352,19 @@ def test_explicit_and_basis_families_answer_alike():
 
 
 def test_only_the_family_reads_its_storage_form():
-    # whether P(k) is held as a projector or as a range basis is read by
-    # PhysicalFamily alone: no other library module touches its storage,
-    # its restriction, or branches on a restriction's frame, and nothing
-    # in model.py outside the class body reads its storage or branches on
-    # a frame
+    # whether P(k) is held as a projector, by its labels or as a range
+    # basis is read by PhysicalFamily alone: no other library module
+    # touches its storage, its restriction, or branches on a restriction's
+    # frame, and nothing in model.py outside the class body reads its
+    # storage or branches on a frame
     sites = []
     for path in sorted(Path(physborn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        private = {"_projectors", "_bases", "_restrict", "restrict"}
+        private = {"_projectors", "_bases", "_labels", "_restrict", "restrict"}
         if path.name == "model.py":
             tree.body = [node for node in tree.body
                          if not (isinstance(node, ast.ClassDef) and node.name == "PhysicalFamily")]
-            private = {"_projectors", "_bases"}
+            private = {"_projectors", "_bases", "_labels"}
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)

@@ -310,6 +310,38 @@ def test_an_integer_beyond_the_float_range_is_a_non_finite_entry(where, field, t
         "", f"validation error: {field}: non-finite entry (NaN or infinity)\n")
 
 
+def _boolean_entry(where: str) -> dict:
+    """The reference document with one entry the pair [true, false]: in
+    step 0, family projector 1, a predicate matrix, or the initial state
+    of the forward-closure form of :func:`_forward_closure_doc`."""
+    if where == "step":
+        return _set(["steps", 0, 0, 0], [True, False])
+    if where == "family":
+        return _set(["family", "projectors", 1, 0, 0], [True, False])
+    if where == "predicate":
+        return _set(["predicates", "I"], {"matrix": [[[True, False]] * 5] * 5})
+    doc = json.loads(json.dumps(_forward_closure_doc("1")))   # unshare the states
+    doc["family"]["initial"][0][0] = [True, False]
+    return doc
+
+
+@pytest.mark.parametrize("where, field", [
+    ("step", "step 0"),
+    ("family", "family projector 1"),
+    ("predicate", "predicate 'I'"),
+    ("initial", "family initial state 0"),
+])
+def test_a_boolean_entry_is_refused_naming_its_field(where, field, tmp_path):
+    # complex() reads true and false as 1 and 0; grid and labels already
+    # refuse booleans, and so does every matrix and vector entry
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(_boolean_entry(where)))
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["validate", str(path)], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == (
+        "", f"validation error: {field}: entries must be numbers\n")
+
+
 def _vector_entry_with_a_third_number():
     doc = _forward_closure_doc("1")
     doc["family"]["initial"][0][0].append(9.0)
@@ -331,8 +363,9 @@ def _vector_entry_with_a_third_number():
      "predicate 'I' has shape (1, 1), expected (5, 5)"),
     (lambda: _set(["grid_names"], ["ts", "t0"]),
      "{path}: grid_names length does not match the grid"),
+    (lambda: _set(["grid_names"], ["a", "a", "a"]), "grid_names: repeated label 'a'"),
 ], ids=["dimensions", "empty-matrix", "vector-pairs", "zero-projector",
-        "predicate-form", "predicate-shape", "grid_names-length"])
+        "predicate-form", "predicate-shape", "grid_names-length", "grid_names-repeated"])
 def test_each_loads_refusal_exits_two_naming_its_field(doc, message, tmp_path):
     # one mutation of the reference dump per refusal of loads
     path = tmp_path / "malformed.json"
