@@ -170,14 +170,12 @@ def _cmd_prob(args, tol, out) -> int:
         if idx is None or k != outcomes.k:
             raise UsageError("--outcome must name a member of --outcomes at the same time")
         res = born.prob_intermediate_full(cond, outcomes, idx, k0)
-    elif rule == "sequence":
+    else:   # sequence, the last of the parser's choices
         if args.outcome is None or args.outcome2 is None:
             raise UsageError("--rule sequence needs --outcome and --outcome2")
         py1, k1 = _parse_at(sc, args.outcome, "--outcome")
         py2, k2 = _parse_at(sc, args.outcome2, "--outcome2")
         res = born.prob_sequence(cond, py1, k1, py2, k2, k0)
-    else:
-        raise UsageError(f"unknown rule {rule!r}")
 
     rows = [
         ("rule", res.rule),
@@ -254,15 +252,14 @@ def _cmd_scenario(args, tol, out) -> int:
         for name in BUILTIN_SCENARIOS:
             out.write(name + "\n")
         return EXIT_OK
-    if args.action == "dump":
-        if not args.name:
-            raise UsageError("scenario dump needs a scenario name")
-        try:
-            out.write(dump_builtin(args.name, tol) + "\n")
-        except KeyError as exc:
-            raise UsageError(exc.args[0]) from None
-        return EXIT_OK
-    raise UsageError(f"unknown scenario action {args.action!r}")
+    # dump, the other of the parser's choices
+    if not args.name:
+        raise UsageError("scenario dump needs a scenario name")
+    try:
+        out.write(dump_builtin(args.name, tol) + "\n")
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+    return EXIT_OK
 
 
 def build_parser() -> _Parser:

@@ -261,7 +261,7 @@ def _condition1_indices(cond: ConditionSpec, top: int):
     G_0 is held for the whole scan, so an index whose block already differs
     from index 0 costs one trimming product; only indices that match it are
     compared with every index 1..k-1, each built again (a complement factor
-    on an explicit family is d x d).  Index 0 qualifies vacuously and is
+    is d x d).  Index 0 qualifies vacuously and is
     always yielded last.
     """
     h0 = _held_factor(cond, 0)
@@ -276,18 +276,15 @@ def _condition1_indices(cond: ConditionSpec, top: int):
 
 def _condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
     """Demand (2) at k: P(k) X(k) = X(k) within eps_zero, for the lifted
-    X(k) = W_x W_x^dagger that ``rep`` holds.  P X - X = -((I - P) W_x)
-    W_x^dagger, whose Frobenius norm is ||(I - P) W_x||_F.  P X = X implies
-    [X, P] = 0, so a non-commuting X(k) reads false."""
-    model = cond.model
+    X(k) = W_x W_x^dagger that ``rep`` holds.  P X - X = (P W_x - W_x)
+    W_x^dagger, whose Frobenius norm is ||P W_x - W_x||_F; the dense
+    test, between the bounds, measures that same product of blocks.  P X
+    = X implies [X, P] = 0, so a non-commuting X(k) reads false."""
     w = rep.lifted(k)
-    frob = np.linalg.norm(w - cond.fam.apply(k, w))
-
-    def measure():
-        px = w @ w.conj().T
-        return linalg.max_abs(cond.fam.at(k) @ px - px)
-
-    return linalg.within_zero(frob, frob / model.dim, measure, cond.tol)
+    miss = cond.fam.apply(k, w) - w
+    frob = np.linalg.norm(miss)
+    return linalg.within_zero(frob, frob / cond.model.dim,
+                              lambda: linalg.max_abs(miss @ w.conj().T), cond.tol)
 
 
 def start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTime:

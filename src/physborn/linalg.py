@@ -71,19 +71,13 @@ def within_zero(upper: float, lower: float, measure, tol: Tolerance) -> bool:
     builds D densely and returns its max entry magnitude.
 
     The callers hold D as blocks with d rows and get both bounds from
-    them: in O(d r m) for a d x m block against a family of rank r, and
-    in O(d m^2) for the commutator with an explicit projector.  The d x d
-    matrix is formed only for a near miss.
+    them, in O(d r m) for a d x m block against a family of rank r.  The
+    d x d matrix is formed only for a near miss.
     """
     if upper <= tol.eps_zero:
         return True
     if lower > tol.eps_zero:
         return False
-    return _measured_within_zero(measure, tol)
-
-
-def _measured_within_zero(measure, tol: Tolerance) -> bool:
-    """The dense max-entry test that decides between the bounds."""
     return measure() <= tol.eps_zero
 
 

@@ -13,19 +13,23 @@ that frame.
 
 The nested family of subspaces describing which state vectors are
 physically admissible at each time is carried by ``PhysicalFamily`` and
-validated against the nesting law P(j) P(k) = P(j) for j < k.  A family
-built by :func:`forward_closure` keeps one orthonormal d x r range basis
-per index.  A family of given projectors that are all records (diagonal,
-each entry exactly 0 or 1) keeps each one's labels and applies it by
-gathering and scattering rows, so that the identity costs nothing; any
-other given family keeps its dense projectors.  :func:`lift_system1` and
+validated against the nesting law P(j) P(k) = P(j) for j < k.  Every
+P(k) is applied through one frame, an isometry F with P(k) = F F^dagger:
+a record (diagonal, each entry exactly 0 or 1) by its labels, applied by
+gathering and scattering rows so that the identity costs nothing, and
+anything else by an orthonormal d x r range basis.  A family built by
+:func:`forward_closure` keeps its range bases; a family of given
+projectors that are all records keeps only their labels; any other
+given family keeps its matrices as given for :meth:`PhysicalFamily.at`
+and validation, and applies each P(k) through the range basis of the
+given matrix, found on first use.  :func:`lift_system1` and
 :func:`lift_system2` return a d x m orthonormal basis of the lifted range
 at their grid index, so that the rules work on d x r and d x m blocks; a
 dense d x d projector is formed only where a public function returns
 one.  A record factor projector is lifted by gathering V(k)'s rows (or
 columns) at its labels.  ``PhysicalFamily`` is the one owner of its
 storage form: no code outside the class, in this module or another, asks
-whether P(k) is held as a projector, by its labels or as a range basis.
+whether P(k) is given as a matrix, held by its labels or as a range basis.
 :func:`validate_family` is one loop over the indices and the pairs j < k
 for every form, and the class holds each form's tests of an index and of
 a pair.
@@ -266,38 +270,50 @@ class PhysicalFamily:
     later ones) is checked by :func:`validate_family`, not at
     construction.
 
-    The family holds each P(k) in one of three forms.
-    ``PhysicalFamily(projectors)`` keeps the given dense projectors and
-    applies them as they are, unless every one of them is a record
-    (:func:`linalg.record_labels`: diagonal, each entry exactly 0 or 1);
-    then it keeps each record's size n and labels instead, with P(k) =
-    E E^dagger for the selection E = I[:, labels], and applies P(k) by
-    gathering rows: E^dagger B is B's rows at the labels, B itself when
-    they cover every index, so the identity costs nothing.
-    :meth:`from_bases` (what :func:`forward_closure` builds) keeps one
-    orthonormal d x r basis U per index, with P(k) = U U^dagger: the
-    family then holds O(d r) numbers per index, and applying P(k) to a
-    d x m block costs O(d r m).  For labels and bases :meth:`at` rebuilds
-    the dense projector on each call.  Callers use P(k) B (:meth:`apply`)
-    and B^dagger P(k) B (:meth:`sandwich`), whatever the form.  Only this
-    class reads the form: a restriction's pair (frame, coef) is joined by
-    :meth:`_join`, the commutator norm of :func:`_commutes` comes from
-    :meth:`_commutator_frobenius`, and :func:`validate_family` asks it to
-    check each index (:meth:`_index_checks`) and each pair
-    (:meth:`_nests`).
+    Every P(k) is applied through one frame, an isometry F with P(k) = F
+    F^dagger, so that P(k) B = F (F^dagger B) and applying P(k) to a d x
+    m block costs O(d r m) for a rank r.  A record
+    (:func:`linalg.record_labels`: diagonal, each entry exactly 0 or 1) is
+    framed by its size n and labels, standing for the selection E =
+    I[:, labels]: E^dagger B is B's rows at the labels, and a record whose
+    labels cover every index is the identity, whose restriction hands B
+    back uncopied.  Anything else is framed by an orthonormal d x r range
+    basis U.  ``PhysicalFamily(projectors)`` frames a family whose every
+    given projector is a record by its labels and keeps no dense copy.
+    Any other given family keeps its matrices as given, which :meth:`at`
+    and :attr:`projectors` return and the dense checks of
+    :func:`validate_family` read, and frames P(k) by the range basis
+    :func:`_projector_basis` finds the first time a restriction needs it;
+    a loader validates the family before any rule applies it, so a given
+    matrix that fails validation is never decomposed.
+    :meth:`from_bases` (what :func:`forward_closure` builds) frames each
+    index by the given basis.  For labels and bases :meth:`at` rebuilds
+    the dense projector on each call.
+
+    Callers use P(k) B (:meth:`apply`) and B^dagger P(k) B
+    (:meth:`sandwich`), whatever the frame.  Only this class reads the
+    storage: :meth:`_restrict` is the one place that reads it to apply
+    P(k), and the pair (frame, coef) it returns, frame None standing for
+    the identity, is all that :meth:`_restrict_complement`,
+    :meth:`_join` and :meth:`_commutator_frobenius` read.
+    :func:`validate_family` asks the class to check each index
+    (:meth:`_index_checks`) and each pair (:meth:`_nests`).
     """
 
-    __slots__ = ("_projectors", "_bases", "_labels")
+    # _projectors: the given matrices of a family with a non-record P(k),
+    # else None.  _frames: one frame per index, a record's (n, labels) or
+    # a range basis, or None for a given projector whose basis is not yet
+    # found.
+    __slots__ = ("_projectors", "_frames")
 
     def __init__(self, projectors):
         projectors = tuple(linalg.as_matrix(p) for p in projectors)
         labels = tuple(linalg.record_labels(p) for p in projectors)
-        self._bases = None
         if None in labels:
-            self._projectors, self._labels = projectors, None
+            self._projectors, self._frames = projectors, [None] * len(projectors)
         else:
             self._projectors = None
-            self._labels = tuple((len(p), np.array(l, dtype=np.intp))
+            self._frames = tuple((len(p), np.array(l, dtype=np.intp))
                                  for p, l in zip(projectors, labels))
 
     @classmethod
@@ -305,13 +321,11 @@ class PhysicalFamily:
         """Family with P(k) = U_k U_k^dagger for the given orthonormal
         column bases U_k."""
         fam = cls.__new__(cls)
-        fam._projectors = fam._labels = None
-        fam._bases = tuple(bases)
+        fam._projectors, fam._frames = None, tuple(bases)
         return fam
 
     def __len__(self) -> int:
-        held = self._bases if self._projectors is None else self._projectors
-        return len(self._labels if held is None else held)
+        return len(self._frames)
 
     def _index(self, k: int) -> int:
         if not 0 <= k < len(self):
@@ -323,11 +337,11 @@ class PhysicalFamily:
         k = self._index(k)
         if self._projectors is not None:
             return self._projectors[k]
-        if self._labels is not None:
-            n, labels = self._labels[k]
+        frame = self._frames[k]
+        if isinstance(frame, tuple):
+            n, labels = frame
             return linalg.diagonal_projector(labels, n)
-        u = self._bases[k]
-        return u @ u.conj().T
+        return frame @ frame.conj().T
 
     @property
     def projectors(self) -> tuple:
@@ -336,43 +350,38 @@ class PhysicalFamily:
 
     def _restrict(self, k: int, block: np.ndarray) -> tuple:
         """P(k) block as a pair (frame, coef) with P(k) block = frame @ coef:
-        the index's range basis U with coef = U^dagger block; for a record,
-        its pair (n, labels) standing for the selection E with coef =
-        E^dagger block, the block's rows at the labels; or None with coef
-        = P(k) block for an explicit projector, and with coef the block
-        itself, uncopied, for a record whose labels cover every index."""
+        the index's range basis U (for a given non-record projector, the
+        one :func:`_projector_basis` finds at the first call, then kept)
+        with coef = U^dagger block; a record's pair (n, labels), standing
+        for the selection E, with coef = E^dagger block, the block's rows
+        at the labels; or None, the identity, with coef the block itself,
+        uncopied, for a record whose labels cover every index."""
         k = self._index(k)
-        if self._labels is not None:
-            n, labels = self._labels[k]
-            if n != len(block):
-                raise ShapeError(f"family index {k} is {n} x {n}, "
-                                 f"block has {len(block)} rows")
-            if len(labels) == n:
-                return None, block
-            return self._labels[k], block[labels]
-        if self._projectors is not None:
-            return None, self._projectors[k] @ block
-        u = self._bases[k]
-        return u, u.conj().T @ block
+        frame = self._frames[k]
+        if frame is None:
+            frame = self._frames[k] = _projector_basis(self._projectors[k])
+        if not isinstance(frame, tuple):
+            return frame, frame.conj().T @ block
+        n, labels = frame
+        if n != len(block):
+            raise ShapeError(f"family index {k} is {n} x {n}, block has {len(block)} rows")
+        return (None, block) if len(labels) == n else (frame, block[labels])
 
     def _restrict_complement(self, k: int, w: np.ndarray, restricted: tuple) -> tuple:
         """P(k) (I - w w^dagger) as a pair (frame, coef) with P(k) (I - w
         w^dagger) = frame @ coef, for a d x m orthonormal block w and
         ``restricted`` = ``self._restrict(k, w)`` = (frame, C): coef =
-        U^dagger - C w^dagger for the index's range basis U, E^dagger - C
-        w^dagger for a record's selection E (the identity when its labels
-        cover every index), or P(k) - C w^dagger for an explicit
-        projector.  For a record that is one product, -C w^dagger, plus 1
-        at (i, labels[i]).  For the other forms coef is the adjoint view of
-        the tall block U - w C^dagger or P(k) - w C^dagger, which is what
+        F^dagger - C w^dagger for the frame F.  For a record's selection E
+        or the identity that is one product, -C w^dagger, plus 1 at (i,
+        labels[i]) (at (i, i) for the identity).  For a range basis U coef
+        is the adjoint view of the tall block U - w C^dagger, which is what
         is computed."""
         frame, coef = restricted
-        if self._labels is None:
-            base = self._projectors[self._index(k)] if frame is None else frame
-            return frame, (base - w @ coef.conj().T).conj().T
-        labels = self._labels[self._index(k)][1]
+        if frame is not None and not isinstance(frame, tuple):
+            return frame, (frame - w @ coef.conj().T).conj().T
         wide = coef @ -w.conj().T
-        wide[np.arange(len(labels)), labels] += 1
+        rows = np.arange(len(wide))
+        wide[rows, rows if frame is None else frame[1]] += 1
         return frame, wide
 
     @staticmethod
@@ -392,41 +401,33 @@ class PhysicalFamily:
     def _commutator_frobenius(self, k: int, w: np.ndarray,
                               restricted: tuple | None = None) -> float:
         """||[W W^dagger, P(k)]||_F for a d x m orthonormal block W;
-        ``restricted`` is ``self._restrict(k, w)``, computed when not given.
+        ``restricted`` is ``self._restrict(k, w)`` = (frame, C), computed
+        when not given.
 
-        For a family of range bases, P(k) = U U^dagger with U of rank r and
-        the coefficient block C = U^dagger W is r x m.  With X = W W^dagger
-        the commutator is X P (I - X) - (I - X) P X, two parts with
-        orthogonal ranges that are each other's adjoints (U U^dagger is
-        Hermitian by construction), and (I - X) P X = U_perp C W^dagger for
-        U_perp = U - W C^dagger = (I - X) U.  So the norm is sqrt(2)
-        ||U_perp C||_F, in O(d r m).  The identity, a record with every
-        label, commutes with every W: the norm is 0.  For an explicit
-        projector or another record, G = P(k) W (the joined E C for a
-        record) splits as W A + R with A = W^dagger G and W^dagger R = 0,
-        and the squared norm is ||A - A^dagger||_F^2 + 2 ||R||_F^2, in O(d
-        m^2).
+        P(k) = F F^dagger for the frame F, a range basis U or a record's
+        selection E, and C = F^dagger W.  With X = W W^dagger the
+        commutator is X P (I - X) - (I - X) P X, two parts with orthogonal
+        ranges that are each other's adjoints (F F^dagger is Hermitian by
+        construction), and (I - X) P X = (F - W C^dagger) C W^dagger.  So
+        the norm is sqrt(2) ||F C - W (C^dagger C)||_F, in O(d r m), with
+        F C the joined restriction.  The identity commutes with every W:
+        the norm is 0.
         """
         frame, coef = self._restrict(k, w) if restricted is None else restricted
-        if self._labels is not None and frame is None:
+        if frame is None:
             return 0.0
-        if self._bases is None:
-            g = self._join(frame, coef)
-            a = w.conj().T @ g
-            return math.hypot(np.linalg.norm(a - a.conj().T),
-                              math.sqrt(2) * np.linalg.norm(g - w @ a))
-        return math.sqrt(2) * np.linalg.norm((frame - w @ coef.conj().T) @ coef)
+        return math.sqrt(2) * np.linalg.norm(self._join(frame, coef) - w @ (coef.conj().T @ coef))
 
     def _index_checks(self, k: int, dim: int, tol: Tolerance) -> tuple:
         """(projector_ok, nonzero, e) of :func:`validate_family` for P(k);
         e is what the pair tests of :meth:`_nests` read for j = k.
 
-        A record is a projector exactly, so it passes when its size is
-        dim, and it is nonzero when it has a label; e is None.  An
-        explicit projector is checked densely, and a product that
-        overflows is non-finite and fails its check; e is None.  For P =
-        U U^dagger, e = ||E||_F with E = U^dagger U - I: P^2 - P = U E
-        U^dagger, whose Frobenius norm is at most (1 + ||E||_F) ||E||_F
+        A given matrix is checked densely, as given, and a product that
+        overflows is non-finite and fails its check; e is None.  A record
+        framed by its labels is a projector exactly, so it passes when its
+        size is dim, and it is nonzero when it has a label; e is None.
+        For P = U U^dagger, e = ||E||_F with E = U^dagger U - I: P^2 - P =
+        U E U^dagger, whose Frobenius norm is at most (1 + ||E||_F) ||E||_F
         and whose diagonal bounds its largest entry from below; U U^dagger
         is Hermitian up to rounding.  ||P||_F is ||U^dagger U||_F and the
         largest squared row norm of U is a diagonal entry of P.  The
@@ -434,15 +435,15 @@ class PhysicalFamily:
         settle the test, and the dense test runs only between the bounds
         (:func:`linalg.within_zero`).
         """
-        if self._labels is not None:
-            n, labels = self._labels[k]
-            return n == dim, len(labels) > 0, None
         if self._projectors is not None:
             p = self._projectors[k]
             with np.errstate(over="ignore", invalid="ignore"):
                 return (p.shape == (dim, dim) and linalg.is_projector(p, tol),
                         linalg.max_abs(p) > tol.eps_zero, None)
-        u = self._bases[k]
+        u = self._frames[k]
+        if isinstance(u, tuple):
+            n, labels = u
+            return n == dim, len(labels) > 0, None
         gram = u.conj().T @ u
         e = gram - np.eye(len(gram))
         e_norm = float(np.linalg.norm(e))
@@ -460,24 +461,24 @@ class PhysicalFamily:
         :meth:`_index_checks` at j; true for two P of different sizes,
         which the projector checks refuse.
 
-        Two records of one size nest when the labels of P(j) are among
-        those of P(k), since P(j) P(k) - P(j) is -1 at each label of P(j)
-        that P(k) lacks and 0 elsewhere.  An explicit pair is checked
-        densely, as in :meth:`_index_checks`.  For bases, P(j) P(k) -
-        P(j) = -U_j R^dagger with R = (I - P(k)) U_j, so its Frobenius
-        norm is at most ||U_j||_2 ||R||_F <= sqrt(1 + e_j) ||R||_F, and
-        its diagonal, taken only when that bound does not settle the test,
-        is the row-wise product of U_j and R.  One pair costs O(d r_j
-        r_k).
+        A pair of given matrices is checked densely, as in
+        :meth:`_index_checks`.  Two records of one size nest when the
+        labels of P(j) are among those of P(k), since P(j) P(k) - P(j) is
+        -1 at each label of P(j) that P(k) lacks and 0 elsewhere.  For
+        bases, P(j) P(k) - P(j) = -U_j R^dagger with R = (I - P(k)) U_j, so
+        its Frobenius norm is at most ||U_j||_2 ||R||_F <= sqrt(1 + e_j)
+        ||R||_F, and its diagonal, taken only when that bound does not
+        settle the test, is the row-wise product of U_j and R.  One pair
+        costs O(d r_j r_k).
         """
-        if self._labels is not None:
-            (nj, lj), (nk, lk) = self._labels[j], self._labels[k]
-            return nj != nk or bool(np.isin(lj, lk).all())
         if self._projectors is not None:
             pj, pk = self._projectors[j], self._projectors[k]
             with np.errstate(over="ignore", invalid="ignore"):
                 return pj.shape != pk.shape or linalg.max_abs(pj @ pk - pj) <= tol.eps_zero
-        uj, uk = self._bases[j], self._bases[k]
+        uj, uk = self._frames[j], self._frames[k]
+        if isinstance(uj, tuple):
+            (nj, lj), (nk, lk) = uj, uk
+            return nj != nk or bool(np.isin(lj, lk).all())
         if uj.shape[0] != uk.shape[0]:
             return True
         r = uj - uk @ (uk.conj().T @ uj)
@@ -530,9 +531,9 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     One loop for every storage form: each index is checked once
     (``PhysicalFamily._index_checks``), then each pair j < k
     (``PhysicalFamily._nests``).  A family of records is checked exactly
-    from its sizes and labels, and any other explicit family with dense d
-    x d products.  A family of range bases is checked from its
-    blocks, one pair at a time, and the dense max-entry test runs only
+    from its sizes and labels, and any other family of given matrices with
+    dense d x d products, as given.  A family of range bases is checked
+    from its blocks, one pair at a time, and the dense max-entry test runs only
     for a quantity that falls between the bounds of
     :func:`linalg.within_zero`; the verdicts are the same.
     """
@@ -612,8 +613,8 @@ def _sandwich_commutes(model: Model, fam: PhysicalFamily, s: int, a: np.ndarray,
     That matrix is F - F^dagger with F = G_a (a^dagger b) G_b^dagger, and
     ``fam._restrict`` gives G_a = frame C_a and G_b = frame C_b, with
     frame the range basis U or a record's selection I[:, labels] (C r x
-    m), or the identity for an explicit projector or the identity family
-    (C d x m).  The QR factorization [C_a, C_b] = Q [R_a, R_b]
+    m), or the identity (C d x m, the blocks themselves).  The QR
+    factorization [C_a, C_b] = Q [R_a, R_b]
     leaves F = frame Q E Q^dagger frame^dagger with E = R_a (a^dagger b)
     R_b^dagger, and frame and Q have orthonormal columns, so ||F -
     F^dagger||_F = ||E - E^dagger||_F on at most m_a + m_b rows: one
@@ -639,14 +640,15 @@ class Lifted:
     ``block`` is the held basis, W or Wbar.  Commutator tests read it as
     it is, since [I - Wbar Wbar^dagger, A] = -[Wbar Wbar^dagger, A].
     Everything trimmed to the family comes from the trimming pair
-    (:meth:`_trimming`): for a family of range bases, P(k) = U U^dagger of
-    rank r, that is the r x m block C = U^dagger W, or the r x d block B
-    = U^dagger X = U^dagger - Cbar Wbar^dagger with Cbar = U^dagger Wbar,
-    built in O(d r (d - m)).  So a complement is handled at the family's
-    rank too: P(k) X P(k) = U B B^dagger U^dagger, the weight of P(k) X
-    is ||B||_F, the support of P(k) X P(k) is U times the range of B, and
-    X P(k) X = B^dagger B.  No quantity is taken as a difference of norms
-    such as r - ||Cbar||_F^2.  A trace against X reads :meth:`factor`.
+    (:meth:`_trimming`): for the family's frame F at k, P(k) = F F^dagger
+    of rank r (a range basis U or a record's selection E), that is the r x
+    m block C = F^dagger W, or the r x d block B = F^dagger X = F^dagger -
+    Cbar Wbar^dagger with Cbar = F^dagger Wbar, built in O(d r (d - m)).
+    So a complement is handled at the family's rank too: P(k) X P(k) = F
+    B B^dagger F^dagger, the weight of P(k) X is ||B||_F, the support of
+    P(k) X P(k) is F times the range of B, and X P(k) X = B^dagger B.  No
+    quantity is taken as a difference of norms such as r - ||Cbar||_F^2.
+    A trace against X reads :meth:`factor`.
     """
 
     __slots__ = ("model", "block", "_complement")
@@ -683,7 +685,7 @@ class Lifted:
 
     def trimmed_range(self, fam: PhysicalFamily, k: int, r: np.ndarray) -> np.ndarray:
         """Range basis of T r^dagger for the trimmed factor T at k, at the
-        eps_eig cut, from the SVD of coef r^dagger (r rows for a basis family)."""
+        eps_eig cut, from the SVD of coef r^dagger (r rows for a frame of rank r)."""
         frame, coef = self._trimming(fam, k)
         return fam._join(frame, linalg.range_basis(coef @ r.conj().T, self.model.tol))
 
@@ -697,10 +699,10 @@ class Lifted:
 
     def has_weight(self, fam: PhysicalFamily, k: int, restricted: tuple | None = None) -> bool:
         """Whether P(k) X has an entry above eps_zero.  Its Frobenius norm
-        is ||coef||_F of :meth:`_trimming`: the r x m C or r x d B for a
-        family of range bases or of records, P(k) W or P(k) X itself for
-        an explicit projector.  That norm over d bounds its largest entry
-        from below."""
+        is ||coef||_F of :meth:`_trimming`, whatever the family's frame:
+        the r x m C or the r x d B, or W or I - Wbar Wbar^dagger itself for
+        the identity.  That norm over d bounds its largest entry from
+        below."""
         frame, coef = self._trimming(fam, k, restricted)
         frob = np.linalg.norm(coef)
 

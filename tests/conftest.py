@@ -54,15 +54,19 @@ INDEX_REFUSALS = (PhysbornError, IndexError)
 @pytest.fixture
 def fallbacks(monkeypatch) -> list:
     """Records each dense max-entry test that decides between the bounds
-    of ``linalg.within_zero``."""
+    of ``linalg.within_zero``: every ``measure`` it calls.  The library
+    looks ``within_zero`` up on ``linalg`` at each call, so wrapping it
+    there counts every caller."""
     calls = []
-    original = linalg._measured_within_zero
+    original = linalg.within_zero
 
-    def counted(measure, tol):
-        calls.append(measure)
-        return original(measure, tol)
+    def counted(upper, lower, measure, tol):
+        def measured():
+            calls.append(measure)
+            return measure()
+        return original(upper, lower, measured, tol)
 
-    monkeypatch.setattr(linalg, "_measured_within_zero", counted)
+    monkeypatch.setattr(linalg, "within_zero", counted)
     return calls
 
 
@@ -101,15 +105,42 @@ def dense_propagators(steps, d: int, tol: linalg.Tolerance = DEFAULT_TOL) -> tup
     return tuple(cum)
 
 
+class _DenseFamily(PhysicalFamily):
+    """A family that applies each given P(k) as a dense d x d product.
+    Its restriction is the pair (None, P(k) B): the identity frame with
+    coef P(k) B, which ``PhysicalFamily._join`` and ``sandwich`` read
+    as they read any pair, so only the complement and the commutator
+    norm, which read the frame, take their dense formulas here."""
+
+    __slots__ = ()
+
+    def _restrict(self, k, block):
+        return None, self.at(k) @ block
+
+    def _restrict_complement(self, k, w, restricted):
+        # P(k) (I - w w^dagger) = P(k) - C w^dagger for C = P(k) w
+        return None, (self.at(k) - w @ restricted[1].conj().T).conj().T
+
+    def _commutator_frobenius(self, k, w, restricted=None):
+        return dense_commutator_frobenius(self, k, w)
+
+
 def dense_family(projectors) -> PhysicalFamily:
-    """The family of the given projectors held as dense explicit
-    projectors even when every one is a record: each restriction is a
-    d x d product, as ``PhysicalFamily`` applies any non-record family.
-    The reference for the labels form of a family of records."""
-    fam = PhysicalFamily.__new__(PhysicalFamily)
-    fam._projectors = tuple(linalg.as_matrix(p) for p in projectors)
-    fam._bases = fam._labels = None
-    return fam
+    """The family of the given projectors with every restriction a d x d
+    product by P(k) as given, whatever the projectors are.  The
+    reference for a family framed by its records' labels and for a given
+    non-record family framed by its range bases."""
+    return _DenseFamily(projectors)
+
+
+def dense_commutator_frobenius(fam: PhysicalFamily, k: int, w: np.ndarray) -> float:
+    """||[W W^dagger, P(k)]||_F in the predicate's m-space, for any
+    family: G = P(k) W splits as W A + R with A = W^dagger G and
+    W^dagger R = 0, and the squared norm is ||A - A^dagger||_F^2 + 2
+    ||R||_F^2, in O(d m^2)."""
+    g = fam.apply(k, w)
+    a = w.conj().T @ g
+    return math.hypot(np.linalg.norm(a - a.conj().T), math.sqrt(2) * np.linalg.norm(g - w @ a))
 
 
 def partial_trace_2(m, d1: int, d2: int) -> np.ndarray:
@@ -591,12 +622,8 @@ def dense_condition1_indices(cond: ConditionSpec, top: int):
 
 def mspace_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) -> bool:
     """The earlier body of ``model._commutes``, in the predicate's m-space
-    for every family: G = P(k) W splits as W A + R with A = W^dagger G,
-    and ||[W W^dagger, P(k)]||_F^2 = ||A - A^dagger||_F^2 + 2 ||R||_F^2,
-    in O(d m^2)."""
-    g = fam.apply(k, w)
-    a = w.conj().T @ g
-    frob = math.hypot(np.linalg.norm(a - a.conj().T), math.sqrt(2) * np.linalg.norm(g - w @ a))
+    for every family (:func:`dense_commutator_frobenius`)."""
+    frob = dense_commutator_frobenius(fam, k, w)
     return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
 
 

@@ -352,19 +352,20 @@ def test_explicit_and_basis_families_answer_alike():
 
 
 def test_only_the_family_reads_its_storage_form():
-    # whether P(k) is held as a projector, by its labels or as a range
+    # whether P(k) is given as a matrix, held by its labels or as a range
     # basis is read by PhysicalFamily alone: no other library module
     # touches its storage, its restriction, or branches on a restriction's
     # frame, and nothing in model.py outside the class body reads its
     # storage or branches on a frame
+    storage = {"_projectors", "_frames", "_bases", "_labels"}
     sites = []
     for path in sorted(Path(physborn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        private = {"_projectors", "_bases", "_labels", "_restrict", "restrict"}
+        private = storage | {"_restrict", "restrict"}
         if path.name == "model.py":
             tree.body = [node for node in tree.body
                          if not (isinstance(node, ast.ClassDef) and node.name == "PhysicalFamily")]
-            private = {"_projectors", "_bases", "_labels"}
+            private = storage
         for node in ast.walk(tree):
             name = (node.attr if isinstance(node, ast.Attribute)
                     else node.id if isinstance(node, ast.Name)
@@ -374,4 +375,20 @@ def test_only_the_family_reads_its_storage_form():
             if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
                     and node.left.id == "frame"):
                 sites.append(f"{path.name}:{node.lineno} branches on a restriction frame")
+    # inside the class one method reads the storage to apply P(k),
+    # _restrict; the rest of the application reads only the frame it
+    # returns, and no application multiplies by the dense P(k) of at
+    family = next(node for node in ast.parse(Path(model.__file__).read_text()).body
+                  if isinstance(node, ast.ClassDef) and node.name == "PhysicalFamily")
+    readers = {"__init__", "from_bases", "__len__", "at", "_restrict", "_index_checks", "_nests"}
+    appliers = {"_restrict", "_restrict_complement", "_join", "_commutator_frobenius",
+                "apply", "sandwich"}
+    for method in family.body:
+        if not isinstance(method, ast.FunctionDef):
+            continue
+        attrs = {node.attr for node in ast.walk(method) if isinstance(node, ast.Attribute)}
+        if method.name not in readers and attrs & storage:
+            sites.append(f"PhysicalFamily.{method.name} reads {sorted(attrs & storage)}")
+        if method.name in appliers and attrs & {"at", "projectors"}:
+            sites.append(f"PhysicalFamily.{method.name} applies the dense P(k)")
     assert not sites
