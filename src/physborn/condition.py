@@ -255,22 +255,33 @@ def _same_trimming(cond: ConditionSpec, a: tuple, b: tuple) -> bool:
 def _condition1_indices(cond: ConditionSpec, top: int):
     """Indices k <= top that satisfy demand (1), in decreasing order.
 
+    The indices of one run of the family
+    (:meth:`model.PhysicalFamily.run_start`) hold one P(k), so their
+    trimmed factors are equal bit for bit and match each other: an index
+    qualifies exactly when the first index f of its run does, and f
+    qualifies when its trimmed operator matches that of the first index of
+    every earlier run.  So each run is decided once.  The run of index 0
+    qualifies with no product.  Any other run builds G_f once and compares
+    it with G_0, held from the first such run to the end of the scan; only
+    a run that matches G_0 is compared with the first index of each run
+    from index 1 up, each built again (a complement factor is d x d).
     Each trimmed operator is held as its factor with its norm
     (:func:`_held_factor`), and two are compared by :func:`_same_trimming`,
     which forms no d x d product unless the difference is near eps_zero.
-    G_0 is held for the whole scan, so an index whose block already differs
-    from index 0 costs one trimming product; only indices that match it are
-    compared with every index 1..k-1, each built again (a complement factor
-    is d x d).  Index 0 qualifies vacuously and is
-    always yielded last.
+    Index 0 qualifies vacuously and is always yielded last.
     """
-    h0 = _held_factor(cond, 0)
-    for k in range(top, 0, -1):
-        hk = _held_factor(cond, k)
-        if _same_trimming(cond, h0, hk) and all(
-            _same_trimming(cond, _held_factor(cond, t), hk) for t in range(1, k)
-        ):
-            yield k
+    fam, h0, k = cond.fam, None, top
+    while k > 0:
+        first = fam.run_start(k)
+        if first:
+            hf = _held_factor(cond, first)
+            h0 = h0 or _held_factor(cond, 0)
+            qualifies = _same_trimming(cond, h0, hf) and all(
+                _same_trimming(cond, _held_factor(cond, t), hf)
+                for t in range(1, first) if fam.run_start(t) == t)
+        if not first or qualifies:
+            yield from range(k, max(first - 1, 0), -1)
+        k = first - 1
     yield 0
 
 
@@ -299,13 +310,14 @@ def start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTi
     ``empty`` flag with index 0.
 
     Indices are scanned from k_c down to 0 and the first that qualifies
-    is returned.  Each index is first compared with index 0, so a scan
-    typically costs k_c+1 trimming products rather than one per pair of
-    indices.  Both demands are decided from blocks, with
-    the dense max-entry test only for a difference near eps_zero (see
-    :func:`linalg.within_zero`).  The demand-(1) index is computed once
-    per condition and kept on it; with ``rep`` the scan for both demands
-    starts from that index.
+    is returned.  The scan decides each run of equal P(k) once, first
+    against index 0 (:func:`_condition1_indices`), so it typically costs
+    one trimming product per run, and none on a family that is one run,
+    rather than one per pair of indices.  Both demands are decided from
+    blocks, with the dense max-entry test only for a difference near
+    eps_zero (see :func:`linalg.within_zero`).  The demand-(1) index is
+    computed once per condition and kept on it; with ``rep`` the scan for
+    both demands starts from that index.
     """
     k1 = cond._condition1_index
     if k1 is None:

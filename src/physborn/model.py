@@ -22,7 +22,9 @@ anything else by an orthonormal d x r range basis.  A family built by
 projectors that are all records keeps only their labels; any other
 given family keeps its matrices as given for :meth:`PhysicalFamily.at`
 and validation, and applies each P(k) through the range basis of the
-given matrix, found on first use.  :func:`lift_system1` and
+given matrix, found on first use.  The family knows its runs, the
+consecutive indices whose P(k) are exactly one matrix, decided with no
+tolerance, and frames and checks each run once.  :func:`lift_system1` and
 :func:`lift_system2` return a d x m orthonormal basis of the lifted range
 at their grid index, so that the rules work on d x r and d x m blocks; a
 dense d x d projector is formed only where a public function returns
@@ -290,6 +292,20 @@ class PhysicalFamily:
     index by the given basis.  For labels and bases :meth:`at` rebuilds
     the dense projector on each call.
 
+    The family is built knowing its runs: for each index, the first index
+    of the stretch of consecutive indices that hold one P
+    (:meth:`run_start`).  Equal P(k) in a nested family are consecutive,
+    so each index is compared with the one before, exactly and with no
+    tolerance: records by their sizes and label sets, range bases by
+    object (:func:`forward_closure` shares the basis of an index without
+    extras), and given matrices by object or entry for entry
+    (``np.array_equal``).  The indices of a record run share one frame
+    object, and a given projector is framed once per run, at the run's
+    first restriction.  :func:`validate_family` checks each run once and
+    :meth:`_nests` passes a pair inside a run with no product; the
+    start-index scan of :mod:`condition` builds one trimmed factor per
+    run, asking only for :meth:`run_start`.
+
     Callers use P(k) B (:meth:`apply`) and B^dagger P(k) B
     (:meth:`sandwich`), whatever the frame.  Only this class reads the
     storage: :meth:`_restrict` is the one place that reads it to apply
@@ -302,26 +318,33 @@ class PhysicalFamily:
 
     # _projectors: the given matrices of a family with a non-record P(k),
     # else None.  _frames: one frame per index, a record's (n, labels) or
-    # a range basis, or None for a given projector whose basis is not yet
-    # found.
-    __slots__ = ("_projectors", "_frames")
+    # a range basis, one object for a whole run; for given matrices, None
+    # until the run's first restriction frames its first index.  _runs:
+    # the first index of each index's run.
+    __slots__ = ("_projectors", "_frames", "_runs")
 
     def __init__(self, projectors):
         projectors = tuple(linalg.as_matrix(p) for p in projectors)
         labels = tuple(linalg.record_labels(p) for p in projectors)
         if None in labels:
             self._projectors, self._frames = projectors, [None] * len(projectors)
-        else:
-            self._projectors = None
-            self._frames = tuple((len(p), np.array(l, dtype=np.intp))
-                                 for p, l in zip(projectors, labels))
+            self._runs = _run_starts(projectors, lambda p, q: p is q or np.array_equal(p, q))
+            return
+        keys = tuple(zip(map(len, projectors), labels))
+        self._projectors, self._runs = None, _run_starts(keys, tuple.__eq__)
+        frames = []
+        for k, (n, l) in enumerate(keys):
+            frames.append(frames[-1] if self._runs[k] < k else (n, np.array(l, dtype=np.intp)))
+        self._frames = tuple(frames)
 
     @classmethod
     def from_bases(cls, bases) -> "PhysicalFamily":
         """Family with P(k) = U_k U_k^dagger for the given orthonormal
-        column bases U_k."""
+        column bases U_k; consecutive indices given one basis object form
+        a run."""
         fam = cls.__new__(cls)
         fam._projectors, fam._frames = None, tuple(bases)
+        fam._runs = _run_starts(fam._frames, lambda u, v: u is v)
         return fam
 
     def __len__(self) -> int:
@@ -331,6 +354,12 @@ class PhysicalFamily:
         if not 0 <= k < len(self):
             raise IndexError(f"family index {k} out of range [0, {len(self) - 1}]")
         return int(k)
+
+    def run_start(self, k: int) -> int:
+        """The first index j of the run that holds k: P(j), ..., P(k) are
+        one P, so every quantity built from P(k) alone is the same, bit for
+        bit, at each of them."""
+        return self._runs[self._index(k)]
 
     def at(self, k: int) -> np.ndarray:
         """The dense d x d projector P(k)."""
@@ -351,15 +380,17 @@ class PhysicalFamily:
     def _restrict(self, k: int, block: np.ndarray) -> tuple:
         """P(k) block as a pair (frame, coef) with P(k) block = frame @ coef:
         the index's range basis U (for a given non-record projector, the
-        one :func:`_projector_basis` finds at the first call, then kept)
+        one :func:`_projector_basis` finds at the first call in its run,
+        then kept for the run)
         with coef = U^dagger block; a record's pair (n, labels), standing
         for the selection E, with coef = E^dagger block, the block's rows
         at the labels; or None, the identity, with coef the block itself,
         uncopied, for a record whose labels cover every index."""
         k = self._index(k)
-        frame = self._frames[k]
+        r = self._runs[k]
+        frame = self._frames[r]
         if frame is None:
-            frame = self._frames[k] = _projector_basis(self._projectors[k])
+            frame = self._frames[r] = _projector_basis(self._projectors[r])
         if not isinstance(frame, tuple):
             return frame, frame.conj().T @ block
         n, labels = frame
@@ -419,8 +450,8 @@ class PhysicalFamily:
         return math.sqrt(2) * np.linalg.norm(self._join(frame, coef) - w @ (coef.conj().T @ coef))
 
     def _index_checks(self, k: int, dim: int, tol: Tolerance) -> tuple:
-        """(projector_ok, nonzero, e) of :func:`validate_family` for P(k);
-        e is what the pair tests of :meth:`_nests` read for j = k.
+        """(projector_ok, nonzero, e) of :func:`validate_family` for P(k),
+        which the pair tests of :meth:`_nests` read for j = k.
 
         A given matrix is checked densely, as given, and a product that
         overflows is non-finite and fails its check; e is None.  A record
@@ -456,13 +487,16 @@ class PhysicalFamily:
             lambda: linalg.max_abs(self.at(k)), tol)
         return projector_ok, nonzero, e_norm
 
-    def _nests(self, j: int, k: int, e_j, tol: Tolerance) -> bool:
-        """Whether P(j) P(k) = P(j) within eps_zero, for j < k and e_j of
-        :meth:`_index_checks` at j; true for two P of different sizes,
-        which the projector checks refuse.
+    def _nests(self, j: int, k: int, check_j: tuple, tol: Tolerance) -> bool:
+        """Whether P(j) P(k) = P(j) within eps_zero, for j < k and check_j
+        = (projector_ok, nonzero, e_j) of :meth:`_index_checks` at j; true
+        for two P of different sizes, which the projector checks refuse.
 
-        A pair of given matrices is checked densely, as in
-        :meth:`_index_checks`.  Two records of one size nest when the
+        Two indices of one run hold one P, and P P - P has no entry above
+        eps_zero when P passed its projector check, so such a pair nests
+        with no product; a P that failed it is tested as any other pair,
+        so the verdict stays the dense one.  A pair of given matrices is
+        checked densely, as in :meth:`_index_checks`.  Two records of one size nest when the
         labels of P(j) are among those of P(k), since P(j) P(k) - P(j) is
         -1 at each label of P(j) that P(k) lacks and 0 elsewhere.  For
         bases, P(j) P(k) - P(j) = -U_j R^dagger with R = (I - P(k)) U_j, so
@@ -471,6 +505,9 @@ class PhysicalFamily:
         settle the test, is the row-wise product of U_j and R.  One pair
         costs O(d r_j r_k).
         """
+        projector_ok, _, e_j = check_j
+        if projector_ok and self._runs[j] == self._runs[k]:
+            return True
         if self._projectors is not None:
             pj, pk = self._projectors[j], self._projectors[k]
             with np.errstate(over="ignore", invalid="ignore"):
@@ -528,7 +565,8 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     """Check projector validity, nonzeroness, and the nesting law
     P(j) P(k) = P(j) for every index pair j < k, each within eps_zero.
 
-    One loop for every storage form: each index is checked once
+    One loop for every storage form: each run of equal P(k)
+    (``PhysicalFamily.run_start``) is checked once at its first index
     (``PhysicalFamily._index_checks``), then each pair j < k
     (``PhysicalFamily._nests``).  A family of records is checked exactly
     from its sizes and labels, and any other family of given matrices with
@@ -539,13 +577,24 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     """
     checks, violations = [], []
     for k in range(len(fam)):
-        checks.append(fam._index_checks(k, model.dim, model.tol))
+        first = fam.run_start(k)
+        checks.append(checks[first] if first < k else fam._index_checks(k, model.dim, model.tol))
         violations += [(j, k) for j in range(k)
-                       if not fam._nests(j, k, checks[j][2], model.tol)]
+                       if not fam._nests(j, k, checks[j], model.tol)]
     proj_ok = tuple(c[0] for c in checks)
     nonzero = tuple(c[1] for c in checks)
     passed = len(fam) == model.n_indices and all(proj_ok) and all(nonzero) and not violations
     return FamilyValidation(proj_ok, nonzero, tuple(sorted(violations)), passed)
+
+
+def _run_starts(items, same) -> tuple:
+    """For each index, the first index of its run: the longest stretch of
+    consecutive items, ending there, that ``same`` finds equal pair by
+    pair."""
+    starts = []
+    for k, item in enumerate(items):
+        starts.append(starts[-1] if k and same(items[k - 1], item) else k)
+    return tuple(starts)
 
 
 def _row_norms2(g: np.ndarray) -> np.ndarray:

@@ -255,6 +255,8 @@ def loads(text: str, name: str = "<string>",
                 index = int(k)
             except ValueError:
                 raise ValidationError(f"family extras: index {k!r} is not an integer") from None
+            if index in extras:
+                raise ValidationError(f"family extras: repeated index {index}")
             extras[index] = [
                 _pairs_to_vector(v, f"family extra at index {k}")
                 for v in _list(vs, f"family extras at index {k}")

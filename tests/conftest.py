@@ -21,6 +21,7 @@ from physborn.condition import (
     check_k0,
     observable_rep,
     support_at,
+    trimmed,
 )
 from physborn.errors import (
     DomainError,
@@ -650,6 +651,27 @@ def dense_start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> S
         if dense_condition2_holds(cond, rep, k):
             return StartTime(k, False, k1)
     return StartTime(0, True, k1)
+
+
+def quadratic_start_time(cond: ConditionSpec, rep: ObservableRep | None = None) -> StartTime:
+    """The start index by definition: every index is checked against
+    every earlier one, and the latest qualifying index wins."""
+    def demand1(k):
+        tk = trimmed(cond, k)
+        return all(linalg.approx_equal(trimmed(cond, t), tk, cond.tol) for t in range(k))
+
+    def demand2(k):
+        px = dense_rep_projector(rep, k)
+        return linalg.approx_equal(physical_restrict(cond.model, cond.fam, px, k), px, cond.tol)
+
+    cond1 = [k for k in range(cond.k_c + 1) if demand1(k)]
+    k1 = max(cond1)
+    if rep is None:
+        return StartTime(k1, False, k1)
+    joint = [k for k in cond1 if demand2(k)]
+    if not joint:
+        return StartTime(0, True, k1)
+    return StartTime(max(joint), False, k1)
 
 
 def dense_validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:

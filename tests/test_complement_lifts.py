@@ -269,6 +269,10 @@ def test_check_k0_zero_makes_no_trimming_product(monkeypatch):
         return original(cond, k)
 
     monkeypatch.setattr(condition, "_trim", counting)
+    scans = []
+    scan = condition.start_time
+    monkeypatch.setattr(condition, "start_time",
+                        lambda cond, *rest: scans.append(cond) or scan(cond, *rest))
     ref = build_reference_experiment()
     cond = ref.condition("I", ref.T0)
     assert check_k0(cond, 0) == 0
@@ -278,11 +282,14 @@ def test_check_k0_zero_makes_no_trimming_product(monkeypatch):
                               _split(ref.model, ref.predicate("Fup"), ref.T1))
     outcome_probability(proc, 0)
     assert calls == []
-    # k0 > T_s is still refused by the scan, with its message
+    assert scans == []
+    # k0 > T_s is still refused by the scan, with its message; indices 0
+    # and 1 hold one run of the family, so the scan makes no product
     with pytest.raises(DomainError,
                        match=r"^k0=2 is later than the condition's start index T_s=1$"):
         check_k0(cond, 2)
-    assert calls
+    assert scans == [cond]
+    assert calls == []
 
 
 def test_only_the_model_reads_the_held_form():

@@ -24,10 +24,9 @@ from physborn.errors import (
 from physborn.model import Model, PhysicalFamily, TimeGrid
 
 from conftest import (
-    dense_rep_projector,
     drifting_condition,
     expanded_condition_operator,
-    physical_restrict,
+    quadratic_start_time,
     random_model,
     random_nested_family,
     random_projector,
@@ -144,33 +143,12 @@ def test_start_time_trimming_constancy():
     assert not ts.empty
 
 
-def _quadratic_start_time(cond, rep=None):
-    """The start index by definition: every index is checked against
-    every earlier one, and the latest qualifying index wins."""
-    def demand1(k):
-        tk = trimmed(cond, k)
-        return all(linalg.approx_equal(trimmed(cond, t), tk, cond.tol) for t in range(k))
-
-    def demand2(k):
-        px = dense_rep_projector(rep, k)
-        return linalg.approx_equal(physical_restrict(cond.model, cond.fam, px, k), px, cond.tol)
-
-    cond1 = [k for k in range(cond.k_c + 1) if demand1(k)]
-    k1 = max(cond1)
-    if rep is None:
-        return StartTime(k1, False, k1)
-    joint = [k for k in cond1 if demand2(k)]
-    if not joint:
-        return StartTime(0, True, k1)
-    return StartTime(max(joint), False, k1)
-
-
 def test_start_time_matches_quadratic_oracle_on_drifting_families():
     rng = np.random.default_rng(46)
     non_transitive, kinds = 0, set()
     for _ in range(300):
         cond = drifting_condition(rng)
-        expected = _quadratic_start_time(cond)
+        expected = quadratic_start_time(cond)
         assert start_time(cond) == expected
         kinds.add((expected.index == 0, expected.index == cond.k_c))
         # an index after T_s whose trimmed operator still matches index 0:
@@ -196,23 +174,28 @@ def test_start_time_computed_once_per_condition(monkeypatch):
     monkeypatch.setattr(condition, "_trim", counting)
     rng = np.random.default_rng(47)
     m = _trivial_model(rng, 4, 6)
-    fam = PhysicalFamily((np.eye(4, dtype=complex),) * 6)
     x1 = np.diag([1.0, 0, 0, 0]).astype(complex)
-    cond = ConditionSpec(m, fam, x1, 5)
-    # constant trimming: T_s = k_c after one product per index
-    assert start_time(cond) == StartTime(5, False, 5)
-    assert sorted(calls) == list(range(6))
-    calls.clear()
-    assert start_time(cond) == StartTime(5, False, 5)
-    check_k0(cond, 5)
-    condition_operator(cond, 3)
-    prob_forward(cond, x1, 5, k0=2)
-    assert calls == []
+    half = np.diag([1.0, 1.0, 0, 0]).astype(complex)
+    # constant trimming, T_s = k_c: the identity family is one run and
+    # needs no product; two runs need one product each, G_3 and G_0
+    for projectors, products in (((np.eye(4, dtype=complex),) * 6, []),
+                                 ((half,) * 3 + (np.eye(4, dtype=complex),) * 3, [0, 3])):
+        cond = ConditionSpec(m, PhysicalFamily(projectors), x1, 5)
+        calls.clear()
+        assert start_time(cond) == StartTime(5, False, 5)
+        assert sorted(calls) == products
+        calls.clear()
+        assert start_time(cond) == StartTime(5, False, 5)
+        check_k0(cond, 5)
+        condition_operator(cond, 3)
+        prob_forward(cond, x1, 5, k0=2)
+        assert calls == []
 
 
 def test_start_time_takes_each_trimmed_factor_norm_once(monkeypatch):
-    # the dense-textbook set-up: Haar steps and the identity family, so
-    # every trimmed factor matches and T_s = k_c = 22 takes 22 comparisons
+    # the dense-textbook set-up: Haar steps and the identity family, one
+    # run, so every index matches every earlier one with no factor built,
+    # no norm taken and no comparison made, and T_s = k_c = 22
     rng = np.random.default_rng(49)
     model = random_model(rng, 8, 16, 24)
     fam = PhysicalFamily((np.eye(model.dim, dtype=complex),) * 24)
@@ -224,7 +207,7 @@ def test_start_time_takes_each_trimmed_factor_norm_once(monkeypatch):
         assert cond.lifted._complement == (rank > 4)
         norms.clear()
         assert start_time(cond) == StartTime(22, False, 22)
-        assert len(norms) == 23 + 22    # one per factor G_0..G_22, one per comparison
+        assert norms == []
 
 
 def _swap_model():
@@ -245,7 +228,7 @@ def test_start_time_demand2_joint_below_condition1():
     assert start_time(cond) == StartTime(2, False, 2)
     ts = start_time(cond, rep)
     assert ts == StartTime(1, False, 2)
-    assert ts == _quadratic_start_time(cond, rep)
+    assert ts == quadratic_start_time(cond, rep)
 
 
 def test_start_time_demand2_empty_joint_set():
@@ -256,7 +239,7 @@ def test_start_time_demand2_empty_joint_set():
     # X(k) = label 0 lifts to span{|00>, |01>}, never inside span{|00>}
     ts = start_time(cond, rep)
     assert ts == StartTime(0, True, 2)
-    assert ts == _quadratic_start_time(cond, rep)
+    assert ts == quadratic_start_time(cond, rep)
 
 
 def test_demand2_of_a_representation_built_on_another_family():

@@ -9,6 +9,13 @@ range or a boolean into one entry.  ``physborn validate`` and one
 refused file must be refused by a message that names the mutated field.
 A given family is validated before any rule decomposes one of its
 matrices, so a matrix that fails validation never reaches a rule.
+
+A second property mutates the other fields of the dump, or of the same
+dump with a forward-closure family: it drops, retypes or resizes
+``dimensions``, ``grid``, ``grid_names``, ``predicates`` or the closure's
+``initial`` and ``extras``, or repeats a name (a grid label, a predicate
+name, an extras index), with the same demands on the exit and the
+message.
 """
 
 import io
@@ -78,6 +85,132 @@ def test_a_mutated_reference_dump_exits_cleanly(field, kind, i, j, entry):
                       "--cond", "I@t0", "--outcome", "notI@t1"]):
             code, err = _run(argv)
             assert code in (0, 2, 3), (argv[0], code, err)
+            assert "Traceback" not in err
+            if code == 2:
+                assert any(name in err for name in names), (names, err)
+
+
+VALUES = (None, True, "3", 3.5, [], {}, -1, 0, 10**400, float("nan"))
+PREDICATES = sorted(json.loads(REFERENCE)["predicates"])
+
+
+def _closure_doc() -> dict:
+    """The reference dump with a forward-closure family: a column of P(0)
+    as the initial state and a column of P(2) as the extra at index 2."""
+    doc = json.loads(REFERENCE)
+    p0, p2 = doc["family"]["projectors"][0], doc["family"]["projectors"][2]
+    column = lambda p, j: [row[j] for row in p]      # noqa: E731
+    nonzero = [j for j in range(len(p0)) if any(e != [0.0, 0.0] for e in column(p2, j))]
+    start = next(j for j in nonzero if any(e != [0.0, 0.0] for e in column(p0, j)))
+    extra = next(j for j in nonzero if j != start)
+    doc["family"] = {"type": "forward-closure", "initial": [column(p0, start)],
+                     "extras": {"2": [column(p2, extra)]}}
+    return doc
+
+
+def _mutate_field(doc: dict, field: str, kind: str, i: int, value) -> tuple:
+    """Apply one mutation to the field in place; return the texts an
+    exit-2 message may name."""
+    if field == "dimensions":
+        dims, key = doc["dimensions"], ("d1", "d2")[i % 2]
+        if kind == "drop":
+            del (doc if i % 3 == 2 else dims)["dimensions" if i % 3 == 2 else key]
+        elif kind == "retype":
+            doc["dimensions"] = value if i % 3 == 2 else dict(dims, **{key: value})
+        elif kind == "resize":
+            dims[key] += 1 + i
+        else:
+            dims["d2"] = dims["d1"]
+        return ("dimensions", "step 0")         # a step no longer fits
+    if field == "grid":
+        grid = doc["grid"]
+        if kind == "drop":
+            del doc["grid"]
+        elif kind == "retype":
+            if i % 2:
+                doc["grid"] = value
+            else:
+                grid[i % len(grid)] = value
+        elif kind == "resize":
+            if i % 2:
+                grid.append(grid[-1] + 1)
+            else:
+                del grid[-1]
+        else:
+            grid[1 + i % 2] = grid[i % 2]
+        return ("grid", "step unitaries")       # a step more or less than the grid
+    if field == "grid_names":
+        names = doc["grid_names"]
+        if kind == "drop":
+            del doc["grid_names"]
+        elif kind == "retype":
+            if i % 2:
+                doc["grid_names"] = value
+            else:
+                names[i % len(names)] = value
+        elif kind == "resize":
+            if i % 2:
+                names.append("extra")
+            else:
+                del names[-1]
+        else:
+            names[1 + i % 2] = names[i % 2]
+        return ("grid_names",)
+    if field == "predicates":
+        preds, name = doc["predicates"], PREDICATES[i % len(PREDICATES)]
+        if kind == "drop":
+            del (preds if i % 2 else doc)[name if i % 2 else "predicates"]
+        elif kind == "retype":
+            target = (doc, "predicates") if i % 3 == 0 else (preds, name) if i % 3 == 1 \
+                else (preds[name], "labels")
+            target[0][target[1]] = value
+        elif kind == "resize":
+            preds[name] = {"labels": list(range(6))} if i % 2 else {"matrix": [[[1.0, 0.0]]]}
+        else:
+            preds[name]["labels"] *= 2          # every label twice
+        return ("predicates", f"predicate {name!r}")
+    spec = doc["family"]
+    if kind == "drop":
+        del spec["initial" if i % 2 else "extras"]
+    elif kind == "retype":
+        target = ((spec, "initial"), (spec, "extras"), (spec["extras"], "2"),
+                  (spec["initial"], 0))[i % 4]
+        target[0][target[1]] = value
+    elif kind == "resize":
+        vector = spec["initial"][0] if i % 2 else spec["extras"]["2"][0]
+        if i % 4 < 2:
+            vector.append([0.0, 0.0])
+        else:
+            vector.pop()
+    else:
+        spec["extras"][("02", "+2", " 2")[i % 3]] = spec["extras"]["2"]
+    return ("family", "initial state", "extra state", "extras index")
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(field=st.sampled_from(("dimensions", "grid", "grid_names", "predicates", "closure")),
+       kind=st.sampled_from(("drop", "retype", "resize", "repeat")),
+       i=st.integers(0, 11), value=st.sampled_from(VALUES))
+@example(field="dimensions", kind="retype", i=0, value=10**400)
+@example(field="grid_names", kind="retype", i=0, value=None)
+@example(field="predicates", kind="repeat", i=2, value=None)
+@example(field="closure", kind="repeat", i=0, value=None)
+@example(field="closure", kind="drop", i=1, value=None)
+def test_a_mutated_scenario_field_exits_cleanly(field, kind, i, value):
+    doc = _closure_doc() if field == "closure" else json.loads(REFERENCE)
+    names = _mutate_field(doc, field, kind, i, value)
+    text = json.dumps(doc)
+    if field == "predicates" and kind == "repeat" and i % 2:
+        # a name given twice: JSON keeps the later entry
+        text = text.replace('"predicates": {', '"predicates": {"I": {"labels": [0]}, ', 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(text)
+        for argv in (["validate", str(path)],
+                     ["prob", "--scenario", str(path), "--rule", "forward",
+                      "--cond", "I@t0", "--outcome", "notI@t1"]):
+            code, err = _run(argv)
+            assert code in (0, 1, 2, 3), (argv[0], code, err)
             assert "Traceback" not in err
             if code == 2:
                 assert any(name in err for name in names), (names, err)

@@ -356,8 +356,9 @@ def test_only_the_family_reads_its_storage_form():
     # basis is read by PhysicalFamily alone: no other library module
     # touches its storage, its restriction, or branches on a restriction's
     # frame, and nothing in model.py outside the class body reads its
-    # storage or branches on a frame
-    storage = {"_projectors", "_frames", "_bases", "_labels"}
+    # storage or branches on a frame; other code asks for a run only
+    # through run_start
+    storage = {"_projectors", "_frames", "_runs", "_bases", "_labels"}
     sites = []
     for path in sorted(Path(physborn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -380,7 +381,8 @@ def test_only_the_family_reads_its_storage_form():
     # returns, and no application multiplies by the dense P(k) of at
     family = next(node for node in ast.parse(Path(model.__file__).read_text()).body
                   if isinstance(node, ast.ClassDef) and node.name == "PhysicalFamily")
-    readers = {"__init__", "from_bases", "__len__", "at", "_restrict", "_index_checks", "_nests"}
+    readers = {"__init__", "from_bases", "__len__", "run_start", "at", "_restrict",
+               "_index_checks", "_nests"}
     appliers = {"_restrict", "_restrict_complement", "_join", "_commutator_frobenius",
                 "apply", "sandwich"}
     for method in family.body:

@@ -364,8 +364,11 @@ def _vector_entry_with_a_third_number():
     (lambda: _set(["grid_names"], ["ts", "t0"]),
      "{path}: grid_names length does not match the grid"),
     (lambda: _set(["grid_names"], ["a", "a", "a"]), "grid_names: repeated label 'a'"),
+    (lambda: _set(["family", "extras", "02"], [], _forward_closure_doc("2")),
+     "family extras: repeated index 2"),
 ], ids=["dimensions", "empty-matrix", "vector-pairs", "zero-projector",
-        "predicate-form", "predicate-shape", "grid_names-length", "grid_names-repeated"])
+        "predicate-form", "predicate-shape", "grid_names-length", "grid_names-repeated",
+        "extras-repeated"])
 def test_each_loads_refusal_exits_two_naming_its_field(doc, message, tmp_path):
     # one mutation of the reference dump per refusal of loads
     path = tmp_path / "malformed.json"
