@@ -195,6 +195,21 @@ def near_record_labels(p: np.ndarray, tol: Tolerance) -> tuple | None:
     return tuple(labels.tolist())
 
 
+def support_indices(m: np.ndarray, base: int) -> np.ndarray:
+    """The sorted indices S of the nonzero rows and columns of m - base I
+    for a square m and a base of 0 or 1, from exact zeros: m equals
+    base I outside S x S.  For a step (base 1) S is the set of indices it
+    moves; for a projector (base 0) it is its support."""
+    d = len(m)
+    # each entry's real and imaginary parts, compared as floats: several
+    # times faster than comparing the complex numbers
+    nonzero = (np.ascontiguousarray(m).view(np.float64) != 0).reshape(d, d, 2)
+    i = np.arange(d)
+    nonzero[i, i] = (np.diagonal(m) != base)[:, None]
+    rows = nonzero.reshape(d, 2 * d).any(axis=1)
+    return np.flatnonzero(rows | nonzero.any(axis=0).any(axis=1))
+
+
 def diagonal_projector(labels, n: int) -> np.ndarray:
     """n x n projector onto the given standard basis labels (a record)."""
     p = np.zeros((n, n), dtype=complex)

@@ -92,12 +92,12 @@ class Model:
 
     ``steps[k]`` propagates grid index k -> k+1 in the Schrodinger
     picture and must be unitary on the full d1*d2 space.  For each step U
-    the model finds the set S of indices it moves (:func:`_moved`) and
-    checks unitarity on the principal block U[S, S]: U^dagger U - I is
-    exactly zero outside S x S and sums the same terms inside it, so the
-    verdict is the dense one.  V(k) is V(k-1) with the rows in S replaced
-    by U[S, S] V(k-1)[S, :], from V(0) = I; a step with S empty shares
-    V(k-1), uncopied.  Every step's shape is checked before V(0) is
+    the model finds the set S of indices it moves
+    (:func:`linalg.support_indices`) and checks unitarity on the principal
+    block U[S, S]: U^dagger U - I is exactly zero outside S x S and sums
+    the same terms inside it, so the verdict is the dense one.  V(k) is
+    V(k-1) with the rows in S replaced by U[S, S] V(k-1)[S, :], from
+    V(0) = I; a step with S empty shares V(k-1), uncopied.  Every step's shape is checked before V(0) is
     built.
     """
 
@@ -123,7 +123,7 @@ class Model:
                 raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
         cum = [np.eye(d, dtype=complex)]
         for k, u in enumerate(steps):
-            s = _moved(u)
+            s = linalg.support_indices(u, 1)
             block = u[np.ix_(s, s)]
             if not linalg.is_unitary(block, self.tol):
                 raise ValidationError(f"step {k} is not unitary within eps_zero")
@@ -141,19 +141,6 @@ class Model:
     @property
     def n_indices(self) -> int:
         return len(self.grid)
-
-
-def _moved(u: np.ndarray) -> np.ndarray:
-    """The sorted indices S of the nonzero rows and columns of U - I,
-    from exact zeros."""
-    d = len(u)
-    # each entry's real and imaginary parts, compared as floats: several
-    # times faster than comparing the complex numbers
-    nonzero = (np.ascontiguousarray(u).view(np.float64) != 0).reshape(d, d, 2)
-    i = np.arange(d)
-    nonzero[i, i] = (np.diagonal(u) != 1)[:, None]
-    rows = nonzero.reshape(d, 2 * d).any(axis=1)
-    return np.flatnonzero(rows | nonzero.any(axis=0).any(axis=1))
 
 
 def cumulative_propagator(model: Model, k: int) -> np.ndarray:

@@ -5,6 +5,13 @@ unitaries, physical family, and named system1 predicates.  Complex
 numbers are stored as [re, im] pairs so the format stays diffable and
 binary-free.  Loading validates every declared object and fails naming
 the first offender.
+
+Format 2 writes a step, or a given family projector, by the indices S
+it does not leave alone: ``{"indices": S, "block": M[S, S]}``, where a
+step equals the identity and a projector equals zero outside S x S
+(:func:`linalg.support_indices`).  A matrix whose S is every index is
+written as a dense matrix, the only form of format 1; both forms load
+in either format.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .errors import ValidationError
 from .linalg import DEFAULT_TOL, Tolerance
 from .model import Model, PhysicalFamily, TimeGrid, forward_closure, validate_family
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -98,11 +105,52 @@ def _complex_array(entries, what: str) -> np.ndarray:
     return a
 
 
+def _pairs_to_array(rows, what: str) -> np.ndarray:
+    return _complex_array(lambda: [[complex(re, im) if re.__class__ is not bool is not im.__class__
+                                    else _boolean_entry() for re, im in row] for row in rows], what)
+
+
 def _pairs_to_matrix(rows, what: str) -> np.ndarray:
-    m = _complex_array(lambda: [[complex(re, im) if re.__class__ is not bool is not im.__class__
-                                 else _boolean_entry() for re, im in row] for row in rows], what)
+    m = _pairs_to_array(rows, what)
     if m.ndim != 2 or m.size == 0:
         raise ValidationError(f"{what}: expected a non-empty matrix of [re, im] pairs")
+    return m
+
+
+def _indices(value, d: int, what: str) -> list:
+    """The indices of a block entry: integers in 0..d-1, strictly increasing."""
+    indices = _list(value, what)
+    for k, i in enumerate(indices):
+        if not _is_integer(i) or not 0 <= i < d:
+            raise ValidationError(f"{what}: {i!r} is not an integer in 0..{d - 1}")
+        if k and i <= indices[k - 1]:
+            raise ValidationError(f"{what}: {i!r} follows {indices[k - 1]!r}; "
+                                  "indices must be strictly increasing")
+    return indices
+
+
+def _square_entry(entry, d: int, base: int, what: str) -> np.ndarray:
+    """A step (``base`` 1) or a family projector (``base`` 0) from its
+    file entry: a dense matrix of [re, im] pairs, or ``{"indices": S,
+    "block": B}`` with B scattered onto base I at S x S.  An empty S takes
+    the empty block ``[]``.  A malformed S or a block of the wrong shape is
+    refused naming the field; an entry of B that is not a finite number is
+    refused by the message a dense matrix gives."""
+    if not isinstance(entry, dict):
+        return _pairs_to_matrix(entry, what)
+    indices = _indices(entry.get("indices"), d, f"{what} indices")
+    rows = _list(entry.get("block"), f"{what} block")
+    n = len(indices)
+    if len(rows) != n or not all(isinstance(row, list) and len(row) == n for row in rows):
+        raise ValidationError(f"{what} block: expected a {n}x{n} matrix of [re, im] pairs, "
+                              f"one row and column per index")
+    block = _pairs_to_array(rows, what)   # an entry is refused as in a dense matrix
+    try:
+        m = np.eye(d, dtype=complex) if base else np.zeros((d, d), dtype=complex)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"{what}: d = d1 d2 is too large for a d x d matrix") from None
+    if n:
+        m[np.ix_(indices, indices)] = block
     return m
 
 
@@ -131,6 +179,8 @@ class _Held:
 def _layout(items: list, pad: str) -> str:
     """Rendered list items laid out as ``json.dumps(indent=2)`` lays out a
     list whose opening line starts with ``pad``."""
+    if not items:
+        return "[]"
     inner = pad + "  "
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
@@ -172,10 +222,21 @@ def _render(doc: dict) -> str:
     return "".join(parts)
 
 
+def _entry(m: np.ndarray, base: int):
+    """A step (``base`` 1) or a family projector (``base`` 0) as the file
+    holds it: the block form on the S of :func:`linalg.support_indices`,
+    or the dense matrix when S is every index."""
+    s = linalg.support_indices(m, base)
+    if len(s) == len(m):
+        return _Held(m)
+    return {"indices": s.tolist(), "block": _Held(m[np.ix_(s, s)])}
+
+
 def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
               grid_names=None, family_spec: dict | None = None) -> str:
     """Render a scenario as a deterministic JSON string.
 
+    Each step and family projector is written as :func:`_entry` holds it.
     The family is stored as explicit projectors unless ``family_spec``
     supplies a forward-closure description to embed instead.  A predicate
     is stored as ``labels`` when it is within the model's ``eps_zero`` of
@@ -189,10 +250,10 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
         "grid": list(model.grid.times),
         "grid_names": list(grid_names) if grid_names else
                       [str(k) for k in range(model.n_indices)],
-        "steps": [_Held(u) for u in model.steps],
+        "steps": [_entry(u, 1) for u in model.steps],
         "family": family_spec if family_spec is not None else {
             "type": "explicit",
-            "projectors": [_Held(p) for p in fam.projectors],
+            "projectors": [_entry(p, 0) for p in fam.projectors],
         },
         "predicates": {},
     }
@@ -208,13 +269,26 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
 
 def loads(text: str, name: str = "<string>",
           tol: Tolerance = DEFAULT_TOL) -> Scenario:
-    """Parse and validate a scenario document."""
+    """Parse and validate a scenario document of format 1 or 2; a
+    document without ``format`` is format 1."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            key = next(key for k, key in enumerate(keys) if key in keys[:k])
+            raise ValidationError(f"{name}: repeated key {key!r} in one object")
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{name}: not valid JSON at line {exc.lineno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{name}: top level must be an object")
+    version = doc.get("format", 1)
+    if not (_is_integer(version) and version in (1, 2)):
+        raise ValidationError(f"{name}: format must be 1 or 2, got {version!r}")
 
     def need(key):
         if key not in doc:
@@ -225,13 +299,15 @@ def loads(text: str, name: str = "<string>",
     d1, d2 = (dims.get("d1"), dims.get("d2")) if isinstance(dims, dict) else (None, None)
     if not (_is_integer(d1) and _is_integer(d2)):
         raise ValidationError(f"{name}: dimensions must carry integer d1 and d2")
+    if d1 < 1 or d2 < 1:
+        raise ValidationError(f"{name}: subsystem dimensions must be positive")
 
     times = _list(need("grid"), "grid")
     if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times):
         raise ValidationError("grid: entries must be numbers")
     grid = TimeGrid(tuple(times))
-    steps = tuple(_pairs_to_matrix(rows, f"step {k}")
-                  for k, rows in enumerate(_list(need("steps"), "steps")))
+    steps = tuple(_square_entry(entry, d1 * d2, 1, f"step {k}")
+                  for k, entry in enumerate(_list(need("steps"), "steps")))
     try:
         model = Model(d1, d2, grid, steps, tol)
     except ValidationError as exc:
@@ -241,8 +317,8 @@ def loads(text: str, name: str = "<string>",
     kind = famspec.get("type")
     if kind == "explicit":
         fam = PhysicalFamily(tuple(
-            _pairs_to_matrix(rows, f"family projector {k}")
-            for k, rows in enumerate(_list(famspec.get("projectors", []), "family projectors"))
+            _square_entry(entry, model.dim, 0, f"family projector {k}")
+            for k, entry in enumerate(_list(famspec.get("projectors", []), "family projectors"))
         ))
     elif kind == "forward-closure":
         initial = [
@@ -293,9 +369,11 @@ def loads(text: str, name: str = "<string>",
             raise ValidationError(f"predicate {pname!r} is not a projector")
         predicates[pname] = p
 
-    grid_names = tuple(str(g) for g in _list(doc.get(
+    grid_names = tuple(_list(doc.get(
         "grid_names", [str(k) for k in range(model.n_indices)]
     ), "grid_names"))
+    if not all(isinstance(label, str) for label in grid_names):
+        raise ValidationError("grid_names: entries must be strings")
     if len(grid_names) != model.n_indices:
         raise ValidationError(f"{name}: grid_names length does not match the grid")
     for k, label in enumerate(grid_names):

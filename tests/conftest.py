@@ -6,6 +6,7 @@ Everything is seeded through numpy Generators so failures reproduce.
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -353,6 +354,30 @@ def bench_chain(n: int = 16, seed: int = 1) -> tuple:
     c = module.Chain(n, seed)
     model = Model(c.d1, c.d2, TimeGrid(tuple(float(t) for t in range(c.n + 1))), c.steps)
     return c, model, forward_closure(model, c.initial, c.extras)
+
+
+def format_1_document(text: str) -> dict:
+    """The scenario document ``text`` as format 1 holds it: every step and
+    family projector written as ``{"indices": S, "block": B}`` expanded,
+    by list operations alone, to its dense matrix of [re, im] pairs, B at
+    S x S on the identity (a step) or on zero (a projector)."""
+    doc = json.loads(text)
+    d = doc["dimensions"]["d1"] * doc["dimensions"]["d2"]
+
+    def dense(entry, base: float) -> list:
+        if isinstance(entry, list):
+            return entry
+        rows = [[[base if i == j else 0.0, 0.0] for j in range(d)] for i in range(d)]
+        for i, block_row in zip(entry["indices"], entry["block"]):
+            for j, pair in zip(entry["indices"], block_row):
+                rows[i][j] = pair
+        return rows
+
+    doc["format"] = 1
+    doc["steps"] = [dense(u, 1.0) for u in doc["steps"]]
+    if doc["family"]["type"] == "explicit":
+        doc["family"]["projectors"] = [dense(p, 0.0) for p in doc["family"]["projectors"]]
+    return doc
 
 
 def drifting_condition(rng):

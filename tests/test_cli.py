@@ -8,6 +8,8 @@ import pytest
 from physborn.cli import main
 from physborn.scenario_io import dump_builtin
 
+from conftest import format_1_document
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -104,7 +106,7 @@ def test_exit_code_usage_errors():
 
 
 def test_exit_code_validation_errors(tmp_path):
-    doc = json.loads(dump_builtin("reference"))
+    doc = format_1_document(dump_builtin("reference"))
     doc["steps"][0][0][0] = [9.0, 0.0]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))

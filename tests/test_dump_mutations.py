@@ -1,21 +1,30 @@
 """Mutations of the reference dump through the command line.
 
 Each example mutates one entry of the dumped ``reference`` scenario's
-``family.projectors`` or ``steps``: it drops an index, swaps two (which
-breaks the family's nesting), transposes a matrix, makes it non-square,
-scales it by 1 + 1e-6, or puts NaN, 1e308, an integer beyond the float
-range or a boolean into one entry.  ``physborn validate`` and one
+``family.projectors`` or ``steps`` in its format-1 document, where each
+is a dense matrix: it drops an index, swaps two (which breaks the
+family's nesting), transposes a matrix, makes it non-square, scales it
+by 1 + 1e-6, or puts NaN, 1e308, an integer beyond the float range or a
+boolean into one entry.  ``physborn validate`` and one
 ``prob --rule forward`` must then exit 0, 2 or 3 with no traceback, and a
 refused file must be refused by a message that names the mutated field.
 A given family is validated before any rule decomposes one of its
 matrices, so a matrix that fails validation never reaches a rule.
 
-A second property mutates the other fields of the dump, or of the same
+A second property mutates one block entry, ``{"indices": S, "block":
+B}``, of the dump itself (format 2): S unsorted, with an index repeated,
+negative, beyond the last, a float or ``true``, or longer than B; B of
+the wrong shape, or holding NaN, 1e308, an integer beyond the float range
+or ``true``.  Each such file must be refused with exit 2 by a message
+that names the entry and the field.
+
+A third property mutates the other fields of the dump, or of the same
 dump with a forward-closure family: it drops, retypes or resizes
 ``dimensions``, ``grid``, ``grid_names``, ``predicates`` or the closure's
 ``initial`` and ``extras``, or repeats a name (a grid label, a predicate
 name, an extras index), with the same demands on the exit and the
-message.
+message.  A predicate name written twice in one JSON object is refused,
+naming it.
 """
 
 import io
@@ -23,19 +32,34 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from physborn.cli import main
 from physborn.scenario_io import dump_builtin
 
+from conftest import format_1_document
+
 REFERENCE = dump_builtin("reference")
+REFERENCE_1 = json.dumps(format_1_document(REFERENCE))
 ENTRIES = (float("nan"), 1e308, 10**400, True)
 
 
 def _run(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     return main(argv, out, err), err.getvalue()
+
+
+def _validate_and_prob(text: str) -> list:
+    """(exit code, stderr) of ``validate`` and of one ``prob`` on the text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(text)
+        return [_run(argv) for argv in (
+            ["validate", str(path)],
+            ["prob", "--scenario", str(path), "--rule", "forward",
+             "--cond", "I@t0", "--outcome", "notI@t1"])]
 
 
 def _mutate(doc: dict, field: str, kind: str, i: int, j: int, entry) -> tuple:
@@ -71,23 +95,71 @@ def _mutate(doc: dict, field: str, kind: str, i: int, j: int, entry) -> tuple:
 @example(field="steps", kind="entry", i=1, j=3, entry=1e308)
 @example(field="steps", kind="entry", i=0, j=0, entry=10**400)
 def test_a_mutated_reference_dump_exits_cleanly(field, kind, i, j, entry):
-    doc = json.loads(REFERENCE)
+    doc = json.loads(REFERENCE_1)
     count = len(doc["family"]["projectors"] if field == "projectors" else doc["steps"])
     i, j = i % count, j % count if kind == "swap" else j
     if kind == "swap" and i == j:
         j = (i + 1) % count
     names = _mutate(doc, field, kind, i, j, entry)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "mutated.json"
-        path.write_text(json.dumps(doc))
-        for argv in (["validate", str(path)],
-                     ["prob", "--scenario", str(path), "--rule", "forward",
-                      "--cond", "I@t0", "--outcome", "notI@t1"]):
-            code, err = _run(argv)
-            assert code in (0, 2, 3), (argv[0], code, err)
-            assert "Traceback" not in err
-            if code == 2:
-                assert any(name in err for name in names), (names, err)
+    for code, err in _validate_and_prob(json.dumps(doc)):
+        assert code in (0, 2, 3), (code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert any(name in err for name in names), (names, err)
+
+
+BLOCK_KINDS = ("unsorted", "repeated", "negative", "beyond", "float", "true", "longer",
+               "shape", "nan", "1e308", "huge", "boolean")
+
+
+def _mutate_block(doc: dict, field: str, kind: str, i: int, j: int) -> tuple:
+    """Apply one mutation to block entry i of the field in place; return
+    the texts one of which the exit-2 message must hold."""
+    entries = doc["family"]["projectors"] if field == "projectors" else doc["steps"]
+    name = f"{'family projector' if field == 'projectors' else 'step'} {i}"
+    indices, block = entries[i]["indices"], entries[i]["block"]
+    d = doc["dimensions"]["d1"] * doc["dimensions"]["d2"]
+    a = 1 + j % (len(indices) - 1)     # an index with one before it
+    if kind == "unsorted":
+        indices[a - 1], indices[a] = indices[a], indices[a - 1]
+    elif kind == "repeated":
+        indices[a] = indices[a - 1]
+    elif kind == "negative":
+        indices[a] = -1 - j
+    elif kind == "beyond":
+        indices[a] = d + j
+    elif kind == "float":
+        indices[a] = float(indices[a])
+    elif kind == "true":
+        indices[a] = True
+    elif kind == "longer":
+        free = sorted(set(range(d)) - set(indices))
+        indices[:] = sorted(indices + [free[j % len(free)]])
+        return (f"{name} block: ",)
+    elif kind == "shape":
+        (block if j % 2 else block[a]).pop()     # a row, or an entry of one
+        return (f"{name} block: ",)
+    elif kind == "1e308":
+        block[a][j % len(block)][0] = 1e308
+        return (f"{name} is not", "family violates nesting")
+    else:
+        block[a][j % len(block)][0] = {"nan": float("nan"), "huge": 10**400,
+                                       "boolean": True}[kind]
+        return (f"{name}: non-finite entry", f"{name}: entries must be numbers")
+    return (f"{name} indices: ",)
+
+
+@pytest.mark.parametrize("kind", BLOCK_KINDS)
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(field=st.sampled_from(("projectors", "steps")), i=st.integers(0, 2),
+       j=st.integers(0, 60))
+def test_a_mutated_block_entry_exits_two_naming_its_field(kind, field, i, j):
+    doc = json.loads(REFERENCE)
+    i %= len(doc["family"]["projectors"] if field == "projectors" else doc["steps"])
+    names = _mutate_block(doc, field, kind, i, j)
+    for code, err in _validate_and_prob(json.dumps(doc)):
+        assert code == 2 and "Traceback" not in err, (code, err)
+        assert any(name in err for name in names), (names, err)
 
 
 VALUES = (None, True, "3", 3.5, [], {}, -1, 0, 10**400, float("nan"))
@@ -98,7 +170,8 @@ def _closure_doc() -> dict:
     """The reference dump with a forward-closure family: a column of P(0)
     as the initial state and a column of P(2) as the extra at index 2."""
     doc = json.loads(REFERENCE)
-    p0, p2 = doc["family"]["projectors"][0], doc["family"]["projectors"][2]
+    projectors = json.loads(REFERENCE_1)["family"]["projectors"]
+    p0, p2 = projectors[0], projectors[2]
     column = lambda p, j: [row[j] for row in p]      # noqa: E731
     nonzero = [j for j in range(len(p0)) if any(e != [0.0, 0.0] for e in column(p2, j))]
     start = next(j for j in nonzero if any(e != [0.0, 0.0] for e in column(p0, j)))
@@ -194,23 +267,21 @@ def _mutate_field(doc: dict, field: str, kind: str, i: int, value) -> tuple:
 @example(field="dimensions", kind="retype", i=0, value=10**400)
 @example(field="grid_names", kind="retype", i=0, value=None)
 @example(field="predicates", kind="repeat", i=2, value=None)
+@example(field="predicates", kind="repeat", i=1, value=None)
 @example(field="closure", kind="repeat", i=0, value=None)
 @example(field="closure", kind="drop", i=1, value=None)
 def test_a_mutated_scenario_field_exits_cleanly(field, kind, i, value):
     doc = _closure_doc() if field == "closure" else json.loads(REFERENCE)
     names = _mutate_field(doc, field, kind, i, value)
     text = json.dumps(doc)
-    if field == "predicates" and kind == "repeat" and i % 2:
-        # a name given twice: JSON keeps the later entry
+    repeated = field == "predicates" and kind == "repeat" and i % 2
+    if repeated:
+        # a name given twice in one object, which JSON alone would read
+        # as the later entry
         text = text.replace('"predicates": {', '"predicates": {"I": {"labels": [0]}, ', 1)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "mutated.json"
-        path.write_text(text)
-        for argv in (["validate", str(path)],
-                     ["prob", "--scenario", str(path), "--rule", "forward",
-                      "--cond", "I@t0", "--outcome", "notI@t1"]):
-            code, err = _run(argv)
-            assert code in (0, 1, 2, 3), (argv[0], code, err)
-            assert "Traceback" not in err
-            if code == 2:
-                assert any(name in err for name in names), (names, err)
+        names = ("repeated key 'I'",)
+    for code, err in _validate_and_prob(text):
+        assert code in ((2,) if repeated else (0, 1, 2, 3)), (code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert any(name in err for name in names), (names, err)

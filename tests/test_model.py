@@ -115,7 +115,7 @@ def _near_miss(u: np.ndarray, miss: str) -> None:
     by at most 5e-10; or by 2e-9 at an entry of an unmoved row or
     column, which widens S.  A step that moves nothing is perturbed on
     its diagonal."""
-    s = model._moved(u)
+    s = linalg.support_indices(u, 1)
     rest = np.setdiff1d(np.arange(len(u)), s)
     if miss.startswith("outside") and len(rest):
         a, b = rest[0], s[0] if len(s) else rest[0]
@@ -170,10 +170,11 @@ def test_a_step_is_read_by_the_indices_it_moves():
     # a chain step moves 6 indices, a Haar step all of them, the identity
     # none; an identity step shares V(k-1), uncopied
     _, chain, _ = bench_chain(4)
-    assert [len(model._moved(u)) for u in chain.steps] == [6] * 4
+    assert [len(linalg.support_indices(u, 1)) for u in chain.steps] == [6] * 4
     rng = np.random.default_rng(36)
     haar, eye = random_unitary(rng, 6), np.eye(6, dtype=complex)
-    assert len(model._moved(haar)) == 6 and not len(model._moved(eye))
+    assert len(linalg.support_indices(haar, 1)) == 6
+    assert not len(linalg.support_indices(eye, 1))
     m = Model(2, 3, TimeGrid((0.0, 1.0, 2.0, 3.0)), (haar, eye, haar))
     assert cumulative_propagator(m, 2) is cumulative_propagator(m, 1)
     for k, v in enumerate(dense_propagators(m.steps, 6)):

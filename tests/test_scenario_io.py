@@ -14,7 +14,7 @@ from physborn.born import prob_approx, prob_forward
 from physborn.cli import main
 from physborn.condition import ConditionSpec
 from physborn.errors import ValidationError
-from physborn.linalg import Tolerance
+from physborn.linalg import Tolerance, is_projector
 from physborn.model import Model, PhysicalFamily, TimeGrid
 from physborn.scenario_io import (
     BUILTIN_SCENARIOS,
@@ -25,11 +25,22 @@ from physborn.scenario_io import (
     serialize,
 )
 
-from conftest import random_model, random_nested_family, random_projector
+from conftest import (
+    format_1_document,
+    random_model,
+    random_nested_family,
+    random_projector,
+)
 
 
 def _pairs(v) -> list:
     return [[float(c.real), float(c.imag)] for c in np.asarray(v).reshape(-1)]
+
+
+def _reference_1() -> dict:
+    """The dumped reference scenario as a format-1 document: every step
+    and family projector a dense matrix of [re, im] pairs."""
+    return format_1_document(dump_builtin("reference"))
 
 
 def test_builtin_names():
@@ -77,10 +88,15 @@ def test_load_scenario_from_file(tmp_path):
     assert sc.model.d1 == 5 and sc.model.d2 == 10
 
 
-def test_non_unitary_step_is_named():
-    doc = json.loads(dump_builtin("reference"))
-    doc["steps"][1][0][0] = [3.0, 0.0]
-    with pytest.raises(ValidationError, match="step 1"):
+@pytest.mark.parametrize("version", [1, 2])
+def test_non_unitary_step_is_named(version):
+    if version == 1:
+        doc = _reference_1()
+        doc["steps"][1][0][0] = [3.0, 0.0]
+    else:
+        doc = json.loads(dump_builtin("reference"))
+        doc["steps"][1]["block"][0][0] = [3.0, 0.0]
+    with pytest.raises(ValidationError, match="^broken: step 1 is not unitary"):
         loads(json.dumps(doc), "broken")
 
 
@@ -150,7 +166,7 @@ def test_huge_finite_entries_fail_their_check_without_warnings(where, message, t
 def test_a_broken_step_is_named_through_the_cli(step, row, col, value, tmp_path):
     # checked on the block of the indices the step moves, widened by an
     # entry off them: the dense check's exit code and message, no warning
-    doc = json.loads(dump_builtin("reference"))
+    doc = _reference_1()
     doc["steps"][step][row][col] = [value, 0.0]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -216,7 +232,7 @@ def test_forward_closure_family_spec():
 
 
 def _forward_closure_doc(index="x"):
-    doc = json.loads(dump_builtin("reference"))
+    doc = _reference_1()
     projector = doc["family"]["projectors"][0]
     column = [row[0] for row in projector]   # a state in the index-0 range
     doc["family"] = {"type": "forward-closure", "initial": [column],
@@ -225,8 +241,9 @@ def _forward_closure_doc(index="x"):
 
 
 def _set(path, value, doc=None):
-    """A dumped reference scenario with the entry at ``path`` replaced."""
-    doc = doc or json.loads(dump_builtin("reference"))
+    """A dumped reference scenario, as a format-1 document, with the entry
+    at ``path`` replaced."""
+    doc = doc or _reference_1()
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -235,7 +252,7 @@ def _set(path, value, doc=None):
 
 
 def _step_entry_with_a_third_number():
-    doc = json.loads(dump_builtin("reference"))
+    doc = _reference_1()
     doc["steps"][0][0][0].append(99.0)
     return doc
 
@@ -255,7 +272,7 @@ def _step_entry_with_a_third_number():
     (lambda: _forward_closure_doc("-3"), "extras"),
     (_step_entry_with_a_third_number, "step 0: entries"),
     (lambda: _set(["family", "projectors"],
-                  json.loads(dump_builtin("reference"))["family"]["projectors"][:-1]),
+                  _reference_1()["family"]["projectors"][:-1]),
      "family has 2 projectors"),
     (lambda: _set(["grid", 2], 10 ** 400), "grid"),
 ], ids=["grid-strings", "family-list", "grid_names-int", "label-string",
@@ -273,16 +290,30 @@ def test_malformed_scenario_exits_two_naming_the_field(doc, field, tmp_path):
     assert "Traceback" not in err.getvalue()
 
 
+def _set_matrix_entry(where: str, value) -> dict | None:
+    """The reference document with the first written entry of step 0 or
+    of family projector 1 replaced: in the format-1 document (``where``
+    "step" or "family") or in that matrix's block in the dump ("step
+    block" or "family block"); None for any other ``where``."""
+    kind, _, block = where.partition(" ")
+    if kind not in ("step", "family"):
+        return None
+    path = ["steps", 0] if kind == "step" else ["family", "projectors", 1]
+    if block:
+        return _set(path + ["block", 0, 0], value, json.loads(dump_builtin("reference")))
+    return _set(path + [0, 0], value)
+
+
 def _huge_integer(where: str) -> dict:
     """The reference document with one entry an integer of 401 digits:
-    in step 0, family projector 1, a predicate matrix, or, in the
-    forward-closure form of :func:`_forward_closure_doc`, the initial
-    state or the extra state at index 1."""
+    in step 0 or family projector 1 (:func:`_set_matrix_entry`), a
+    predicate matrix, or, in the forward-closure form of
+    :func:`_forward_closure_doc`, the initial state or the extra state at
+    index 1."""
     huge = 10 ** 400
-    if where == "step":
-        return _set(["steps", 0, 0, 0], [huge, 0])
-    if where == "family":
-        return _set(["family", "projectors", 1, 0, 0], [0, huge])
+    doc = _set_matrix_entry(where, [huge, 0] if where.startswith("step") else [0, huge])
+    if doc is not None:
+        return doc
     if where == "predicate":
         return _set(["predicates", "I"], {"matrix": [[[huge, 0]] * 5] * 5})
     doc = json.loads(json.dumps(_forward_closure_doc("1")))   # unshare the states
@@ -298,10 +329,13 @@ def _huge_integer(where: str) -> dict:
     ("predicate", "predicate 'I'"),
     ("initial", "family initial state 0"),
     ("extra", "family extra at index 1"),
+    ("step block", "step 0"),
+    ("family block", "family projector 1"),
 ])
 def test_an_integer_beyond_the_float_range_is_a_non_finite_entry(where, field, tmp_path):
     # complex() of such an integer overflows; the entry is refused as
-    # TimeGrid refuses such a time, with exit 2 and no traceback
+    # TimeGrid refuses such a time, with exit 2 and no traceback, and with
+    # one message whether the matrix is written dense or as a block
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(_huge_integer(where)))
     out, err = io.StringIO(), io.StringIO()
@@ -312,12 +346,12 @@ def test_an_integer_beyond_the_float_range_is_a_non_finite_entry(where, field, t
 
 def _boolean_entry(where: str) -> dict:
     """The reference document with one entry the pair [true, false]: in
-    step 0, family projector 1, a predicate matrix, or the initial state
-    of the forward-closure form of :func:`_forward_closure_doc`."""
-    if where == "step":
-        return _set(["steps", 0, 0, 0], [True, False])
-    if where == "family":
-        return _set(["family", "projectors", 1, 0, 0], [True, False])
+    step 0 or family projector 1 (:func:`_set_matrix_entry`), a predicate
+    matrix, or the initial state of the forward-closure form of
+    :func:`_forward_closure_doc`."""
+    doc = _set_matrix_entry(where, [True, False])
+    if doc is not None:
+        return doc
     if where == "predicate":
         return _set(["predicates", "I"], {"matrix": [[[True, False]] * 5] * 5})
     doc = json.loads(json.dumps(_forward_closure_doc("1")))   # unshare the states
@@ -330,6 +364,8 @@ def _boolean_entry(where: str) -> dict:
     ("family", "family projector 1"),
     ("predicate", "predicate 'I'"),
     ("initial", "family initial state 0"),
+    ("step block", "step 0"),
+    ("family block", "family projector 1"),
 ])
 def test_a_boolean_entry_is_refused_naming_its_field(where, field, tmp_path):
     # complex() reads true and false as 1 and 0; grid and labels already
@@ -345,6 +381,18 @@ def test_a_boolean_entry_is_refused_naming_its_field(where, field, tmp_path):
 def _vector_entry_with_a_third_number():
     doc = _forward_closure_doc("1")
     doc["family"]["initial"][0][0].append(9.0)
+    return doc
+
+
+def _set_2(path, value):
+    """The reference dump, a format-2 document, with the entry at
+    ``path`` replaced."""
+    return _set(path, value, json.loads(dump_builtin("reference")))
+
+
+def _block_without_its_last_row():
+    doc = json.loads(dump_builtin("reference"))
+    del doc["steps"][0]["block"][-1]
     return doc
 
 
@@ -366,17 +414,84 @@ def _vector_entry_with_a_third_number():
     (lambda: _set(["grid_names"], ["a", "a", "a"]), "grid_names: repeated label 'a'"),
     (lambda: _set(["family", "extras", "02"], [], _forward_closure_doc("2")),
      "family extras: repeated index 2"),
+    (lambda: _set_2(["steps", 1, "indices", 0], 28),
+     "step 1 indices: 28 follows 28; indices must be strictly increasing"),
+    (lambda: _set_2(["family", "projectors", 2, "indices", 1], 0),
+     "family projector 2 indices: 0 follows 0; indices must be strictly increasing"),
+    (lambda: _set_2(["steps", 1, "indices", 1], 3),
+     "step 1 indices: 3 follows 23; indices must be strictly increasing"),
+    (lambda: _set_2(["steps", 0, "indices", 0], -1),
+     "step 0 indices: -1 is not an integer in 0..49"),
+    (lambda: _set_2(["steps", 0, "indices", 5], 50),
+     "step 0 indices: 50 is not an integer in 0..49"),
+    (lambda: _set_2(["steps", 0, "indices", 1], 5.0),
+     "step 0 indices: 5.0 is not an integer in 0..49"),
+    (lambda: _set_2(["family", "projectors", 0, "indices", 0], True),
+     "family projector 0 indices: True is not an integer in 0..49"),
+    (lambda: _set_2(["family", "projectors", 0, "indices"], [0, 5, 6]),
+     "family projector 0 block: expected a 3x3 matrix of [re, im] pairs, "
+     "one row and column per index"),
+    (lambda: _set_2(["steps", 0, "indices"], 3), "step 0 indices must be a list"),
+    (_block_without_its_last_row,
+     "step 0 block: expected a 6x6 matrix of [re, im] pairs, one row and column per index"),
+    (lambda: _set_2(["steps", 0], {"indices": [0]}), "step 0 block must be a list"),
+    (lambda: _set_2(["family", "projectors", 0], {"indices": [], "block": [[]]}),
+     "family projector 0 block: expected a 0x0 matrix of [re, im] pairs, "
+     "one row and column per index"),
+    (lambda: _set_2(["family", "projectors", 0], {"indices": [], "block": []}),
+     "family projector 0 is zero"),
+    (lambda: _set_2(["dimensions", "d1"], 10 ** 400),
+     "step 0: d = d1 d2 is too large for a d x d matrix"),
+    (lambda: _set_2(["dimensions", "d2"], 0), "{path}: subsystem dimensions must be positive"),
+    (lambda: _set_2(["format"], 3), "{path}: format must be 1 or 2, got 3"),
+    (lambda: _set_2(["format"], True), "{path}: format must be 1 or 2, got True"),
+    (lambda: _set_2(["format"], 2.0), "{path}: format must be 1 or 2, got 2.0"),
+    (lambda: _set_2(["format"], "2"), "{path}: format must be 1 or 2, got '2'"),
+    (lambda: _set_2(["grid_names"], ["ts", None, "t1"]), "grid_names: entries must be strings"),
 ], ids=["dimensions", "empty-matrix", "vector-pairs", "zero-projector",
         "predicate-form", "predicate-shape", "grid_names-length", "grid_names-repeated",
-        "extras-repeated"])
+        "extras-repeated", "indices-repeated-step", "indices-repeated-projector",
+        "indices-unsorted", "indices-negative", "indices-beyond", "indices-float",
+        "indices-boolean", "indices-longer", "indices-int", "block-shape", "block-missing",
+        "block-empty-row", "support-empty", "dimensions-huge", "dimensions-zero", "format-3",
+        "format-boolean", "format-float", "format-string", "grid_names-null"])
 def test_each_loads_refusal_exits_two_naming_its_field(doc, message, tmp_path):
-    # one mutation of the reference dump per refusal of loads
+    # one mutation of the reference dump, as format 1 or 2, per refusal
+    # of loads
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc()))
     out, err = io.StringIO(), io.StringIO()
     assert main(["validate", str(path)], out, err) == 2
     assert (out.getvalue(), err.getvalue()) == (
         "", f"validation error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("before, after, key", [
+    ('"predicates": {', '"predicates": {"I": {"labels": [0]}, ', "I"),
+    ('"family": {', '"family": {"type": "forward-closure", ', "type"),
+    ('"indices": [', '"block": [], "indices": [', "block"),
+], ids=["predicate-name", "family-type", "block"])
+def test_a_repeated_key_exits_two_naming_it(before, after, key, tmp_path):
+    # json keeps the later of two entries with one name; loads refuses both
+    text = dump_builtin("reference").replace(before, after, 1)
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    assert main(["validate", str(path)], out, err) == 2
+    assert (out.getvalue(), err.getvalue()) == (
+        "", f"validation error: {path}: repeated key {key!r} in one object\n")
+
+
+def test_a_document_without_format_is_format_1_and_both_forms_load_in_either():
+    ref = builtin_scenario("reference")
+    doc = _reference_1()
+    del doc["format"]
+    mixed = json.loads(dump_builtin("reference"))
+    mixed["format"], mixed["steps"][0] = 1, doc["steps"][0]
+    for d in (doc, mixed, dict(doc, format=2)):
+        sc = loads(json.dumps(d), "any")
+        assert all(map(np.array_equal, sc.model.steps, ref.model.steps))
+        assert all(map(np.array_equal, sc.fam.projectors, ref.fam.projectors))
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +560,41 @@ def _matrix_to_pairs(m) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in np.asarray(m)]
 
 
-def _legacy_dump(name, model, fam, predicates, grid_names=None, family_spec=None) -> str:
-    """What ``serialize`` writes, rendered by ``json`` alone: every matrix
-    as nested [re, im] lists, and a predicate as labels when its
-    off-diagonal entries are zero and its diagonal entries 0 or 1."""
+def _support(m, base: int) -> list:
+    """The indices of the rows and columns of m - base I holding a
+    nonzero entry, found by comparing Python complex numbers."""
+    rows = np.asarray(m).tolist()
+    off = lambda i, j: rows[i][j] != (base if i == j else 0)      # noqa: E731
+    return [i for i in range(len(rows)) if any(off(i, j) or off(j, i) for j in range(len(rows)))]
+
+
+def _block_entry(m, base: int):
+    """A step (base 1) or family projector (base 0) as format 2 writes it:
+    ``{"indices": S, "block": m[S, S]}``, or the dense matrix when S is
+    every index."""
+    s = _support(m, base)
+    if len(s) == len(m):
+        return _matrix_to_pairs(m)
+    return {"indices": s, "block": _matrix_to_pairs(np.asarray(m)[np.ix_(s, s)])}
+
+
+def _json_dump(version, name, model, fam, predicates, grid_names=None, family_spec=None) -> str:
+    """A scenario rendered by ``json`` alone, in format 1 (every matrix as
+    nested [re, im] lists) or format 2 (steps and family projectors as
+    :func:`_block_entry` writes them); a predicate is written as labels
+    when its off-diagonal entries are zero and its diagonal entries 0 or
+    1."""
     eps = model.tol.eps_zero
+    entry = _block_entry if version == 2 else lambda m, base: _matrix_to_pairs(m)
     doc = {
-        "format": 1,
+        "format": version,
         "name": name,
         "dimensions": {"d1": model.d1, "d2": model.d2},
         "grid": list(model.grid.times),
         "grid_names": list(grid_names or [str(k) for k in range(model.n_indices)]),
-        "steps": [_matrix_to_pairs(u) for u in model.steps],
+        "steps": [entry(u, 1) for u in model.steps],
         "family": family_spec if family_spec is not None else {
-            "type": "explicit", "projectors": [_matrix_to_pairs(p) for p in fam.projectors]},
+            "type": "explicit", "projectors": [entry(p, 0) for p in fam.projectors]},
         "predicates": {},
     }
     for pname, p in predicates.items():
@@ -489,15 +625,66 @@ def _random_scenario(seed: int) -> tuple:
     return f"random {seed}", model, fam, predicates, grid_names, closure
 
 
-def test_dumps_equal_the_json_rendering_of_the_legacy_document():
-    cases = [_seeded_scenario(), *(_random_scenario(seed) for seed in range(12))]
+def _builtin_cases() -> list:
+    cases = []
     for builtin in BUILTIN_SCENARIOS:
         sc = builtin_scenario(builtin)
         cases.append((sc.name, sc.model, sc.fam, sc.predicates, sc.grid_names, None))
+    return cases
+
+
+def test_dumps_equal_the_json_rendering_of_the_format_2_document():
+    cases = [_seeded_scenario(), *(_random_scenario(seed) for seed in range(12)),
+             *_builtin_cases()]
     for name, model, fam, predicates, grid_names, closure in cases:
         for spec in (None, closure):
-            want = _legacy_dump(name, model, fam, predicates, grid_names, spec)
+            want = _json_dump(2, name, model, fam, predicates, grid_names, spec)
             assert serialize(name, model, fam, predicates, grid_names, spec) == want, name
+
+
+def test_a_dump_writes_each_matrix_by_its_support():
+    # the reference moves 6 of its 50 indices per step; sg-observers has a
+    # step that moves nothing, written with the empty block
+    ref = json.loads(dump_builtin("reference"))
+    assert [len(u["indices"]) for u in ref["steps"]] == [6, 6]
+    assert all(isinstance(p, dict) for p in ref["family"]["projectors"])
+    sg = json.loads(dump_builtin("sg-observers"))
+    assert {"indices": [], "block": []} in sg["steps"]
+    # a Haar step and the identity family stay dense
+    rng = np.random.default_rng(5)
+    haar = Model(2, 2, TimeGrid((0.0, 1.0)), (np.linalg.qr(rng.standard_normal((4, 4)))[0],))
+    doc = json.loads(serialize("haar", haar, PhysicalFamily((np.eye(4),) * 2), {}))
+    assert [len(m) for m in doc["steps"] + doc["family"]["projectors"]] == [4] * 3
+
+
+def _loaded(text: str):
+    sc = loads(text, "lossless")
+    return sc.model.steps, sc.fam.projectors, sc.predicates
+
+
+def _same_matrices(a, b) -> bool:
+    return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+
+def test_format_1_and_format_2_files_load_to_equal_objects():
+    # lossless: the format-1 text and the dump load to steps and projectors
+    # equal to the scenario's, and to equal predicates; only projector
+    # predicates, which loads accepts, are written
+    cases = [_seeded_scenario(), *(_random_scenario(seed) for seed in range(30)),
+             *_builtin_cases()]
+    for name, model, fam, predicates, grid_names, closure in cases:
+        predicates = {k: v for k, v in predicates.items() if is_projector(v, model.tol)}
+        for spec in (None, closure):
+            old_steps, old_projs, old_preds = _loaded(
+                _json_dump(1, name, model, fam, predicates, grid_names, spec))
+            steps, projs, preds = _loaded(serialize(name, model, fam, predicates,
+                                                    grid_names, spec))
+            assert _same_matrices(steps, model.steps) and _same_matrices(old_steps, steps)
+            assert _same_matrices(old_projs, projs)
+            if spec is None:
+                assert _same_matrices(projs, fam.projectors)
+            assert sorted(old_preds) == sorted(preds) == sorted(predicates)
+            assert all(np.array_equal(old_preds[k], preds[k]) for k in preds)
 
 
 def test_unserializable_family_spec_raises_jsons_type_error():
@@ -505,7 +692,7 @@ def test_unserializable_family_spec_raises_jsons_type_error():
     for bad in (object(), np.eye(2), {1j}):
         spec = {"type": "forward-closure", "initial": [bad]}
         with pytest.raises(TypeError) as want:
-            _legacy_dump(name, model, fam, predicates, grid_names, spec)
+            _json_dump(2, name, model, fam, predicates, grid_names, spec)
         with pytest.raises(TypeError) as got:
             serialize(name, model, fam, predicates, grid_names, spec)
         assert str(got.value) == str(want.value)
