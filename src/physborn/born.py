@@ -130,19 +130,10 @@ class ProbabilityResult:
 def _trace(m: np.ndarray, core) -> complex:
     """Tr(M core M^dagger), core None standing for the identity: Tr(rho)
     for rho = phi core phi^dagger with M = phi, Tr(Y rho) with M the
-    factor of phi^dagger Y phi (``Lifted.factor``)."""
+    factor of phi^dagger Y phi (``Lifted.factor``).  The rules read its
+    real part: core and M core M^dagger are Hermitian by construction, so
+    the imaginary part is rounding."""
     return complex(np.vdot(m, m if core is None else m @ core))
-
-
-def _real_trace(m: np.ndarray, core, tol: linalg.Tolerance, context: str) -> float:
-    """The real part of :func:`_trace`, refusing an imaginary residue."""
-    t = _trace(m, core)
-    if abs(t.imag) > tol.eps_zero * max(1.0, abs(t.real)):
-        raise DomainError(
-            f"trace in {context} has imaginary residue {t.imag:.3e}; "
-            "inputs are not genuinely Hermitian projectors"
-        )
-    return t.real
 
 
 def _result(num: float, den: float, rule: str, tol: linalg.Tolerance,
@@ -166,7 +157,7 @@ def _born(y: Lifted, rho: tuple, rule: str, tol: linalg.Tolerance,
     intermediate-full rule normalizes its terms over the outcome set
     instead."""
     phi, core = rho if effect is None else effect
-    num = _real_trace(y.factor(phi), core, tol, f"{rule} numerator")
+    num = _trace(y.factor(phi), core).real
     return _result(num, _trace(*rho).real, rule, tol, warnings)
 
 
@@ -212,7 +203,7 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     for member in members:
         # Y S P(k0) S Y as a state, traced against G G^dagger
         m = back.conj().T @ member.inside(sup)
-        terms.append(_real_trace(m, core, cond.tol, "prob_intermediate_full term"))
+        terms.append(_trace(m, core).real)
     return _result(terms[y_index], sum(terms), "intermediate_full", cond.tol)
 
 

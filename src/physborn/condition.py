@@ -244,12 +244,10 @@ def _same_trimming(cond: ConditionSpec, a: tuple, b: tuple) -> bool:
     entry from below; the dense operators are compared only in between.
     """
     (ga, na), (gb, nb) = a, b
-    upper = (na + nb) * np.linalg.norm(ga - gb)
-    if upper <= cond.tol.eps_zero:      # settled before the row norms are taken
-        return True
-    lower = np.max(np.abs(_row_norms2(ga) - _row_norms2(gb)))
     return linalg.within_zero(
-        upper, lower, lambda: linalg.max_abs(_dense((ga, None)) - _dense((gb, None))), cond.tol)
+        (na + nb) * np.linalg.norm(ga - gb),
+        lambda: np.max(np.abs(_row_norms2(ga) - _row_norms2(gb))),
+        lambda: linalg.max_abs(_dense((ga, None)) - _dense((gb, None))), cond.tol)
 
 
 def _condition1_indices(cond: ConditionSpec, top: int):
@@ -294,7 +292,7 @@ def _condition2_holds(cond: ConditionSpec, rep: ObservableRep, k: int) -> bool:
     w = rep.lifted(k)
     miss = cond.fam.apply(k, w) - w
     frob = np.linalg.norm(miss)
-    return linalg.within_zero(frob, frob / cond.model.dim,
+    return linalg.within_zero(frob, lambda: frob / cond.model.dim,
                               lambda: linalg.max_abs(miss @ w.conj().T), cond.tol)
 
 

@@ -63,20 +63,23 @@ def approx_equal(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:
     return max_abs(a - b) <= tol.eps_zero
 
 
-def within_zero(upper: float, lower: float, measure, tol: Tolerance) -> bool:
+def within_zero(upper: float, lower, measure, tol: Tolerance) -> bool:
     """Whether a matrix D has no entry above eps_zero, decided from two
     bounds when they settle it: ``upper`` >= ||D||_F >= max|D_ij| >=
-    ``lower``.  True when ``upper`` is at most eps_zero, false when
-    ``lower`` exceeds it; only in between is ``measure()`` called, which
-    builds D densely and returns its max entry magnitude.
+    ``lower()``.  True when ``upper`` is at most eps_zero, false when
+    ``lower()`` exceeds it.  ``lower`` is called only when ``upper`` does
+    not settle the test, and ``measure`` only when neither does; it builds
+    D densely and returns its max entry magnitude.  This is the one place
+    that orders the bounds, so every bounded decision passes through it.
 
     The callers hold D as blocks with d rows and get both bounds from
     them, in O(d r m) for a d x m block against a family of rank r.  The
-    d x d matrix is formed only for a near miss.
+    lower bound may cost more than the upper one, and the d x d matrix is
+    formed only for a near miss.
     """
     if upper <= tol.eps_zero:
         return True
-    if lower > tol.eps_zero:
+    if lower() > tol.eps_zero:
         return False
     return measure() <= tol.eps_zero
 

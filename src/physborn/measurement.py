@@ -104,7 +104,7 @@ class MeasurementProcess:
             miss = start_cond.lifted.outside(q)
             frob = np.linalg.norm(miss)
             record_ok.append(linalg.within_zero(
-                frob, frob / len(q), lambda: linalg.max_abs(miss @ q.conj().T), tol))
+                frob, lambda: frob / len(q), lambda: linalg.max_abs(miss @ q.conj().T), tol))
         object.__setattr__(self, "_lifted", tuple(lifts))
         object.__setattr__(self, "record_preserved", tuple(record_ok))
 
@@ -184,6 +184,8 @@ def _kappas(proc: MeasurementProcess, state: tuple, anchor_at) -> tuple:
     A rho A = Q K Q^dagger with K = (Q^dagger phi) core (Q^dagger
     phi)^dagger; with R = V(k) Q reshaped to (d1, d2, s), the partial
     trace is sum over a, p, q of R[a, i, p] K[p, q] conj(R[a, j, q]).
+    K is PSD by construction, so each kappa is, up to rounding; only its
+    Hermitian part is taken.
     """
     model = proc.model
     (phi, core), den = state
@@ -194,11 +196,7 @@ def _kappas(proc: MeasurementProcess, state: tuple, anchor_at) -> tuple:
         r = cumulative_propagator(model, k) @ q
         rk = (r @ ((m if core is None else m @ core) @ m.conj().T)).reshape(model.d1, model.d2, -1)
         op = np.einsum("aip,ajp->ij", rk, r.reshape(model.d1, model.d2, -1).conj())
-        kap = linalg.hermitian_part(op / den)
-        w = np.linalg.eigvalsh(kap)
-        if w[0] < -model.tol.eps_eig:
-            raise DomainError(f"kappa at index {k} is not PSD (eigenvalue {w[0]:.3e})")
-        kappas.append(kap)
+        kappas.append(linalg.hermitian_part(op / den))
     return tuple(kappas)
 
 
@@ -262,9 +260,8 @@ def outcome_probability(proc: MeasurementProcess, i: int, rep: str = "support") 
     block, without the path, propagators or partial traces of
     :func:`kappa_path`.  It refuses as :func:`kappa_path` does, in its
     order: an outcome index out of range, a start space without weight,
-    an unknown ``rep``, then ``observable_rep``'s rejection.  The
-    per-index PSD check of the kappas is not run: K is PSD by
-    construction.  An unreachable outcome has probability 0.0.
+    an unknown ``rep``, then ``observable_rep``'s rejection.  An
+    unreachable outcome has probability 0.0.
     """
     ((phi, core), den), anchor_at = _outcome_anchor(proc, i, rep)
     if anchor_at is None:

@@ -465,12 +465,12 @@ class PhysicalFamily:
         gram = u.conj().T @ u
         e = gram - np.eye(len(gram))
         e_norm = float(np.linalg.norm(e))
-        upper = (1 + e_norm) * e_norm
-        projector_ok = u.shape[0] == dim and (upper <= tol.eps_zero or linalg.within_zero(
-            upper, np.max(np.abs(np.einsum("ij,jk,ik->i", u, e, u.conj())), initial=0.0),
-            lambda: linalg.projector_defect(self.at(k)), tol))
+        projector_ok = u.shape[0] == dim and linalg.within_zero(
+            (1 + e_norm) * e_norm,
+            lambda: np.max(np.abs(np.einsum("ij,jk,ik->i", u, e, u.conj())), initial=0.0),
+            lambda: linalg.projector_defect(self.at(k)), tol)
         nonzero = not linalg.within_zero(
-            np.linalg.norm(gram), np.max(_row_norms2(u), initial=0.0),
+            np.linalg.norm(gram), lambda: np.max(_row_norms2(u), initial=0.0),
             lambda: linalg.max_abs(self.at(k)), tol)
         return projector_ok, nonzero, e_norm
 
@@ -506,9 +506,9 @@ class PhysicalFamily:
         if uj.shape[0] != uk.shape[0]:
             return True
         r = uj - uk @ (uk.conj().T @ uj)
-        upper = math.sqrt(1 + e_j) * float(np.linalg.norm(r))
-        return upper <= tol.eps_zero or linalg.within_zero(
-            upper, np.max(np.abs(np.einsum("ij,ij->i", uj, r.conj()))),
+        return linalg.within_zero(
+            math.sqrt(1 + e_j) * float(np.linalg.norm(r)),
+            lambda: np.max(np.abs(np.einsum("ij,ij->i", uj, r.conj()))),
             lambda: linalg.max_abs(self.at(j) @ self.at(k) - self.at(j)), tol)
 
     def apply(self, k: int, block: np.ndarray) -> np.ndarray:
@@ -637,7 +637,8 @@ def _commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray,
     the largest entry from below.
     """
     frob = fam._commutator_frobenius(k, w, restricted)
-    return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
+    return linalg.within_zero(frob, lambda: frob / len(w),
+                              lambda: fam.commutator_norm(k, w), model.tol)
 
 
 def _sandwich_commutes(model: Model, fam: PhysicalFamily, s: int, a: np.ndarray,
@@ -661,7 +662,7 @@ def _sandwich_commutes(model: Model, fam: PhysicalFamily, s: int, a: np.ndarray,
     r = np.linalg.qr(np.hstack((ca, cb)), mode="r")
     e = r[:, :ca.shape[1]] @ (a.conj().T @ b) @ r[:, ca.shape[1]:].conj().T
     frob = np.linalg.norm(e - e.conj().T)
-    return linalg.within_zero(frob, frob / len(a),
+    return linalg.within_zero(frob, lambda: frob / len(a),
                               lambda: fam.sandwich_commutator_norm(s, a, b), model.tol)
 
 
@@ -747,7 +748,8 @@ class Lifted:
                 return fam.overlap_norm(k, self.block)
             return linalg.max_abs(fam._join(frame, coef))
 
-        return not linalg.within_zero(frob, frob / self.model.dim, measure, self.model.tol)
+        return not linalg.within_zero(frob, lambda: frob / self.model.dim, measure,
+                                      self.model.tol)
 
     def support(self, fam: PhysicalFamily, k: int) -> tuple:
         """(T, Q): a factor T with T T^dagger = P(k) X P(k), and the

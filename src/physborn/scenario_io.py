@@ -154,11 +154,6 @@ def _square_entry(entry, d: int, base: int, what: str) -> np.ndarray:
     return m
 
 
-def _pairs_to_vector(entries, what: str) -> np.ndarray:
-    return _complex_array(lambda: [complex(re, im) if re.__class__ is not bool is not im.__class__
-                                   else _boolean_entry() for re, im in entries], what)
-
-
 def _label_projector(labels, d1: int, what: str) -> np.ndarray:
     labels = _list(labels, f"{what} labels")
     for l in labels:
@@ -322,7 +317,7 @@ def loads(text: str, name: str = "<string>",
         ))
     elif kind == "forward-closure":
         initial = [
-            _pairs_to_vector(v, f"family initial state {i}")
+            _pairs_to_array([v], f"family initial state {i}")[0]
             for i, v in enumerate(_list(famspec.get("initial", []), "family initial"))
         ]
         extras = {}
@@ -334,7 +329,7 @@ def loads(text: str, name: str = "<string>",
             if index in extras:
                 raise ValidationError(f"family extras: repeated index {index}")
             extras[index] = [
-                _pairs_to_vector(v, f"family extra at index {k}")
+                _pairs_to_array([v], f"family extra at index {k}")[0]
                 for v in _list(vs, f"family extras at index {k}")
             ]
         fam = forward_closure(model, initial, extras)

@@ -650,7 +650,8 @@ def mspace_commutes(model: Model, fam: PhysicalFamily, k: int, w: np.ndarray) ->
     """The earlier body of ``model._commutes``, in the predicate's m-space
     for every family (:func:`dense_commutator_frobenius`)."""
     frob = dense_commutator_frobenius(fam, k, w)
-    return linalg.within_zero(frob, frob / len(w), lambda: fam.commutator_norm(k, w), model.tol)
+    return linalg.within_zero(frob, lambda: frob / len(w),
+                              lambda: fam.commutator_norm(k, w), model.tol)
 
 
 def dense_condition_possible(model: Model, fam: PhysicalFamily, x1, k_c: int) -> bool:

@@ -86,7 +86,7 @@ def test_validate_round_trip(tmp_path):
     assert code == 0 and "passed" in out
 
 
-def test_exit_code_usage_errors():
+def test_exit_code_usage_errors(tmp_path):
     code, _, err = run(["prob", "--scenario", "no-such", "--rule", "forward",
                         "--cond", "I@t0", "--outcome", "Fup@t1"])
     assert code == 1 and "usage error" in err
@@ -103,6 +103,10 @@ def test_exit_code_usage_errors():
     # argparse-level failure (missing required option)
     code, _, err = run(["prob", "--rule", "forward"])
     assert code == 1
+    # a file that cannot be read: an OSError
+    code, out, err = run(["validate", str(tmp_path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(tmp_path) in err
 
 
 def test_exit_code_validation_errors(tmp_path):

@@ -125,6 +125,20 @@ COMMANDS = (
      "--outcome", "Fup@t1", "--k0", "t9"],
     ["measure", "--scenario", "reference", "--start", "I@t0", "--outcomes", "Fup,Fdown@t1",
      "--k0", "t9"],
+    # Usage refusals: malformed or unknown arguments, missing outcomes.
+    ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I",
+     "--outcome", "Fup@t1"],
+    ["measure", "--scenario", "reference", "--start", "I@t0", "--outcomes", "Fup,Fdown"],
+    ["measure", "--scenario", "reference", "--start", "I@t0", "--outcomes", "Fup,nosuch@t1"],
+    ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I@t0"],
+    ["prob", "--scenario", "reference", "--rule", "intermediate-full", "--cond", "Fup@t1",
+     "--outcome", "I@t0"],
+    ["prob", "--scenario", "reference", "--rule", "intermediate-full", "--cond", "Fup@t1",
+     "--outcomes", "I,notI@t0", "--outcome", "ready@t0"],
+    ["prob", "--scenario", "reference", "--rule", "sequence", "--cond", "ready@ts",
+     "--outcome", "I@t0"],
+    ["verify", "--scenario", "reference", "--cond", "I@t0", "--outcomes", "Fup,Fdown@t0"],
+    ["scenario", "dump", "nosuch"],
 )
 
 

@@ -307,3 +307,20 @@ def test_a_near_record_is_judged_alike_by_serialize_and_refinement():
     object.__setattr__(proc, "outcomes", OutcomeSet((corner,), 1))
     with pytest.raises(DomainError, match="requires outcomes diagonal"):
         refine_outcomes(proc)
+
+
+@pytest.mark.parametrize("start, k1, names, k2", [
+    ("ready", 0, ("I", "blocked"), 1),
+    ("I", 1, ("Fup", "Fdown"), 2),
+])
+def test_kappa_paths_answer_at_a_tiny_eigenvalue_cut(start, k1, names, k2):
+    """Each kappa is PSD by construction, so a path is returned even when
+    eps_eig lies below its rounding: its eigenvalues stay above -1e-15,
+    and the last trace is the outcome probability."""
+    ref = build_reference_experiment(linalg.Tolerance(1e-9, 1e-18))
+    outcomes = OutcomeSet(tuple(ref.predicate(n) for n in names), k2)
+    proc = MeasurementProcess(ref.model, ref.fam, ref.predicate(start), k1, outcomes)
+    for i in range(len(names)):
+        path = kappa_path(proc, i)
+        assert min(np.linalg.eigvalsh(kap)[0] for kap in path.kappas) >= -1e-15
+        assert abs(np.trace(path.at(k2)).real - outcome_probability(proc, i)) <= 1e-12

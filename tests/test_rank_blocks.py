@@ -52,12 +52,12 @@ from conftest import (
 
 @contextmanager
 def _bounds():
-    """The (upper, lower) pairs handed to ``linalg.within_zero``."""
+    """The (upper, lower()) pairs handed to ``linalg.within_zero``."""
     seen = []
     real = linalg.within_zero
 
     def recording(upper, lower, measure, tol):
-        seen.append((upper, lower))
+        seen.append((upper, lower()))
         return real(upper, lower, measure, tol)
 
     with mock.patch.object(linalg, "within_zero", recording):
