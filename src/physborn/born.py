@@ -40,7 +40,7 @@ from . import linalg
 from .condition import (
     ConditionSpec,
     ObservableRep,
-    _no_weight,
+    _support,
     check_k0,
     condition_state,
     trimmed_state,
@@ -171,6 +171,15 @@ def prob_forward(cond: ConditionSpec, y, k: int, k0: int = 0) -> ProbabilityResu
     return _born(lift_predicate(cond.model, y, k), rho, "forward", cond.tol)
 
 
+def _window(rule: str, cond: ConditionSpec, k: int, k0: int) -> int:
+    """k as a grid index, refused unless k0 < k < k_c: the window of the
+    intermediate rules."""
+    k = cond.model.grid.check_index(k)
+    if not (k0 < k < cond.k_c):
+        raise DomainError(f"{rule} requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}")
+    return k
+
+
 def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: int,
                            k0: int = 0) -> ProbabilityResult:
     """The general intermediate-time rule over a complete outcome set at
@@ -184,20 +193,13 @@ def prob_intermediate_full(cond: ConditionSpec, outcomes: OutcomeSet, y_index: i
     taken from that form (:meth:`model.Lifted.inside`).
     """
     members = outcomes.lifted(cond.model)
-    k = cond.model.grid.check_index(outcomes.k)
-    if not (k0 < k < cond.k_c):
-        raise DomainError(
-            f"prob_intermediate_full requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
-        )
+    k = _window("prob_intermediate_full", cond, outcomes.k, k0)
     if not outcomes.complete:
         raise DomainError("prob_intermediate_full needs a complete outcome set")
     check_k0(cond, k0)
-    if not 0 <= y_index < len(outcomes):
-        raise IndexError(f"outcome index {y_index} out of range")
+    y_index = linalg._index(y_index, 0, len(outcomes) - 1, "outcome index {k} out of range")
 
-    back, sup = cond.lifted.support(cond.fam, k)
-    if sup is None:
-        raise _no_weight(k)
+    back, sup = _support(cond, k)
     core = cond.fam.sandwich(k0, sup)
     terms = []
     for member in members:
@@ -217,16 +219,10 @@ def prob_intermediate_known(cond: ConditionSpec, y, k: int, k0: int = 0,
     representation ``rep``, its lifted X(k) predicate as ``rep`` holds it
     (``intermediate_known/observable``).
     """
-    k = cond.model.grid.check_index(k)
-    if not (k0 < k < cond.k_c):
-        raise DomainError(
-            f"prob_intermediate_known requires k0 < k < k_c, got {k0}, {k}, {cond.k_c}"
-        )
+    k = _window("prob_intermediate_known", cond, k, k0)
     check_k0(cond, k0)
     if rep is None:
-        anchor, variant = cond.lifted.support(cond.fam, k)[1], "support"
-        if anchor is None:
-            raise _no_weight(k)
+        anchor, variant = _support(cond, k)[1], "support"
     else:
         anchor = rep.lifted(k)
         variant = "observable"

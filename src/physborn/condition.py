@@ -103,10 +103,8 @@ class ConditionSpec:
 
 
 def _trim_index(cond: ConditionSpec, k: int) -> int:
-    k = cond.model.grid.check_index(k)
-    if k > cond.k_c:
-        raise IndexError(f"trimming index {k} lies after the condition index {cond.k_c}")
-    return k
+    return linalg._index(cond.model.grid.check_index(k), 0, cond.k_c,
+                         "trimming index {k} lies after the condition index {hi}")
 
 
 def _trim(cond: ConditionSpec, k: int) -> np.ndarray:
@@ -115,8 +113,14 @@ def _trim(cond: ConditionSpec, k: int) -> np.ndarray:
     return cond.lifted.trimmed(cond.fam, _trim_index(cond, k))
 
 
-def _no_weight(k: int) -> UnreachableConditionError:
-    return UnreachableConditionError(f"condition has no physical weight at index {k}")
+def _support(cond: ConditionSpec, k: int) -> tuple:
+    """(T, Q) of :meth:`model.Lifted.support` at k: a factor of the
+    trimmed operator and the range basis Q of its support; refuses when
+    the condition has no physical weight at k."""
+    back, q = cond.lifted.support(cond.fam, k)
+    if q is None:
+        raise UnreachableConditionError(f"condition has no physical weight at index {k}")
+    return back, q
 
 
 def _dense(state: tuple) -> np.ndarray:
@@ -142,9 +146,7 @@ def trimmed(cond: ConditionSpec, k: int) -> np.ndarray:
 def support_at(cond: ConditionSpec, k: int) -> np.ndarray:
     """Projector onto the smallest subspace containing the trimmed
     operator at index k: the range of P(k) X."""
-    _, q = cond.lifted.support(cond.fam, _trim_index(cond, k))
-    if q is None:
-        raise _no_weight(k)
+    q = _support(cond, _trim_index(cond, k))[1]
     return q @ q.conj().T
 
 
@@ -162,9 +164,8 @@ class ObservableRep:
     lifts: tuple = field(compare=False, repr=False)
 
     def labels_at(self, k: int) -> frozenset:
-        if not 0 <= k <= self.cond.k_c:
-            raise IndexError(f"observable representation covers indices 0..{self.cond.k_c}")
-        return self.labels[k]
+        return self.labels[linalg._index(k, 0, self.cond.k_c,
+                                         "observable representation covers indices 0..{hi}")]
 
     def system1_projector(self, k: int) -> np.ndarray:
         """d1 x d1 record projector onto the X(k) labels."""

@@ -4,9 +4,10 @@ Products, adjoints, traces and tensor products are plain numpy; this
 module holds what numpy does not: the tolerances, input coercion, the
 Hermitian part, record and support projectors, the labels of a record
 (exact, or within eps_zero), orthonormal range and span bases, the
-tolerance-based predicates, the bounded zero test and the projector-set
-check.  Every function that decides within a tolerance takes it as a
-required argument; the caller passes its model's.
+tolerance-based predicates, the bounded zero test, the projector-set
+check and the one index gate.  Every function that decides within a
+tolerance takes it as a required argument; the caller passes its
+model's.
 Matrices are plain ``numpy.ndarray`` objects with complex dtype;
 operator equality is always "max entry magnitude of the difference
 below a tolerance", never bitwise.
@@ -14,6 +15,7 @@ below a tolerance", never bitwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,23 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix contains non-finite entries")
     return m
+
+
+def _index(k, lo: int, hi: int, message: str) -> int:
+    """k as an int when it is an integer in lo..hi; otherwise
+    IndexError(message.format(k=k, lo=lo, hi=hi)).  An integer is what
+    ``operator.index`` accepts, except a bool, so a float, even 1.0, is
+    refused rather than truncated.  The one index check of the package;
+    a plain int in range returns at the first test."""
+    if k.__class__ is int and lo <= k <= hi:
+        return k
+    try:
+        i = None if isinstance(k, (bool, np.bool_)) else operator.index(k)
+    except TypeError:
+        i = None
+    if i is None or not lo <= i <= hi:
+        raise IndexError(message.format(k=k, lo=lo, hi=hi))
+    return i
 
 
 def max_abs(m: np.ndarray) -> float:

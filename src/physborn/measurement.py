@@ -118,9 +118,8 @@ class MeasurementProcess:
 
     def _lifted_outcome(self, i: int) -> Lifted | None:
         """Outcome i as lifted, None when unreachable; refuses i outside 0..n-1."""
-        if not 0 <= i < len(self._lifted):
-            raise IndexError(f"outcome index {i} out of range")
-        return self._lifted[i]
+        return self._lifted[linalg._index(i, 0, len(self._lifted) - 1,
+                                          "outcome index {k} out of range")]
 
     def outcome_condition(self, i: int) -> ConditionSpec | None:
         """Condition spec for outcome i, built on each call from the
@@ -148,9 +147,8 @@ class KappaPath:
     tol: linalg.Tolerance
 
     def at(self, k: int) -> np.ndarray:
-        if not self.k1 <= k <= self.k2:
-            raise IndexError(f"path covers indices {self.k1}..{self.k2}")
-        return self.kappas[k - self.k1]
+        return self.kappas[linalg._index(k, self.k1, self.k2, "path covers indices {lo}..{hi}")
+                           - self.k1]
 
     @property
     def k2(self) -> int:

@@ -80,10 +80,7 @@ class TimeGrid:
         return len(self.times) - 1
 
     def check_index(self, k: int) -> int:
-        k = int(k)
-        if not 0 <= k < len(self.times):
-            raise IndexError(f"grid index {k} out of range [0, {len(self.times) - 1}]")
-        return k
+        return linalg._index(k, 0, len(self.times) - 1, "grid index {k} out of range [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,7 @@ class Model:
 
 def cumulative_propagator(model: Model, k: int) -> np.ndarray:
     """V(k) = U_k ... U_1, with V(0) the identity."""
-    model.grid.check_index(k)
-    return model._cum[k]
+    return model._cum[model.grid.check_index(k)]
 
 
 def heisenberg(model: Model, a_schrodinger, k: int) -> np.ndarray:
@@ -338,9 +334,7 @@ class PhysicalFamily:
         return len(self._frames)
 
     def _index(self, k: int) -> int:
-        if not 0 <= k < len(self):
-            raise IndexError(f"family index {k} out of range [0, {len(self) - 1}]")
-        return int(k)
+        return linalg._index(k, 0, len(self) - 1, "family index {k} out of range [{lo}, {hi}]")
 
     def run_start(self, k: int) -> int:
         """The first index j of the run that holds k: P(j), ..., P(k) are
@@ -595,8 +589,8 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
     The index-0 subspace is the span of ``initial_states``.  At each
     later index k the previous range is kept and any ``extras[k]`` vectors
     (Schrodinger picture at index k) are pulled to the reference frame and
-    appended, so nesting holds by construction; an extras index outside
-    1..n-1 is refused.  The family keeps the orthonormal basis of each
+    appended, so nesting holds by construction; an extras key that is
+    not an integer in 1..n-1 is refused.  The family keeps the orthonormal basis of each
     span (:func:`linalg.span_basis`); an index without extras shares the
     basis of the one before.
     """
@@ -607,10 +601,11 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
     for v in initial_states:
         if v.shape != (model.dim,):
             raise ShapeError(f"initial state has dimension {v.shape[0]}, expected {model.dim}")
-    extras = {int(k): list(vs) for k, vs in (extras or {}).items()}
-    for k in extras:
-        if not 0 < k < model.n_indices:
-            raise DomainError(f"extras index {k} lies outside 1..{model.n_indices - 1}")
+    try:
+        extras = {linalg._index(k, 1, model.n_indices - 1, "extras index {k} lies outside "
+                                "{lo}..{hi}"): list(vs) for k, vs in (extras or {}).items()}
+    except IndexError as exc:
+        raise DomainError(*exc.args) from None
 
     generators = list(initial_states)
     bases = [linalg.span_basis(generators, tol)]

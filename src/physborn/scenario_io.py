@@ -51,11 +51,21 @@ class Scenario:
         if token in self.grid_names:
             return self.grid_names.index(token)
         try:
-            return self.model.grid.check_index(int(token))
+            return self.model.grid.check_index(_integer(token))
         except (ValueError, IndexError):
             raise KeyError(
                 f"unknown grid label {token!r}; available: {', '.join(self.grid_names)}"
             ) from None
+
+
+def _integer(token: str) -> int:
+    """The integer a text index writes: ASCII digits after an optional
+    minus sign.  ValueError for any other text, such as '+2', ' 2', '0_2'
+    or non-ASCII digits, all of which int() would read."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 def _list(value, what: str) -> list:
@@ -323,7 +333,7 @@ def loads(text: str, name: str = "<string>",
         extras = {}
         for k, vs in _object(famspec.get("extras", {}), "family extras").items():
             try:
-                index = int(k)
+                index = _integer(k)
             except ValueError:
                 raise ValidationError(f"family extras: index {k!r} is not an integer") from None
             if index in extras:

@@ -508,10 +508,20 @@ def dense_condition_operator(cond: ConditionSpec, k0: int = 0) -> np.ndarray:
     return linalg.hermitian_part(px @ cond.fam.at(k0) @ px)
 
 
-def _dense_support(back: np.ndarray, tol: linalg.Tolerance) -> np.ndarray:
-    if linalg.max_abs(back) <= tol.eps_zero:
+def _dense_support(cond: ConditionSpec, k: int) -> np.ndarray:
+    """Projector onto the support of the trimmed operator at k, zero
+    where it has no entry above eps_zero, cut where the library cuts: the
+    left singular vectors of the dense factor P(k) X whose squared
+    singular value, an eigenvalue of P(k) X P(k), exceeds eps_eig.  Taken
+    from the factor, since an eigh of P(k) X P(k) rounds its eigenvalues
+    by about 1e-16 and keeps spurious directions at a small eps_eig; no
+    PSD refusal."""
+    back = dense_trimmed(cond, k)
+    if linalg.max_abs(back) <= cond.tol.eps_zero:
         return np.zeros_like(back)
-    return linalg.support_projector(back, tol)
+    u, s, _ = np.linalg.svd(cond.fam.at(k) @ dense_x(cond))
+    vs = u[:, s * s > cond.tol.eps_eig]
+    return vs @ vs.conj().T
 
 
 def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
@@ -529,7 +539,7 @@ def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
         return tuple(np.zeros((model.d2, model.d2), dtype=complex)
                      for _ in range(proc.k1, proc.k2 + 1))
     if rep == "support":
-        anchor_at = lambda k: _dense_support(dense_trimmed(cond, k), tol)  # noqa: E731
+        anchor_at = lambda k: _dense_support(cond, k)  # noqa: E731
     else:
         rep = observable_rep(cond)
         anchor_at = lambda k: dense_rep_projector(rep, k)  # noqa: E731
@@ -537,11 +547,7 @@ def dense_kappas(proc, i: int, rep: str = "support") -> tuple:
     for k in range(proc.k1, proc.k2 + 1):
         anchor = anchor_at(k)
         op = schrodinger(model, anchor @ core @ anchor, k)
-        kap = linalg.hermitian_part(partial_trace_1(op, model.d1, model.d2) / den)
-        w = np.linalg.eigvalsh(kap)
-        if w[0] < -tol.eps_eig:
-            raise DomainError(f"kappa at index {k} is not PSD (eigenvalue {w[0]:.3e})")
-        kappas.append(kap)
+        kappas.append(linalg.hermitian_part(partial_trace_1(op, model.d1, model.d2) / den))
     return tuple(kappas)
 
 
@@ -558,7 +564,7 @@ def dense_record_preserved(proc) -> tuple:
         if cond is None:
             flags.append(True)
             continue
-        s = _dense_support(dense_trimmed(cond, proc.k1), model.tol)
+        s = _dense_support(cond, proc.k1)
         flags.append(linalg.max_abs(px @ s - s) <= model.tol.eps_zero)
     return tuple(flags)
 

@@ -173,3 +173,20 @@ def test_measure_table(tmp_path):
     assert code == 0
     assert "P[Fup]" in out and "is_measurement" in out
     assert "total" in out
+
+
+def _forward_at(token):
+    return run(["prob", "--scenario", "reference", "--rule", "forward",
+                "--cond", "I@t0", "--outcome", f"Fup@{token}"])
+
+
+@pytest.mark.parametrize("token", ["0_2", " 2", "+2", "２", "2\n", "2.0"])
+def test_a_bare_time_index_is_ascii_digits(token):
+    # int() reads every one of these tokens as 2
+    assert _forward_at(token) == (
+        1, "", f"usage error: --outcome: unknown grid label {token!r}; available: ts, t0, t1\n")
+
+
+def test_a_bare_time_index_answers_as_its_label():
+    assert _forward_at("2") == _forward_at("t1")
+    assert _forward_at("2")[0] == 0

@@ -125,6 +125,12 @@ COMMANDS = (
      "--outcome", "Fup@t1", "--k0", "t9"],
     ["measure", "--scenario", "reference", "--start", "I@t0", "--outcomes", "Fup,Fdown@t1",
      "--k0", "t9"],
+    # A bare index is ASCII digits after an optional minus sign; any other
+    # text that int() would read is an unknown label.
+    ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I@t0",
+     "--outcome", "Fup@0_2"],
+    ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I@t0",
+     "--outcome", "Fup@t1", "--k0", "+1"],
     # Usage refusals: malformed or unknown arguments, missing outcomes.
     ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I",
      "--outcome", "Fup@t1"],

@@ -257,8 +257,10 @@ def test_forward_closure_input_checks():
         forward_closure(m, [])
     with pytest.raises(ShapeError):
         forward_closure(m, [np.ones(3)])
-    for k in (0, 3, -3):    # extras exist only at indices 1..2
-        with pytest.raises(DomainError, match="extras"):
+    # extras exist only at integer indices 1..2: a float or a bool is
+    # refused, not truncated
+    for k in (0, 3, -3, 2.5, 2.7, True):
+        with pytest.raises(DomainError, match=f"^extras index {k} lies outside 1..2$"):
             forward_closure(m, [np.ones(4)], {k: [np.ones(4)]})
 
 

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from physborn import linalg
-from physborn.born import OutcomeSet, prob_forward
+from physborn.born import OutcomeSet, prob_forward, prob_intermediate_full
 from physborn.condition import ConditionSpec, observable_rep
 from physborn.errors import DomainError, ShapeError, UnreachableConditionError
-from physborn.measurement import MeasurementProcess, kappa_path
+from physborn.measurement import MeasurementProcess, kappa_path, outcome_probability
 from physborn.model import (
     Model,
     PhysicalFamily,
@@ -69,6 +69,57 @@ def _textbook_zero_condition():
     textbook_born(ref.model, zero, ref.T0, ref.predicate("Fup"), ref.T1)
 
 
+# Each index gate of the library, called at index k on the reference
+# model, with its refusal message for k out of range.
+def _grid_site(k):
+    ref = build_reference_experiment()
+    return prob_forward(ref.condition("I", ref.T0), ref.predicate("Fup"), k)
+
+
+def _family_site(k):
+    return build_reference_experiment().fam.at(k)
+
+
+def _labels_site(k):
+    ref = build_reference_experiment()
+    return observable_rep(ref.condition("I", ref.T0)).labels_at(k)
+
+
+def _reference_process():
+    ref = build_reference_experiment()
+    outcomes = OutcomeSet((ref.predicate("Fup"), ref.predicate("Fdown")), ref.T1)
+    return MeasurementProcess(ref.model, ref.fam, ref.predicate("I"), ref.T0, outcomes)
+
+
+def _kappa_site(k):
+    return kappa_path(_reference_process(), 0).at(k)
+
+
+def _outcome_site(k):
+    return outcome_probability(_reference_process(), k)
+
+
+def _y_index_site(k):
+    ref = build_reference_experiment()
+    outcomes = OutcomeSet((ref.predicate("I"), ref.predicate("notI")), ref.T0, complete=True)
+    return prob_intermediate_full(ref.condition("Fup", ref.T1), outcomes, k)
+
+
+INDEX_SITES = {
+    "grid": (_grid_site, "grid index {k} out of range [0, 2]"),
+    "family": (_family_site, "family index {k} out of range [0, 2]"),
+    "labels": (_labels_site, "observable representation covers indices 0..1"),
+    "kappa": (_kappa_site, "path covers indices 1..2"),
+    "outcome": (_outcome_site, "outcome index {k} out of range"),
+    "y_index": (_y_index_site, "outcome index {k} out of range"),
+}
+NOT_INDICES = {"2.9": 2.9, "1.0": 1.0, "float64": np.float64(1.0), "True": True,
+               "bool_": np.True_}
+INDEX_CASES = [(lambda call=call, k=k: call(k), IndexError, message.format(k=k))
+               for call, message in INDEX_SITES.values() for k in NOT_INDICES.values()]
+INDEX_IDS = [f"{site}-{name}" for site in INDEX_SITES for name in NOT_INDICES]
+
+
 @pytest.mark.parametrize("call, error, message", [
     (_overweight_forward, DomainError, "forward: probability 1.0000000019800002 outside [0, 1]"),
     (_labels_past_k_c, IndexError, "observable representation covers indices 0..1"),
@@ -78,11 +129,22 @@ def _textbook_zero_condition():
     (_commutator_unequal_shapes, ShapeError,
      "commutator needs equal square shapes, got (2, 2), (3, 3)"),
     (_textbook_zero_condition, UnreachableConditionError, "textbook condition has zero trace"),
+    *INDEX_CASES,
 ], ids=["result-range", "labels-at", "kappa-at", "heisenberg-shape", "closure-extra",
-        "commutator-shapes", "textbook-zero"])
+        "commutator-shapes", "textbook-zero", *INDEX_IDS])
 def test_refusal_type_and_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("site, k", [("grid", 2), ("family", 1), ("labels", 1), ("kappa", 2),
+                                     ("outcome", 1), ("y_index", 0)])
+def test_a_numpy_integer_index_answers_as_an_int(site, k):
+    got, want = INDEX_SITES[site][0](np.int64(k)), INDEX_SITES[site][0](k)
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
 
 
 def test_bases_of_two_sizes_fail_validation_without_a_crash():

@@ -270,6 +270,7 @@ def _step_entry_with_a_third_number():
     (lambda: _forward_closure_doc("0"), "extras"),
     (lambda: _forward_closure_doc("99"), "extras"),
     (lambda: _forward_closure_doc("-3"), "extras"),
+    (lambda: _forward_closure_doc("0_1"), "family extras: index '0_1' is not an integer"),
     (_step_entry_with_a_third_number, "step 0: entries"),
     (lambda: _set(["family", "projectors"],
                   _reference_1()["family"]["projectors"][:-1]),
@@ -277,8 +278,8 @@ def _step_entry_with_a_third_number():
     (lambda: _set(["grid", 2], 10 ** 400), "grid"),
 ], ids=["grid-strings", "family-list", "grid_names-int", "label-string",
         "predicates-list", "steps-int", "extras-key", "label-float", "step-nan",
-        "extras-0", "extras-99", "extras-negative", "step-triple", "family-count",
-        "grid-huge-int"])
+        "extras-0", "extras-99", "extras-negative", "extras-underscore", "step-triple",
+        "family-count", "grid-huge-int"])
 def test_malformed_scenario_exits_two_naming_the_field(doc, field, tmp_path):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc()))
