@@ -59,13 +59,18 @@ def _index(k, lo: int, hi: int, message: str) -> int:
     IndexError(message.format(k=k, lo=lo, hi=hi)).  An integer is what
     ``operator.index`` accepts, except a bool, so a float, even 1.0, is
     refused rather than truncated.  The one index check of the package;
-    a plain int in range returns at the first test."""
+    a plain int in range returns at the first test.  The message writes
+    k by ``str``, except that a k which is neither a bool, a float nor
+    accepted by ``operator.index`` is written by ``repr``, so that the
+    text '2' does not read as the integer 2."""
     if k.__class__ is int and lo <= k <= hi:
         return k
     try:
         i = None if isinstance(k, (bool, np.bool_)) else operator.index(k)
     except TypeError:
         i = None
+        if not isinstance(k, (float, np.floating)):
+            k = repr(k)
     if i is None or not lo <= i <= hi:
         raise IndexError(message.format(k=k, lo=lo, hi=hi))
     return i

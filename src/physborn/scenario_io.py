@@ -12,6 +12,16 @@ step equals the identity and a projector equals zero outside S x S
 (:func:`linalg.support_indices`).  A matrix whose S is every index is
 written as a dense matrix, the only form of format 1; both forms load
 in either format.
+
+A dump is the text of ``json.dumps(doc, indent=2, sort_keys=True)``, but
+``json`` lays out only the skeleton: the floats of each step, family
+projector and predicate matrix, and of each list of [re, im] pairs in a
+forward-closure ``family_spec``, are held and written by one ``%``
+template each (:func:`_render`).  A pair list is held only when every
+entry is an exact, finite ``float``; ints, bools, float subclasses, NaN,
+infinities, tuples, other lengths and empty lists are ``json``'s.
+``loads`` refuses a document whose declared dimensions need more than
+``DENSE_BUDGET`` bytes of dense matrices before it builds any of them.
 """
 
 from __future__ import annotations
@@ -27,6 +37,14 @@ from .linalg import DEFAULT_TOL, Tolerance
 from .model import Model, PhysicalFamily, TimeGrid, forward_closure, validate_family
 
 FORMAT_VERSION = 2
+
+# The most bytes of dense complex matrices a loaded scenario may need:
+# 16 d^2 per step, per explicit family projector and per grid index (the
+# propagators V(k), or a closure's projectors), and 16 d1^2 per
+# predicate.  loads refuses a document that declares dimensions beyond it
+# before building any such matrix, since a file of a few KB can declare
+# a d it does not write.  An n = 40 chain (d = 486) needs about 0.46 GB.
+DENSE_BUDGET = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -155,10 +173,7 @@ def _square_entry(entry, d: int, base: int, what: str) -> np.ndarray:
         raise ValidationError(f"{what} block: expected a {n}x{n} matrix of [re, im] pairs, "
                               f"one row and column per index")
     block = _pairs_to_array(rows, what)   # an entry is refused as in a dense matrix
-    try:
-        m = np.eye(d, dtype=complex) if base else np.zeros((d, d), dtype=complex)
-    except (ValueError, MemoryError):
-        raise ValidationError(f"{what}: d = d1 d2 is too large for a d x d matrix") from None
+    m = np.eye(d, dtype=complex) if base else np.zeros((d, d), dtype=complex)
     if n:
         m[np.ix_(indices, indices)] = block
     return m
@@ -173,12 +188,51 @@ def _label_projector(labels, d1: int, what: str) -> np.ndarray:
 
 
 class _Held:
-    """A matrix that ``json`` leaves to :func:`_render` as a placeholder."""
+    """Floats that ``json`` leaves to :func:`_render` as a placeholder:
+    ``values`` flat in row-major order, laid out as nested lists of
+    ``shape``.  A complex matrix is held with shape (rows, columns, 2),
+    a list of [re, im] pairs with shape (pairs, 2)."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("values", "shape")
 
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
+    def __init__(self, values: list, shape: tuple):
+        self.values, self.shape = values, shape
+
+
+def _held_matrix(m: np.ndarray) -> _Held:
+    return _Held(m.ravel().view(np.float64).tolist(), m.shape + (2,))
+
+
+def _held_pairs(obj, path: set):
+    """``obj`` with each list of [re, im] pairs in it held.  A held list
+    is a non-empty ``list`` of ``list`` pairs whose entries are each an
+    exact, finite ``float``, whose ``repr`` is the text ``json`` writes;
+    everything else (ints, bools, float subclasses, NaN and infinities,
+    tuples, other lengths, empty lists) is left to ``json``.  A ``dict``
+    or ``list`` is copied, so the caller's object is not changed; one
+    already on ``path``, the ids of the containers being copied, is
+    returned as it is, so that ``json`` meets the cycle and refuses it."""
+    cls = obj.__class__
+    if cls is not list and cls is not dict or id(obj) in path:
+        return obj
+    if cls is list and obj and all(p.__class__ is list and len(p) == 2 for p in obj):
+        values = [x for p in obj for x in p]
+        # 0 * sum is 0 only when no entry, nor the sum, is NaN or infinite
+        if all(x.__class__ is float for x in values) and 0.0 * sum(values) == 0.0:
+            return _Held(values, (len(obj), 2))
+    path.add(id(obj))
+    # plain loops, one frame per level as json's encoder takes: a
+    # comprehension's own frame would halve the depth this walk reaches
+    if cls is dict:
+        copy = {}
+        for key, value in obj.items():
+            copy[key] = _held_pairs(value, path)
+    else:
+        copy = []
+        for value in obj:
+            copy.append(_held_pairs(value, path))
+    path.remove(id(obj))
+    return copy
 
 
 def _layout(items: list, pad: str) -> str:
@@ -190,17 +244,29 @@ def _layout(items: list, pad: str) -> str:
     return "[" + inner + ("," + inner).join(items) + pad + "]"
 
 
-def _render(doc: dict) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` where each held matrix
-    is written as nested [re, im] lists.
+def _template(shape: tuple, pad: str) -> str:
+    """The ``%`` template of nested lists of ``shape``, laid out as
+    :func:`_layout` lays out a list whose opening line starts with
+    ``pad``, with ``%s`` for each number."""
+    if not shape:
+        return "%s"
+    return _layout([_template(shape[1:], pad + "  ")] * shape[0], pad)
 
-    ``json`` renders everything else, with each held matrix as a
+
+def _render(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` where each
+    :class:`_Held` is written as the nested lists of its shape.
+
+    ``json`` renders everything else, with each held object as a
     placeholder string: a run of NUL characters, lengthened until its
-    rendered text occurs exactly once per matrix, so that a caller's
+    rendered text occurs exactly once per held object, so that a caller's
     string (a name or a ``family_spec`` entry) is never taken for one.
-    Each matrix is then one ``%`` format of a template built from its
+    Each held object is then one ``%`` format of a template built from its
     shape and from the indent of the line its placeholder is on; ``%s``
-    of a Python float is the ``repr`` that ``json`` writes.
+    of a Python float is the ``repr`` that ``json`` writes.  The held
+    objects are the steps, family projectors and predicate matrices
+    :func:`serialize` makes, and the lists of [re, im] pairs of a
+    ``family_spec`` that :func:`_held_pairs` holds.
     """
     mark = "\x00"
     while True:
@@ -209,7 +275,7 @@ def _render(doc: dict) -> str:
         def placeholder(obj):
             if not isinstance(obj, _Held):
                 return json.JSONEncoder().default(obj)   # raises json's TypeError
-            held.append(obj.matrix)
+            held.append(obj)
             return mark
 
         pieces = json.dumps(doc, indent=2, sort_keys=True, default=placeholder).split(
@@ -218,12 +284,10 @@ def _render(doc: dict) -> str:
             break
         mark += "\x00"
     parts = [pieces[0]]
-    for m, before, after in zip(held, pieces, pieces[1:]):
+    for h, before, after in zip(held, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1:]
         pad = "\n" + line[:len(line) - len(line.lstrip(" "))]
-        pair = _layout(["%s", "%s"], pad + "    ")
-        template = _layout([_layout([pair] * m.shape[1], pad + "  ")] * m.shape[0], pad)
-        parts += [template % tuple(m.ravel().view(np.float64).tolist()), after]
+        parts += [_template(h.shape, pad) % tuple(h.values), after]
     return "".join(parts)
 
 
@@ -233,8 +297,8 @@ def _entry(m: np.ndarray, base: int):
     or the dense matrix when S is every index."""
     s = linalg.support_indices(m, base)
     if len(s) == len(m):
-        return _Held(m)
-    return {"indices": s.tolist(), "block": _Held(m[np.ix_(s, s)])}
+        return _held_matrix(m)
+    return {"indices": s.tolist(), "block": _held_matrix(m[np.ix_(s, s)])}
 
 
 def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
@@ -256,7 +320,7 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
         "grid_names": list(grid_names) if grid_names else
                       [str(k) for k in range(model.n_indices)],
         "steps": [_entry(u, 1) for u in model.steps],
-        "family": family_spec if family_spec is not None else {
+        "family": _held_pairs(family_spec, set()) if family_spec is not None else {
             "type": "explicit",
             "projectors": [_entry(p, 0) for p in fam.projectors],
         },
@@ -268,7 +332,7 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
         if labels is not None:
             doc["predicates"][pname] = {"labels": list(labels)}
         else:
-            doc["predicates"][pname] = {"matrix": _Held(p)}
+            doc["predicates"][pname] = {"matrix": _held_matrix(p)}
     return _render(doc)
 
 
@@ -311,8 +375,19 @@ def loads(text: str, name: str = "<string>",
     if not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in times):
         raise ValidationError("grid: entries must be numbers")
     grid = TimeGrid(tuple(times))
+    entries = _list(need("steps"), "steps")
+    family, preds = doc.get("family"), doc.get("predicates")
+    projectors = family.get("projectors") if isinstance(family, dict) and \
+        family.get("type") == "explicit" else None
+    d_matrices = len(entries) + len(times) + (
+        len(projectors) if isinstance(projectors, list) else 0)
+    d1_matrices = len(preds) if isinstance(preds, dict) else 0
+    if 16 * ((d1 * d2) ** 2 * d_matrices + d1 * d1 * d1_matrices) > DENSE_BUDGET:
+        raise ValidationError(f"{name}: dimensions d1 = {d1}, d2 = {d2} need more than the "
+                              f"{DENSE_BUDGET} bytes of dense complex matrices a scenario "
+                              f"may use")
     steps = tuple(_square_entry(entry, d1 * d2, 1, f"step {k}")
-                  for k, entry in enumerate(_list(need("steps"), "steps")))
+                  for k, entry in enumerate(entries))
     try:
         model = Model(d1, d2, grid, steps, tol)
     except ValidationError as exc:

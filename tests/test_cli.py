@@ -123,17 +123,20 @@ def test_exit_code_validation_errors(tmp_path):
 
 
 def test_step_shapes_are_refused_before_the_propagators_are_built(tmp_path):
-    # d = 9000000: numpy refuses an identity that size at once, so the
-    # mismatched step must be refused before V(0) is allocated
-    doc = {"dimensions": {"d1": 3000, "d2": 3000}, "grid": [0.0, 1.0],
-           "steps": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
-           "family": {"type": "explicit", "projectors": []}, "predicates": {}}
+    # a 2 x 2 step at d = 900 is refused before V(0) is allocated; at
+    # d = 9000000, where numpy refuses an identity that size at once, the
+    # declared dimensions are refused first, by the dense-matrix budget
     path = tmp_path / "mismatch.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(["validate", str(path)])
-    assert code == 2 and out == ""
-    assert err == (f"validation error: {path}: step 0 has shape (2, 2), "
-                   "expected (9000000, 9000000)\n")
+    for d1, message in ((30, "step 0 has shape (2, 2), expected (900, 900)"),
+                        (3000, "dimensions d1 = 3000, d2 = 3000 need more than the 1073741824 "
+                               "bytes of dense complex matrices a scenario may use")):
+        doc = {"dimensions": {"d1": d1, "d2": d1}, "grid": [0.0, 1.0],
+               "steps": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+               "family": {"type": "explicit", "projectors": []}, "predicates": {}}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["validate", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"validation error: {path}: {message}\n"
 
 
 def test_exit_code_mathematical_refusal(tmp_path):

@@ -25,6 +25,11 @@ dump with a forward-closure family: it drops, retypes or resizes
 name, an extras index), with the same demands on the exit and the
 message.  A predicate name written twice in one JSON object is refused,
 naming it.
+
+A fourth raises the declared ``d1`` or ``d2`` of the dump, of its
+format-1 document or of its forward-closure form far above what the
+file writes.  Each such file must be refused with exit 2 by a message
+that names ``dimensions``, before any d x d matrix is built.
 """
 
 import io
@@ -285,3 +290,19 @@ def test_a_mutated_scenario_field_exits_cleanly(field, kind, i, value):
         assert "Traceback" not in err
         if code == 2:
             assert any(name in err for name in names), (names, err)
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(form=st.sampled_from(("format-2", "format-1", "closure")),
+       key=st.sampled_from(("d1", "d2")), exponent=st.integers(3, 400))
+@example(form="format-2", key="d2", exponent=5)
+@example(form="closure", key="d1", exponent=400)
+def test_declared_dimensions_far_beyond_the_file_exit_two_naming_them(form, key, exponent):
+    # every d here needs more than 2**30 bytes of dense matrices, so the
+    # refusal comes before any of them is allocated
+    doc = {"format-2": lambda: json.loads(REFERENCE), "format-1": lambda: json.loads(REFERENCE_1),
+           "closure": _closure_doc}[form]()
+    doc["dimensions"][key] *= 10 ** exponent
+    for code, err in _validate_and_prob(json.dumps(doc)):
+        assert code == 2 and "Traceback" not in err, (code, err)
+        assert ": dimensions d1 = " in err, err

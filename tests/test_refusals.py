@@ -118,6 +118,13 @@ NOT_INDICES = {"2.9": 2.9, "1.0": 1.0, "float64": np.float64(1.0), "True": True,
 INDEX_CASES = [(lambda call=call, k=k: call(k), IndexError, message.format(k=k))
                for call, message in INDEX_SITES.values() for k in NOT_INDICES.values()]
 INDEX_IDS = [f"{site}-{name}" for site in INDEX_SITES for name in NOT_INDICES]
+# a text index is written by repr, "grid index '2' out of range [0, 2]",
+# so that it does not read as an integer in range
+TEXT_SITES, TEXT_INDICES = ("grid", "family"), ("2", "1")
+TEXT_CASES = [(lambda call=INDEX_SITES[site][0], k=k: call(k), IndexError,
+               INDEX_SITES[site][1].format(k=repr(k)))
+              for site in TEXT_SITES for k in TEXT_INDICES]
+TEXT_IDS = [f"{site}-text-{k}" for site in TEXT_SITES for k in TEXT_INDICES]
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -129,9 +136,9 @@ INDEX_IDS = [f"{site}-{name}" for site in INDEX_SITES for name in NOT_INDICES]
     (_commutator_unequal_shapes, ShapeError,
      "commutator needs equal square shapes, got (2, 2), (3, 3)"),
     (_textbook_zero_condition, UnreachableConditionError, "textbook condition has zero trace"),
-    *INDEX_CASES,
+    *INDEX_CASES, *TEXT_CASES,
 ], ids=["result-range", "labels-at", "kappa-at", "heisenberg-shape", "closure-extra",
-        "commutator-shapes", "textbook-zero", *INDEX_IDS])
+        "commutator-shapes", "textbook-zero", *INDEX_IDS, *TEXT_IDS])
 def test_refusal_type_and_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

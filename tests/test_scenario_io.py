@@ -5,10 +5,13 @@ import hashlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physborn.born import prob_approx, prob_forward
 from physborn.cli import main
@@ -18,6 +21,7 @@ from physborn.linalg import Tolerance, is_projector
 from physborn.model import Model, PhysicalFamily, TimeGrid
 from physborn.scenario_io import (
     BUILTIN_SCENARIOS,
+    DENSE_BUDGET,
     builtin_scenario,
     dump_builtin,
     load_scenario,
@@ -26,6 +30,7 @@ from physborn.scenario_io import (
 )
 
 from conftest import (
+    bench_chain,
     format_1_document,
     random_model,
     random_nested_family,
@@ -442,7 +447,11 @@ def _block_without_its_last_row():
     (lambda: _set_2(["family", "projectors", 0], {"indices": [], "block": []}),
      "family projector 0 is zero"),
     (lambda: _set_2(["dimensions", "d1"], 10 ** 400),
-     "step 0: d = d1 d2 is too large for a d x d matrix"),
+     f"{{path}}: dimensions d1 = {10 ** 400}, d2 = 10 need more than the 1073741824 bytes of "
+     "dense complex matrices a scenario may use"),
+    (lambda: _set_2(["dimensions", "d2"], 10 ** 5),
+     "{path}: dimensions d1 = 5, d2 = 100000 need more than the 1073741824 bytes of "
+     "dense complex matrices a scenario may use"),
     (lambda: _set_2(["dimensions", "d2"], 0), "{path}: subsystem dimensions must be positive"),
     (lambda: _set_2(["format"], 3), "{path}: format must be 1 or 2, got 3"),
     (lambda: _set_2(["format"], True), "{path}: format must be 1 or 2, got True"),
@@ -454,7 +463,8 @@ def _block_without_its_last_row():
         "extras-repeated", "indices-repeated-step", "indices-repeated-projector",
         "indices-unsorted", "indices-negative", "indices-beyond", "indices-float",
         "indices-boolean", "indices-longer", "indices-int", "block-shape", "block-missing",
-        "block-empty-row", "support-empty", "dimensions-huge", "dimensions-zero", "format-3",
+        "block-empty-row", "support-empty", "dimensions-huge", "dimensions-beyond-budget",
+        "dimensions-zero", "format-3",
         "format-boolean", "format-float", "format-string", "grid_names-null"])
 def test_each_loads_refusal_exits_two_naming_its_field(doc, message, tmp_path):
     # one mutation of the reference dump, as format 1 or 2, per refusal
@@ -465,6 +475,40 @@ def test_each_loads_refusal_exits_two_naming_its_field(doc, message, tmp_path):
     assert main(["validate", str(path)], out, err) == 2
     assert (out.getvalue(), err.getvalue()) == (
         "", f"validation error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("d1, d2, projectors, predicates, admitted", [
+    # the n = 40 chain: 40 steps, 41 grid indices and 41 projectors at
+    # d = 486, about 0.46 GB of dense matrices
+    (81, 6, 41, 0, True),
+    # d = 4096: 16 d^2 bytes times 4 d x d matrices is the budget exactly,
+    # with no room for one more projector or one d1 x d1 predicate
+    (4096, 1, 1, 0, True),
+    (4096, 1, 2, 0, False),
+    (4096, 1, 1, 1, False),
+    # d1 = 2048: 4 d x d matrices and 12 predicates are the budget exactly
+    (2048, 1, 1, 12, True),
+    (2048, 1, 1, 13, False),
+], ids=["chain-40", "at-budget", "one-projector-more", "one-predicate-more",
+        "predicates-at-budget", "one-predicate-beyond"])
+def test_the_dense_budget_admits_the_chain_and_refuses_one_matrix_more(d1, d2, projectors,
+                                                                       predicates, admitted):
+    # an admitted document is refused by its 2 x 2 steps, whose shapes are
+    # checked before any d x d matrix is built; the chain has 40 steps,
+    # the others one
+    steps = 40 if d1 == 81 else 1
+    doc = {"format": 2, "dimensions": {"d1": d1, "d2": d2},
+           "grid": [float(k) for k in range(steps + 1)],
+           "steps": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]] * steps,
+           "family": {"type": "explicit", "projectors": [[]] * projectors},
+           "predicates": {f"p{i}": {"labels": []} for i in range(predicates)}}
+    d = d1 * d2
+    message = (f"step 0 has shape (2, 2), expected ({d}, {d})" if admitted else
+               f"dimensions d1 = {d1}, d2 = {d2} need more than the 1073741824 bytes of "
+               "dense complex matrices a scenario may use")
+    assert DENSE_BUDGET == 2 ** 30
+    with pytest.raises(ValidationError, match=f"^budget: {re.escape(message)}$"):
+        loads(json.dumps(doc), "budget")
 
 
 @pytest.mark.parametrize("before, after, key", [
@@ -697,6 +741,124 @@ def test_unserializable_family_spec_raises_jsons_type_error():
         with pytest.raises(TypeError) as got:
             serialize(name, model, fam, predicates, grid_names, spec)
         assert str(got.value) == str(want.value)
+
+
+class _Float(float):
+    """A float subclass whose repr is not the text json writes for it."""
+
+    def __repr__(self):
+        return "not json's text"
+
+    __str__ = __repr__
+
+
+_NAN, _INF = float("nan"), float("inf")
+# lists of [re, im] pairs that a dump may write by template, and lists
+# next to them that json must lay out itself
+HOLD_CASES = {
+    "floats": [[0.5, -0.25], [1e300, 5e-324], [-0.0, 0.0]],
+    "ints": [[1, 0], [0.5, 0]],
+    "bools": [[True, 0.0], [0.5, False]],
+    "nan": [[_NAN, 0.0], [0.5, 0.5]],
+    "inf": [[0.5, _INF]],
+    "minus-inf": [[-_INF, 0.0]],
+    "overflowing-sum": [[1e308, 1e308], [1e308, 0.0]],
+    "float64": [[np.float64(0.1), 0.2], [0.3, 0.4]],
+    "subclass": [[_Float(0.5), 0.0]],
+    "tuples": [(0.5, 0.0), [0.25, 0.0]],
+    "tuple-of-pairs": ([0.5, 0.0], [0.25, 0.0]),
+    "three-entries": [[0.5, 0.0, 1.0], [0.5, 0.0]],
+    "one-entry": [[0.5], [0.5, 0.0]],
+    "empty": [],
+    "empty-pair": [[]],
+    "matrix": [[[0.5, 0.0], [0.25, -0.0]], [[1.0, 2.0], [3.0, 4.0]]],
+    "mixed": [[[0.5, 0.0]], [[1, 0]], [], "\x00", None, [[0.1, 0.2], [0.3, 0.4]]],
+    "int-keys": {2: [[0.5, 0.0]], 1: [[1.0, 0.0]], True: [[0.25, 0.0]]},
+    "none-key": {None: [[0.5, 0.0]]},
+    "nul": {"\x00": [[0.5, 0.0]], "\x00\x00": ["\x00", [[0.25, 0.0]]], "x": "\x00"},
+}
+
+
+def _closure_spec(value) -> dict:
+    _, _, _, _, _, spec = _seeded_scenario()
+    return dict(spec, extra=value)
+
+
+def _same_dump(spec) -> None:
+    """serialize writes the spec as json alone does, or raises json's
+    exception, and leaves the caller's spec as it was."""
+    name, model, fam, predicates, grid_names, _ = _seeded_scenario()
+    before = repr(spec)
+    try:
+        want = _json_dump(2, name, model, fam, predicates, grid_names, spec)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            serialize(name, model, fam, predicates, grid_names, spec)
+        assert str(got.value) == str(exc)
+    else:
+        assert serialize(name, model, fam, predicates, grid_names, spec) == want
+    assert repr(spec) == before
+
+
+@pytest.mark.parametrize("case", HOLD_CASES)
+def test_a_closure_spec_is_written_as_json_writes_it(case):
+    _same_dump(_closure_spec(HOLD_CASES[case]))
+
+
+def test_a_spec_that_json_refuses_raises_jsons_exception():
+    cyclic_dict = _closure_spec([[0.5, 0.0]])
+    cyclic_dict["extras"]["2"].append(cyclic_dict)
+    cyclic_list = [[0.5, 0.0]]
+    cyclic_list.append([[0.25, 0.0], cyclic_list])
+    for spec in (cyclic_dict, _closure_spec(cyclic_list),
+                 _closure_spec([[[0.5, 0.0]], object()]),
+                 _closure_spec({1: [[0.5, 0.0]], "1": [[0.5, 0.0]]}),
+                 _closure_spec({(1, 2): [[0.5, 0.0]]})):
+        name, model, fam, predicates, grid_names, _ = _seeded_scenario()
+        with pytest.raises((TypeError, ValueError)) as want:
+            _json_dump(2, name, model, fam, predicates, grid_names, spec)
+        assert type(want.value) in (TypeError, ValueError)
+        _same_dump(spec)
+
+
+def test_a_deeply_nested_spec_is_written_as_json_writes_it():
+    # json's encoder takes one frame per level; the walk that holds the
+    # pair lists must reach as deep, or it raises RecursionError where
+    # json alone lays the spec out
+    deep = [[0.5, 0.0]]
+    for level in range(sys.getrecursionlimit() * 3 // 4):
+        deep = [deep] if level % 2 else {"a": deep}
+    _same_dump(_closure_spec(deep))
+
+
+def _json_trees():
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    pair = st.lists(st.one_of(floats, floats, st.integers(-3, 3), st.booleans(),
+                              floats.map(np.float64)), min_size=2, max_size=2)
+    leaves = st.one_of(floats, st.integers(), st.booleans(), st.none(),
+                       st.text(alphabet="a\x00\"\\", max_size=3),
+                       st.lists(pair, min_size=1, max_size=4),
+                       st.lists(st.lists(floats, min_size=2, max_size=2), max_size=4))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.tuples(inner, inner),
+        st.dictionaries(st.text(alphabet="ab\x00", max_size=2), inner, max_size=3)),
+        max_leaves=12)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(tree=_json_trees())
+def test_any_json_like_spec_is_written_as_json_writes_it(tree):
+    _same_dump(_closure_spec(tree))
+
+
+def test_every_dump_is_a_fixed_point_of_jsons_layout():
+    texts = list(_dumps().values())
+    c, model, fam = bench_chain(4)
+    spec = {"type": "forward-closure", "initial": [_pairs(v) for v in c.initial],
+            "extras": {str(k): [_pairs(v) for v in vs] for k, vs in c.extras.items()}}
+    texts.append(serialize("chain", model, fam, c.predicates(), family_spec=spec))
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("diag", [[2.0, 0, 0, 0, 0], [-1.0, 1, 0, 0, 0]], ids=["two", "minus-one"])
