@@ -189,8 +189,10 @@ def observable_rep(cond: ConditionSpec) -> ObservableRep:
     labels = []
     for k in range(cond.k_c + 1):
         r = cumulative_propagator(model, k) @ _trim(cond, k)
-        diag = _row_norms2(r.reshape(model.d1, -1))     # the diagonal of Tr_2 of r r^dagger
-        chosen = frozenset(int(i) for i in np.nonzero(diag > cond.tol.eps_eig)[0])
+        # the diagonal of Tr_2 of r r^dagger: for each label, the squared
+        # singular value of its row block, cut as every rank is
+        diag = _row_norms2(r.reshape(model.d1, -1))
+        chosen = frozenset(int(i) for i in np.flatnonzero(linalg.rank_cut(diag, cond.tol)))
         if not chosen:
             raise UnreachableConditionError(
                 f"condition implies no system1 labels at index {k}"
@@ -205,9 +207,10 @@ def observable_rep(cond: ConditionSpec) -> ObservableRep:
                               "commute with the physical family")
         lifts.append(w)
     rep = ObservableRep(cond, tuple(labels), tuple(lifts))
-    # The representation must reproduce the original predicate at k_c.
-    own = rep.system1_projector(cond.k_c)
-    if linalg.max_abs(own @ cond.x1 - cond.x1) > 10 * cond.tol.eps_eig:
+    # X(k_c) covers the predicate: X(k_c) x1 = x1 within eps_zero.  The
+    # difference is d1 x d1, so its max entry is both bounds.
+    gap = linalg.max_abs(rep.system1_projector(cond.k_c) @ cond.x1 - cond.x1)
+    if not linalg.within_zero(gap, lambda: gap, lambda: gap, cond.tol):
         raise DomainError(
             "observable representation rejected: X(k_c) does not cover the predicate"
         )

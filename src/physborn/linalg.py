@@ -3,11 +3,15 @@
 Products, adjoints, traces and tensor products are plain numpy; this
 module holds what numpy does not: the tolerances, input coercion, the
 Hermitian part, record and support projectors, the labels of a record
-(exact, or within eps_zero), orthonormal range and span bases, the
+(exact, or within eps_zero), orthonormal range bases, the
 tolerance-based predicates, the bounded zero test, the projector-set
 check and the one index gate.  Every function that decides within a
 tolerance takes it as a required argument; the caller passes its
 model's.
+eps_eig has one meaning and is read here alone: :func:`rank_cut` keeps
+a direction whose squared singular value, an eigenvalue of the PSD
+operator it spans, exceeds eps_eig, and :func:`check_eps_eig` refuses an
+eps_eig at or below the rounding floor (d eps)^2 of a dimension d.
 Matrices are plain ``numpy.ndarray`` objects with complex dtype;
 operator equality is always "max entry magnitude of the difference
 below a tolerance", never bitwise.
@@ -28,7 +32,11 @@ class Tolerance:
     """Numerical thresholds used by all predicates.
 
     eps_zero : magnitudes below this are treated as zero.
-    eps_eig  : eigenvalue threshold for support membership.
+    eps_eig  : the one rank cut (:func:`rank_cut`): a direction is kept
+               when its squared singular value, an eigenvalue of the PSD
+               operator it spans, exceeds eps_eig, an absolute threshold.
+               A model refuses an eps_eig at or below the rounding floor
+               of its dimension (:func:`check_eps_eig`).
     """
 
     eps_zero: float = 1e-9
@@ -42,6 +50,24 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def rank_cut(values, tol: Tolerance):
+    """The keep mask of every rank cut: true where a squared singular
+    value, or an eigenvalue of a PSD matrix, exceeds eps_eig."""
+    return values > tol.eps_eig
+
+
+def check_eps_eig(tol: Tolerance, d: int) -> None:
+    """Refuse an eps_eig at or below the rounding floor (d eps)^2 of
+    dimension d, with eps the float64 machine epsilon: an SVD or eigh of a
+    d-row matrix of norm about 1 leaves rounding singular values up to
+    about d eps, so a cut at or below their square keeps rounding.  The
+    floor is 1.2e-28 at d = 50 and 4.9e-26 at d = 1000."""
+    floor = (d * float(np.finfo(float).eps)) ** 2
+    if tol.eps_eig <= floor:
+        raise DomainError(f"eps_eig = {tol.eps_eig:.3g} lies at or below the rounding "
+                          f"floor (d eps)^2 = {floor:.3g} of dimension d = {d}")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -152,46 +178,32 @@ def commutator_norm(a, b) -> float:
 
 def support_projector(h, tol: Tolerance) -> np.ndarray:
     """Projector onto the span of eigenvectors of a PSD Hermitian matrix
-    with eigenvalue above eps_eig.
+    that :func:`rank_cut` keeps.
 
     Raises DomainError for non-Hermitian input or an eigenvalue below
-    -eps_eig.
+    -eps_eig, a negative direction the cut would keep.
     """
     h = as_matrix(h)
     if not is_hermitian(h, tol):
         raise DomainError("support_projector requires a Hermitian matrix")
     w, v = np.linalg.eigh(hermitian_part(h))
-    if w[0] < -tol.eps_eig:
+    if rank_cut(-w[0], tol):
         raise DomainError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-    keep = w > tol.eps_eig
-    vs = v[:, keep]
+    vs = v[:, rank_cut(w, tol)]
     return vs @ vs.conj().T
 
 
 def range_basis(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Orthonormal basis of the support of a a^dagger, as columns: the left
-    singular vectors of a whose squared singular value exceeds eps_eig.
+    singular vectors of a that :func:`rank_cut` keeps.
 
     The squared singular values of a are the eigenvalues of a a^dagger,
     so this keeps the directions :func:`support_projector` keeps for that
-    product, without forming it.
+    product, without forming it.  For generator vectors as the columns of
+    a, it is a basis of their span.
     """
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, s * s > tol.eps_eig]
-
-
-def span_basis(vectors, tol: Tolerance) -> np.ndarray:
-    """Orthonormal basis, as columns, of the span of the given vectors
-    (which need not be orthonormal or independent): the left singular
-    vectors whose singular value exceeds eps_eig relative to the largest
-    one (or to 1 when that is smaller)."""
-    cols = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if not cols:
-        raise DomainError("a span needs at least one vector")
-    a = np.column_stack(cols)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    keep = s > tol.eps_eig * max(1.0, float(s[0]) if s.size else 1.0)
-    return u[:, keep]
+    return u[:, rank_cut(s * s, tol)]
 
 
 def record_labels(p: np.ndarray) -> tuple | None:

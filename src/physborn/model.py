@@ -108,6 +108,7 @@ class Model:
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ValidationError("subsystem dimensions must be positive")
+        linalg.check_eps_eig(self.tol, self.dim)
         steps = tuple(linalg.as_matrix(u) for u in self.steps)
         object.__setattr__(self, "steps", steps)
         if len(steps) != self.grid.n_steps:
@@ -589,10 +590,14 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
     The index-0 subspace is the span of ``initial_states``.  At each
     later index k the previous range is kept and any ``extras[k]`` vectors
     (Schrodinger picture at index k) are pulled to the reference frame and
-    appended, so nesting holds by construction; an extras key that is
-    not an integer in 1..n-1 is refused.  The family keeps the orthonormal basis of each
-    span (:func:`linalg.span_basis`); an index without extras shares the
-    basis of the one before.
+    appended; an extras key that is not an integer in 1..n-1 is refused.
+    The family keeps the orthonormal basis of each span, the
+    :func:`linalg.range_basis` of the generators as columns; an index
+    without extras shares the basis of the one before.  The span of the
+    generators only grows, so the family is nested by construction above
+    the rounding floor of eps_eig that the model enforces
+    (:func:`linalg.check_eps_eig`), where the cut keeps no rounding
+    direction.
     """
     tol = model.tol
     initial_states = [np.asarray(v, dtype=complex).reshape(-1) for v in initial_states]
@@ -608,7 +613,7 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
         raise DomainError(*exc.args) from None
 
     generators = list(initial_states)
-    bases = [linalg.span_basis(generators, tol)]
+    bases = [linalg.range_basis(np.column_stack(generators), tol)]
     for k in range(1, model.n_indices):
         added = extras.get(k, [])
         if added:
@@ -618,7 +623,7 @@ def forward_closure(model: Model, initial_states, extras=None) -> PhysicalFamily
             if extra.shape != (model.dim,):
                 raise ShapeError(f"extra state at index {k} has wrong dimension")
             generators.append(vk.conj().T @ extra)
-        bases.append(linalg.span_basis(generators, tol) if added else bases[-1])
+        bases.append(linalg.range_basis(np.column_stack(generators), tol) if added else bases[-1])
     return PhysicalFamily.from_bases(bases)
 
 
@@ -748,8 +753,8 @@ class Lifted:
 
     def support(self, fam: PhysicalFamily, k: int) -> tuple:
         """(T, Q): a factor T with T T^dagger = P(k) X P(k), and the
-        orthonormal basis Q of its range at the eps_eig cut of
-        :func:`linalg.range_basis`, None when no entry of T T^dagger, whose
+        orthonormal basis Q of its range at the cut of
+        :func:`linalg.rank_cut`, None when no entry of T T^dagger, whose
         largest is T's largest squared row norm, is above eps_zero.  The
         SVD u s v^dagger of the trimming coef (:meth:`_trimming`) gives T =
         frame u s and Q = frame u on the kept singular values, in either
@@ -764,7 +769,7 @@ class Lifted:
         t = fam._join(frame, u * s)
         if t.size == 0 or np.max(_row_norms2(t)) <= self.model.tol.eps_zero:
             return t, None
-        return t, fam._join(frame, u[:, s * s > self.model.tol.eps_eig])
+        return t, fam._join(frame, u[:, linalg.rank_cut(s * s, self.model.tol)])
 
     def factor(self, q: np.ndarray) -> np.ndarray:
         """A block F with F^dagger F = q^dagger X q, what a trace against X

@@ -173,9 +173,14 @@ def physical_restrict(model: Model, fam: PhysicalFamily, pX, k: int) -> np.ndarr
 
 
 def projector_from_span(vectors, tol: linalg.Tolerance) -> np.ndarray:
-    """Orthogonal projector onto the span of the given vectors."""
-    us = linalg.span_basis(vectors, tol)
-    return us @ us.conj().T
+    """Orthogonal projector onto the span of the given vectors: the
+    eigenvectors of the Gram matrix A A^dagger, A with the vectors as
+    columns, whose eigenvalue exceeds eps_eig.  An eigh, not the
+    library's SVD."""
+    a = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    w, v = np.linalg.eigh(a @ a.conj().T)
+    vs = v[:, w > tol.eps_eig]
+    return vs @ vs.conj().T
 
 
 def rank_of(p: np.ndarray, tol: linalg.Tolerance) -> int:
@@ -477,7 +482,7 @@ def dense_observable_labels(cond: ConditionSpec) -> tuple:
                 f"observable representation rejected: X({k}) does not commute with "
                 "the physical family")
     own = linalg.diagonal_projector(sorted(labels[-1]), model.d1)
-    if linalg.max_abs(own @ cond.x1 - cond.x1) > 10 * tol.eps_eig:
+    if linalg.max_abs(own @ cond.x1 - cond.x1) > tol.eps_zero:
         raise DomainError("observable representation rejected: X(k_c) does not cover the predicate")
     return tuple(labels)
 

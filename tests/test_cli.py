@@ -3,6 +3,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from physborn.cli import main
@@ -193,3 +194,43 @@ def test_a_bare_time_index_is_ascii_digits(token):
 def test_a_bare_time_index_answers_as_its_label():
     assert _forward_at("2") == _forward_at("t1")
     assert _forward_at("2")[0] == 0
+
+
+MEASURE_OBSERVABLE = ["measure", "--scenario", "reference", "--start", "I@t0",
+                      "--outcomes", "Fup,Fdown@t1", "--rep", "observable"]
+# the rounding floor (d eps)^2 of eps_eig on the d = 50 reference model
+REFERENCE_FLOOR = (50 * np.finfo(float).eps) ** 2
+
+
+def test_an_eps_eig_below_rounding_answers_or_exits_two():
+    # at 1e-18 the measurement answers as at the default eps_eig
+    code, out, err = run(["--eps-eig", "1e-18", *MEASURE_OBSERVABLE])
+    assert (code, err) == (0, "")
+    assert out == run(MEASURE_OBSERVABLE)[1]
+    assert "total                    1" in out.splitlines()
+    # at 1e-32, below the floor, every squared cut keeps rounding: the
+    # model is refused rather than answering P[Fup] = P[Fdown] = 1
+    code, out, err = run(["--eps-eig", "1e-32", *MEASURE_OBSERVABLE])
+    assert (code, out) == (2, "")
+    assert err == ("validation error: eps_eig = 1e-32 lies at or below the rounding "
+                   "floor (d eps)^2 = 1.23e-28 of dimension d = 50\n")
+
+
+@pytest.mark.parametrize("value", [
+    "5e-324", "1e-40", repr(np.nextafter(REFERENCE_FLOOR, 0)), repr(REFERENCE_FLOOR),
+    repr(np.nextafter(REFERENCE_FLOOR, 1)), "0.9999999", "1", "0", "-1e-9", "nan", "inf",
+    "1e-7x",
+])
+@pytest.mark.parametrize("flag", ["--eps-eig", "--eps-zero"])
+@pytest.mark.parametrize("command", [
+    MEASURE_OBSERVABLE,
+    ["prob", "--scenario", "reference", "--rule", "forward", "--cond", "I@t0",
+     "--outcome", "Fup@t1"],
+], ids=["measure", "prob"])
+def test_any_tolerance_value_exits_with_a_code_and_no_traceback(command, flag, value):
+    code, out, err = run([f"{flag}={value}", *command])
+    assert code in (0, 1, 2, 3) and "Traceback" not in err
+    if code == 2:
+        assert flag.lstrip("-").replace("-", "_") in err
+    if code == 1:
+        assert flag in err

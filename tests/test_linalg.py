@@ -83,11 +83,6 @@ def test_projector_from_span_contains_inputs():
         assert np.max(np.abs(p @ v - v)) < 1e-9
 
 
-def test_projector_from_span_empty():
-    with pytest.raises(DomainError):
-        projector_from_span([], DEFAULT_TOL)
-
-
 def test_is_projector_reads_the_projector_defect():
     tol = DEFAULT_TOL
     oblique = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)   # idempotent, not Hermitian

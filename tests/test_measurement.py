@@ -327,19 +327,22 @@ def test_kappa_paths_answer_at_a_tiny_eigenvalue_cut(start, k1, names, k2):
         assert abs(np.trace(path.at(k2)).real - outcome_probability(proc, i)) <= 1e-12
 
 
+@pytest.mark.parametrize("closure_tol", ["default", "small"])
 @pytest.mark.parametrize("rep", ["support", "observable"])
 @pytest.mark.parametrize("build, start, outcomes, k1", [
     (build_reference_experiment, "I", ("Fup", "Fdown"), 1),
     (build_redundant_record_experiment, "I", ("Fab", "Fdown"), 1),
 ], ids=["reference", "redundant-record"])
-def test_kappa_paths_match_the_oracle_at_a_small_eps_eig(build, start, outcomes, k1, rep):
+def test_kappa_paths_match_the_oracle_at_a_small_eps_eig(build, start, outcomes, k1, rep,
+                                                         closure_tol):
     # at eps_eig = 1e-18 the trimmed operators' rounding dips below
     # -eps_eig; neither the library nor the oracle refuses on it, and
     # every kappa is PSD up to rounding.  The family is built at the
-    # default eps_eig, since a forward closure at 1e-18 spans rounding
-    # directions.
-    ex = build()
-    m = dataclasses.replace(ex.model, tol=linalg.Tolerance(1e-9, 1e-18))
+    # default eps_eig or at 1e-18: above the rounding floor the forward
+    # closure keeps the same directions at both.
+    small = linalg.Tolerance(1e-9, 1e-18)
+    ex = build(small) if closure_tol == "small" else build()
+    m = dataclasses.replace(ex.model, tol=small)
     outs = OutcomeSet(tuple(ex.predicates[name] for name in outcomes), k1 + 1)
     proc = MeasurementProcess(m, ex.fam, ex.predicates[start], k1, outs)
     for i in range(len(outcomes)):

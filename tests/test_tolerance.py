@@ -3,7 +3,10 @@ the model's ``Tolerance``, and no public function can fall back to the
 library default."""
 
 import ast
+import dataclasses
 import inspect
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,8 +26,12 @@ from physborn.born import OutcomeSet, prob_intermediate_full
 from physborn.errors import DomainError
 from physborn.linalg import DEFAULT_TOL, Tolerance
 from physborn.measurement import MeasurementProcess
-from physborn.scenarios import build_reference_experiment
+from physborn.model import forward_closure, validate_family
+from physborn.scenario_io import builtin_scenario
+from physborn.scenarios import build_redundant_record_experiment, build_reference_experiment
 from physborn.verify import verifiability
+
+from conftest import bench_chain
 
 MODULES = (linalg, model, condition, born, measurement, verify, scenarios, scenario_io, cli)
 
@@ -45,8 +52,8 @@ ENTRY_POINTS = {
 REQUIRED = {
     *(f"linalg.{name}" for name in (
         "approx_equal", "is_hermitian", "is_unitary", "is_projector", "commutes",
-        "within_zero", "support_projector", "range_basis", "span_basis",
-        "orthogonal_projectors", "near_record_labels",
+        "within_zero", "support_projector", "range_basis", "rank_cut",
+        "check_eps_eig", "orthogonal_projectors", "near_record_labels",
     )),
     "measurement.KappaPath",
 }
@@ -103,6 +110,88 @@ def test_default_tolerance_is_read_only_as_an_entry_point_default():
             and id(node) not in allowed
         ]
         assert not reads, f"{mod.__name__} reads DEFAULT_TOL at lines {reads}"
+
+
+def _attribute_reads(tree, attr: str) -> list:
+    """(enclosing name, node) for every ``.attr`` in a module's tree, the
+    name being the dotted path of the innermost enclosing def or class."""
+    found = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{name}.{child.name}"
+            elif isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append((name, child))
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_eps_eig_is_read_by_the_cut_the_range_check_and_the_floor_alone():
+    readers = set()
+    for mod in MODULES:
+        tree = ast.parse(inspect.getsource(mod))
+        short = mod.__name__.rpartition(".")[2]
+        # the CLI hands eps_eig to a Tolerance: the parser default, and the
+        # parsed value given to the constructor
+        handed = {id(n) for call in ast.walk(tree) if isinstance(call, ast.Call)
+                  and (getattr(call.func, "attr", None) == "add_argument"
+                       or getattr(call.func, "id", None) == "Tolerance")
+                  for n in ast.walk(call)} if mod is cli else set()
+        readers |= {short + name for name, node in _attribute_reads(tree, "eps_eig")
+                    if id(node) not in handed}
+    assert readers == {"linalg.Tolerance.__post_init__", "linalg.rank_cut",
+                       "linalg.check_eps_eig"}
+
+
+# ---------------------------------------------------------------------------
+# One rank cut above the rounding floor: ranks and nesting do not move.
+
+# eps_eig from the default down to 1e-27, every value above the floor of
+# each model below (5.1e-28 at the chain's d = 102)
+EPS_EIG_GRID = [10.0 ** -e for e in range(7, 28)]
+
+
+def _ranks(fam) -> list:
+    return [round(np.trace(fam.at(k)).real) for k in range(len(fam))]
+
+
+def _chain_8(tol):
+    c, m, _ = bench_chain(8)
+    m = dataclasses.replace(m, tol=tol)
+    return SimpleNamespace(model=m, fam=forward_closure(m, c.initial, c.extras))
+
+
+@pytest.mark.parametrize("build", [
+    _chain_8, partial(builtin_scenario, "reference"), partial(builtin_scenario, "sg-observers"),
+    build_redundant_record_experiment,
+], ids=["chain-8", "reference", "sg-observers", "redundant-record"])
+def test_ranks_and_nesting_hold_down_to_the_rounding_floor(build):
+    default = build(DEFAULT_TOL)
+    floor = (default.model.dim * np.finfo(float).eps) ** 2
+    for eps_eig in EPS_EIG_GRID + [np.nextafter(floor, 1)]:
+        ex = build(Tolerance(DEFAULT_TOL.eps_zero, eps_eig))
+        assert _ranks(ex.fam) == _ranks(default.fam), eps_eig
+        assert validate_family(ex.model, ex.fam).passed, eps_eig
+
+
+def test_an_eps_eig_at_or_below_the_rounding_floor_is_refused():
+    ref = build_reference_experiment()
+    floor = (50 * np.finfo(float).eps) ** 2            # 1.23e-28 at d = 50
+    assert ref.model.dim == 50
+    above = dataclasses.replace(ref.model, tol=Tolerance(1e-9, np.nextafter(floor, 1)))
+    assert above.tol.eps_eig > floor
+    for eps_eig in (floor, np.nextafter(floor, 0), 1e-32, 5e-324):
+        with pytest.raises(DomainError, match=r"eps_eig = .* lies at or below the rounding "
+                           r"floor \(d eps\)\^2 = 1.23e-28 of dimension d = 50"):
+            dataclasses.replace(ref.model, tol=Tolerance(1e-9, eps_eig))
+    # the floor grows as d^2: 4.9e-26 at d = 1000
+    with pytest.raises(DomainError, match="4.93e-26 of dimension d = 1000"):
+        linalg.check_eps_eig(Tolerance(1e-9, 4.9e-26), 1000)
+    linalg.check_eps_eig(Tolerance(1e-9, 5e-26), 1000)
 
 
 # ---------------------------------------------------------------------------
