@@ -47,6 +47,7 @@ from .measurement import (
 from .model import (
     Model,
     PhysicalFamily,
+    StepBlock,
     TimeGrid,
     forward_closure,
     heisenberg,

@@ -3,10 +3,14 @@
 A ``Model`` is a system1 (x) system2 Hilbert factorization with one unitary
 per grid step.  A step that writes a record moves only a few indices: U
 differs from the identity on the set S of the nonzero rows and columns of
-U - I, read from exact zeros.  Outside S x S, U^dagger U - I is exactly
-zero, so the model checks unitarity on the principal block U[S, S], and it
-builds V(k) from V(k-1) by updating only the rows in S.  Every step takes
-that one path; for a Haar step S is every index.  All stored projector
+U - I, read from exact zeros.  The model holds each step as its
+:class:`StepBlock` (S, U[S, S]), found once: by a scan of a dense step's
+d^2 entries, or taken as given, reduced to the minimal S, when the caller
+passes the pair, as a scenario file's loader does.  Outside S x S,
+U^dagger U - I is exactly zero, so the model checks unitarity on the
+block, and it builds V(k) from V(k-1) by updating only the rows in S; a
+step whose S is every index (a Haar step) is held as the given matrix
+and applied by one product.  All stored projector
 families live in the Heisenberg picture with reference at grid index 0;
 ``heisenberg`` converts a Schrodinger-picture operator at index k into
 that frame.
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,19 +88,100 @@ class TimeGrid:
         return linalg._index(k, 0, len(self.times) - 1, "grid index {k} out of range [{lo}, {hi}]")
 
 
+class StepBlock(NamedTuple):
+    """A step given by the indices S it moves, strictly increasing, and its
+    block U[S, S]: U is the identity outside S x S.  An empty S takes an
+    empty block."""
+
+    indices: object
+    block: object
+
+
+def _checked_pair(k: int, step: StepBlock, d: int) -> tuple:
+    """The indices and block of step k as arrays, refused unless S is
+    strictly increasing integers in 0..d-1 and the block an |S| x |S|
+    matrix of finite numbers.  Only the |S|^2 entries of the block are
+    read."""
+    s = np.asarray(step.indices)
+    if s.size == 0:
+        s = np.empty(0, dtype=np.intp)
+    if s.ndim != 1 or s.dtype.kind not in "iu":
+        raise ValidationError(f"step {k} indices: expected a list of integers")
+    out = np.flatnonzero((s < 0) | (s >= d))
+    if out.size:
+        raise ValidationError(f"step {k} indices: {s[out[0]]} is not an integer in 0..{d - 1}")
+    down = np.flatnonzero(s[1:] <= s[:-1])
+    if down.size:
+        a = down[0]
+        raise ValidationError(f"step {k} indices: {s[a + 1]} follows {s[a]}; "
+                              "indices must be strictly increasing")
+    n = len(s)
+    try:
+        block = np.asarray(step.block, dtype=complex)
+    except (TypeError, ValueError):
+        block = None
+    if block is not None and n == 0 == block.size:
+        block = block.reshape(0, 0)
+    if block is None or block.shape != (n, n):
+        raise ValidationError(f"step {k} block: expected a {n}x{n} matrix, "
+                              "one row and column per index")
+    if not np.all(np.isfinite(block)):
+        raise ValidationError(f"step {k}: non-finite entry (NaN or infinity)")
+    return s, block
+
+
+def _step(k: int, u, d: int) -> tuple:
+    """(U as given, U's pair on the minimal S) for step k, given as a
+    d x d matrix or as a :class:`StepBlock`.  A matrix's S is found by
+    :func:`linalg.support_indices`.  A pair is checked by
+    :func:`_checked_pair`, and an index whose row and column of its block
+    are the identity's is dropped from it, so that a pair and its dense
+    matrix are held alike.  A block whose S is every index is held
+    uncopied."""
+    if isinstance(u, StepBlock):
+        u = StepBlock(*_checked_pair(k, u, d))
+        s, block = u
+        moved = linalg.support_indices(block, 1) if len(s) else s
+        if len(moved) < len(s):
+            return u, StepBlock(s[moved], block[np.ix_(moved, moved)])
+        return u, u
+    if u.shape != (d, d):
+        raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
+    s = linalg.support_indices(u, 1)
+    return u, StepBlock(s, u if len(s) == d else u[np.ix_(s, s)])
+
+
+def _dense_step(u, d: int) -> np.ndarray:
+    """A step as given to :class:`Model` as its d x d matrix: a
+    :class:`StepBlock` scattered onto the identity."""
+    if not isinstance(u, StepBlock):
+        return u
+    m = np.eye(d, dtype=complex)
+    m[np.ix_(u.indices, u.indices)] = u.block
+    return m
+
+
 @dataclass(frozen=True)
 class Model:
     """Closed-system model: dimensions, grid, and per-step propagators.
 
     ``steps[k]`` propagates grid index k -> k+1 in the Schrodinger
-    picture and must be unitary on the full d1*d2 space.  For each step U
-    the model finds the set S of indices it moves
-    (:func:`linalg.support_indices`) and checks unitarity on the principal
-    block U[S, S]: U^dagger U - I is exactly zero outside S x S and sums
-    the same terms inside it, so the verdict is the dense one.  V(k) is
-    V(k-1) with the rows in S replaced by U[S, S] V(k-1)[S, :], from
-    V(0) = I; a step with S empty shares V(k-1), uncopied.  Every step's shape is checked before V(0) is
-    built.
+    picture and must be unitary on the full d1*d2 space.  A step is given
+    as a d x d matrix or as a :class:`StepBlock` (S, U[S, S]).
+    ``blocks[k]`` is step k's pair on the minimal set S of indices it
+    moves (:func:`_step`), found once, and the model checks unitarity on
+    the block U[S, S]: U^dagger U - I is exactly zero outside S x S and
+    sums the same terms inside it, so the verdict is the dense one.  V(k)
+    is V(k-1) with the rows in S replaced by U[S, S] V(k-1)[S, :], from
+    V(0) = I; a step with S empty shares V(k-1), uncopied, and one with S
+    every index is the one product U V(k-1).  Every step's shape is
+    checked before V(0) is built.
+
+    ``steps`` is the tuple of dense d x d matrices, a matrix as given and
+    a pair scattered onto the identity.  It is built on first request
+    (:meth:`__getattr__`): the model itself, and :func:`scenario_io.serialize`,
+    read only ``blocks``, so a model loaded from a scenario file makes no
+    d x d step matrix unless a caller asks for one.
     """
 
     d1: int
@@ -103,34 +189,46 @@ class Model:
     grid: TimeGrid
     steps: tuple
     tol: Tolerance = DEFAULT_TOL
+    blocks: tuple = field(init=False, repr=False, compare=False)
+    _given: tuple = field(init=False, repr=False, compare=False)
     _cum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ValidationError("subsystem dimensions must be positive")
         linalg.check_eps_eig(self.tol, self.dim)
-        steps = tuple(linalg.as_matrix(u) for u in self.steps)
-        object.__setattr__(self, "steps", steps)
-        if len(steps) != self.grid.n_steps:
+        given = tuple(u if isinstance(u, StepBlock) else linalg.as_matrix(u)
+                      for u in self.steps)
+        if len(given) != self.grid.n_steps:
             raise ValidationError(
-                f"expected {self.grid.n_steps} step unitaries, got {len(steps)}"
+                f"expected {self.grid.n_steps} step unitaries, got {len(given)}"
             )
         d = self.dim
-        for k, u in enumerate(steps):
-            if u.shape != (d, d):
-                raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
+        given, blocks = zip(*(_step(k, u, d) for k, u in enumerate(given)))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_given", given)
+        object.__delattr__(self, "steps")
         cum = [np.eye(d, dtype=complex)]
-        for k, u in enumerate(steps):
-            s = linalg.support_indices(u, 1)
-            block = u[np.ix_(s, s)]
+        for k, (s, block) in enumerate(blocks):
             if not linalg.is_unitary(block, self.tol):
                 raise ValidationError(f"step {k} is not unitary within eps_zero")
             v = cum[-1]
-            if len(s):
+            if len(s) == d:
+                v = block @ v
+            elif len(s):
                 v = v.copy()
                 v[s] = block @ v[s]
             cum.append(v)
         object.__setattr__(self, "_cum", tuple(cum))
+
+    def __getattr__(self, name):
+        """``steps``, built from the steps as given and kept; called only
+        for an attribute the instance lacks."""
+        if name != "steps" or "_given" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        steps = tuple(_dense_step(u, self.dim) for u in self._given)
+        object.__setattr__(self, "steps", steps)
+        return steps
 
     @property
     def dim(self) -> int:

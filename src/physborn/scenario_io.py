@@ -11,7 +11,12 @@ it does not leave alone: ``{"indices": S, "block": M[S, S]}``, where a
 step equals the identity and a projector equals zero outside S x S
 (:func:`linalg.support_indices`).  A matrix whose S is every index is
 written as a dense matrix, the only form of format 1; both forms load
-in either format.
+in either format.  A step travels as its pair from file to dump:
+``loads`` passes a step's block entry to :class:`model.Model` as a
+:class:`model.StepBlock`, unscattered, and ``serialize`` writes each
+step from the pair the model holds (``Model.blocks``), with no scan of
+a d x d matrix.  A family projector's block entry is scattered onto
+zero, and ``serialize`` finds its S by a scan.
 
 A dump is the text of ``json.dumps(doc, indent=2, sort_keys=True)``, but
 ``json`` lays out only the skeleton: the floats of each step, family
@@ -34,7 +39,8 @@ import numpy as np
 from . import linalg
 from .errors import ValidationError
 from .linalg import DEFAULT_TOL, Tolerance
-from .model import Model, PhysicalFamily, TimeGrid, forward_closure, validate_family
+from .model import (Model, PhysicalFamily, StepBlock, TimeGrid, forward_closure,
+                    validate_family)
 
 FORMAT_VERSION = 2
 
@@ -157,13 +163,14 @@ def _indices(value, d: int, what: str) -> list:
     return indices
 
 
-def _square_entry(entry, d: int, base: int, what: str) -> np.ndarray:
-    """A step (``base`` 1) or a family projector (``base`` 0) from its
-    file entry: a dense matrix of [re, im] pairs, or ``{"indices": S,
-    "block": B}`` with B scattered onto base I at S x S.  An empty S takes
-    the empty block ``[]``.  A malformed S or a block of the wrong shape is
-    refused naming the field; an entry of B that is not a finite number is
-    refused by the message a dense matrix gives."""
+def _square_entry(entry, d: int, what: str):
+    """A step or a family projector as its file entry writes it: the
+    dense matrix of [re, im] pairs, or for ``{"indices": S, "block": B}``
+    the :class:`model.StepBlock` (S, B) of a list and an |S| x |S| array,
+    unscattered, which :class:`model.Model` takes as a step.  An empty S
+    takes the empty block ``[]``.  A malformed S or a block of the wrong
+    shape is refused naming the field; an entry of B that is not a finite
+    number is refused by the message a dense matrix gives."""
     if not isinstance(entry, dict):
         return _pairs_to_matrix(entry, what)
     indices = _indices(entry.get("indices"), d, f"{what} indices")
@@ -172,11 +179,19 @@ def _square_entry(entry, d: int, base: int, what: str) -> np.ndarray:
     if len(rows) != n or not all(isinstance(row, list) and len(row) == n for row in rows):
         raise ValidationError(f"{what} block: expected a {n}x{n} matrix of [re, im] pairs, "
                               f"one row and column per index")
-    block = _pairs_to_array(rows, what)   # an entry is refused as in a dense matrix
-    m = np.eye(d, dtype=complex) if base else np.zeros((d, d), dtype=complex)
-    if n:
-        m[np.ix_(indices, indices)] = block
-    return m
+    # an entry is refused as in a dense matrix
+    return StepBlock(indices, _pairs_to_array(rows, what).reshape(n, n))
+
+
+def _projector_entry(entry, d: int, what: str) -> np.ndarray:
+    """A family projector as a d x d matrix: a block entry scattered onto
+    zero at S x S."""
+    m = _square_entry(entry, d, what)
+    if not isinstance(m, StepBlock):
+        return m
+    p = np.zeros((d, d), dtype=complex)
+    p[np.ix_(m.indices, m.indices)] = m.block
+    return p
 
 
 def _label_projector(labels, d1: int, what: str) -> np.ndarray:
@@ -291,21 +306,29 @@ def _render(doc: dict) -> str:
     return "".join(parts)
 
 
-def _entry(m: np.ndarray, base: int):
-    """A step (``base`` 1) or a family projector (``base`` 0) as the file
-    holds it: the block form on the S of :func:`linalg.support_indices`,
-    or the dense matrix when S is every index."""
-    s = linalg.support_indices(m, base)
-    if len(s) == len(m):
-        return _held_matrix(m)
-    return {"indices": s.tolist(), "block": _held_matrix(m[np.ix_(s, s)])}
+def _entry(s: np.ndarray, block: np.ndarray, d: int):
+    """A step or a family projector as the file holds it, from the indices
+    S it does not leave alone and its block on S x S: the block form, or
+    the dense matrix, ``block`` itself, when S is every index."""
+    if len(s) == d:
+        return _held_matrix(block)
+    return {"indices": s.tolist(), "block": _held_matrix(block)}
+
+
+def _projector_block(p: np.ndarray) -> tuple:
+    """(S, P[S, S]) of a family projector, S from
+    :func:`linalg.support_indices`; P itself when S is every index."""
+    s = linalg.support_indices(p, 0)
+    return s, p if len(s) == len(p) else p[np.ix_(s, s)]
 
 
 def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
               grid_names=None, family_spec: dict | None = None) -> str:
     """Render a scenario as a deterministic JSON string.
 
-    Each step and family projector is written as :func:`_entry` holds it.
+    Each step and family projector is written as :func:`_entry` holds
+    it: a step from its pair in ``model.blocks``, with no scan of its
+    matrix, a projector from the support :func:`_projector_block` finds.
     The family is stored as explicit projectors unless ``family_spec``
     supplies a forward-closure description to embed instead.  A predicate
     is stored as ``labels`` when it is within the model's ``eps_zero`` of
@@ -319,10 +342,11 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
         "grid": list(model.grid.times),
         "grid_names": list(grid_names) if grid_names else
                       [str(k) for k in range(model.n_indices)],
-        "steps": [_entry(u, 1) for u in model.steps],
+        "steps": [_entry(s, block, model.dim) for s, block in model.blocks],
         "family": _held_pairs(family_spec, set()) if family_spec is not None else {
             "type": "explicit",
-            "projectors": [_entry(p, 0) for p in fam.projectors],
+            "projectors": [_entry(*_projector_block(p), model.dim)
+                           for p in fam.projectors],
         },
         "predicates": {},
     }
@@ -386,8 +410,7 @@ def loads(text: str, name: str = "<string>",
         raise ValidationError(f"{name}: dimensions d1 = {d1}, d2 = {d2} need more than the "
                               f"{DENSE_BUDGET} bytes of dense complex matrices a scenario "
                               f"may use")
-    steps = tuple(_square_entry(entry, d1 * d2, 1, f"step {k}")
-                  for k, entry in enumerate(entries))
+    steps = tuple(_square_entry(entry, d1 * d2, f"step {k}") for k, entry in enumerate(entries))
     try:
         model = Model(d1, d2, grid, steps, tol)
     except ValidationError as exc:
@@ -397,7 +420,7 @@ def loads(text: str, name: str = "<string>",
     kind = famspec.get("type")
     if kind == "explicit":
         fam = PhysicalFamily(tuple(
-            _square_entry(entry, model.dim, 0, f"family projector {k}")
+            _projector_entry(entry, model.dim, f"family projector {k}")
             for k, entry in enumerate(_list(famspec.get("projectors", []), "family projectors"))
         ))
     elif kind == "forward-closure":

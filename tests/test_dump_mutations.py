@@ -30,6 +30,11 @@ A fourth raises the declared ``d1`` or ``d2`` of the dump, of its
 format-1 document or of its forward-closure form far above what the
 file writes.  Each such file must be refused with exit 2 by a message
 that names ``dimensions``, before any d x d matrix is built.
+
+A fifth pads one block entry of the dump with indices its matrix leaves
+alone, some of them or all, giving each the identity's row and column
+(a step) or zero ones (a family projector).  Such a file must load, and
+``serialize`` must write it back as the dump, its minimal form.
 """
 
 import io
@@ -42,7 +47,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from physborn.cli import main
-from physborn.scenario_io import dump_builtin
+from physborn.scenario_io import dump_builtin, loads, serialize
 
 from conftest import format_1_document
 
@@ -165,6 +170,39 @@ def test_a_mutated_block_entry_exits_two_naming_its_field(kind, field, i, j):
     for code, err in _validate_and_prob(json.dumps(doc)):
         assert code == 2 and "Traceback" not in err, (code, err)
         assert any(name in err for name in names), (names, err)
+
+
+def _pad_block(doc: dict, field: str, i: int, j: int, every: bool) -> None:
+    """Pad block entry i of the field in place with indices its matrix
+    leaves alone: every one, or one to three of them picked by j."""
+    entries = doc["family"]["projectors"] if field == "projectors" else doc["steps"]
+    base = 0.0 if field == "projectors" else 1.0
+    d = doc["dimensions"]["d1"] * doc["dimensions"]["d2"]
+    indices, block = entries[i]["indices"], entries[i]["block"]
+    free = sorted(set(range(d)) - set(indices))
+    extra = free if every else {free[(j * m) % len(free)] for m in (1, 7, 13)[:1 + j % 3]}
+    s = sorted(set(indices) | set(extra))
+    at = {index: a for a, index in enumerate(indices)}
+    entries[i] = {"indices": s, "block": [
+        [block[at[a]][at[b]] if a in at and b in at else [base if a == b else 0.0, 0.0]
+         for b in s] for a in s]}
+
+
+@settings(derandomize=True, database=None, max_examples=12, deadline=None)
+@given(field=st.sampled_from(("projectors", "steps")), every=st.booleans(),
+       i=st.integers(0, 2), j=st.integers(0, 60))
+@example(field="steps", every=True, i=0, j=0)
+@example(field="projectors", every=True, i=2, j=0)
+def test_a_padded_block_entry_loads_to_its_minimal_form(field, every, i, j):
+    doc = json.loads(REFERENCE)
+    i %= len(doc["family"]["projectors"] if field == "projectors" else doc["steps"])
+    _pad_block(doc, field, i, j, every)
+    text = json.dumps(doc)
+    assert text != json.dumps(json.loads(REFERENCE))
+    for code, err in _validate_and_prob(text):
+        assert code == 0, err
+    sc = loads(text)
+    assert serialize(sc.name, sc.model, sc.fam, sc.predicates, sc.grid_names) == REFERENCE
 
 
 VALUES = (None, True, "3", 3.5, [], {}, -1, 0, 10**400, float("nan"))
