@@ -5,9 +5,12 @@ module holds what numpy does not: the tolerances, input coercion, the
 Hermitian part, record and support projectors, the labels of a record
 (exact, or within eps_zero), orthonormal range bases, the
 tolerance-based predicates, the bounded zero test, the projector-set
-check and the one index gate.  Every function that decides within a
-tolerance takes it as a required argument; the caller passes its
-model's.
+check and the one index gate.  A step or a projector that equals base I
+(base 1 or 0) outside S x S is gathered into its pair (S, M[S, S]) by
+:func:`support_block` and scattered back by :func:`scatter_block`, the
+one gather and the one scatter of such a pair.  Every function that
+decides within a tolerance takes it as a required argument; the caller
+passes its model's.
 eps_eig has one meaning and is read here alone: :func:`rank_cut` keeps
 a direction whose squared singular value, an eigenvalue of the PSD
 operator it spans, exceeds eps_eig, and :func:`check_eps_eig` refuses an
@@ -70,11 +73,18 @@ def check_eps_eig(tol: Tolerance, d: int) -> None:
                           f"floor (d eps)^2 = {floor:.3g} of dimension d = {d}")
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex array, rejecting NaN/Inf entries."""
+def as_2d(a) -> np.ndarray:
+    """Coerce to a 2-D complex array with at least one row and column,
+    reading no entry."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"expected a 2-D matrix, got shape {m.shape}")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """:func:`as_2d`, rejecting NaN/Inf entries."""
+    m = as_2d(a)
     if not np.all(np.isfinite(m)):
         raise DomainError("matrix contains non-finite entries")
     return m
@@ -247,6 +257,25 @@ def support_indices(m: np.ndarray, base: int) -> np.ndarray:
     nonzero[i, i] = (np.diagonal(m) != base)[:, None]
     rows = nonzero.reshape(d, 2 * d).any(axis=1)
     return np.flatnonzero(rows | nonzero.any(axis=0).any(axis=1))
+
+
+def support_block(m: np.ndarray, base: int) -> tuple:
+    """(S, m[S, S]) for a square m and a base of 0 or 1, with S from
+    :func:`support_indices`: the pair m is held as.  The block is m itself,
+    uncopied, when S is every index."""
+    s = support_indices(m, base)
+    return s, m if len(s) == len(m) else m[np.ix_(s, s)]
+
+
+def scatter_block(s, block: np.ndarray, base: int, d: int) -> np.ndarray:
+    """The d x d matrix that is ``block`` on S x S and base I outside it,
+    the inverse of :func:`support_block`: ``block`` itself when S is every
+    index."""
+    if len(s) == d:
+        return block
+    m = np.eye(d, dtype=complex) if base else np.zeros((d, d), dtype=complex)
+    m[np.ix_(s, s)] = block
+    return m
 
 
 def diagonal_projector(labels, n: int) -> np.ndarray:

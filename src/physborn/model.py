@@ -4,13 +4,17 @@ A ``Model`` is a system1 (x) system2 Hilbert factorization with one unitary
 per grid step.  A step that writes a record moves only a few indices: U
 differs from the identity on the set S of the nonzero rows and columns of
 U - I, read from exact zeros.  The model holds each step as its
-:class:`StepBlock` (S, U[S, S]), found once: by a scan of a dense step's
-d^2 entries, or taken as given, reduced to the minimal S, when the caller
-passes the pair, as a scenario file's loader does.  Outside S x S,
-U^dagger U - I is exactly zero, so the model checks unitarity on the
-block, and it builds V(k) from V(k-1) by updating only the rows in S; a
-step whose S is every index (a Haar step) is held as the given matrix
-and applied by one product.  All stored projector
+:class:`StepBlock` (S, U[S, S]), found once by :func:`linalg.support_block`:
+from a scan of a dense step's d^2 entries, or from the block of a pair the
+caller passes, as a scenario file's loader does, once
+:func:`checked_block`, the one checker of a pair, has passed it.  Every
+NaN or infinity of a step lies in S x S, so its block is the one place
+the step's entries are tested finite.  Outside S x S, U^dagger U - I is
+exactly zero, so the model checks unitarity on the block, and it builds
+V(k) from V(k-1) by updating only the rows in S; a step whose S is every
+index (a Haar step) is held as the given matrix and applied by one
+product.  The dense steps are scattered from the pairs only on request
+(:func:`linalg.scatter_block`).  All stored projector
 families live in the Heisenberg picture with reference at grid index 0;
 ``heisenberg`` converts a Schrodinger-picture operator at index k into
 that frame.
@@ -97,68 +101,63 @@ class StepBlock(NamedTuple):
     block: object
 
 
-def _checked_pair(k: int, step: StepBlock, d: int) -> tuple:
-    """The indices and block of step k as arrays, refused unless S is
-    strictly increasing integers in 0..d-1 and the block an |S| x |S|
-    matrix of finite numbers.  Only the |S|^2 entries of the block are
-    read."""
-    s = np.asarray(step.indices)
-    if s.size == 0:
-        s = np.empty(0, dtype=np.intp)
-    if s.ndim != 1 or s.dtype.kind not in "iu":
-        raise ValidationError(f"step {k} indices: expected a list of integers")
-    out = np.flatnonzero((s < 0) | (s >= d))
-    if out.size:
-        raise ValidationError(f"step {k} indices: {s[out[0]]} is not an integer in 0..{d - 1}")
-    down = np.flatnonzero(s[1:] <= s[:-1])
-    if down.size:
-        a = down[0]
-        raise ValidationError(f"step {k} indices: {s[a + 1]} follows {s[a]}; "
-                              "indices must be strictly increasing")
+def checked_index(i, d: int, what: str) -> int:
+    """i as an int when :func:`linalg._index` takes it as an integer in
+    0..d-1; otherwise ValidationError ``what: i is not an integer in
+    0..d-1``."""
+    try:
+        return linalg._index(i, 0, d - 1, "{k}")
+    except IndexError as exc:
+        raise ValidationError(f"{what}: {exc} is not an integer in 0..{d - 1}") from None
+
+
+def checked_block(what: str, indices, block, d: int) -> tuple:
+    """The pair (S, M[S, S]) of a step or a family projector as an index
+    array and a complex array, refused with a ValidationError naming
+    ``what`` unless each index passes :func:`checked_index`, S is strictly
+    increasing and the block is |S| x |S|.  The one checker of a pair; it
+    reads no entry of the block."""
+    where = f"{what} indices"
+    try:
+        s = [checked_index(i, d, where) for i in indices]
+    except TypeError:   # not iterable: checked_index itself raises no TypeError
+        raise ValidationError(f"{where}: expected a list of integers") from None
+    for a, b in zip(s, s[1:]):
+        if b <= a:
+            raise ValidationError(f"{where}: {b} follows {a}; indices must be strictly increasing")
     n = len(s)
     try:
-        block = np.asarray(step.block, dtype=complex)
+        block = np.asarray(block, dtype=complex)
     except (TypeError, ValueError):
         block = None
     if block is not None and n == 0 == block.size:
         block = block.reshape(0, 0)
     if block is None or block.shape != (n, n):
-        raise ValidationError(f"step {k} block: expected a {n}x{n} matrix, "
+        raise ValidationError(f"{what} block: expected a {n}x{n} matrix, "
                               "one row and column per index")
-    if not np.all(np.isfinite(block)):
-        raise ValidationError(f"step {k}: non-finite entry (NaN or infinity)")
-    return s, block
+    return np.array(s, dtype=np.intp), block
 
 
-def _step(k: int, u, d: int) -> tuple:
-    """(U as given, U's pair on the minimal S) for step k, given as a
-    d x d matrix or as a :class:`StepBlock`.  A matrix's S is found by
-    :func:`linalg.support_indices`.  A pair is checked by
-    :func:`_checked_pair`, and an index whose row and column of its block
-    are the identity's is dropped from it, so that a pair and its dense
-    matrix are held alike.  A block whose S is every index is held
-    uncopied."""
+def _step(k: int, u, d: int) -> StepBlock:
+    """Step k's pair on the minimal S, from a d x d matrix or a
+    :class:`StepBlock`.  :func:`linalg.support_block` finds a matrix's
+    pair, and reduces the block of a pair that :func:`checked_block`
+    passed, so that a pair and its dense matrix are held alike; a block
+    whose S is every index is held uncopied.  A NaN or infinity differs
+    from both 0 and 1, so it lies in S x S, and the block is the one place
+    a step's entries are tested finite."""
     if isinstance(u, StepBlock):
-        u = StepBlock(*_checked_pair(k, u, d))
-        s, block = u
-        moved = linalg.support_indices(block, 1) if len(s) else s
-        if len(moved) < len(s):
-            return u, StepBlock(s[moved], block[np.ix_(moved, moved)])
-        return u, u
-    if u.shape != (d, d):
-        raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
-    s = linalg.support_indices(u, 1)
-    return u, StepBlock(s, u if len(s) == d else u[np.ix_(s, s)])
-
-
-def _dense_step(u, d: int) -> np.ndarray:
-    """A step as given to :class:`Model` as its d x d matrix: a
-    :class:`StepBlock` scattered onto the identity."""
-    if not isinstance(u, StepBlock):
-        return u
-    m = np.eye(d, dtype=complex)
-    m[np.ix_(u.indices, u.indices)] = u.block
-    return m
+        s, block = checked_block(f"step {k}", *u, d)
+        moved, block = linalg.support_block(block, 1)
+        s = s[moved]
+    else:
+        u = linalg.as_2d(u)
+        if u.shape != (d, d):
+            raise ValidationError(f"step {k} has shape {u.shape}, expected {(d, d)}")
+        s, block = linalg.support_block(u, 1)
+    if not np.isfinite(block).all():
+        raise ValidationError(f"step {k}: non-finite entry (NaN or infinity)")
+    return StepBlock(s, block)
 
 
 @dataclass(frozen=True)
@@ -177,11 +176,14 @@ class Model:
     every index is the one product U V(k-1).  Every step's shape is
     checked before V(0) is built.
 
-    ``steps`` is the tuple of dense d x d matrices, a matrix as given and
-    a pair scattered onto the identity.  It is built on first request
-    (:meth:`__getattr__`): the model itself, and :func:`scenario_io.serialize`,
-    read only ``blocks``, so a model loaded from a scenario file makes no
-    d x d step matrix unless a caller asks for one.
+    ``steps`` is the tuple of dense d x d matrices, each pair of
+    ``blocks`` scattered onto the identity by :func:`linalg.scatter_block`:
+    equal to the steps as given under ``np.array_equal`` (a -0.0 outside S
+    reads +0.0), and a step whose S is every index is the given matrix
+    itself.  It is built on first request (:meth:`__getattr__`): the model
+    itself, and :func:`scenario_io.serialize`, read only ``blocks``, so a
+    model loaded from a scenario file makes no d x d step matrix unless a
+    caller asks for one.
     """
 
     d1: int
@@ -190,23 +192,19 @@ class Model:
     steps: tuple
     tol: Tolerance = DEFAULT_TOL
     blocks: tuple = field(init=False, repr=False, compare=False)
-    _given: tuple = field(init=False, repr=False, compare=False)
     _cum: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ValidationError("subsystem dimensions must be positive")
         linalg.check_eps_eig(self.tol, self.dim)
-        given = tuple(u if isinstance(u, StepBlock) else linalg.as_matrix(u)
-                      for u in self.steps)
-        if len(given) != self.grid.n_steps:
-            raise ValidationError(
-                f"expected {self.grid.n_steps} step unitaries, got {len(given)}"
-            )
         d = self.dim
-        given, blocks = zip(*(_step(k, u, d) for k, u in enumerate(given)))
+        blocks = tuple(_step(k, u, d) for k, u in enumerate(self.steps))
+        if len(blocks) != self.grid.n_steps:
+            raise ValidationError(
+                f"expected {self.grid.n_steps} step unitaries, got {len(blocks)}"
+            )
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "_given", given)
         object.__delattr__(self, "steps")
         cum = [np.eye(d, dtype=complex)]
         for k, (s, block) in enumerate(blocks):
@@ -222,11 +220,11 @@ class Model:
         object.__setattr__(self, "_cum", tuple(cum))
 
     def __getattr__(self, name):
-        """``steps``, built from the steps as given and kept; called only
-        for an attribute the instance lacks."""
-        if name != "steps" or "_given" not in vars(self):
+        """``steps``, scattered from ``blocks`` and kept; called only for
+        an attribute the instance lacks."""
+        if name != "steps" or "blocks" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        steps = tuple(_dense_step(u, self.dim) for u in self._given)
+        steps = tuple(linalg.scatter_block(s, block, 1, self.dim) for s, block in self.blocks)
         object.__setattr__(self, "steps", steps)
         return steps
 

@@ -11,12 +11,16 @@ it does not leave alone: ``{"indices": S, "block": M[S, S]}``, where a
 step equals the identity and a projector equals zero outside S x S
 (:func:`linalg.support_indices`).  A matrix whose S is every index is
 written as a dense matrix, the only form of format 1; both forms load
-in either format.  A step travels as its pair from file to dump:
-``loads`` passes a step's block entry to :class:`model.Model` as a
-:class:`model.StepBlock`, unscattered, and ``serialize`` writes each
-step from the pair the model holds (``Model.blocks``), with no scan of
-a d x d matrix.  A family projector's block entry is scattered onto
-zero, and ``serialize`` finds its S by a scan.
+in either format.  The loader checks only the JSON of a block entry: S
+is a list, the block a list of |S| rows of |S| [re, im] pairs of finite
+numbers.  The pair itself is checked by :func:`model.checked_block`, in
+:class:`model.Model` for a step, which ``loads`` passes on as a
+:class:`model.StepBlock`, unscattered, and in ``loads`` for a family
+projector, which is then scattered onto zero
+(:func:`linalg.scatter_block`).  ``serialize`` writes each step from the
+pair the model holds (``Model.blocks``), with no scan of a d x d matrix,
+and each projector from the pair :func:`linalg.support_block` finds.
+A loaded and a built-in scenario pass the same family checks.
 
 A dump is the text of ``json.dumps(doc, indent=2, sort_keys=True)``, but
 ``json`` lays out only the skeleton: the floats of each step, family
@@ -39,8 +43,8 @@ import numpy as np
 from . import linalg
 from .errors import ValidationError
 from .linalg import DEFAULT_TOL, Tolerance
-from .model import (Model, PhysicalFamily, StepBlock, TimeGrid, forward_closure,
-                    validate_family)
+from .model import (Model, PhysicalFamily, StepBlock, TimeGrid, checked_block, checked_index,
+                    forward_closure, validate_family)
 
 FORMAT_VERSION = 2
 
@@ -151,29 +155,18 @@ def _pairs_to_matrix(rows, what: str) -> np.ndarray:
     return m
 
 
-def _indices(value, d: int, what: str) -> list:
-    """The indices of a block entry: integers in 0..d-1, strictly increasing."""
-    indices = _list(value, what)
-    for k, i in enumerate(indices):
-        if not _is_integer(i) or not 0 <= i < d:
-            raise ValidationError(f"{what}: {i!r} is not an integer in 0..{d - 1}")
-        if k and i <= indices[k - 1]:
-            raise ValidationError(f"{what}: {i!r} follows {indices[k - 1]!r}; "
-                                  "indices must be strictly increasing")
-    return indices
-
-
-def _square_entry(entry, d: int, what: str):
+def _square_entry(entry, what: str):
     """A step or a family projector as its file entry writes it: the
     dense matrix of [re, im] pairs, or for ``{"indices": S, "block": B}``
     the :class:`model.StepBlock` (S, B) of a list and an |S| x |S| array,
-    unscattered, which :class:`model.Model` takes as a step.  An empty S
-    takes the empty block ``[]``.  A malformed S or a block of the wrong
-    shape is refused naming the field; an entry of B that is not a finite
-    number is refused by the message a dense matrix gives."""
+    unscattered.  Only the JSON is checked here: S is a list and B a list
+    of |S| rows of |S| [re, im] pairs of finite numbers, refused naming the
+    field; an empty S takes the empty block ``[]``.  The pair itself is
+    checked by :func:`model.checked_block`, in :class:`model.Model` for a
+    step and in :func:`_projector_entry` for a projector."""
     if not isinstance(entry, dict):
         return _pairs_to_matrix(entry, what)
-    indices = _indices(entry.get("indices"), d, f"{what} indices")
+    indices = _list(entry.get("indices"), f"{what} indices")
     rows = _list(entry.get("block"), f"{what} block")
     n = len(indices)
     if len(rows) != n or not all(isinstance(row, list) and len(row) == n for row in rows):
@@ -184,22 +177,18 @@ def _square_entry(entry, d: int, what: str):
 
 
 def _projector_entry(entry, d: int, what: str) -> np.ndarray:
-    """A family projector as a d x d matrix: a block entry scattered onto
-    zero at S x S."""
-    m = _square_entry(entry, d, what)
+    """A family projector as a d x d matrix: a block entry checked by
+    :func:`model.checked_block` and scattered onto zero."""
+    m = _square_entry(entry, what)
     if not isinstance(m, StepBlock):
         return m
-    p = np.zeros((d, d), dtype=complex)
-    p[np.ix_(m.indices, m.indices)] = m.block
-    return p
+    return linalg.scatter_block(*checked_block(what, *m, d), 0, d)
 
 
 def _label_projector(labels, d1: int, what: str) -> np.ndarray:
-    labels = _list(labels, f"{what} labels")
-    for l in labels:
-        if not _is_integer(l) or not 0 <= l < d1:
-            raise ValidationError(f"{what} labels: {l!r} is not an integer in 0..{d1 - 1}")
-    return linalg.diagonal_projector(labels, d1)
+    where = f"{what} labels"
+    return linalg.diagonal_projector(
+        [checked_index(label, d1, where) for label in _list(labels, where)], d1)
 
 
 class _Held:
@@ -315,20 +304,13 @@ def _entry(s: np.ndarray, block: np.ndarray, d: int):
     return {"indices": s.tolist(), "block": _held_matrix(block)}
 
 
-def _projector_block(p: np.ndarray) -> tuple:
-    """(S, P[S, S]) of a family projector, S from
-    :func:`linalg.support_indices`; P itself when S is every index."""
-    s = linalg.support_indices(p, 0)
-    return s, p if len(s) == len(p) else p[np.ix_(s, s)]
-
-
 def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
               grid_names=None, family_spec: dict | None = None) -> str:
     """Render a scenario as a deterministic JSON string.
 
     Each step and family projector is written as :func:`_entry` holds
     it: a step from its pair in ``model.blocks``, with no scan of its
-    matrix, a projector from the support :func:`_projector_block` finds.
+    matrix, a projector from the pair :func:`linalg.support_block` finds.
     The family is stored as explicit projectors unless ``family_spec``
     supplies a forward-closure description to embed instead.  A predicate
     is stored as ``labels`` when it is within the model's ``eps_zero`` of
@@ -345,7 +327,7 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
         "steps": [_entry(s, block, model.dim) for s, block in model.blocks],
         "family": _held_pairs(family_spec, set()) if family_spec is not None else {
             "type": "explicit",
-            "projectors": [_entry(*_projector_block(p), model.dim)
+            "projectors": [_entry(*linalg.support_block(p, 0), model.dim)
                            for p in fam.projectors],
         },
         "predicates": {},
@@ -358,6 +340,25 @@ def serialize(name: str, model: Model, fam: PhysicalFamily, predicates: dict,
         else:
             doc["predicates"][pname] = {"matrix": _held_matrix(p)}
     return _render(doc)
+
+
+def _check_family(model: Model, fam: PhysicalFamily) -> None:
+    """Refuse a family that :func:`model.validate_family` finds at fault,
+    naming the first projector or index pair, or that has not one
+    projector per grid index.  A loaded and a built-in scenario both pass
+    it."""
+    report = validate_family(model, fam)
+    if False in report.projector_ok:
+        raise ValidationError(f"family projector {report.projector_ok.index(False)} is not "
+                              f"a {model.dim}x{model.dim} projector")
+    if False in report.nonzero:
+        raise ValidationError(f"family projector {report.nonzero.index(False)} is zero")
+    if report.nesting_violations:
+        j, k = report.nesting_violations[0]
+        raise ValidationError(f"family violates nesting at index pair ({j}, {k})")
+    if len(fam) != model.n_indices:
+        raise ValidationError(f"family has {len(fam)} projectors, expected one per "
+                              f"grid index ({model.n_indices})")
 
 
 def loads(text: str, name: str = "<string>",
@@ -410,7 +411,7 @@ def loads(text: str, name: str = "<string>",
         raise ValidationError(f"{name}: dimensions d1 = {d1}, d2 = {d2} need more than the "
                               f"{DENSE_BUDGET} bytes of dense complex matrices a scenario "
                               f"may use")
-    steps = tuple(_square_entry(entry, d1 * d2, f"step {k}") for k, entry in enumerate(entries))
+    steps = tuple(_square_entry(entry, f"step {k}") for k, entry in enumerate(entries))
     try:
         model = Model(d1, d2, grid, steps, tol)
     except ValidationError as exc:
@@ -444,18 +445,7 @@ def loads(text: str, name: str = "<string>",
     else:
         raise ValidationError(f"family type must be 'explicit' or 'forward-closure', got {kind!r}")
 
-    report = validate_family(model, fam)
-    if False in report.projector_ok:
-        raise ValidationError(f"family projector {report.projector_ok.index(False)} is not "
-                              f"a {model.dim}x{model.dim} projector")
-    if False in report.nonzero:
-        raise ValidationError(f"family projector {report.nonzero.index(False)} is zero")
-    if report.nesting_violations:
-        j, k = report.nesting_violations[0]
-        raise ValidationError(f"family violates nesting at index pair ({j}, {k})")
-    if len(fam) != model.n_indices:
-        raise ValidationError(f"family has {len(fam)} projectors, expected one per "
-                              f"grid index ({model.n_indices})")
+    _check_family(model, fam)
 
     predicates = {}
     for pname, spec in _object(need("predicates"), "predicates").items():
@@ -521,6 +511,7 @@ def builtin_scenario(name: str, tol: Tolerance = DEFAULT_TOL) -> Scenario:
         raise KeyError(
             f"unknown scenario {name!r}; built in: {', '.join(BUILTIN_SCENARIOS)}"
         )
+    _check_family(model, fam)
     return Scenario(sname, model, fam, preds, gnames)
 
 

@@ -87,6 +87,19 @@ def test_validate_round_trip(tmp_path):
     assert code == 0 and "passed" in out
 
 
+def test_a_builtin_scenario_is_validated_as_its_dump_is(tmp_path):
+    # at eps_zero = 5e-324 the rounding in sg-observers' family projectors
+    # fails the projector test, for the built-in as for its dump
+    path = tmp_path / "sg.json"
+    path.write_text(dump_builtin("sg-observers"))
+    prob = ["prob", "--scenario", "sg-observers", "--rule", "forward", "--cond", "O+z@t0",
+            "--outcome", "O+z@t1"]
+    assert run(prob)[0] == run(["validate", str(path)])[0] == 0
+    refused = (2, "", "validation error: family projector 0 is not a 8x8 projector\n")
+    assert run(["--eps-zero", "5e-324", *prob]) == refused
+    assert run(["--eps-zero", "5e-324", "validate", str(path)]) == refused
+
+
 def test_exit_code_usage_errors(tmp_path):
     code, _, err = run(["prob", "--scenario", "no-such", "--rule", "forward",
                         "--cond", "I@t0", "--outcome", "Fup@t1"])

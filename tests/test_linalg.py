@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from physborn import linalg
 from physborn.errors import DomainError, ShapeError
@@ -124,6 +126,32 @@ def test_as_matrix_rejects_bad_input():
         linalg.as_matrix(np.ones(3))
     with pytest.raises(DomainError):
         linalg.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(d=st.integers(1, 7), base=st.sampled_from([0, 1]),
+       density=st.sampled_from([0.0, 0.1, 0.3, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_scatter_block_inverts_support_block(d, base, density, seed):
+    # a sparse m - base I, with -0.0 parts where it is zero: support_indices
+    # reads -0.0 as zero, so such an entry lies outside S and scatters back
+    # as +0.0, equal under array_equal
+    rng = np.random.default_rng(seed)
+    eye = np.eye(d, dtype=complex)
+    m = base * eye
+    moved = rng.random((d, d)) < density
+    m[moved] = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[moved]
+    parts = m.view(np.float64).reshape(d, d, 2)
+    parts[(parts == 0) & (rng.random((d, d, 2)) < 0.5)] = -0.0
+    s, block = linalg.support_block(m, base)
+    nonzero = (m - base * eye) != 0
+    assert np.array_equal(s, np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1)))
+    assert np.array_equal(block, m[np.ix_(s, s)])
+    back = linalg.scatter_block(s, block, base, d)
+    assert back.shape == (d, d) and np.array_equal(back, m)
+    if density == 0.0:
+        assert len(s) == 0
+    if density == 1.0:
+        assert len(s) == d and block is m and back is m
 
 
 def test_tolerance_bounds():

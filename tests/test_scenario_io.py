@@ -396,6 +396,14 @@ def _set_2(path, value):
     return _set(path, value, json.loads(dump_builtin("reference")))
 
 
+# a label that is not an integer in 0..d1-1, its text in the refusal
+# (braces doubled for str.format) and its test id
+LABELS = [(0.5, "0.5", "half"), (True, "True", "true"), (False, "False", "false"),
+          ("0", "'0'", "string"), (None, "None", "null"), (5, "5", "d1"), (-1, "-1", "negative"),
+          (10 ** 400, str(10 ** 400), "huge"), ([0], "[0]", "list"), (float("nan"), "nan", "nan"),
+          (1.0, "1.0", "float"), ({"a": 1}, "{{'a': 1}}", "object")]
+
+
 def _block_without_its_last_row():
     doc = json.loads(dump_builtin("reference"))
     del doc["steps"][0]["block"][-1]
@@ -421,17 +429,17 @@ def _block_without_its_last_row():
     (lambda: _set(["family", "extras", "02"], [], _forward_closure_doc("2")),
      "family extras: repeated index 2"),
     (lambda: _set_2(["steps", 1, "indices", 0], 28),
-     "step 1 indices: 28 follows 28; indices must be strictly increasing"),
+     "{path}: step 1 indices: 28 follows 28; indices must be strictly increasing"),
     (lambda: _set_2(["family", "projectors", 2, "indices", 1], 0),
      "family projector 2 indices: 0 follows 0; indices must be strictly increasing"),
     (lambda: _set_2(["steps", 1, "indices", 1], 3),
-     "step 1 indices: 3 follows 23; indices must be strictly increasing"),
+     "{path}: step 1 indices: 3 follows 23; indices must be strictly increasing"),
     (lambda: _set_2(["steps", 0, "indices", 0], -1),
-     "step 0 indices: -1 is not an integer in 0..49"),
+     "{path}: step 0 indices: -1 is not an integer in 0..49"),
     (lambda: _set_2(["steps", 0, "indices", 5], 50),
-     "step 0 indices: 50 is not an integer in 0..49"),
+     "{path}: step 0 indices: 50 is not an integer in 0..49"),
     (lambda: _set_2(["steps", 0, "indices", 1], 5.0),
-     "step 0 indices: 5.0 is not an integer in 0..49"),
+     "{path}: step 0 indices: 5.0 is not an integer in 0..49"),
     (lambda: _set_2(["family", "projectors", 0, "indices", 0], True),
      "family projector 0 indices: True is not an integer in 0..49"),
     (lambda: _set_2(["family", "projectors", 0, "indices"], [0, 5, 6]),
@@ -458,6 +466,10 @@ def _block_without_its_last_row():
     (lambda: _set_2(["format"], 2.0), "{path}: format must be 1 or 2, got 2.0"),
     (lambda: _set_2(["format"], "2"), "{path}: format must be 1 or 2, got '2'"),
     (lambda: _set_2(["grid_names"], ["ts", None, "t1"]), "grid_names: entries must be strings"),
+    *[(lambda label=label: _set_2(["predicates", "I", "labels"], [2, label]),
+       f"predicate 'I' labels: {text} is not an integer in 0..4")
+      for label, text, _ in LABELS],
+    (lambda: _set_2(["predicates", "I", "labels"], 2), "predicate 'I' labels must be a list"),
 ], ids=["dimensions", "empty-matrix", "vector-pairs", "zero-projector",
         "predicate-form", "predicate-shape", "grid_names-length", "grid_names-repeated",
         "extras-repeated", "indices-repeated-step", "indices-repeated-projector",
@@ -465,7 +477,8 @@ def _block_without_its_last_row():
         "indices-boolean", "indices-longer", "indices-int", "block-shape", "block-missing",
         "block-empty-row", "support-empty", "dimensions-huge", "dimensions-beyond-budget",
         "dimensions-zero", "format-3",
-        "format-boolean", "format-float", "format-string", "grid_names-null"])
+        "format-boolean", "format-float", "format-string", "grid_names-null",
+        *[f"label-{name}" for _, _, name in LABELS], "labels-int"])
 def test_each_loads_refusal_exits_two_naming_its_field(doc, message, tmp_path):
     # one mutation of the reference dump, as format 1 or 2, per refusal
     # of loads

@@ -125,7 +125,7 @@ def _malformed(kind: str, d: int, rng) -> tuple:
     if kind == "repeated":
         return StepBlock([0, 2, 2], block), "indices: 2 follows 2"
     if kind == "float":
-        return StepBlock([0.0, 2.0, 3.0], block), "indices: expected a list of integers"
+        return StepBlock([0.0, 2.0, 3.0], block), "indices: 0.0 is not an integer in 0..5"
     bad = block.copy()
     bad[1, 1] = np.nan
     return StepBlock(s, bad), ": non-finite entry"
@@ -141,3 +141,48 @@ def test_a_malformed_pair_is_refused_naming_its_step(kind, k, seed):
     with pytest.raises(ValidationError) as info:
         Model(2, 3, TimeGrid((0.0, 1.0, 2.0, 3.0)), steps)
     assert str(info.value).startswith(f"step {k}") and text in str(info.value), info.value
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["minimal", "padded", "full"]), k=st.integers(0, 2),
+       bad=st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0),
+                            complex(0.0, -np.inf), complex(np.nan, np.inf)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_non_finite_entry_is_refused_alike_in_a_dense_step_and_a_pair(kind, k, bad, seed):
+    # a NaN or infinity differs from 0 and 1, so it lies in S x S of the
+    # dense step and is found in its block, as in the pair's
+    rng = np.random.default_rng(seed)
+    d = 6
+    steps = [_pair(rng, "minimal", d) for _ in range(3)]
+    s, block = _pair(rng, kind, d)
+    block = block.copy()
+    a, b = rng.integers(0, len(s), size=2)
+    block[a, b] = bad
+    grid = TimeGrid((0.0, 1.0, 2.0, 3.0))
+    for form in (StepBlock(s, block), _scatter(StepBlock(s, block), d)):
+        steps[k] = form
+        with pytest.raises(ValidationError) as info:
+            Model(2, 3, grid, steps)
+        assert str(info.value) == f"step {k}: non-finite entry (NaN or infinity)"
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(kinds=["full", "minimal", "empty"], seed=3)
+def test_a_dense_built_model_returns_its_steps(kinds, seed):
+    # steps are scattered from the held pairs: equal to the given matrices,
+    # a -0.0 outside S read as +0.0, and a step moving every index (a Haar
+    # step) returned as the given object
+    rng = np.random.default_rng(seed)
+    d = 6
+    dense = [_scatter(_pair(rng, kind, d), d) for kind in kinds]
+    for u in dense:
+        u[u == 0] = complex(-0.0, -0.0)
+    model = Model(2, 3, TimeGrid(tuple(float(t) for t in range(len(dense) + 1))), dense)
+    assert len(model.steps) == len(dense)
+    for kind, u, given_u, (s, _) in zip(kinds, model.steps, dense, model.blocks):
+        assert np.array_equal(u, given_u)
+        assert (u is given_u) == (len(s) == d)
+        if kind == "full":
+            assert u is given_u
