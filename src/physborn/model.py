@@ -23,25 +23,23 @@ The nested family of subspaces describing which state vectors are
 physically admissible at each time is carried by ``PhysicalFamily`` and
 validated against the nesting law P(j) P(k) = P(j) for j < k.  Every
 P(k) is applied through one frame, an isometry F with P(k) = F F^dagger:
-a record (diagonal, each entry exactly 0 or 1) by its labels, applied by
-gathering and scattering rows so that the identity costs nothing, and
-anything else by an orthonormal d x r range basis.  A family built by
-:func:`forward_closure` keeps its range bases; a family of given
-projectors that are all records keeps only their labels; any other
-given family keeps its matrices as given for :meth:`PhysicalFamily.at`
-and validation, and applies each P(k) through the range basis of the
-given matrix, found on first use.  The family knows its runs, the
-consecutive indices whose P(k) are exactly one matrix, decided with no
-tolerance, and frames and checks each run once.  :func:`lift_system1` and
-:func:`lift_system2` return a d x m orthonormal basis of the lifted range
-at their grid index, so that the rules work on d x r and d x m blocks; a
-dense d x d projector is formed only where a public function returns
-one.  A record factor projector is lifted by gathering V(k)'s rows (or
-columns) at its labels.  ``PhysicalFamily`` is the one owner of its
-storage form: no code outside the class, in this module or another, asks
-whether P(k) is given as a matrix, held by its labels or as a range basis.
+None for the identity, which costs nothing, or an orthonormal d x r
+range basis.  A family built by :func:`forward_closure` keeps its range
+bases; a family of given projectors keeps the given matrix of each run,
+one object per run, for :meth:`PhysicalFamily.at` and validation, and
+frames the run on first use: None when the matrix is exactly I, the
+range basis of the given matrix otherwise.  The family knows its runs,
+the consecutive indices whose P(k) are exactly one matrix, decided with
+no tolerance, and frames and checks each run once.  :func:`lift_system1`
+and :func:`lift_system2` return a d x m orthonormal basis of the lifted
+range at their grid index, so that the rules work on d x r and d x m
+blocks; a dense d x d projector is formed only where a public function
+returns one.  A record factor projector is lifted by gathering V(k)'s
+rows (or columns) at its labels.  ``PhysicalFamily`` is the one owner of
+its storage form: no code outside the class, in this module or another,
+asks whether P(k) is given as a matrix or as a range basis.
 :func:`validate_family` is one loop over the indices and the pairs j < k
-for every form, and the class holds each form's tests of an index and of
+for both forms, and the class holds each form's tests of an index and of
 a pair.
 :func:`lift_predicate`, the one lift of a condition or an outcome,
 returns a :class:`Lifted`, the one owner of the form a lifted predicate
@@ -354,68 +352,53 @@ class PhysicalFamily:
 
     Every P(k) is applied through one frame, an isometry F with P(k) = F
     F^dagger, so that P(k) B = F (F^dagger B) and applying P(k) to a d x
-    m block costs O(d r m) for a rank r.  A record
-    (:func:`linalg.record_labels`: diagonal, each entry exactly 0 or 1) is
-    framed by its size n and labels, standing for the selection E =
-    I[:, labels]: E^dagger B is B's rows at the labels, and a record whose
-    labels cover every index is the identity, whose restriction hands B
-    back uncopied.  Anything else is framed by an orthonormal d x r range
-    basis U.  ``PhysicalFamily(projectors)`` frames a family whose every
-    given projector is a record by its labels and keeps no dense copy.
-    Any other given family keeps its matrices as given, which :meth:`at`
-    and :attr:`projectors` return and the dense checks of
-    :func:`validate_family` read, and frames P(k) by the range basis
-    :func:`_projector_basis` finds the first time a restriction needs it;
-    a loader validates the family before any rule applies it, so a given
-    matrix that fails validation is never decomposed.
-    :meth:`from_bases` (what :func:`forward_closure` builds) frames each
-    index by the given basis.  For labels and bases :meth:`at` rebuilds
-    the dense projector on each call.
+    m block costs O(d r m) for a rank r.  The frame is None for the
+    identity, whose restriction hands B back uncopied, and otherwise an
+    orthonormal d x r range basis U.  ``PhysicalFamily(projectors)``
+    keeps the given matrix of each run, the first, which :meth:`at` and
+    :attr:`projectors` return and the dense checks of
+    :func:`validate_family` read, and frames the run at its first
+    restriction: None when the matrix is exactly I, otherwise the range
+    basis :func:`_projector_basis` finds, for a record the standard basis
+    vectors at its labels.  A loader validates the family before any rule
+    applies it, so a given matrix that fails validation is never
+    decomposed.  :meth:`from_bases` (what :func:`forward_closure` builds)
+    frames each index by the given basis, and :meth:`at` rebuilds the
+    dense projector from it on each call.
 
     The family is built knowing its runs: for each index, the first index
     of the stretch of consecutive indices that hold one P
     (:meth:`run_start`).  Equal P(k) in a nested family are consecutive,
     so each index is compared with the one before, exactly and with no
-    tolerance: records by their sizes and label sets, range bases by
-    object (:func:`forward_closure` shares the basis of an index without
-    extras), and given matrices by object or entry for entry
-    (``np.array_equal``).  The indices of a record run share one frame
-    object, and a given projector is framed once per run, at the run's
-    first restriction.  :func:`validate_family` checks each run once and
-    :meth:`_nests` passes a pair inside a run with no product; the
-    start-index scan of :mod:`condition` builds one trimmed factor per
-    run, asking only for :meth:`run_start`.
+    tolerance: range bases by object (:func:`forward_closure` shares the
+    basis of an index without extras), and given matrices by object or
+    entry for entry (``np.array_equal``).  :func:`validate_family` checks
+    each run once and :meth:`_nests` passes a pair inside a run with no
+    product; the start-index scan of :mod:`condition` builds one trimmed
+    factor per run, asking only for :meth:`run_start`.
 
     Callers use P(k) B (:meth:`apply`) and B^dagger P(k) B
     (:meth:`sandwich`), whatever the frame.  Only this class reads the
     storage: :meth:`_restrict` is the one place that reads it to apply
-    P(k), and the pair (frame, coef) it returns, frame None standing for
-    the identity, is all that :meth:`_restrict_complement`,
-    :meth:`_join` and :meth:`_commutator_frobenius` read.
-    :func:`validate_family` asks the class to check each index
-    (:meth:`_index_checks`) and each pair (:meth:`_nests`).
+    P(k), and the pair (frame, coef) it returns is all that
+    :meth:`_restrict_complement`, :meth:`_join` and
+    :meth:`_commutator_frobenius` read.  :func:`validate_family` asks the
+    class to check each index (:meth:`_index_checks`) and each pair
+    (:meth:`_nests`).
     """
 
-    # _projectors: the given matrices of a family with a non-record P(k),
-    # else None.  _frames: one frame per index, a record's (n, labels) or
-    # a range basis, one object for a whole run; for given matrices, None
-    # until the run's first restriction frames its first index.  _runs:
-    # the first index of each index's run.
+    # _projectors: the given matrices, one object per run, or None for a
+    # family of bases.  _frames: the frame of each index of a family of
+    # bases; for given matrices, of each run's first index once a
+    # restriction has framed it.  _runs: the first index of each index's
+    # run.
     __slots__ = ("_projectors", "_frames", "_runs")
 
     def __init__(self, projectors):
         projectors = tuple(linalg.as_matrix(p) for p in projectors)
-        labels = tuple(linalg.record_labels(p) for p in projectors)
-        if None in labels:
-            self._projectors, self._frames = projectors, [None] * len(projectors)
-            self._runs = _run_starts(projectors, lambda p, q: p is q or np.array_equal(p, q))
-            return
-        keys = tuple(zip(map(len, projectors), labels))
-        self._projectors, self._runs = None, _run_starts(keys, tuple.__eq__)
-        frames = []
-        for k, (n, l) in enumerate(keys):
-            frames.append(frames[-1] if self._runs[k] < k else (n, np.array(l, dtype=np.intp)))
-        self._frames = tuple(frames)
+        self._runs = _run_starts(projectors, lambda p, q: p is q or np.array_equal(p, q))
+        self._projectors = tuple(projectors[r] for r in self._runs)
+        self._frames = {}
 
     @classmethod
     def from_bases(cls, bases) -> "PhysicalFamily":
@@ -423,12 +406,13 @@ class PhysicalFamily:
         column bases U_k; consecutive indices given one basis object form
         a run."""
         fam = cls.__new__(cls)
-        fam._projectors, fam._frames = None, tuple(bases)
-        fam._runs = _run_starts(fam._frames, lambda u, v: u is v)
+        bases = tuple(bases)
+        fam._projectors, fam._frames = None, dict(enumerate(bases))
+        fam._runs = _run_starts(bases, lambda u, v: u is v)
         return fam
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._runs)
 
     def _index(self, k: int) -> int:
         return linalg._index(k, 0, len(self) - 1, "family index {k} out of range [{lo}, {hi}]")
@@ -444,11 +428,8 @@ class PhysicalFamily:
         k = self._index(k)
         if self._projectors is not None:
             return self._projectors[k]
-        frame = self._frames[k]
-        if isinstance(frame, tuple):
-            n, labels = frame
-            return linalg.diagonal_projector(labels, n)
-        return frame @ frame.conj().T
+        u = self._frames[k]
+        return u @ u.conj().T
 
     @property
     def projectors(self) -> tuple:
@@ -457,55 +438,42 @@ class PhysicalFamily:
 
     def _restrict(self, k: int, block: np.ndarray) -> tuple:
         """P(k) block as a pair (frame, coef) with P(k) block = frame @ coef:
-        the index's range basis U (for a given non-record projector, the
-        one :func:`_projector_basis` finds at the first call in its run,
-        then kept for the run)
-        with coef = U^dagger block; a record's pair (n, labels), standing
-        for the selection E, with coef = E^dagger block, the block's rows
-        at the labels; or None, the identity, with coef the block itself,
-        uncopied, for a record whose labels cover every index."""
+        None, the identity, with coef the block itself, uncopied, or the
+        range basis U with coef = U^dagger block.  A given matrix's run is
+        framed at its first call and keeps the frame.  A block whose row
+        count is not the size of P(k) is refused with a ShapeError."""
         k = self._index(k)
         r = self._runs[k]
+        if r not in self._frames:
+            p = self._projectors[r]
+            self._frames[r] = None if np.array_equal(p, np.eye(len(p))) else _projector_basis(p)
         frame = self._frames[r]
-        if frame is None:
-            frame = self._frames[r] = _projector_basis(self._projectors[r])
-        if not isinstance(frame, tuple):
-            return frame, frame.conj().T @ block
-        n, labels = frame
+        n = len(self._projectors[r] if frame is None else frame)
         if n != len(block):
             raise ShapeError(f"family index {k} is {n} x {n}, block has {len(block)} rows")
-        return (None, block) if len(labels) == n else (frame, block[labels])
+        return (None, block) if frame is None else (frame, frame.conj().T @ block)
 
     def _restrict_complement(self, k: int, w: np.ndarray, restricted: tuple) -> tuple:
         """P(k) (I - w w^dagger) as a pair (frame, coef) with P(k) (I - w
         w^dagger) = frame @ coef, for a d x m orthonormal block w and
         ``restricted`` = ``self._restrict(k, w)`` = (frame, C): coef =
-        F^dagger - C w^dagger for the frame F.  For a record's selection E
-        or the identity that is one product, -C w^dagger, plus 1 at (i,
-        labels[i]) (at (i, i) for the identity).  For a range basis U coef
-        is the adjoint view of the tall block U - w C^dagger, which is what
-        is computed."""
+        F^dagger - C w^dagger for the frame F.  For the identity that is
+        one product, -C w^dagger, plus 1 on the diagonal.  For a range
+        basis U coef is the adjoint view of the tall block U - w C^dagger,
+        which is what is computed."""
         frame, coef = restricted
-        if frame is not None and not isinstance(frame, tuple):
+        if frame is not None:
             return frame, (frame - w @ coef.conj().T).conj().T
         wide = coef @ -w.conj().T
         rows = np.arange(len(wide))
-        wide[rows, rows if frame is None else frame[1]] += 1
+        wide[rows, rows] += 1
         return frame, wide
 
     @staticmethod
     def _join(frame, coef: np.ndarray) -> np.ndarray:
         """frame @ coef for a restriction's pair, frame None standing for
-        the identity and a record's pair (n, labels) for its selection E,
-        applied by scattering coef's rows to the labels."""
-        if frame is None:
-            return coef
-        if isinstance(frame, tuple):
-            n, labels = frame
-            out = np.zeros((n, coef.shape[1]), dtype=complex)
-            out[labels] = coef
-            return out
-        return frame @ coef
+        the identity."""
+        return coef if frame is None else frame @ coef
 
     def _commutator_frobenius(self, k: int, w: np.ndarray,
                               restricted: tuple | None = None) -> float:
@@ -513,14 +481,13 @@ class PhysicalFamily:
         ``restricted`` is ``self._restrict(k, w)`` = (frame, C), computed
         when not given.
 
-        P(k) = F F^dagger for the frame F, a range basis U or a record's
-        selection E, and C = F^dagger W.  With X = W W^dagger the
-        commutator is X P (I - X) - (I - X) P X, two parts with orthogonal
-        ranges that are each other's adjoints (F F^dagger is Hermitian by
-        construction), and (I - X) P X = (F - W C^dagger) C W^dagger.  So
-        the norm is sqrt(2) ||F C - W (C^dagger C)||_F, in O(d r m), with
-        F C the joined restriction.  The identity commutes with every W:
-        the norm is 0.
+        P(k) = U U^dagger for the range basis U, and C = U^dagger W.  With
+        X = W W^dagger the commutator is X P (I - X) - (I - X) P X, two
+        parts with orthogonal ranges that are each other's adjoints (U
+        U^dagger is Hermitian by construction), and (I - X) P X = (U - W
+        C^dagger) C W^dagger.  So the norm is sqrt(2) ||U C - W (C^dagger
+        C)||_F, in O(d r m), with U C the joined restriction.  The
+        identity commutes with every W: the norm is 0.
         """
         frame, coef = self._restrict(k, w) if restricted is None else restricted
         if frame is None:
@@ -532,11 +499,9 @@ class PhysicalFamily:
         which the pair tests of :meth:`_nests` read for j = k.
 
         A given matrix is checked densely, as given, and a product that
-        overflows is non-finite and fails its check; e is None.  A record
-        framed by its labels is a projector exactly, so it passes when its
-        size is dim, and it is nonzero when it has a label; e is None.
-        For P = U U^dagger, e = ||E||_F with E = U^dagger U - I: P^2 - P =
-        U E U^dagger, whose Frobenius norm is at most (1 + ||E||_F) ||E||_F
+        overflows is non-finite and fails its check; e is None.  For P = U
+        U^dagger, e = ||E||_F with E = U^dagger U - I: P^2 - P = U E
+        U^dagger, whose Frobenius norm is at most (1 + ||E||_F) ||E||_F
         and whose diagonal bounds its largest entry from below; U U^dagger
         is Hermitian up to rounding.  ||P||_F is ||U^dagger U||_F and the
         largest squared row norm of U is a diagonal entry of P.  The
@@ -550,9 +515,6 @@ class PhysicalFamily:
                 return (p.shape == (dim, dim) and linalg.is_projector(p, tol),
                         linalg.max_abs(p) > tol.eps_zero, None)
         u = self._frames[k]
-        if isinstance(u, tuple):
-            n, labels = u
-            return n == dim, len(labels) > 0, None
         gram = u.conj().T @ u
         e = gram - np.eye(len(gram))
         e_norm = float(np.linalg.norm(e))
@@ -574,14 +536,11 @@ class PhysicalFamily:
         eps_zero when P passed its projector check, so such a pair nests
         with no product; a P that failed it is tested as any other pair,
         so the verdict stays the dense one.  A pair of given matrices is
-        checked densely, as in :meth:`_index_checks`.  Two records of one size nest when the
-        labels of P(j) are among those of P(k), since P(j) P(k) - P(j) is
-        -1 at each label of P(j) that P(k) lacks and 0 elsewhere.  For
-        bases, P(j) P(k) - P(j) = -U_j R^dagger with R = (I - P(k)) U_j, so
-        its Frobenius norm is at most ||U_j||_2 ||R||_F <= sqrt(1 + e_j)
-        ||R||_F, and its diagonal, taken only when that bound does not
-        settle the test, is the row-wise product of U_j and R.  One pair
-        costs O(d r_j r_k).
+        checked densely, as in :meth:`_index_checks`.  For bases, P(j) P(k)
+        - P(j) = -U_j R^dagger with R = (I - P(k)) U_j, so its Frobenius
+        norm is at most ||U_j||_2 ||R||_F <= sqrt(1 + e_j) ||R||_F, and its
+        diagonal, taken only when that bound does not settle the test, is
+        the row-wise product of U_j and R.  One pair costs O(d r_j r_k).
         """
         projector_ok, _, e_j = check_j
         if projector_ok and self._runs[j] == self._runs[k]:
@@ -591,9 +550,6 @@ class PhysicalFamily:
             with np.errstate(over="ignore", invalid="ignore"):
                 return pj.shape != pk.shape or linalg.max_abs(pj @ pk - pj) <= tol.eps_zero
         uj, uk = self._frames[j], self._frames[k]
-        if isinstance(uj, tuple):
-            (nj, lj), (nk, lk) = uj, uk
-            return nj != nk or bool(np.isin(lj, lk).all())
         if uj.shape[0] != uk.shape[0]:
             return True
         r = uj - uk @ (uk.conj().T @ uj)
@@ -646,11 +602,10 @@ def validate_family(model: Model, fam: PhysicalFamily) -> FamilyValidation:
     One loop for every storage form: each run of equal P(k)
     (``PhysicalFamily.run_start``) is checked once at its first index
     (``PhysicalFamily._index_checks``), then each pair j < k
-    (``PhysicalFamily._nests``).  A family of records is checked exactly
-    from its sizes and labels, and any other family of given matrices with
-    dense d x d products, as given.  A family of range bases is checked
-    from its blocks, one pair at a time, and the dense max-entry test runs only
-    for a quantity that falls between the bounds of
+    (``PhysicalFamily._nests``).  A family of given matrices is checked
+    with dense d x d products, as given.  A family of range bases is
+    checked from its blocks, one pair at a time, and the dense max-entry
+    test runs only for a quantity that falls between the bounds of
     :func:`linalg.within_zero`; the verdicts are the same.
     """
     checks, violations = [], []
@@ -745,9 +700,8 @@ def _sandwich_commutes(model: Model, fam: PhysicalFamily, s: int, a: np.ndarray,
 
     That matrix is F - F^dagger with F = G_a (a^dagger b) G_b^dagger, and
     ``fam._restrict`` gives G_a = frame C_a and G_b = frame C_b, with
-    frame the range basis U or a record's selection I[:, labels] (C r x
-    m), or the identity (C d x m, the blocks themselves).  The QR
-    factorization [C_a, C_b] = Q [R_a, R_b]
+    frame the range basis U (C r x m) or the identity (C d x m, the
+    blocks themselves).  The QR factorization [C_a, C_b] = Q [R_a, R_b]
     leaves F = frame Q E Q^dagger frame^dagger with E = R_a (a^dagger b)
     R_b^dagger, and frame and Q have orthonormal columns, so ||F -
     F^dagger||_F = ||E - E^dagger||_F on at most m_a + m_b rows: one
@@ -774,7 +728,7 @@ class Lifted:
     it is, since [I - Wbar Wbar^dagger, A] = -[Wbar Wbar^dagger, A].
     Everything trimmed to the family comes from the trimming pair
     (:meth:`_trimming`): for the family's frame F at k, P(k) = F F^dagger
-    of rank r (a range basis U or a record's selection E), that is the r x
+    of rank r (a range basis U, or the identity), that is the r x
     m block C = F^dagger W, or the r x d block B = F^dagger X = F^dagger -
     Cbar Wbar^dagger with Cbar = F^dagger Wbar, built in O(d r (d - m)).
     So a complement is handled at the family's rank too: P(k) X P(k) = F

@@ -16,7 +16,7 @@ from physborn.errors import (
     ShapeError,
     ValidationError,
 )
-from physborn.scenarios import build_reference_experiment
+from physborn.scenarios import build_reference_experiment, build_sg_observer_space
 from physborn.model import (
     Model,
     PhysicalFamily,
@@ -310,6 +310,25 @@ def test_family_index_out_of_range_is_refused():
     assert is_physically_possible(ref.model, ref.fam, x, ref.T0)
 
 
+def test_a_block_of_the_wrong_row_count_is_refused_by_every_frame():
+    # a closure's range bases, a given non-record projector, a record
+    # other than the identity and the identity all raise the one
+    # ShapeError, not numpy's matmul ValueError
+    d = 6
+    families = (build_reference_experiment().fam,
+                build_sg_observer_space(((0, 0, 1), (1, 0, 0), (0, 1, 0))).fam,
+                PhysicalFamily([np.diag([1, 0, 1, 0, 0, 0]).astype(complex)] * 2),
+                identity_family(d, 2))
+    for fam in families:
+        n = len(fam.at(1))
+        for rows in (n - 1, n + 1):
+            block = np.ones((rows, 2), dtype=complex)
+            for method in (fam.apply, fam.sandwich):
+                with pytest.raises(ShapeError,
+                                   match=rf"^family index 1 is {n} x {n}, block has {rows} rows$"):
+                    method(1, block)
+
+
 def test_check_self_consistency_identity_family():
     rng = np.random.default_rng(36)
     m = random_model(rng, 2, 2)
@@ -361,7 +380,8 @@ def test_only_the_family_reads_its_storage_form():
     # frame, and nothing in model.py outside the class body reads its
     # storage or branches on a frame; other code asks for a run only
     # through run_start
-    storage = {"_projectors", "_frames", "_runs", "_bases", "_labels"}
+    storage = {"_projectors", "_frames", "_runs"}
+    assert set(PhysicalFamily.__slots__) == storage
     sites = []
     for path in sorted(Path(physborn.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

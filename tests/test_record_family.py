@@ -1,12 +1,12 @@
 """Families of given projectors against the dense products.
 
-``PhysicalFamily(projectors)`` keeps each P(k) by its size and labels
-when every given projector is a record (diagonal, each entry exactly 0 or
-1): a restriction gathers rows, a join scatters them, and the identity
-hands a block back uncopied.  Any other given family keeps its matrices
-for validation and applies each P(k) through the range basis of the
-given matrix.  ``conftest.dense_family`` applies the same matrices as
-dense d x d products; every verdict must be identical and every value
+``PhysicalFamily(projectors)`` keeps the given matrix of each run, one
+object per run, for validation, and applies each P(k) through the range
+basis of that matrix: for a record (diagonal, each entry exactly 0 or 1)
+the standard basis vectors at its labels, and for the identity no frame
+at all, so that a restriction hands the block back uncopied.
+``conftest.dense_family`` applies the same matrices as dense d x d
+products; every verdict must be identical and every value
 within 1e-12, on Haar, permutation and product steps, for conditions held
 by their range and by their complement.
 """
@@ -132,8 +132,15 @@ def test_a_record_family_matches_the_dense_oracle(d1, d2, n, family, steps, seed
     us = [random_unitary(rng, d) if steps == "haar"
           else np.eye(d, dtype=complex)[rng.permutation(d)] for _ in range(n - 1)]
     model = Model(d1, d2, TimeGrid(tuple(float(t) for t in range(n))), tuple(us))
-    projectors = [_record(labels, d) for labels in _labels(rng, d, n, family)]
-    assert PhysicalFamily(projectors)._projectors is None     # framed by its labels
+    sets = _labels(rng, d, n, family)
+    projectors = [_record(labels, d) for labels in sets]
+    fam = PhysicalFamily(projectors)
+    for k, labels in enumerate(sets):   # one matrix per run; the identity copies nothing
+        assert fam.at(k) is projectors[fam.run_start(k)]
+        w = lift_predicate(model, _record([0], d1), k).block
+        assert (fam.apply(k, w) is w) == (len(labels) == d)
+    if family == "identity":
+        assert all(fam.at(k) is fam.at(0) for k in range(n))
     _compare_with_dense(rng, model, projectors)
 
 
@@ -170,7 +177,8 @@ def test_a_given_non_record_family_matches_the_dense_oracle(d1, d2, n, kind, noi
             h += h.conj().T
             p += 1e-11 * h / np.max(np.abs(h))
     model = Model(d1, d2, TimeGrid(tuple(float(t) for t in range(n))), tuple(us))
-    assert PhysicalFamily(projectors)._projectors is not None  # kept as given
+    fam = PhysicalFamily(projectors)
+    assert all(fam.at(k) is projectors[fam.run_start(k)] for k in range(n))   # kept as given
     _compare_with_dense(rng, model, projectors, 10 * d * 1e-11 if noise else 1e-12)
 
 
@@ -198,10 +206,10 @@ def test_a_family_with_one_non_record_is_validated_as_given():
     near = _record([0, 1], d)
     near[0, 1] = near[1, 0] = 2e-9
     model = Model(3, 2, TimeGrid((0.0, 1.0, 2.0)), (np.eye(d),) * 2)
-    for projectors, by_labels in (([near, _record([0, 1, 2], d), np.eye(d)], False),
-                                  ([_record([0], d), _record([0, 1], d + 1), np.eye(d)], True)):
+    for projectors in ([near, _record([0, 1, 2], d), np.eye(d)],
+                       [_record([0], d), _record([0, 1], d + 1), np.eye(d)]):
         fam = PhysicalFamily(projectors)
-        assert (fam._projectors is None) == by_labels
+        assert all(map(np.array_equal, fam.projectors, projectors))    # kept as given
         report = validate_family(model, fam)
         assert report == dense_validate_family(model, dense_family(projectors))
         assert not report.passed

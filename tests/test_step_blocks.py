@@ -103,7 +103,7 @@ def test_a_haar_step_given_densely_is_held_uncopied():
 
 
 MALFORMED = ("shape", "rows", "unitary", "negative", "beyond", "unsorted", "repeated",
-             "float", "nan")
+             "float", "scalar", "nan")
 
 
 def _malformed(kind: str, d: int, rng) -> tuple:
@@ -126,6 +126,8 @@ def _malformed(kind: str, d: int, rng) -> tuple:
         return StepBlock([0, 2, 2], block), "indices: 2 follows 2"
     if kind == "float":
         return StepBlock([0.0, 2.0, 3.0], block), "indices: 0.0 is not an integer in 0..5"
+    if kind == "scalar":
+        return StepBlock(5, block), "indices: expected a list of integers"
     bad = block.copy()
     bad[1, 1] = np.nan
     return StepBlock(s, bad), ": non-finite entry"
@@ -180,6 +182,8 @@ def test_a_dense_built_model_returns_its_steps(kinds, seed):
     for u in dense:
         u[u == 0] = complex(-0.0, -0.0)
     model = Model(2, 3, TimeGrid(tuple(float(t) for t in range(len(dense) + 1))), dense)
+    with pytest.raises(AttributeError, match=r"^'Model' object has no attribute 'nonexistent'$"):
+        model.nonexistent
     assert len(model.steps) == len(dense)
     for kind, u, given_u, (s, _) in zip(kinds, model.steps, dense, model.blocks):
         assert np.array_equal(u, given_u)
